@@ -148,12 +148,6 @@ class CqState:
         return (self.entropy(tuple(r1)) + self.entropy(tuple(r2))
                 - self.entropy(tuple(r1 | r2)))
 
-    def conditional_entropy(self, target: Sequence[str], given: Sequence[str]) -> float:
-        t, g = set(target), set(given)
-        if t & g:
-            raise InvariantError("conditional entropy needs disjoint register sets")
-        return self.entropy(tuple(t | g)) - self.entropy(tuple(g))
-
     def conditional_mutual_information(self, regs1, regs2, given) -> float:
         """I(regs1; regs2 | given) = S(1g) + S(2g) - S(12g) - S(g)."""
         r1, r2, g = set(regs1), set(regs2), set(given)
@@ -161,21 +155,6 @@ class CqState:
             raise InvariantError("conditional MI needs pairwise disjoint register sets")
         return (self.entropy(tuple(r1 | g)) + self.entropy(tuple(r2 | g))
                 - self.entropy(tuple(r1 | r2 | g)) - self.entropy(tuple(g)))
-
-    def to_density(self) -> DensityOperator:
-        """Embed classical registers as diagonal quantum ones (small systems only)."""
-        csizes = [len(self.alphabets[c]) for c in self.cregisters]
-        qdim = int(np.prod([self.qdims[q] for q in self.qregisters])) if self.qregisters else 1
-        dim = int(np.prod(csizes)) * qdim if csizes else qdim
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        for key, blk in self.blocks.items():
-            flat = 0
-            for c, val in zip(self.cregisters, key):
-                flat = flat * len(self.alphabets[c]) + self.alphabets[c].index(val)
-            off = flat * qdim
-            mat[off:off + qdim, off:off + qdim] += blk
-        dims = tuple(csizes) + tuple(self.qdims[q] for q in self.qregisters)
-        return DensityOperator(hermitize(mat), dims if dims else (1,), tol=max(self.tol, 1e-8))
 
 
 def attach_classical(cq: CqState, name: str, alphabet, kernel: Callable) -> CqState:

@@ -48,7 +48,6 @@ from .typicality import (
     PrunedDistribution,
     TypicalSet,
     _check_dim_cap,
-    _check_seq_cap,
     all_sequences,
     build_projector_bundle,
     lambda_operators,
@@ -409,33 +408,6 @@ def _image_weight_total(pair, integration: SeparableDecomposition) -> float:
     return total
 
 
-def overall_povm(binned_A, binned_B, decoder: DecoderTable,
-                 integration: SeparableDecomposition) -> dict:
-    """Average the decoded cell operators into the simulated joint family.
-
-    Cells run over bin indices i, j >= 1; each contributes its operator
-    Gamma_i x Gamma_j to the strings the integration assigns to the decoded
-    pair.  This materializes one full operator per output string, which is
-    fine at desk scale; faithfulness_trial scores through rank-reduced
-    sandwiches instead and never calls it.
-    """
-    N1, N2 = decoder.n_mu
-    w_mu = 1.0 / (N1 * N2)
-    acc = {}
-    for mu1 in range(N1):
-        for mu2 in range(N2):
-            for i in range(1, decoder.bins1 + 1):
-                ga = binned_A[mu1][i]
-                for j in range(1, decoder.bins2 + 1):
-                    cell = w_mu * np.kron(ga, binned_B[mu2][j])
-                    for z, w in _z_images(decoder.lookup(mu1, mu2, i, j), integration):
-                        if z in acc:
-                            acc[z] = acc[z] + w * cell
-                        else:
-                            acc[z] = w * cell
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # rank-reduced sandwich frame
 # ---------------------------------------------------------------------------
@@ -457,19 +429,33 @@ def _side_major_rows(c_copy: np.ndarray, dA: int, dB: int, n: int) -> np.ndarray
         (dA ** n) * (dB ** n), rn)
 
 
-def _left_factor(op: np.ndarray, cperm3: np.ndarray) -> np.ndarray:
-    # conj((Op x I) C) for Hermitian Op, ready to close against a right factor
-    return np.tensordot(op, cperm3, axes=(1, 0)).conj()
+def _sandwich_frame(rho_AB: DensityOperator, n: int):
+    """(c1, cperm3): the support factor of rho_AB and its n-th Kronecker power
+    with side-major rows, shaped (dA^n, dB^n, r^n)."""
+    dA, dB = rho_AB.dims
+    c1 = _support_factor(rho_AB)
+    c_perm = _side_major_rows(_kron_power(c1, n), dA, dB, n)
+    return c1, c_perm.reshape(dA ** n, dB ** n, c_perm.shape[1])
 
 
-def _right_factor(op: np.ndarray, cperm3: np.ndarray) -> np.ndarray:
-    # (I x Op) C
-    return np.tensordot(op, cperm3, axes=(1, 1)).transpose(1, 0, 2)
+def _sandwich_blocks(xs, ys, cperm3: np.ndarray) -> np.ndarray:
+    """Every C^dag (X_a x Y_b) C as an (a, b, r^n, r^n) array, X and Y Hermitian.
 
-
-def _close_sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    # C^dag (X x Y) C from the two factors; X, Y must be Hermitian
-    return np.tensordot(left, right, axes=([0, 1], [0, 1]))
+    conj((X_a x I) C) and (I x Y_b) C are laid out as (a r^n, dB^n dA^n) and
+    (b r^n, dB^n dA^n) matrices, so one matmul closes all pairs at once.
+    """
+    dA, dB, rn = cperm3.shape
+    xs = np.asarray(xs, dtype=np.complex128)
+    ys = np.asarray(ys, dtype=np.complex128)
+    # rows (p, y), columns x: sum_x' conj(C[x', y, p]) X[x', x], which is
+    # conj((X x I) C) for Hermitian X
+    c_left = np.ascontiguousarray(cperm3.conj().transpose(2, 1, 0)).reshape(rn * dB, dA)
+    left = np.matmul(c_left, xs).reshape(len(xs) * rn, dB * dA)
+    # per (b, q): sum_y' Y[y, y'] C[x, y', q], rows y, columns x
+    c_right = np.ascontiguousarray(cperm3.transpose(2, 1, 0))
+    right = np.matmul(ys[:, None], c_right[None]).reshape(len(ys) * rn, dB * dA)
+    out = left @ right.T
+    return out.reshape(len(xs), rn, len(ys), rn).transpose(0, 2, 1, 3)
 
 
 def _tn(block: np.ndarray) -> float:
@@ -500,10 +486,10 @@ class TrialReport:
     """Everything one protocol realization produced.
 
     Validity tuples carry one entry per common-randomness index and side.
-    resummation_error measures how far the simulated family's total strays
-    from the product of the averaged per-sender binned totals; it is taken
-    cell by cell on the full matrices up to dimension 2048 and per mu pair
-    above that.  Diagnostics hold gamma/zeta statistics, bin spreads, the
+    resummation_error is the largest entry of the simulated family's total
+    minus the product of the averaged per-sender binned totals, computed in
+    factored form; it is exactly 0 for deterministic integrations.
+    Diagnostics hold gamma/zeta statistics, bin spreads, the
     leakage split, and the covering/binning error split (s1, s2) when the
     typical sets are small enough to enumerate in pairs.
     """
@@ -532,33 +518,6 @@ class TrialReport:
         return self.collisions / self.occupied if self.occupied else 0.0
 
 
-def _bypass_report(params: ProtocolParams, rho_AB: DensityOperator,
-                   d: SeparableDecomposition) -> TrialReport:
-    # score the target against itself through two independent sandwich routes:
-    # full tensor-power conjugation vs letterwise factorized blocks
-    n = params.n
-    target = compose_decomposition(d)
-    _check_seq_cap(len(target.outcomes), n)
-    c1 = _support_factor(rho_AB)
-    c_copy = _kron_power(c1, n)
-    blocks1 = {z: c1.conj().T @ target.op(z) @ c1 for z in target.outcomes}
-    probs1 = {z: max(0.0, float(np.real(np.trace(blocks1[z]))))
-              for z in target.outcomes}
-    g_val = 0.0
-    support_mass = 0.0
-    covered = 0.0
-    for zseq in itertools.product(target.outcomes, repeat=n):
-        full = tensor(*(target.op(z) for z in zseq))
-        m1 = c_copy.conj().T @ full @ c_copy
-        m2 = _kron_power_blocks([blocks1[z] for z in zseq])
-        g_val += _tn(m2 - m1)
-        support_mass += float(np.prod([probs1[z] for z in zseq]))
-        covered += float(np.real(np.trace(m1)))
-    g_val += max(0.0, 1.0 - support_mass) + max(0.0, 1.0 - covered)
-    return TrialReport(params, g_val, (), (), (), (), 0, 0, 0.0,
-                       {"bypass": True, "support_mass": support_mass})
-
-
 def _gamma_values(lists, eps: float, eta: float, L: int):
     scale = (1.0 - eps) / ((1.0 + eta) * L)
     vals = []
@@ -575,53 +534,40 @@ def _stats(prefix: str, vals) -> dict:
             f"{prefix}_max": float(arr.max())}
 
 
-RESUM_FULL_DIM = 2048  # above this, check the resummation per mu pair only
-
-
 def _resummation_error(binned_A, binned_B, decoder: DecoderTable,
-                       integration: SeparableDecomposition, dim: int) -> float:
+                       integration: SeparableDecomposition) -> float:
+    """Largest entry of the simulated family's total minus the product of the
+    mu-averaged per-sender binned totals.
+
+    By bilinearity of the Kronecker product the difference is
+    sum_mu w_mu sum_i Gamma_i x (sum_j (w_ij - 1) Gamma_j), w_ij the total
+    integration weight of the pair decoded in cell (i, j); only a row holding
+    a weight other than exactly 1 needs a Kronecker product.
+    """
     N1, N2 = decoder.n_mu
     w_mu = 1.0 / (N1 * N2)
-    sums_A = []
-    for fam in binned_A:
-        total = np.zeros_like(next(iter(fam.values())))
-        for b in sorted(fam):
-            total = total + fam[b]
-        sums_A.append(total)
-    sums_B = []
-    for fam in binned_B:
-        total = np.zeros_like(next(iter(fam.values())))
-        for b in sorted(fam):
-            total = total + fam[b]
-        sums_B.append(total)
-    product = np.kron(sum(sums_A) / N1, sum(sums_B) / N2)
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    if dim <= RESUM_FULL_DIM:
-        for mu1 in range(N1):
-            for mu2 in range(N2):
-                for i in range(1, decoder.bins1 + 1):
-                    ga = binned_A[mu1][i]
-                    for j in range(1, decoder.bins2 + 1):
-                        w = _image_weight_total(
-                            decoder.lookup(mu1, mu2, i, j), integration)
-                        acc += (w_mu * w) * np.kron(ga, binned_B[mu2][j])
-    else:
-        for mu1 in range(N1):
-            for mu2 in range(N2):
-                acc += w_mu * np.kron(sums_A[mu1], sums_B[mu2])
-    return float(np.max(np.abs(acc - product)))
+    acc = 0.0
+    for mu1 in range(N1):
+        for mu2 in range(N2):
+            for i in range(1, decoder.bins1 + 1):
+                weights = [_image_weight_total(decoder.lookup(mu1, mu2, i, j),
+                                               integration)
+                           for j in range(1, decoder.bins2 + 1)]
+                gaps = [(j, w - 1.0) for j, w in enumerate(weights, 1) if w != 1.0]
+                if gaps:
+                    row = sum(g * binned_B[mu2][j] for j, g in gaps)
+                    acc = acc + w_mu * np.kron(binned_A[mu1][i], row)
+    return float(np.max(np.abs(acc)))
 
 
 def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
-                       d: SeparableDecomposition, bypass: bool = False) -> TrialReport:
+                       d: SeparableDecomposition) -> TrialReport:
     """Run one random protocol realization and score it against the target.
 
     The score is the faithfulness distance between the tensor-power composed
     measurement and the simulated joint family on the tensor-power state: a
     sum of per-string sandwich trace norms, plus the target mass sitting on
     strings the simulation never emits, plus the simulated family's leakage.
-    With ``bypass`` the protocol is skipped and the target is scored against
-    itself through an independent evaluation route.
 
     Memory scales with rank(rho_AB)^{2n}; the dimension cap bounds the rest.
     """
@@ -630,8 +576,6 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     _check_dim_cap(dA * dB, n)
     if rho_AB.dims != (dA, dB):
         raise InvariantError("state and decomposition dimensions disagree")
-    if bypass:
-        return _bypass_report(params, rho_AB, d)
 
     rho_A = rho_AB.marginal((0,))
     rho_B = rho_AB.marginal((1,))
@@ -656,41 +600,26 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     joint = typical_set(pair_probs, n, params.delta, alphabet=pair_alphabet)
     decoder = build_decoder(codebook, binmaps, joint)
 
-    # sandwich frame on the support of the tensor-power state
-    c1 = _support_factor(rho_AB)
-    c_perm = _side_major_rows(_kron_power(c1, n), dA, dB, n)
-    cperm3 = c_perm.reshape(dA ** n, dB ** n, c_perm.shape[1])
-
     # decoded-pair blocks: one r^n sandwich per cell, averaged over mu pairs
-    N1, N2 = params.N1, params.N2
-    w_mu = 1.0 / (N1 * N2)
-    lefts = [{i: _left_factor(binned_A[mu1][i], cperm3)
-              for i in range(1, params.bins1 + 1)} for mu1 in range(N1)]
-    rights = [{j: _right_factor(binned_B[mu2][j], cperm3)
-               for j in range(1, params.bins2 + 1)} for mu2 in range(N2)]
+    c1, cperm3 = _sandwich_frame(rho_AB, n)
+    w_mu = 1.0 / (params.N1 * params.N2)
     pair_blocks = {}
     covered = 0.0
-    for mu1 in range(N1):
-        for mu2 in range(N2):
-            for i in range(1, params.bins1 + 1):
-                li = lefts[mu1][i]
-                for j in range(1, params.bins2 + 1):
-                    s_cell = w_mu * _close_sandwich(li, rights[mu2][j])
-                    covered += float(np.real(np.trace(s_cell)))
+    for mu1, fam_a in enumerate(binned_A):
+        for mu2, fam_b in enumerate(binned_B):
+            cells = w_mu * _sandwich_blocks(list(fam_a.values()),
+                                            list(fam_b.values()), cperm3)
+            covered += float(np.trace(cells, axis1=2, axis2=3).real.sum())
+            for a, i in enumerate(fam_a):
+                for b, j in enumerate(fam_b):
                     pair = decoder.lookup(mu1, mu2, i, j)
-                    if pair in pair_blocks:
-                        pair_blocks[pair] = pair_blocks[pair] + s_cell
-                    else:
-                        pair_blocks[pair] = s_cell
+                    pair_blocks[pair] = pair_blocks.get(pair, 0.0) + cells[a, b]
 
     # push decoded pairs through the integration
     m1_blocks = {}
     for pair, block in pair_blocks.items():
         for z, w in _z_images(pair, d):
-            if z in m1_blocks:
-                m1_blocks[z] = m1_blocks[z] + w * block
-            else:
-                m1_blocks[z] = w * block
+            m1_blocks[z] = m1_blocks.get(z, 0.0) + w * block
 
     # letterwise target blocks of the composed measurement
     target = compose_decomposition(d)
@@ -733,7 +662,7 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
         diagnostics["s1"] = s1
         diagnostics["s2"] = s2
 
-    resum = _resummation_error(binned_A, binned_B, decoder, d, (dA * dB) ** n)
+    resum = _resummation_error(binned_A, binned_B, decoder, d)
     return TrialReport(params, g_val,
                        tuple(v for v, _ in checks_A),
                        tuple(v for v, _ in checks_B),
@@ -753,18 +682,13 @@ def _error_split(d, fams_A, fams_B, bundle_A, bundle_B, pair_alphabet,
     int_blocks = {}
     int_covered = 0.0
     for fam_a in fams_A:
-        la = {u: _left_factor(op, cperm3) for u, op in fam_a.items()}
         for fam_b in fams_B:
-            for v, op_b in fam_b.items():
-                rb = _right_factor(op_b, cperm3)
-                for u, lu in la.items():
-                    blk = w_mu * _close_sandwich(lu, rb)
-                    int_covered += float(np.real(np.trace(blk)))
-                    key = (u, v)
-                    if key in int_blocks:
-                        int_blocks[key] = int_blocks[key] + blk
-                    else:
-                        int_blocks[key] = blk
+            blocks = w_mu * _sandwich_blocks(list(fam_a.values()),
+                                             list(fam_b.values()), cperm3)
+            int_covered += float(np.trace(blocks, axis1=2, axis2=3).real.sum())
+            for a, u in enumerate(fam_a):
+                for b, v in enumerate(fam_b):
+                    int_blocks[(u, v)] = int_blocks.get((u, v), 0.0) + blocks[a, b]
 
     ppair = dict(zip(pair_alphabet, pair_probs))
     tpair1 = {(u, v): c1.conj().T @ tensor(d.povm_A.op(u), d.povm_B.op(v)) @ c1
@@ -1025,37 +949,26 @@ def distortion_of_protocol(binned_A, binned_B, decoder: DecoderTable, recon,
         except KeyError:
             raise InvariantError(f"no reconstruction state for pair {(a, b)}")
 
-    c1 = _support_factor(rho_AB)
+    c1, cperm3 = _sandwich_frame(rho_AB, n)
     r = c1.shape[1]
-    c_perm = _side_major_rows(_kron_power(c1, n), dA, dB, n)
-    cperm3 = c_perm.reshape(dA ** n, dB ** n, c_perm.shape[1])
+
+    def completed(fams, dim):
+        # completion bin 0 holds I minus the sum of the binned operators
+        eye = np.eye(dim, dtype=np.complex128)
+        return [{0: hermitize(reduce(np.subtract, [fam[b] for b in sorted(fam)], eye)),
+                 **fam} for fam in fams]
 
     N1, N2 = decoder.n_mu
     w_mu = 1.0 / (N1 * N2)
-    eye_A = np.eye(dA ** n, dtype=np.complex128)
-    eye_B = np.eye(dB ** n, dtype=np.complex128)
-    full_A = []
-    for fam in binned_A:
-        comp = eye_A.copy()
-        for b in sorted(fam):
-            comp = comp - fam[b]
-        full_A.append({0: hermitize(comp), **fam})
-    full_B = []
-    for fam in binned_B:
-        comp = eye_B.copy()
-        for b in sorted(fam):
-            comp = comp - fam[b]
-        full_B.append({0: hermitize(comp), **fam})
-
+    full_B = completed(binned_B, dB ** n)
     total = 0.0
-    for mu1 in range(N1):
-        lefts = {i: _left_factor(op, cperm3) for i, op in full_A[mu1].items()}
-        for mu2 in range(N2):
-            rights = {j: _right_factor(op, cperm3) for j, op in full_B[mu2].items()}
-            for i in sorted(lefts):
-                for j in sorted(rights):
-                    s_cell = w_mu * _close_sandwich(lefts[i], rights[j])
-                    rblock = s_cell.T
+    for mu1, fam_a in enumerate(completed(binned_A, dA ** n)):
+        for mu2, fam_b in enumerate(full_B):
+            cells = w_mu * _sandwich_blocks(list(fam_a.values()),
+                                            list(fam_b.values()), cperm3)
+            for a, i in enumerate(fam_a):
+                for b, j in enumerate(fam_b):
+                    rblock = cells[a, b].T
                     useq, vseq = decoder.lookup(mu1, mu2, i, j)
                     for pos in range(n):
                         f = partial_trace(rblock, [r] * n, (pos,)) if n > 1 else rblock

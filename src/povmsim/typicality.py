@@ -51,10 +51,14 @@ def _check_dim_cap(dim: int, n: int):
 
 
 def all_sequences(alphabet_size: int, n: int) -> np.ndarray:
-    """All length-n index strings as an (size^n, n) int8 array, lexicographic."""
+    """All length-n index strings as an (size^n, n) array, lexicographic.
+
+    The index dtype is the smallest unsigned type holding size - 1.
+    """
     _check_seq_cap(alphabet_size, n)
-    grids = np.meshgrid(*([np.arange(alphabet_size, dtype=np.int8)] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1) if n > 0 else np.zeros((1, 0), np.int8)
+    dtype = np.min_scalar_type(max(alphabet_size - 1, 0))
+    grids = np.meshgrid(*([np.arange(alphabet_size, dtype=dtype)] * n), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1) if n > 0 else np.zeros((1, 0), dtype)
 
 
 def _letter_counts(seqs: np.ndarray, alphabet_size: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Finite-blocklength protocol pieces and their statistical checks."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,14 +9,28 @@ import pytest
 from conftest import random_density, random_povm, random_sub_povm
 from povmsim import fixtures
 from povmsim.errors import InvariantError
-from povmsim.measurement import canonical_ensemble
-from povmsim.operators import DensityOperator, Ensemble, Povm, operator_norm, tensor
+from povmsim.measurement import (
+    SeparableDecomposition,
+    canonical_ensemble,
+    compose_decomposition,
+)
+from povmsim.operators import (
+    DensityOperator,
+    Ensemble,
+    Povm,
+    matrix_sqrt_and_pinv_sqrt,
+    permute_subsystems,
+    tensor,
+    trace_norm,
+)
 from povmsim.protocol import (
     BinMap,
     Codebook,
     ProtocolParams,
     TrialReport,
     VOID_LETTER,
+    _sandwich_blocks,
+    _sandwich_frame,
     bin_povm,
     binning_collision_rate,
     build_approx_operators,
@@ -26,7 +41,6 @@ from povmsim.protocol import (
     generate_bin_maps,
     generate_codebooks,
     mutual_covering_check,
-    overall_povm,
     packing_norm_trial,
     packing_union_proxy,
     sentinel_sequence,
@@ -39,11 +53,11 @@ from povmsim.typicality import build_projector_bundle, pruned_distribution, typi
 PUV_DIAG = np.array([[0.5, 0.0], [0.0, 0.5]])
 
 
-def _binary_pieces(seed=0):
-    """The protocol objects of one binary-correlated trial, built stepwise."""
-    inst = fixtures.load_fixture("binary-correlated")
-    params = dataclasses.replace(inst.params, seed=seed)
-    d = inst.decomposition
+def _pieces(name="binary-correlated", seed=0, n=None, d=None):
+    """The protocol objects of one trial, built stepwise as the trial does."""
+    inst = fixtures.load_fixture(name)
+    params = dataclasses.replace(inst.params, seed=seed, n=n or inst.params.n)
+    d = d or inst.decomposition
     rho_A = inst.state.marginal((0,))
     rho_B = inst.state.marginal((1,))
     ens_A = canonical_ensemble(rho_A, d.povm_A)
@@ -58,10 +72,114 @@ def _binary_pieces(seed=0):
                 for mu, f in enumerate(fams_A)]
     binned_B = [bin_povm(f, binmaps[1].assignments[mu], params.bins2)
                 for mu, f in enumerate(fams_B)]
-    joint = typical_set((0.5, 0.0, 0.0, 0.5), params.n, params.delta,
-                        alphabet=(("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")))
+    p_uv = fixtures.outcome_distribution(inst.state, d.povm_A, d.povm_B)
+    pairs = tuple((u, v) for u in d.povm_A.outcomes for v in d.povm_B.outcomes)
+    joint = typical_set(p_uv.ravel(), params.n, params.delta, alphabet=pairs)
     decoder = build_decoder(codebook, binmaps, joint)
     return inst, params, codebook, fams_A, fams_B, binned_A, binned_B, decoder
+
+
+def _stochastic_binary():
+    """binary-correlated's POVMs with a 3-letter stochastic integration.
+
+    The float sum of (0.3, 0.6, 0.1) is 0.9999999999999999, so decoded
+    pairs carry total image weights that are not exactly 1.
+    """
+    m = fixtures.load_fixture("binary-correlated").decomposition.povm_A
+    rows = {("0", "0"): (0.3, 0.6, 0.1), ("0", "1"): (1.0, 0.0, 0.0),
+            ("1", "0"): (0.0, 0.0, 1.0), ("1", "1"): (0.1, 0.3, 0.6)}
+    return SeparableDecomposition(m, m, ("a", "b", "c"), rows)
+
+
+def _instance(name):
+    """A fixture and its decomposition; "stochastic" is _stochastic_binary."""
+    if name == "stochastic":
+        return fixtures.load_fixture("binary-correlated"), _stochastic_binary()
+    inst = fixtures.load_fixture(name)
+    return inst, inst.decomposition
+
+
+# ---------------------------------------------------------------------------
+# full-matrix oracles for the rank-reduced trial
+# ---------------------------------------------------------------------------
+
+def overall_povm(binned_A, binned_B, decoder, integration):
+    """The simulated joint family as full matrices, one per output string.
+
+    Every cell (i, j >= 1) adds w_mu Gamma_i x Gamma_j, times each image
+    weight, to the strings the integration assigns to the decoded pair.
+    """
+    N1, N2 = decoder.n_mu
+    w_mu = 1.0 / (N1 * N2)
+    acc = {}
+    for mu1 in range(N1):
+        for mu2 in range(N2):
+            for i in range(1, decoder.bins1 + 1):
+                for j in range(1, decoder.bins2 + 1):
+                    cell = w_mu * np.kron(binned_A[mu1][i], binned_B[mu2][j])
+                    u, v = decoder.lookup(mu1, mu2, i, j)
+                    for z, w in _images(u, v, integration):
+                        acc[z] = acc.get(z, 0.0) + w * cell
+    return acc
+
+
+def _images(u, v, integration):
+    """(z-string, weight) pairs of a decoded pair; void pairs map to void."""
+    if VOID_LETTER in u or VOID_LETTER in v:
+        return [((VOID_LETTER,) * len(u), 1.0)]
+    supports = [[(z, p) for z, p in zip(integration.z_alphabet, integration.row(a, b))
+                 if p > 0.0] for a, b in zip(u, v)]
+    return [(tuple(z for z, _ in combo), float(np.prod([p for _, p in combo])))
+            for combo in itertools.product(*supports)]
+
+
+class _Oracle:
+    """Full-matrix faithfulness distance on side-major rho^{(x)n}.
+
+    The trace norm of each target string's sandwich is taken once, so the
+    oracle can score several families at the same (state, d, n).
+    """
+
+    def __init__(self, state, d, n):
+        dA, dB = d.dims
+        self.order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+        self.dims = [dA, dB] * n
+        self.rho_n = self._side_major(tensor(*[state.mat] * n))
+        self.sq, _ = matrix_sqrt_and_pinv_sqrt(self.rho_n)
+        self.target = compose_decomposition(d)
+        self.norms = {z: trace_norm(self.sq @ self.target_op(z) @ self.sq)
+                      for z in itertools.product(self.target.outcomes, repeat=n)}
+
+    def _side_major(self, op):
+        return permute_subsystems(op, self.dims, self.order)
+
+    def target_op(self, z):
+        return self._side_major(tensor(*(self.target.op(s) for s in z)))
+
+    def G(self, family):
+        total = sum(norm for z, norm in self.norms.items() if z not in family)
+        for z, op in family.items():
+            t_op = self.target_op(z) if z in self.norms else 0.0
+            total += trace_norm(self.sq @ (t_op - op) @ self.sq)
+        rest = np.eye(self.rho_n.shape[0]) - sum(family.values())
+        return total + max(float(np.real(np.trace(rest @ self.rho_n))), 0.0)
+
+
+def _dense_resummation_error(binned_A, binned_B, decoder, integration):
+    """Simulated total minus the product of averaged totals, cell by cell."""
+    N1, N2 = decoder.n_mu
+    w_mu = 1.0 / (N1 * N2)
+    sum_A = sum(sum(fam[b] for b in sorted(fam)) for fam in binned_A) / N1
+    sum_B = sum(sum(fam[b] for b in sorted(fam)) for fam in binned_B) / N2
+    acc = 0.0
+    for mu1 in range(N1):
+        for mu2 in range(N2):
+            for i in range(1, decoder.bins1 + 1):
+                for j in range(1, decoder.bins2 + 1):
+                    u, v = decoder.lookup(mu1, mu2, i, j)
+                    w = sum(wz for _, wz in _images(u, v, integration))
+                    acc = acc + (w_mu * w) * np.kron(binned_A[mu1][i], binned_B[mu2][j])
+    return float(np.max(np.abs(acc - np.kron(sum_A, sum_B))))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +276,7 @@ def test_bin_povm_merges_and_pads():
 def test_approx_operators_closed_form_binary():
     # with rho_A = I/2 everything is diagonal: the sandwich inflates each
     # drawn codeword projector by 2^n and gamma = count (1 - eps) / ((1+eta) L)
-    inst, params, codebook, fams_A, _, _, _, _ = _binary_pieces(seed=0)
+    inst, params, codebook, fams_A, _, _, _, _ = _pieces()
     eps = 0.5
     scale = (1.0 - eps) / ((1.0 + params.eta) * params.L1)
     fam = fams_A[0]
@@ -184,7 +302,7 @@ def test_trial_family_validity_matches_closed_form():
     # at tiny blocklengths the draw can pile many repeats onto one codeword,
     # pushing the diagonal family sum past the identity; the validity check
     # must report exactly the closed-form excess rather than pretend success
-    inst, params, codebook, fams_A, _, _, _, _ = _binary_pieces(seed=0)
+    inst, params, codebook, fams_A, _, _, _, _ = _pieces()
     eps = 0.5
     scale = (1.0 - eps) / ((1.0 + params.eta) * params.L1)
     for mu, fam in enumerate(fams_A):
@@ -236,7 +354,7 @@ def test_decoder_collision_goes_to_sentinel():
 # ---------------------------------------------------------------------------
 
 def test_overall_povm_resums_to_product_of_totals():
-    inst, params, _, _, _, binned_A, binned_B, decoder = _binary_pieces(seed=0)
+    inst, params, _, _, _, binned_A, binned_B, decoder = _pieces()
     acc = overall_povm(binned_A, binned_B, decoder, inst.decomposition)
     got = sum(acc.values())
     sum_A = sum(op for fam in binned_A for op in fam.values()) / params.N1
@@ -267,10 +385,62 @@ def test_faithfulness_trial_deterministic_and_seed_sensitive():
         assert key in r0.diagnostics
 
 
-def test_bypass_scores_target_against_itself():
-    inst = fixtures.load_fixture("binary-correlated")
-    r = faithfulness_trial(inst.params, inst.state, inst.decomposition, bypass=True)
-    assert r.faithfulness_G < 1e-9
+def test_sandwich_blocks_match_full_conjugation():
+    # unequal side dimensions and a rank-deficient state pin the side-major
+    # layout: block (a, b) is C^dag (X_a x Y_b) C with rho^{(x)n} = C C^dag
+    rng = np.random.default_rng(4)
+    n, dA, dB = 2, 2, 3
+    full = random_density(rng, (dA, dB)).mat
+    vals, vecs = np.linalg.eigh(full)
+    vals[:2] = 0.0
+    rho = DensityOperator(vecs @ np.diag(vals / vals.sum()) @ vecs.conj().T, (dA, dB))
+    c1, cperm3 = _sandwich_frame(rho, n)
+    assert c1.shape == (dA * dB, 4)
+    c = cperm3.reshape(-1, cperm3.shape[2])
+    order = [0, 2, 1, 3]
+    rho_n = permute_subsystems(np.kron(rho.mat, rho.mat), [dA, dB] * n, order)
+    assert np.allclose(c @ c.conj().T, rho_n, atol=1e-12)
+
+    def hermitian(d):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return a + a.conj().T
+
+    xs = [hermitian(dA ** n) for _ in range(3)]
+    ys = [hermitian(dB ** n) for _ in range(2)]
+    blocks = _sandwich_blocks(xs, ys, cperm3)
+    assert blocks.shape == (3, 2, 16, 16)
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys):
+            want = c.conj().T @ np.kron(x, y) @ c
+            assert np.allclose(blocks[a, b], want, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic"])
+def test_trial_G_matches_full_matrix_oracle(name):
+    inst, d = _instance(name)
+    for n in (2, 3):
+        oracle = _Oracle(inst.state, d, n)
+        for seed in (0, 1, 2):
+            _, params, _, _, _, binned_A, binned_B, decoder = _pieces(
+                inst.name, seed=seed, n=n, d=d)
+            r = faithfulness_trial(params, inst.state, d)
+            assert (r.collisions, r.occupied) == (decoder.collisions, decoder.occupied)
+            family = overall_povm(binned_A, binned_B, decoder, d)
+            assert abs(r.faithfulness_G - oracle.G(family)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic"])
+def test_factored_resummation_matches_dense(name):
+    inst, d = _instance(name)
+    for n in (2, 3, 4):
+        _, params, _, _, _, binned_A, binned_B, decoder = _pieces(inst.name, n=n, d=d)
+        r = faithfulness_trial(params, inst.state, d)
+        dense = _dense_resummation_error(binned_A, binned_B, decoder, d)
+        assert abs(r.resummation_error - dense) < 1e-12
+        if name == "stochastic":
+            assert r.resummation_error > 0.0  # the factored Kronecker rows ran
+        else:
+            assert r.resummation_error == 0.0
 
 
 def test_error_split_bounds_total():
@@ -422,7 +592,7 @@ def test_soft_covering_error_drops_above_holevo_rate():
 # ---------------------------------------------------------------------------
 
 def test_distortion_identity_observable_is_one():
-    inst, _, _, _, _, binned_A, binned_B, decoder = _binary_pieces(seed=0)
+    inst, _, _, _, _, binned_A, binned_B, decoder = _pieces()
     recon = {(u, v): st for (u, v, _), st in inst.recon.items()}
     got = distortion_of_protocol(binned_A, binned_B, decoder, recon,
                                  np.eye(8), inst.state)
@@ -430,7 +600,7 @@ def test_distortion_identity_observable_is_one():
 
 
 def test_distortion_complementary_observables_sum_to_one():
-    inst, _, _, _, _, binned_A, binned_B, decoder = _binary_pieces(seed=0)
+    inst, _, _, _, _, binned_A, binned_B, decoder = _pieces()
     recon = {(u, v): st for (u, v, _), st in inst.recon.items()}
     p1 = np.kron(np.eye(4), np.diag([0.0, 1.0]))
     p0 = np.kron(np.eye(4), np.diag([1.0, 0.0]))

@@ -180,3 +180,15 @@ def test_sequence_and_dimension_caps():
     rho = DensityOperator(np.eye(2) / 2, (2,))
     with pytest.raises(CapExceededError):
         typical_projector(rho, 13, 0.5)
+
+
+def test_all_sequences_index_dtype_holds_large_alphabets():
+    # 144 letters (a 12 x 12 outcome-pair alphabet) overflow an int8 index
+    seqs = all_sequences(144, 1)
+    assert np.array_equal(seqs.ravel(), np.arange(144))
+    uniform = np.full(144, 1.0 / 144)
+    assert typical_set(uniform, 2, 1.0).mass <= 1.0
+    # a window wide enough to admit every string keeps all 144^2 of them
+    wide = typical_set(uniform, 2, 143.0)
+    assert len(wide.members) == 144 ** 2
+    assert abs(wide.mass - 1.0) < 1e-12
