@@ -47,8 +47,8 @@ def as_operator(entries) -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^dag)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (A + A^dag)/2, of each matrix in a stack."""
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -8,14 +8,18 @@ pairs through the integration channel.  The resulting joint family is scored
 against the tensor-power target measurement.
 
 Scoring never materializes the simulated operators in full: every trace norm
-is evaluated inside the support of the input state, where a cell operator
-Gamma_i x Gamma_j turns into an r^n x r^n sandwich (r the state's rank).
+is evaluated inside the support of the input state, where a codeword-pair
+operator Gamma_u x Gamma_v turns into an r^n x r^n sandwich (r the state's
+rank).  These sandwiches are closed once per trial and give both G and the
+covering/binning error split (s1, s2); binned cells are never sandwiched, as
+a cell's block is the sum of its codeword-pair blocks.
 Everything is deterministic given (params, seed); randomness flows through
 counter-based substreams, one per random object.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -23,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import CapExceededError, InvariantError
 from .measurement import (
     SeparableDecomposition,
     canonical_ensemble,
@@ -45,6 +49,7 @@ from .operators import (
     trace_norm,
 )
 from .typicality import (
+    SEQ_CAP,
     PrunedDistribution,
     TypicalSet,
     _check_dim_cap,
@@ -79,6 +84,9 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 def _count_for_rate(n: int, rate: float) -> int:
+    if n * rate > math.log2(SEQ_CAP):
+        raise CapExceededError(
+            f"2^({n} x {rate}) codewords exceed the enumeration cap {SEQ_CAP}")
     return max(1, round(2.0 ** (n * rate)))
 
 
@@ -150,12 +158,6 @@ class Codebook:
         object.__setattr__(self, "v_lists",
                            tuple(tuple(tuple(s) for s in lst) for lst in self.v_lists))
 
-    def counts_u(self, mu: int) -> Counter:
-        return Counter(self.u_lists[mu])
-
-    def counts_v(self, mu: int) -> Counter:
-        return Counter(self.v_lists[mu])
-
 
 def generate_codebooks(params: ProtocolParams, pruned_U: PrunedDistribution,
                        pruned_V: PrunedDistribution) -> Codebook:
@@ -220,10 +222,6 @@ def generate_bin_maps(params: ProtocolParams, typical_A: TypicalSet,
 # approximating operators, binning, decoding
 # ---------------------------------------------------------------------------
 
-def _kron_power(mat: np.ndarray, n: int) -> np.ndarray:
-    return reduce(np.kron, [mat] * n) if n > 1 else np.asarray(mat)
-
-
 def build_approx_operators(codebook: Codebook, rho: DensityOperator, ens, bundle,
                            params: ProtocolParams, side: str = "A"):
     """Approximating sub-POVM candidates, one family per common-randomness index.
@@ -239,7 +237,7 @@ def build_approx_operators(codebook: Codebook, rho: DensityOperator, ens, bundle
     L = params.L1 if side == "A" else params.L2
     eps = bundle.params["eps"]
     _, pinv1 = matrix_sqrt_and_pinv_sqrt(rho.mat)
-    pinv = _kron_power(pinv1, params.n)
+    pinv = tensor(*[pinv1] * params.n)
     scale = (1.0 - eps) / ((1.0 + params.eta) * L)
     families = []
     for lst in lists:
@@ -434,7 +432,7 @@ def _sandwich_frame(rho_AB: DensityOperator, n: int):
     with side-major rows, shaped (dA^n, dB^n, r^n)."""
     dA, dB = rho_AB.dims
     c1 = _support_factor(rho_AB)
-    c_perm = _side_major_rows(_kron_power(c1, n), dA, dB, n)
+    c_perm = _side_major_rows(tensor(*[c1] * n), dA, dB, n)
     return c1, c_perm.reshape(dA ** n, dB ** n, c_perm.shape[1])
 
 
@@ -458,13 +456,28 @@ def _sandwich_blocks(xs, ys, cperm3: np.ndarray) -> np.ndarray:
     return out.reshape(len(xs), rn, len(ys), rn).transpose(0, 2, 1, 3)
 
 
-def _tn(block: np.ndarray) -> float:
-    """Trace norm of a small Hermitian block."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(block)))))
+def _add_block(acc: dict, key, block: np.ndarray):
+    """acc[key] += block without writing into a stored block: the first block
+    of a key is kept as given, which may be a view shared with another dict."""
+    acc[key] = acc[key] + block if key in acc else block
 
 
-def _kron_power_blocks(blocks) -> np.ndarray:
-    return reduce(np.kron, blocks) if len(blocks) > 1 else blocks[0]
+def _kron_rows(table: np.ndarray, alphabet, strings) -> np.ndarray:
+    """table[s_1] x ... x table[s_n] for each of k strings over the alphabet
+    indexing table's r x r blocks: a new (k, r^n, r^n) stack, entry for entry
+    equal to the np.kron chain."""
+    pos = {s: i for i, s in enumerate(alphabet)}
+    idx = np.array([[pos[s] for s in z] for z in strings], dtype=np.intp)
+    out = table[idx[:, 0]]
+    for col in idx.T[1:]:
+        out = (out[:, :, None, :, None] * table[col][:, None, :, None, :]).reshape(
+            len(idx), out.shape[1] * table.shape[1], -1)
+    return out
+
+
+def _trace_norm_sum(blocks) -> float:
+    """Sum of the trace norms of a nonempty stack of Hermitian blocks."""
+    return float(np.abs(np.linalg.eigvalsh(hermitize(np.asarray(blocks)))).sum())
 
 
 def _pair_table(rho_AB: DensityOperator, d: SeparableDecomposition):
@@ -491,7 +504,8 @@ class TrialReport:
     factored form; it is exactly 0 for deterministic integrations.
     Diagnostics hold gamma/zeta statistics, bin spreads, the
     leakage split, and the covering/binning error split (s1, s2) when the
-    typical sets are small enough to enumerate in pairs.
+    typical sets are small enough to enumerate in pairs; s1 and s2 are
+    scored from the same codeword-pair blocks as G.
     """
     params: ProtocolParams
     faithfulness_G: float
@@ -600,20 +614,25 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     joint = typical_set(pair_probs, n, params.delta, alphabet=pair_alphabet)
     decoder = build_decoder(codebook, binmaps, joint)
 
-    # decoded-pair blocks: one r^n sandwich per cell, averaged over mu pairs
+    # one sandwich pass over the unbinned families: every codeword-pair block
+    # is kept for the error split and added to the pair its cell decodes to,
+    # so by linearity a cell's block is the sum of its codeword-pair blocks;
+    # cells without codewords hold zero blocks and are never visited
     c1, cperm3 = _sandwich_frame(rho_AB, n)
     w_mu = 1.0 / (params.N1 * params.N2)
-    pair_blocks = {}
+    int_blocks, pair_blocks = {}, {}
     covered = 0.0
-    for mu1, fam_a in enumerate(binned_A):
-        for mu2, fam_b in enumerate(binned_B):
-            cells = w_mu * _sandwich_blocks(list(fam_a.values()),
-                                            list(fam_b.values()), cperm3)
-            covered += float(np.trace(cells, axis1=2, axis2=3).real.sum())
-            for a, i in enumerate(fam_a):
-                for b, j in enumerate(fam_b):
-                    pair = decoder.lookup(mu1, mu2, i, j)
-                    pair_blocks[pair] = pair_blocks.get(pair, 0.0) + cells[a, b]
+    for mu1, fam_a in enumerate(fams_A):
+        for mu2, fam_b in enumerate(fams_B):
+            blocks = _sandwich_blocks(list(fam_a.values()), list(fam_b.values()), cperm3)
+            blocks *= w_mu
+            covered += float(np.trace(blocks, axis1=2, axis2=3).real.sum())
+            bins_b = [binmaps[1].bin_of(mu2, v) for v in fam_b]
+            for a, u in enumerate(fam_a):
+                i = binmaps[0].bin_of(mu1, u)
+                for b, (v, j) in enumerate(zip(fam_b, bins_b)):
+                    _add_block(int_blocks, (u, v), blocks[a, b])
+                    _add_block(pair_blocks, decoder.lookup(mu1, mu2, i, j), blocks[a, b])
 
     # push decoded pairs through the integration
     m1_blocks = {}
@@ -621,24 +640,18 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
         for z, w in _z_images(pair, d):
             m1_blocks[z] = m1_blocks.get(z, 0.0) + w * block
 
-    # letterwise target blocks of the composed measurement
+    # letterwise target blocks of the composed measurement; the reserved
+    # letter's block is zero, so a void string is scored against nothing
     target = compose_decomposition(d)
-    tblocks1 = {z: c1.conj().T @ target.op(z) @ c1 for z in target.outcomes}
-    tprobs1 = {z: max(0.0, float(np.real(np.trace(tblocks1[z]))))
-               for z in target.outcomes}
-
-    g_val = 0.0
-    support_mass = 0.0
-    for z, block in m1_blocks.items():
-        if VOID_LETTER in z:
-            g_val += _tn(block)
-            continue
-        m2 = _kron_power_blocks([tblocks1[s] for s in z])
-        g_val += _tn(m2 - block)
-        support_mass += float(np.prod([tprobs1[s] for s in z]))
+    ztable = np.stack([c1.conj().T @ target.op(z) @ c1 for z in target.outcomes])
+    ztable = np.concatenate([ztable, np.zeros_like(ztable[:1])])
+    gaps = _kron_rows(ztable, tuple(target.outcomes) + (VOID_LETTER,), m1_blocks)
+    support_mass = float(np.trace(gaps, axis1=1, axis2=2).real.sum())
+    for gap, block in zip(gaps, m1_blocks.values()):
+        gap -= block
     leakage = max(0.0, 1.0 - covered)
     missed = max(0.0, 1.0 - support_mass)
-    g_val += missed + leakage
+    g_val = _trace_norm_sum(gaps) + missed + leakage
 
     diagnostics = {
         "eps_A": float(bundle_A.params["eps"]),
@@ -656,9 +669,8 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
 
     n_pairs = len(bundle_A.typical.members) * len(bundle_B.typical.members)
     if n_pairs <= ENUM_CAP:
-        s1, s2 = _error_split(d, fams_A, fams_B, bundle_A, bundle_B,
-                              pair_alphabet, pair_probs, c1, cperm3, w_mu,
-                              pair_blocks)
+        s1, s2 = _error_split(d, bundle_A, bundle_B, c1, int_blocks, pair_blocks,
+                              covered)
         diagnostics["s1"] = s1
         diagnostics["s2"] = s2
 
@@ -671,51 +683,35 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
                        decoder.collisions, decoder.occupied, resum, diagnostics)
 
 
-def _error_split(d, fams_A, fams_B, bundle_A, bundle_B, pair_alphabet,
-                 pair_probs, c1, cperm3, w_mu, pair_blocks):
+def _error_split(d, bundle_A, bundle_B, c1, int_blocks, pair_blocks, covered):
     """Covering/binning split of the trial error, reported not asserted.
 
-    s1 scores the mu-averaged unbinned product family against the target on
-    all typical sequence pairs; s2 is the norm-sum gap between that family
-    and the decoded blocks.
+    Both terms reuse the trial's codeword-pair blocks (int_blocks, the
+    mu-averaged unbinned product family, and covered, its trace) and the
+    decoded blocks summed from them (pair_blocks).  s1 scores int_blocks
+    against the target on all typical sequence pairs; s2 is the norm-sum gap
+    between int_blocks and pair_blocks.  Codewords are typical, so both go
+    over T_A one row at a time, each stack at most |T_B| blocks.
     """
-    int_blocks = {}
-    int_covered = 0.0
-    for fam_a in fams_A:
-        for fam_b in fams_B:
-            blocks = w_mu * _sandwich_blocks(list(fam_a.values()),
-                                             list(fam_b.values()), cperm3)
-            int_covered += float(np.trace(blocks, axis1=2, axis2=3).real.sum())
-            for a, u in enumerate(fam_a):
-                for b, v in enumerate(fam_b):
-                    int_blocks[(u, v)] = int_blocks.get((u, v), 0.0) + blocks[a, b]
-
-    ppair = dict(zip(pair_alphabet, pair_probs))
-    tpair1 = {(u, v): c1.conj().T @ tensor(d.povm_A.op(u), d.povm_B.op(v)) @ c1
-              for (u, v) in pair_alphabet}
-    s1 = 0.0
-    joint_mass = 0.0
-    for useq in bundle_A.typical.members:
-        for vseq in bundle_B.typical.members:
-            letters = list(zip(useq, vseq))
-            t_blk = _kron_power_blocks([tpair1[p] for p in letters])
-            blk = int_blocks.get((useq, vseq))
-            s1 += _tn(t_blk - blk) if blk is not None else _tn(t_blk)
-            joint_mass += float(np.prod([ppair[p] for p in letters]))
-    s1 += max(0.0, 1.0 - joint_mass) + max(0.0, 1.0 - int_covered)
-
-    s2 = 0.0
-    keys = list(int_blocks) + [p for p in pair_blocks if p not in int_blocks]
-    for p in keys:
-        a = int_blocks.get(p)
-        b = pair_blocks.get(p)
-        if a is None:
-            s2 += _tn(b)
-        elif b is None:
-            s2 += _tn(a)
-        else:
-            s2 += _tn(a - b)
-    return s1, s2
+    pairs = [(u, v) for u in d.povm_A.outcomes for v in d.povm_B.outcomes]
+    ptable = np.stack([c1.conj().T @ tensor(d.povm_A.op(u), d.povm_B.op(v)) @ c1
+                       for u, v in pairs])
+    members_B = bundle_B.typical.members
+    s1 = s2 = joint_mass = 0.0
+    for u in bundle_A.typical.members:
+        gaps = _kron_rows(ptable, pairs, [tuple(zip(u, v)) for v in members_B])
+        joint_mass += float(np.trace(gaps, axis1=1, axis2=2).real.sum())
+        hits = [(k, (u, v)) for k, v in enumerate(members_B) if (u, v) in int_blocks]
+        for k, key in hits:
+            gaps[k] -= int_blocks[key]
+        s1 += _trace_norm_sum(gaps)
+        if hits:
+            s2 += _trace_norm_sum([int_blocks[key] - pair_blocks.get(key, 0.0)
+                                   for _, key in hits])
+    s1 += max(0.0, 1.0 - joint_mass) + max(0.0, 1.0 - covered)
+    # the sentinel is the one decoded pair that is no codeword pair
+    rest = [blk for key, blk in pair_blocks.items() if key not in int_blocks]
+    return s1, s2 + (_trace_norm_sum(rest) if rest else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +820,8 @@ def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
 
     _check_dim_cap(dA * dB, n)
     acc = np.zeros(((dA * dB) ** n,) * 2, dtype=np.complex128)
-    opsU = {u: _kron_power_blocks([povm_A.op(s) for s in u]) for u in countsU}
-    opsV = {v: _kron_power_blocks([povm_B.op(s) for s in v]) for v in countsV}
+    opsU = {u: tensor(*(povm_A.op(s) for s in u)) for u in countsU}
+    opsV = {v: tensor(*(povm_B.op(s) for s in v)) for v in countsV}
     hit = False
     for u, cu in countsU.items():
         for v, cv in countsV.items():
@@ -896,7 +892,7 @@ def soft_covering_trial(ens, n: int, rate_sum: float, seed: int,
     eps = max(0.0, 1.0 - tset.mass)
     M = _count_for_rate(n, rate_sum)
     draws = pruned.sample(substream(seed, STREAM_SOFT), M)
-    target = _kron_power(ens.average(), n)
+    target = tensor(*[ens.average()] * n)
     acc = np.zeros_like(target)
     for seq, c in Counter(tuple(s) for s in draws).items():
         acc += c * tensor(*(ens.state(s).mat for s in seq))

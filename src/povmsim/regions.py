@@ -84,11 +84,6 @@ class Inequality:
             return False
         return self.rhs <= 0 if self.relation == GE else self.rhs < 0
 
-    def violated_constant(self) -> bool:
-        if not self.is_zero_row():
-            return False
-        return self.rhs > 0 if self.relation == GE else self.rhs >= 0
-
 
 def _canonical(ineq: Inequality) -> Inequality:
     """Scale by a positive rational so entries are coprime integers."""
@@ -335,15 +330,6 @@ class RegionReport:
             ],
             "sources": dict(self.sources),
         }
-
-    def to_system(self, step: Fraction = QUANT_STEP, nonneg: bool = True) -> InequalitySystem:
-        rows = [(coeffs, GE, rhs) for _, coeffs, rhs in self.constraints]
-        if nonneg:
-            n = len(self.variables)
-            for i in range(n):
-                e = tuple(1 if j == i else 0 for j in range(n))
-                rows.append((e, GE, 0))
-        return InequalitySystem.from_rows(self.variables, rows, step)
 
 
 def membership(point, report: RegionReport, tol: float = DEFAULT_TOL):

@@ -241,20 +241,6 @@ def conditional_typical_projector(ens: Ensemble, seq: Sequence, delta: float) ->
     return basis @ basis.conj().T
 
 
-def cutoff_projector(op: np.ndarray, threshold: float) -> np.ndarray:
-    """Spectral projector onto eigenvalues strictly above the threshold.
-
-    A relative floor keeps numerically-zero eigenvalues out, so threshold 0
-    yields the support projector.
-    """
-    vals, vecs = eigh_desc(np.asarray(op, dtype=np.complex128))
-    top = max(float(vals[0]), 0.0) if vals.size else 0.0
-    floor = max(float(threshold), EIG_CUTOFF * top)
-    sel = vals > floor
-    basis = vecs[:, sel]
-    return basis @ basis.conj().T
-
-
 # ---------------------------------------------------------------------------
 # the projector bundle feeding the protocol operators
 # ---------------------------------------------------------------------------
@@ -274,9 +260,6 @@ class ProjectorBundle:
     typical: TypicalSet
     pruned: PrunedDistribution
     params: dict = field(default_factory=dict)
-
-    def conditional(self, seq) -> np.ndarray:
-        return self.pi_seq[tuple(seq)]
 
 
 def rho_hat_seq(ens: Ensemble, seq: Sequence) -> np.ndarray:

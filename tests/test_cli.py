@@ -213,6 +213,18 @@ def test_cap_exceeded_exits_4(capsys):
     assert "cap exceeded" in err
 
 
+@pytest.mark.parametrize("extra", [{"Rt1": 1e9}, {"Rt1": 40, "n": 2}],
+                         ids=["float-overflow", "huge-count"])
+def test_overflowing_rate_count_exits_4(extra, tmp_path, capsys):
+    # 2^{n Rt1} codewords are refused before the power is taken
+    cfg = _write_config(tmp_path, {"input": "binary-correlated",
+                                   "command": "simulate", **extra})
+    rc, out, err = _run(capsys, "--input", cfg)
+    assert rc == 4
+    assert err.startswith("cap exceeded:")
+    assert out == ""
+
+
 def test_missing_command_exits_3(capsys):
     rc, out, err = _run(capsys, "--input", "example1")
     assert rc == 3

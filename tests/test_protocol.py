@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -103,11 +104,10 @@ def _instance(name):
 # full-matrix oracles for the rank-reduced trial
 # ---------------------------------------------------------------------------
 
-def overall_povm(binned_A, binned_B, decoder, integration):
-    """The simulated joint family as full matrices, one per output string.
+def decoded_family(binned_A, binned_B, decoder):
+    """The simulated family before the integration, keyed by decoded pair.
 
-    Every cell (i, j >= 1) adds w_mu Gamma_i x Gamma_j, times each image
-    weight, to the strings the integration assigns to the decoded pair.
+    Every cell (i, j >= 1) adds w_mu Gamma_i x Gamma_j to its decoded pair.
     """
     N1, N2 = decoder.n_mu
     w_mu = 1.0 / (N1 * N2)
@@ -116,11 +116,43 @@ def overall_povm(binned_A, binned_B, decoder, integration):
         for mu2 in range(N2):
             for i in range(1, decoder.bins1 + 1):
                 for j in range(1, decoder.bins2 + 1):
+                    pair = decoder.lookup(mu1, mu2, i, j)
                     cell = w_mu * np.kron(binned_A[mu1][i], binned_B[mu2][j])
-                    u, v = decoder.lookup(mu1, mu2, i, j)
-                    for z, w in _images(u, v, integration):
-                        acc[z] = acc.get(z, 0.0) + w * cell
+                    acc[pair] = acc.get(pair, 0.0) + cell
     return acc
+
+
+def overall_povm(binned_A, binned_B, decoder, integration):
+    """The simulated joint family as full matrices, one per output string:
+    each decoded pair's operator, times each image weight, goes to the
+    strings the integration assigns to that pair."""
+    acc = {}
+    for (u, v), op in decoded_family(binned_A, binned_B, decoder).items():
+        for z, w in _images(u, v, integration):
+            acc[z] = acc.get(z, 0.0) + w * op
+    return acc
+
+
+def unbinned_family(fams_A, fams_B):
+    """w_mu sum_mu Gamma_u x Gamma_v keyed by codeword pair (u, v)."""
+    w_mu = 1.0 / (len(fams_A) * len(fams_B))
+    acc = {}
+    for fam_a in fams_A:
+        for fam_b in fams_B:
+            for u, op_u in fam_a.items():
+                for v, op_v in fam_b.items():
+                    acc[(u, v)] = acc.get((u, v), 0.0) + w_mu * np.kron(op_u, op_v)
+    return acc
+
+
+def _typical_sets(state, d, params):
+    """The per-sender typical sets of a trial's canonical ensembles."""
+    sets = []
+    for side, povm in enumerate((d.povm_A, d.povm_B)):
+        ens = canonical_ensemble(state.marginal((side,)), povm)
+        sets.append(typical_set(ens.weights, params.n, params.delta,
+                                alphabet=ens.outcomes))
+    return sets
 
 
 def _images(u, v, integration):
@@ -142,6 +174,7 @@ class _Oracle:
 
     def __init__(self, state, d, n):
         dA, dB = d.dims
+        self.d = d
         self.order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
         self.dims = [dA, dB] * n
         self.rho_n = self._side_major(tensor(*[state.mat] * n))
@@ -156,13 +189,36 @@ class _Oracle:
     def target_op(self, z):
         return self._side_major(tensor(*(self.target.op(s) for s in z)))
 
+    def norm(self, op):
+        return trace_norm(self.sq @ op @ self.sq)
+
+    def mass(self, op):
+        return float(np.real(np.trace(op @ self.rho_n)))
+
     def G(self, family):
         total = sum(norm for z, norm in self.norms.items() if z not in family)
         for z, op in family.items():
             t_op = self.target_op(z) if z in self.norms else 0.0
-            total += trace_norm(self.sq @ (t_op - op) @ self.sq)
+            total += self.norm(t_op - op)
         rest = np.eye(self.rho_n.shape[0]) - sum(family.values())
-        return total + max(float(np.real(np.trace(rest @ self.rho_n))), 0.0)
+        return total + max(self.mass(rest), 0.0)
+
+    def split(self, typical_A, typical_B, unbinned, decoded):
+        """(s1, s2): the unbinned family scored against the product targets
+        (x)A_u (x) (x)B_v on all typical pairs, and its norm-sum gap to the
+        decoded family."""
+        s1 = joint = 0.0
+        for u in typical_A.members:
+            for v in typical_B.members:
+                t_op = tensor(*(self.d.povm_A.op(a) for a in u),
+                              *(self.d.povm_B.op(b) for b in v))
+                s1 += self.norm(t_op - unbinned.get((u, v), 0.0))
+                joint += self.mass(t_op)
+        covered = self.mass(sum(unbinned.values()))
+        s1 += max(0.0, 1.0 - joint) + max(0.0, 1.0 - covered)
+        s2 = sum(self.norm(unbinned.get(p, 0.0) - decoded.get(p, 0.0))
+                 for p in set(unbinned) | set(decoded))
+        return s1, s2
 
 
 def _dense_resummation_error(binned_A, binned_B, decoder, integration):
@@ -280,7 +336,7 @@ def test_approx_operators_closed_form_binary():
     eps = 0.5
     scale = (1.0 - eps) / ((1.0 + params.eta) * params.L1)
     fam = fams_A[0]
-    counts = codebook.counts_u(0)
+    counts = Counter(codebook.u_lists[0])
     assert set(fam) == set(counts)
     for seq, c in counts.items():
         idx = int("".join(seq), 2)
@@ -306,7 +362,7 @@ def test_trial_family_validity_matches_closed_form():
     eps = 0.5
     scale = (1.0 - eps) / ((1.0 + params.eta) * params.L1)
     for mu, fam in enumerate(fams_A):
-        top = max(c * scale * 4.0 for c in codebook.counts_u(mu).values())
+        top = max(c * scale * 4.0 for c in Counter(codebook.u_lists[mu]).values())
         ok, excess = check_sub_povm(fam.values())
         assert abs(excess - max(0.0, top - 1.0)) < 1e-9
         assert ok == (max(0.0, top - 1.0) <= 1e-9)
@@ -441,6 +497,22 @@ def test_factored_resummation_matches_dense(name):
             assert r.resummation_error > 0.0  # the factored Kronecker rows ran
         else:
             assert r.resummation_error == 0.0
+
+
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic"])
+def test_error_split_matches_full_matrix_oracle(name):
+    inst, d = _instance(name)
+    for n in (2, 3):
+        oracle = _Oracle(inst.state, d, n)
+        for seed in (0, 1, 2):
+            _, params, _, fams_A, fams_B, binned_A, binned_B, decoder = _pieces(
+                inst.name, seed=seed, n=n, d=d)
+            r = faithfulness_trial(params, inst.state, d)
+            s1, s2 = oracle.split(*_typical_sets(inst.state, d, params),
+                                  unbinned_family(fams_A, fams_B),
+                                  decoded_family(binned_A, binned_B, decoder))
+            assert abs(r.diagnostics["s1"] - s1) < 1e-12
+            assert abs(r.diagnostics["s2"] - s2) < 1e-12
 
 
 def test_error_split_bounds_total():

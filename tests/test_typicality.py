@@ -13,7 +13,6 @@ from povmsim.typicality import (
     all_sequences,
     build_projector_bundle,
     conditional_typical_projector,
-    cutoff_projector,
     pruned_distribution,
     rho_hat_seq,
     typical_projector,
@@ -153,13 +152,6 @@ def test_rho_hat_seq_is_kron_of_states():
     assert np.allclose(got, np.kron(_proj(KETP), _proj(KET0)), atol=1e-12)
 
 
-def test_cutoff_projector_thresholds():
-    op = np.diag([0.5, 0.3, 1e-18])
-    support = np.diag([1.0, 1.0, 0.0])
-    assert np.allclose(cutoff_projector(op, 0.0), support, atol=1e-12)
-    assert np.allclose(cutoff_projector(op, 0.4), np.diag([1.0, 0.0, 0.0]), atol=1e-12)
-
-
 def test_projector_bundle_binary_fixture_diagonal_oracle():
     inst = fixtures.load_fixture("binary-correlated")
     rho_a = inst.state.marginal((0,))
@@ -169,7 +161,7 @@ def test_projector_bundle_binary_fixture_diagonal_oracle():
     assert np.allclose(bundle.pi_rho, np.eye(4), atol=1e-12)
     assert set(bundle.typical.members) == {("0", "1"), ("1", "0")}
     assert abs(bundle.params["eps"] - 0.5) < 1e-12
-    assert np.allclose(bundle.conditional(("0", "1")), np.diag([0, 1, 0, 0]), atol=1e-12)
+    assert np.allclose(bundle.pi_seq[("0", "1")], np.diag([0, 1, 0, 0]), atol=1e-12)
     # pruned average is diag(0, 1/2, 1/2, 0); both nonzero modes clear the cutoff
     assert np.allclose(bundle.pi_hat, np.diag([0.0, 1.0, 1.0, 0.0]), atol=1e-10)
 
