@@ -22,6 +22,7 @@ import numpy as np
 
 from . import fixtures, serialize
 from .errors import CapExceededError, InvariantError
+from .measurement import outcome_distribution
 from .operators import SubPovm
 from .protocol import (ProtocolParams, binning_collision_rate,
                        faithfulness_trial, mutual_covering_check,
@@ -65,7 +66,7 @@ def _instance_from_json(payload: dict) -> fixtures.Instance:
     if "p_uv" in payload:
         p_uv = np.asarray(payload["p_uv"], dtype=float)
     else:
-        p_uv = fixtures.outcome_distribution(rho, d.povm_A, d.povm_B)
+        p_uv = outcome_distribution(rho, d.povm_A, d.povm_B)
     if "ensemble" in payload:
         ens = serialize.ensemble_from_json(payload["ensemble"])
     else:
@@ -111,6 +112,16 @@ def _resolve(args):
     return _instance_from_json(inner_payload), merged
 
 
+def _as_int(key: str, value) -> int:
+    """An integral config number as an int: 3.0 passes, 2.7 and NaN do not."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvariantError(f"{key} must be an integer, got {value!r}")
+
+
 def _params_for(instance: fixtures.Instance, config: dict,
                 args) -> ProtocolParams:
     merged = {}
@@ -122,19 +133,20 @@ def _params_for(instance: fixtures.Instance, config: dict,
         if val is not None:
             merged[key] = val
     for key in list(merged):
-        merged[key] = int(merged[key]) if key in _INT_KEYS else float(merged[key])
+        merged[key] = (_as_int(key, merged[key]) if key in _INT_KEYS
+                       else float(merged[key]))
     return replace(instance.params, **merged) if merged else instance.params
 
 
 def _seed_list(config: dict, params: ProtocolParams) -> list:
     if "seeds" in config:
-        return [int(s) for s in config["seeds"]]
+        return [_as_int("seeds", s) for s in config["seeds"]]
     return [params.seed]
 
 
 def _n_list(config: dict, params: ProtocolParams) -> list:
     if "ns" in config:
-        return [int(n) for n in config["ns"]]
+        return [_as_int("ns", n) for n in config["ns"]]
     return [params.n]
 
 

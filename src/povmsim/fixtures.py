@@ -22,8 +22,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InvariantError
-from .measurement import SeparableDecomposition, deterministic_decomposition
-from .operators import DensityOperator, Ensemble, Povm, SubPovm
+from .measurement import (SeparableDecomposition, deterministic_decomposition,
+                          outcome_distribution)
+from .operators import DensityOperator, Ensemble, Povm
 from .protocol import ProtocolParams
 
 _KET0 = np.array([1.0, 0.0], dtype=np.complex128)
@@ -56,21 +57,6 @@ def computational_povm() -> Povm:
 def classical_correlated_state() -> DensityOperator:
     """Two perfectly correlated uniform bits as a diagonal two-qubit state."""
     return DensityOperator(np.diag([0.5, 0.0, 0.0, 0.5]).astype(np.complex128), (2, 2))
-
-
-def outcome_distribution(rho_AB: DensityOperator, povm_A: SubPovm,
-                         povm_B: SubPovm) -> np.ndarray:
-    """Joint outcome law p(u, v) of independent local measurements."""
-    mat = rho_AB.mat
-    p = np.zeros((len(povm_A.outcomes), len(povm_B.outcomes)))
-    for i, u in enumerate(povm_A.outcomes):
-        for j, v in enumerate(povm_B.outcomes):
-            p[i, j] = float(np.real(np.trace(
-                np.kron(povm_A.op(u), povm_B.op(v)) @ mat)))
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise InvariantError(f"outcome distribution sums to {total}")
-    return np.clip(p, 0.0, None)
 
 
 def soft_covering_ensemble() -> Ensemble:

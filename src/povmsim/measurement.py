@@ -337,6 +337,21 @@ def canonical_ensemble(rho: DensityOperator, m: Povm, cutoff: float = EIG_CUTOFF
                     dropped=tuple(dropped), tol=max(rho.tol, 1e-8))
 
 
+def outcome_distribution(rho_AB: DensityOperator, povm_A: SubPovm,
+                         povm_B: SubPovm) -> np.ndarray:
+    """Joint outcome law p(u, v) of independent local measurements."""
+    mat = rho_AB.mat
+    p = np.zeros((len(povm_A.outcomes), len(povm_B.outcomes)))
+    for i, u in enumerate(povm_A.outcomes):
+        for j, v in enumerate(povm_B.outcomes):
+            p[i, j] = float(np.real(np.trace(
+                np.kron(povm_A.op(u), povm_B.op(v)) @ mat)))
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise InvariantError(f"outcome distribution sums to {total}")
+    return np.clip(p, 0.0, None)
+
+
 def auxiliary_states(rho_AB: DensityOperator, d: SeparableDecomposition):
     """The three post-measurement states behind the distributed rate bounds.
 

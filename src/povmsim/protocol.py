@@ -22,7 +22,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import partial, reduce
 from typing import Mapping
 
 import numpy as np
@@ -33,6 +33,7 @@ from .measurement import (
     canonical_ensemble,
     compose_decomposition,
     faithfulness_distance,
+    outcome_distribution,
 )
 from .operators import (
     DEFAULT_TOL,
@@ -53,10 +54,12 @@ from .typicality import (
     PrunedDistribution,
     TypicalSet,
     _check_dim_cap,
+    _letter_indices,
     all_sequences,
     build_projector_bundle,
     lambda_operators,
     pruned_distribution,
+    typical_pairs,
     typical_set,
 )
 
@@ -84,10 +87,18 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 def _count_for_rate(n: int, rate: float) -> int:
+    if not math.isfinite(rate):
+        raise InvariantError(f"rate {rate} is not finite")
     if n * rate > math.log2(SEQ_CAP):
         raise CapExceededError(
             f"2^({n} x {rate}) codewords exceed the enumeration cap {SEQ_CAP}")
     return max(1, round(2.0 ** (n * rate)))
+
+
+def _check_cell_cap(params: ProtocolParams):
+    cells = params.N1 * params.N2 * params.bins1 * params.bins2
+    if cells > SEQ_CAP:
+        raise CapExceededError(f"{cells} decoder cells exceed the cap {SEQ_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +135,7 @@ class ProtocolParams:
             raise InvariantError("common-randomness sizes must be at least 1")
         if not 0.0 < self.eta < 1.0:
             raise InvariantError("eta must lie in (0, 1)")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise InvariantError("delta must be positive")
         if int(self.seed) != self.seed or self.seed < 0:
             raise InvariantError("seed must be a nonnegative integer")
@@ -332,35 +343,33 @@ class DecoderTable:
         return self.cells.get((mu1, mu2, i, j), self.sentinel)
 
 
-def build_decoder(codebook: Codebook, binmaps, joint_typical: TypicalSet,
+def build_decoder(codebook: Codebook, binmaps, joint_typical,
                   sentinel: tuple | None = None) -> DecoderTable:
     """Populate each cell with its unique jointly typical codeword pair.
 
     Candidate pairs are the distinct codeword values of the two mu-indexed
-    books whose zipped letter pairs are jointly typical; a cell whose
-    candidate set is empty or holds several distinct pairs decodes to the
-    sentinel.
+    books that ``joint_typical`` marks: it maps distinct codewords (us, vs) to
+    their (len(us), len(vs)) joint-typicality mask, as a partial of
+    typical_pairs does.  A cell whose candidate set is empty or holds several
+    pairs decodes to the sentinel.
     """
     bm1, bm2 = binmaps
     if sentinel is None:
         sentinel = (sentinel_sequence(bm1.typical), sentinel_sequence(bm2.typical))
+    u_books = [list(dict.fromkeys(lst)) for lst in codebook.u_lists]  # draw order kept
+    v_books = [list(dict.fromkeys(lst)) for lst in codebook.v_lists]
     cell_pairs = {}
-    for mu1, ulist in enumerate(codebook.u_lists):
-        u_distinct = list(dict.fromkeys(ulist))  # dedupe, draw order kept
-        for mu2, vlist in enumerate(codebook.v_lists):
-            v_distinct = list(dict.fromkeys(vlist))
-            for u in u_distinct:
-                i = bm1.bin_of(mu1, u)
-                for v in v_distinct:
-                    if tuple(zip(u, v)) in joint_typical:
-                        j = bm2.bin_of(mu2, v)
-                        cell_pairs.setdefault((mu1, mu2, i, j), []).append((u, v))
+    for mu1, us in enumerate(u_books):
+        for mu2, vs in enumerate(v_books):
+            for a, b in zip(*np.nonzero(joint_typical(us, vs))):
+                key = (mu1, mu2, bm1.bin_of(mu1, us[a]), bm2.bin_of(mu2, vs[b]))
+                cell_pairs.setdefault(key, []).append((us[a], vs[b]))
     cells = {}
     collisions = 0
     for key, pairs in cell_pairs.items():
-        distinct = list(dict.fromkeys(pairs))
-        if len(distinct) == 1:
-            cells[key] = distinct[0]
+        # one (mu1, mu2) tests each distinct pair once, so pairs are distinct
+        if len(pairs) == 1:
+            cells[key] = pairs[0]
         else:
             collisions += 1
     return DecoderTable(cells, tuple(sentinel), bm1.nbins, bm2.nbins,
@@ -466,8 +475,7 @@ def _kron_rows(table: np.ndarray, alphabet, strings) -> np.ndarray:
     """table[s_1] x ... x table[s_n] for each of k strings over the alphabet
     indexing table's r x r blocks: a new (k, r^n, r^n) stack, entry for entry
     equal to the np.kron chain."""
-    pos = {s: i for i, s in enumerate(alphabet)}
-    idx = np.array([[pos[s] for s in z] for z in strings], dtype=np.intp)
+    idx = _letter_indices(strings, alphabet)
     out = table[idx[:, 0]]
     for col in idx.T[1:]:
         out = (out[:, :, None, :, None] * table[col][:, None, :, None, :]).reshape(
@@ -478,16 +486,6 @@ def _kron_rows(table: np.ndarray, alphabet, strings) -> np.ndarray:
 def _trace_norm_sum(blocks) -> float:
     """Sum of the trace norms of a nonempty stack of Hermitian blocks."""
     return float(np.abs(np.linalg.eigvalsh(hermitize(np.asarray(blocks)))).sum())
-
-
-def _pair_table(rho_AB: DensityOperator, d: SeparableDecomposition):
-    """Outcome-pair alphabet and its joint distribution on the input state."""
-    pairs, probs = [], []
-    for u, lu in d.povm_A.items():
-        for v, lv in d.povm_B.items():
-            pairs.append((u, v))
-            probs.append(max(0.0, float(np.real(np.trace(tensor(lu, lv) @ rho_AB.mat)))))
-    return tuple(pairs), np.asarray(probs, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +586,7 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     dA, dB = d.dims
     n = params.n
     _check_dim_cap(dA * dB, n)
+    _check_cell_cap(params)
     if rho_AB.dims != (dA, dB):
         raise InvariantError("state and decomposition dimensions disagree")
 
@@ -610,8 +609,9 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     binned_B = [bin_povm(fam, binmaps[1].assignments[mu], params.bins2)
                 for mu, fam in enumerate(fams_B)]
 
-    pair_alphabet, pair_probs = _pair_table(rho_AB, d)
-    joint = typical_set(pair_probs, n, params.delta, alphabet=pair_alphabet)
+    p_uv = outcome_distribution(rho_AB, d.povm_A, d.povm_B)
+    joint = partial(typical_pairs, p_uv=p_uv, outcomes_A=d.povm_A.outcomes,
+                    outcomes_B=d.povm_B.outcomes, delta=params.delta)
     decoder = build_decoder(codebook, binmaps, joint)
 
     # one sandwich pass over the unbinned families: every codeword-pair block
@@ -767,11 +767,6 @@ def _diagonal_vectors(povm: SubPovm):
     return vecs
 
 
-def _pair_index_set(p: np.ndarray, n: int, delta: float, outA, outB) -> TypicalSet:
-    pair_alpha = tuple((a, b) for a in outA for b in outB)
-    return typical_set(p.ravel(), n, delta, alphabet=pair_alpha)
-
-
 def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
                        r1: float, r2: float, delta: float, seed: int) -> float:
     """Operator norm of the jointly typical slab of a random product codebook.
@@ -799,36 +794,27 @@ def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
                                                     p=pV / pV.sum())
     countsU = Counter(tuple(outA[k] for k in row) for row in idxU)
     countsV = Counter(tuple(outB[k] for k in row) for row in idxV)
-    joint = _pair_index_set(p, n, delta, outA, outB)
+    us, vs = list(countsU), list(countsV)
+    joint = typical_pairs(us, vs, p, outA, outB, delta)
     dA = povm_A.dim
     dB = povm_B.dim
 
     vecsA = _diagonal_vectors(povm_A)
     vecsB = _diagonal_vectors(povm_B)
     if vecsA is not None and vecsB is not None and (dA * dB) ** n <= 2 ** 20:
-        distinct_u = list(countsU)
-        distinct_v = list(countsV)
-        du = np.stack([reduce(np.kron, [vecsA[s] for s in u]) for u in distinct_u])
-        dv = np.stack([reduce(np.kron, [vecsB[s] for s in v]) for v in distinct_v])
-        w = np.zeros((len(distinct_u), len(distinct_v)))
-        for a, u in enumerate(distinct_u):
-            for b, v in enumerate(distinct_v):
-                if tuple(zip(u, v)) in joint:
-                    w[a, b] = countsU[u] * countsV[v]
+        du = np.stack([reduce(np.kron, [vecsA[s] for s in u]) for u in us])
+        dv = np.stack([reduce(np.kron, [vecsB[s] for s in v]) for v in vs])
+        w = np.where(joint, np.outer([countsU[u] for u in us], [countsV[v] for v in vs]), 0.0)
         acc = du.T @ w @ dv
         return max(0.0, float(acc.max()))
 
     _check_dim_cap(dA * dB, n)
     acc = np.zeros(((dA * dB) ** n,) * 2, dtype=np.complex128)
-    opsU = {u: tensor(*(povm_A.op(s) for s in u)) for u in countsU}
-    opsV = {v: tensor(*(povm_B.op(s) for s in v)) for v in countsV}
-    hit = False
-    for u, cu in countsU.items():
-        for v, cv in countsV.items():
-            if tuple(zip(u, v)) in joint:
-                acc += (cu * cv) * np.kron(opsU[u], opsV[v])
-                hit = True
-    return operator_norm(acc) if hit else 0.0
+    opsU = [tensor(*(povm_A.op(s) for s in u)) for u in us]
+    opsV = [tensor(*(povm_B.op(s) for s in v)) for v in vs]
+    for a, b in zip(*np.nonzero(joint)):
+        acc += (countsU[us[a]] * countsV[vs[b]]) * np.kron(opsU[a], opsV[b])
+    return operator_norm(acc) if joint.any() else 0.0
 
 
 def packing_union_proxy(p_uv, n: int, r1: float, r2: float, delta: float) -> float:
@@ -837,12 +823,13 @@ def packing_union_proxy(p_uv, n: int, r1: float, r2: float, delta: float) -> flo
     p = np.asarray(p_uv, dtype=float)
     pU = p.sum(axis=1)
     pV = p.sum(axis=0)
-    joint = _pair_index_set(p, n, delta, range(p.shape[0]), range(p.shape[1]))
+    # the one enumerated pair set: its product-marginal mass is the proxy
+    q_pair = np.outer(pU, pV).ravel()
     mass = 0.0
-    for member in joint.members:
+    for member in typical_set(p.ravel(), n, delta).members:
         q = 1.0
-        for (a, b) in member:
-            q *= pU[a] * pV[b]
+        for k in member:
+            q *= q_pair[k]
         mass += q
     return _count_for_rate(n, r1) * _count_for_rate(n, r2) * mass
 
@@ -854,6 +841,7 @@ def binning_collision_rate(params: ProtocolParams, p_uv, seeds) -> float:
     marginals of p_uv, uniform bins, joint-typicality decoding.  Pools the
     counts over all seeds.
     """
+    _check_cell_cap(params)
     p = np.asarray(p_uv, dtype=float)
     if p.ndim != 2 or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
         raise InvariantError("p_uv must be a joint distribution matrix")
@@ -861,8 +849,8 @@ def binning_collision_rate(params: ProtocolParams, p_uv, seeds) -> float:
     pV = np.clip(p.sum(axis=0), 0.0, None)
     t_u = typical_set(pU, params.n, params.delta)
     t_v = typical_set(pV, params.n, params.delta)
-    joint = _pair_index_set(p, params.n, params.delta,
-                            range(p.shape[0]), range(p.shape[1]))
+    joint = partial(typical_pairs, p_uv=p, outcomes_A=range(p.shape[0]),
+                    outcomes_B=range(p.shape[1]), delta=params.delta)
     pruned_u = pruned_distribution(t_u)
     pruned_v = pruned_distribution(t_v)
     collisions = 0

@@ -8,13 +8,13 @@ strings; eigenvalues are grouped up to a relative tolerance first, so flat
 spectra are typical at any delta and the projectors are basis-independent
 under degeneracy.
 
-Everything enumerates explicitly, guarded by two caps: |alphabet|^n for
-sequence enumeration and d^n for operator dimensions.
+Typical sets of one source and eigen-index strings are enumerated under
+the |alphabet|^n cap, operators under the d^n cap.  Joint typicality of
+codeword pairs is decided from the letter counts of the pairs in use, at
+most SEQ_CAP pairs per call, so no pair string is enumerated.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Mapping, Sequence
@@ -23,13 +23,11 @@ import numpy as np
 
 from .errors import CapExceededError, InvariantError
 from .operators import (
-    DEFAULT_TOL,
     EIG_CUTOFF,
     DensityOperator,
     Ensemble,
     eigh_desc,
     hermitize,
-    tensor,
     von_neumann_entropy,
 )
 
@@ -59,6 +57,11 @@ def all_sequences(alphabet_size: int, n: int) -> np.ndarray:
     dtype = np.min_scalar_type(max(alphabet_size - 1, 0))
     grids = np.meshgrid(*([np.arange(alphabet_size, dtype=dtype)] * n), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1) if n > 0 else np.zeros((1, 0), dtype)
+
+
+def _letter_indices(strings, alphabet) -> np.ndarray:
+    pos = {a: i for i, a in enumerate(alphabet)}
+    return np.array([[pos[a] for a in x] for x in strings], dtype=np.intp)
 
 
 def _letter_counts(seqs: np.ndarray, alphabet_size: int) -> np.ndarray:
@@ -105,25 +108,28 @@ class TypicalSet:
         return float(np.prod([self.probs[idx[s]] for s in seq])) if len(seq) else 1.0
 
 
+def _validated_probs(probs, n: int, delta: float) -> np.ndarray:
+    p = np.asarray(probs, dtype=float).ravel()
+    if n < 1:
+        raise InvariantError("blocklength must be at least 1")
+    if not delta > 0:
+        raise InvariantError("delta must be positive")
+    if float(np.min(p)) < -1e-12 or abs(float(np.sum(p)) - 1.0) > 1e-9:
+        raise InvariantError("probs is not a probability distribution")
+    return np.clip(p, 0.0, None)
+
+
 def typical_set(probs, n: int, delta: float, alphabet=None) -> TypicalSet:
     """Enumerate the strongly delta-typical sequences of a product source.
 
     ``probs`` is the single-letter distribution; ``alphabet`` defaults to
     integer letters 0..k-1.  Mass is the exact sum of member probabilities.
     """
-    p = np.asarray(probs, dtype=float).ravel()
-    if alphabet is None:
-        alphabet = tuple(range(p.size))
-    alphabet = tuple(alphabet)
-    if len(alphabet) != p.size:
+    size = np.asarray(probs).size
+    alphabet = tuple(range(size) if alphabet is None else alphabet)
+    if len(alphabet) != size:
         raise InvariantError("alphabet and probability table must be parallel")
-    if n < 1:
-        raise InvariantError("blocklength must be at least 1")
-    if delta <= 0:
-        raise InvariantError("delta must be positive")
-    if float(np.min(p)) < -1e-12 or abs(float(np.sum(p)) - 1.0) > 1e-9:
-        raise InvariantError("probs is not a probability distribution")
-    p = np.clip(p, 0.0, None)
+    p = _validated_probs(probs, n, delta)
     seqs = all_sequences(p.size, n)
     counts = _letter_counts(seqs, p.size)
     mask = _typical_mask(counts, p, n, delta)
@@ -132,6 +138,28 @@ def typical_set(probs, n: int, delta: float, alphabet=None) -> TypicalSet:
     masses = np.exp(counts[mask].astype(float) @ logs)
     members = tuple(tuple(alphabet[i] for i in row) for row in kept)
     return TypicalSet(alphabet, p, n, float(delta), members, float(np.sum(masses)))
+
+
+def typical_pairs(us, vs, p_uv, outcomes_A, outcomes_B, delta: float) -> np.ndarray:
+    """Joint delta-typicality of every zipped pair (u, v), a (len(us), len(vs)) mask.
+
+    ``p_uv`` is the joint letter law, rows indexed by ``outcomes_A`` and
+    columns by ``outcomes_B``.  typical_set's criterion is applied to the
+    pair-letter counts of zip(u, v), one row of ``us`` at a time.
+    """
+    if len(us) * len(vs) > SEQ_CAP:
+        raise CapExceededError(
+            f"{len(us)} x {len(vs)} sequence pairs exceed the cap {SEQ_CAP}")
+    if np.shape(p_uv) != (len(outcomes_A), len(outcomes_B)):
+        raise InvariantError("alphabet and probability table must be parallel")
+    n = len(us[0])
+    p = _validated_probs(p_uv, n, delta)
+    rows = _letter_indices(us, outcomes_A) * len(outcomes_B)
+    cols = _letter_indices(vs, outcomes_B)
+    mask = np.empty((len(us), len(vs)), dtype=bool)
+    for out, row in zip(mask, rows):
+        out[:] = _typical_mask(_letter_counts(row + cols, p.size), p, n, delta)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -172,9 +200,9 @@ def pruned_distribution(t: TypicalSet) -> PrunedDistribution:
 def _grouped_spectrum(mat: np.ndarray):
     """Eigendecomposition with near-degenerate eigenvalues grouped.
 
-    Returns (vecs, group_ids, group_probs): ``group_ids[i]`` is the group of
-    the i-th eigenvector (descending eigenvalues) and ``group_probs[g]`` is
-    the total eigenvalue mass of group g.
+    Returns (vals, vecs, group_ids, group_probs): descending eigenvalues and
+    their eigenvectors, ``group_ids[i]`` the group of the i-th eigenvector
+    and ``group_probs[g]`` the total eigenvalue mass of group g.
     """
     vals, vecs = eigh_desc(mat)
     top = max(float(vals[0]), 0.0) if vals.size else 0.0
@@ -188,27 +216,42 @@ def _grouped_spectrum(mat: np.ndarray):
     probs = np.zeros(g + 1)
     for i, gi in enumerate(ids):
         probs[gi] += max(float(vals[i]), 0.0)
-    return vecs, ids, probs
+    return vals, vecs, ids, probs
 
 
-def _typical_projector_parts(rho: DensityOperator, n: int, delta: float):
-    """(projector, orthonormal basis of its range) for rho^{(x)n}."""
-    d = rho.dim
-    _check_dim_cap(d, n)
-    vecs, ids, gprobs = _grouped_spectrum(rho.mat)
-    seqs = all_sequences(d, n)
-    gseqs = ids[seqs]  # map eigen-index strings to group strings
-    counts = _letter_counts(gseqs, gprobs.size)
-    mask = _typical_mask(counts, gprobs, n, delta)
-    basis_full = reduce(np.kron, [vecs] * n) if n > 1 else vecs
-    basis = basis_full[:, mask]
+def _typical_subspace(spectra: Mapping, seq: Sequence, strings: np.ndarray,
+                      delta: float):
+    """(basis, vals): the product eigenvectors spanning the conditionally
+    typical subspace of the product state along ``seq``, and their product
+    eigenvalues, so the state compressed by that subspace's projector is
+    basis diag(vals) basis^dag.
+
+    ``spectra`` maps each letter to its state's grouped spectrum; ``strings``
+    holds every eigen-index string of length len(seq).
+    """
+    mask = np.ones(strings.shape[0], dtype=bool)
+    for u in set(seq):
+        pos = [i for i, s in enumerate(seq) if s == u]
+        _, _, ids, gprobs = spectra[u]
+        counts = _letter_counts(ids[strings[:, pos]], gprobs.size)
+        mask &= _typical_mask(counts, gprobs, len(pos), delta)
+    vals = reduce(np.kron, [spectra[s][0] for s in seq])
+    vecs = reduce(np.kron, [spectra[s][1] for s in seq])
+    return vecs[:, mask], vals[mask]
+
+
+def _typical_projector_parts(rho: DensityOperator, strings: np.ndarray, delta: float):
+    """(projector, orthonormal basis of its range) for rho^{(x)n} over the
+    length-n eigen-index strings: the conditional criterion on one letter."""
+    basis, _ = _typical_subspace({0: _grouped_spectrum(rho.mat)},
+                                 (0,) * strings.shape[1], strings, delta)
     return basis @ basis.conj().T, basis
 
 
 def typical_projector(rho: DensityOperator, n: int, delta: float) -> np.ndarray:
     """Projector onto the delta-typical eigenvalue strings of rho^{(x)n}."""
-    proj, _ = _typical_projector_parts(rho, n, delta)
-    return proj
+    _check_dim_cap(rho.dim, n)
+    return _typical_projector_parts(rho, all_sequences(rho.dim, n), delta)[0]
 
 
 def conditional_typical_projector(ens: Ensemble, seq: Sequence, delta: float) -> np.ndarray:
@@ -220,24 +263,9 @@ def conditional_typical_projector(ens: Ensemble, seq: Sequence, delta: float) ->
     """
     if ens.outcomes is None:
         raise InvariantError("ensemble needs outcome labels for conditioning")
-    seq = tuple(seq)
-    n = len(seq)
-    d = ens.dim
-    _check_dim_cap(d, n)
-    spectra = {}
-    for u in set(seq):
-        spectra[u] = _grouped_spectrum(ens.state(u).mat)
-    strings = all_sequences(d, n)
-    mask = np.ones(strings.shape[0], dtype=bool)
-    for u in set(seq):
-        pos = [i for i, s in enumerate(seq) if s == u]
-        _, ids, gprobs = spectra[u]
-        sub = ids[strings[:, pos]]
-        counts = _letter_counts(sub, gprobs.size)
-        mask &= _typical_mask(counts, gprobs, len(pos), delta)
-    factors = [spectra[s][0] for s in seq]
-    basis_full = reduce(np.kron, factors) if n > 1 else factors[0]
-    basis = basis_full[:, mask]
+    _check_dim_cap(ens.dim, len(seq))
+    spectra = {u: _grouped_spectrum(ens.state(u).mat) for u in set(seq)}
+    basis, _ = _typical_subspace(spectra, seq, all_sequences(ens.dim, len(seq)), delta)
     return basis @ basis.conj().T
 
 
@@ -249,32 +277,29 @@ def conditional_typical_projector(ens: Ensemble, seq: Sequence, delta: float) ->
 class ProjectorBundle:
     """All projectors needed to build approximating operators at one (n, delta).
 
-    pi_rho is the typical projector of the average state, pi_seq maps each
-    typical sequence to its conditional typical projector, and pi_hat cuts
-    off the small eigenvalues of the pruned average operator.  pi_hat's range
-    lies inside pi_rho's by construction, so the two commute.
+    pi_rho is the typical projector of the average state; lam_seq maps each
+    typical sequence s to pi_rho Pi_s rho_s Pi_s pi_rho, rho_s the product of
+    the ensemble states along s and Pi_s its conditional typical projector;
+    pi_hat cuts off the small eigenvalues of the pruned average of lam_seq.
+    pi_hat's range lies inside pi_rho's by construction, so the two commute.
     """
     pi_rho: np.ndarray
-    pi_seq: Mapping
+    lam_seq: Mapping
     pi_hat: np.ndarray
     typical: TypicalSet
     pruned: PrunedDistribution
     params: dict = field(default_factory=dict)
 
 
-def rho_hat_seq(ens: Ensemble, seq: Sequence) -> np.ndarray:
-    """Tensor product of canonical-ensemble states along a sequence."""
-    mats = [ens.state(s).mat for s in seq]
-    return reduce(np.kron, mats) if len(mats) > 1 else mats[0]
-
-
 def build_projector_bundle(rho: DensityOperator, ens: Ensemble, n: int,
                            delta: float, delta1: float | None = None) -> ProjectorBundle:
     """Assemble typical/conditional/cutoff projectors for one source block.
 
-    The cutoff threshold is (1 - mass) * 2^{-n(S(rho) + delta1)} with delta1
-    defaulting to delta; at mass 1 the threshold degenerates to 0 and pi_hat
-    becomes the support projector of the pruned average operator.
+    Every compressed conditional state is built once, from the per-letter
+    spectra of the ensemble states.  The cutoff threshold is
+    (1 - mass) * 2^{-n(S(rho) + delta1)} with delta1 defaulting to delta; at
+    mass 1 the threshold degenerates to 0 and pi_hat becomes the support
+    projector of the pruned average operator.
     """
     if delta1 is None:
         delta1 = delta
@@ -282,17 +307,17 @@ def build_projector_bundle(rho: DensityOperator, ens: Ensemble, n: int,
     _check_dim_cap(d, n)
     tset = typical_set(ens.weights, n, delta, alphabet=ens.outcomes)
     pruned = pruned_distribution(tset)
-    pi_rho, range_basis = _typical_projector_parts(rho, n, delta)
+    strings = all_sequences(d, n)
+    pi_rho, range_basis = _typical_projector_parts(rho, strings, delta)
 
-    pi_seq = {}
-    dim = d ** n
-    sigma_prime = np.zeros((dim, dim), dtype=np.complex128)
+    spectra = {u: _grouped_spectrum(ens.state(u).mat) for u in ens.outcomes}
+    lam_seq = {}
+    sigma_prime = np.zeros((d ** n, d ** n), dtype=np.complex128)
     for seq, w in zip(tset.members, pruned.probs):
-        pc = conditional_typical_projector(ens, seq, delta)
-        pi_seq[seq] = pc
-        inner = pc @ rho_hat_seq(ens, seq) @ pc
-        lam_prime = pi_rho @ inner @ pi_rho
-        sigma_prime += float(w) * lam_prime
+        basis, vals = _typical_subspace(spectra, seq, strings, delta)
+        lifted = pi_rho @ basis
+        lam_seq[seq] = hermitize((lifted * vals) @ lifted.conj().T)
+        sigma_prime += float(w) * lam_seq[seq]
     sigma_prime = hermitize(sigma_prime)
 
     eps = max(0.0, 1.0 - tset.mass)
@@ -310,22 +335,15 @@ def build_projector_bundle(rho: DensityOperator, ens: Ensemble, n: int,
 
     params = {"n": n, "delta": float(delta), "delta1": float(delta1),
               "eps": eps, "threshold": threshold, "entropy": entropy}
-    return ProjectorBundle(pi_rho, pi_seq, pi_hat, tset, pruned, params)
+    return ProjectorBundle(pi_rho, lam_seq, pi_hat, tset, pruned, params)
 
 
 def lambda_operators(rho: DensityOperator, ens: Ensemble, seq: Sequence,
                      bundle: ProjectorBundle):
-    """The two-stage compressed operators for one sequence.
+    """The two-stage compressed operators for one typical sequence.
 
-    Returns (lam_prime, lam): the conditional state sandwiched between its
-    conditional typical projector and the average-state typical projector,
-    then additionally between the cutoff projector.
+    Returns (lam_prime, lam): the bundle's compressed conditional state, and
+    that state additionally sandwiched between the cutoff projector.
     """
-    seq = tuple(seq)
-    pc = bundle.pi_seq.get(seq)
-    if pc is None:
-        pc = conditional_typical_projector(ens, seq, bundle.params["delta"])
-    lam_prime = bundle.pi_rho @ (pc @ rho_hat_seq(ens, seq) @ pc) @ bundle.pi_rho
-    lam_prime = hermitize(lam_prime)
-    lam = hermitize(bundle.pi_hat @ lam_prime @ bundle.pi_hat)
-    return lam_prime, lam
+    lam_prime = bundle.lam_seq[tuple(seq)]
+    return lam_prime, hermitize(bundle.pi_hat @ lam_prime @ bundle.pi_hat)

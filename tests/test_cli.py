@@ -225,6 +225,42 @@ def test_overflowing_rate_count_exits_4(extra, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("extra,word", [
+    ({"command": "packing-sweep", "rate_pairs": [[float("nan"), 0.5]]}, "rate"),
+    ({"command": "simulate", "n": 2.7}, "n must be an integer"),
+    ({"command": "simulate", "delta": float("nan")}, "delta"),
+], ids=["nan-rate-pair", "fractional-n", "nan-delta"])
+def test_non_finite_or_fractional_config_exits_3(extra, word, tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"input": "binary-correlated", **extra})
+    rc, out, err = _run(capsys, "--input", cfg)
+    assert rc == 3
+    assert err.startswith("invariant violation:") and word in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("extra", [{"command": "simulate"},
+                                   {"command": "sweep", "kind": "collision"}],
+                         ids=["simulate", "collision"])
+def test_decoder_cell_cap_exits_4(extra, tmp_path, capsys):
+    # 10^6 x 1 x 3 x 3 decoder cells, refused before any codebook is drawn
+    cfg = _write_config(tmp_path, {"input": "binary-correlated", "N1": 1e6, **extra})
+    rc, out, err = _run(capsys, "--input", cfg)
+    assert rc == 4
+    assert err.startswith("cap exceeded:") and "decoder cells" in err
+    assert out == ""
+
+
+def test_collision_sweep_past_pair_alphabet_cap(tmp_path, capsys):
+    # 4^11 pair strings exceed the enumeration cap; the codeword pairs do not
+    cfg = _write_config(tmp_path, {
+        "input": "binary-correlated", "command": "sweep", "kind": "collision",
+        "n": 11, "Rt1": 0.5, "Rt2": 0.5, "R1": 0.3, "R2": 0.3, "seeds": [0]})
+    rc, out, err = _run(capsys, "--input", cfg)
+    assert rc == 0, err
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["n"] == "11"
+
+
 def test_missing_command_exits_3(capsys):
     rc, out, err = _run(capsys, "--input", "example1")
     assert rc == 3

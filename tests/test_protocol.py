@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from povmsim.measurement import (
     SeparableDecomposition,
     canonical_ensemble,
     compose_decomposition,
+    outcome_distribution,
 )
 from povmsim.operators import (
     DensityOperator,
@@ -49,7 +51,12 @@ from povmsim.protocol import (
     soft_covering_trial,
     substream,
 )
-from povmsim.typicality import build_projector_bundle, pruned_distribution, typical_set
+from povmsim.typicality import (
+    build_projector_bundle,
+    pruned_distribution,
+    typical_pairs,
+    typical_set,
+)
 
 PUV_DIAG = np.array([[0.5, 0.0], [0.0, 0.5]])
 
@@ -73,9 +80,9 @@ def _pieces(name="binary-correlated", seed=0, n=None, d=None):
                 for mu, f in enumerate(fams_A)]
     binned_B = [bin_povm(f, binmaps[1].assignments[mu], params.bins2)
                 for mu, f in enumerate(fams_B)]
-    p_uv = fixtures.outcome_distribution(inst.state, d.povm_A, d.povm_B)
-    pairs = tuple((u, v) for u in d.povm_A.outcomes for v in d.povm_B.outcomes)
-    joint = typical_set(p_uv.ravel(), params.n, params.delta, alphabet=pairs)
+    p_uv = outcome_distribution(inst.state, d.povm_A, d.povm_B)
+    joint = partial(typical_pairs, p_uv=p_uv, outcomes_A=d.povm_A.outcomes,
+                    outcomes_B=d.povm_B.outcomes, delta=params.delta)
     decoder = build_decoder(codebook, binmaps, joint)
     return inst, params, codebook, fams_A, fams_B, binned_A, binned_B, decoder
 
@@ -381,8 +388,8 @@ def test_sentinel_smallest_atypical():
 
 def _decoder_fixture(v_list, nbins):
     t = typical_set((0.5, 0.5), 2, 0.6, alphabet=("0", "1"))
-    joint = typical_set((0.5, 0.0, 0.0, 0.5), 2, 0.6,
-                        alphabet=(("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")))
+    joint = partial(typical_pairs, p_uv=PUV_DIAG, outcomes_A=("0", "1"),
+                    outcomes_B=("0", "1"), delta=0.6)
     assign = {("0", "1"): 1, ("1", "0"): nbins}
     bm = BinMap(t, (assign,), nbins)
     codebook = Codebook(((("0", "1"), ("1", "0")),), (v_list,))

@@ -1,6 +1,7 @@
 """Typical sets, pruned distributions, and typicality projectors."""
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from povmsim.typicality import (
     build_projector_bundle,
     conditional_typical_projector,
     pruned_distribution,
-    rho_hat_seq,
+    typical_pairs,
     typical_projector,
     typical_set,
 )
@@ -96,6 +97,26 @@ def test_pruned_sampling_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("name", ["binary-correlated", "example1"])
+def test_typical_pairs_match_enumerated_joint_set(name):
+    # the enumerated pair-string set is the oracle: every |X|^n x |Y|^n pair
+    inst = fixtures.load_fixture(name)
+    outA = inst.decomposition.povm_A.outcomes
+    outB = inst.decomposition.povm_B.outcomes
+    pairs = tuple((a, b) for a in outA for b in outB)
+    for n in range(1, 5):
+        us = list(itertools.product(outA, repeat=n))
+        vs = list(itertools.product(outB, repeat=n))
+        for delta in (0.3, 0.6, 1.0):
+            joint = typical_set(inst.p_uv.ravel(), n, delta, alphabet=pairs)
+            want = np.array([[tuple(zip(u, v)) in joint for v in vs] for u in us])
+            got = typical_pairs(us, vs, inst.p_uv, outA, outB, delta)
+            assert np.array_equal(got, want)
+    # the pair cap is checked before any pair is counted
+    with pytest.raises(CapExceededError):
+        typical_pairs([("0",)] * 1025, [("0",)] * 1024, inst.p_uv, outA, outB, 0.5)
+
+
 def test_pruning_empty_set_raises():
     # four-letter uniform marginals admit no typical strings at n=2, delta=0.5
     t = typical_set((0.25,) * 4, 2, 0.5)
@@ -143,13 +164,24 @@ def test_conditional_projector_pure_states():
     assert np.allclose(proj, _proj(np.kron(KET0, KETP)), atol=1e-10)
 
 
-def test_rho_hat_seq_is_kron_of_states():
-    ens = Ensemble((0.5, 0.5),
-                   (DensityOperator(_proj(KET0), (2,)),
-                    DensityOperator(_proj(KETP), (2,))),
-                   outcomes=("0", "+"))
-    got = rho_hat_seq(ens, ("+", "0"))
-    assert np.allclose(got, np.kron(_proj(KETP), _proj(KET0)), atol=1e-12)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["binary-correlated", "example1"])
+def test_bundle_lam_seq_matches_projector_sandwich(name, n):
+    # lam_seq[s] against pi_rho Pi_s (rho_s1 x ... x rho_sn) Pi_s pi_rho
+    inst = fixtures.load_fixture(name)
+    delta = inst.params.delta
+    d = inst.decomposition
+    for side, povm in ((0, d.povm_A), (1, d.povm_B)):
+        rho = inst.state.marginal((side,))
+        ens = canonical_ensemble(rho, povm)
+        bundle = build_projector_bundle(rho, ens, n, delta)
+        pi_rho = typical_projector(rho, n, delta)
+        assert set(bundle.lam_seq) == set(bundle.typical.members)
+        for seq, got in bundle.lam_seq.items():
+            pc = conditional_typical_projector(ens, seq, delta)
+            rho_s = reduce(np.kron, [ens.state(s).mat for s in seq])
+            want = pi_rho @ pc @ rho_s @ pc @ pi_rho
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_projector_bundle_binary_fixture_diagonal_oracle():
@@ -161,7 +193,7 @@ def test_projector_bundle_binary_fixture_diagonal_oracle():
     assert np.allclose(bundle.pi_rho, np.eye(4), atol=1e-12)
     assert set(bundle.typical.members) == {("0", "1"), ("1", "0")}
     assert abs(bundle.params["eps"] - 0.5) < 1e-12
-    assert np.allclose(bundle.pi_seq[("0", "1")], np.diag([0, 1, 0, 0]), atol=1e-12)
+    assert np.allclose(bundle.lam_seq[("0", "1")], np.diag([0, 1, 0, 0]), atol=1e-12)
     # pruned average is diag(0, 1/2, 1/2, 0); both nonzero modes clear the cutoff
     assert np.allclose(bundle.pi_hat, np.diag([0.0, 1.0, 1.0, 0.0]), atol=1e-10)
 
