@@ -122,6 +122,33 @@ def _as_int(key: str, value) -> int:
     raise InvariantError(f"{key} must be an integer, got {value!r}")
 
 
+def _as_float(key: str, value) -> float:
+    """A config number as a float: null, "abc" and lists do not pass."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvariantError(f"{key} must be a number, got {value!r}") from None
+
+
+def _as_list(key: str, value) -> list:
+    if not isinstance(value, list):
+        raise InvariantError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _float_pairs(key: str, value) -> list:
+    pairs = _as_list(key, value)
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise InvariantError(f"{key} must be a list of number pairs, got {value!r}")
+    return [(_as_float(key, a), _as_float(key, b)) for a, b in pairs]
+
+
+def _float_list(config: dict, key: str, default) -> list:
+    if key not in config:
+        return list(default)
+    return [_as_float(key, x) for x in _as_list(key, config[key])]
+
+
 def _params_for(instance: fixtures.Instance, config: dict,
                 args) -> ProtocolParams:
     merged = {}
@@ -134,19 +161,19 @@ def _params_for(instance: fixtures.Instance, config: dict,
             merged[key] = val
     for key in list(merged):
         merged[key] = (_as_int(key, merged[key]) if key in _INT_KEYS
-                       else float(merged[key]))
+                       else _as_float(key, merged[key]))
     return replace(instance.params, **merged) if merged else instance.params
 
 
 def _seed_list(config: dict, params: ProtocolParams) -> list:
     if "seeds" in config:
-        return [_as_int("seeds", s) for s in config["seeds"]]
+        return [_as_int("seeds", s) for s in _as_list("seeds", config["seeds"])]
     return [params.seed]
 
 
 def _n_list(config: dict, params: ProtocolParams) -> list:
     if "ns" in config:
-        return [_as_int("ns", n) for n in config["ns"]]
+        return [_as_int("ns", n) for n in _as_list("ns", config["ns"])]
     return [params.n]
 
 
@@ -173,10 +200,10 @@ def cmd_simulate(instance, config, args) -> str:
 
 def _packing_pairs(config: dict):
     if "rate_pairs" in config:
-        return [(float(a), float(b)) for a, b in config["rate_pairs"]]
+        return _float_pairs("rate_pairs", config["rate_pairs"])
     if "r1" in config or "r2" in config:
-        r1s = [float(x) for x in config.get("r1", (0.25,))]
-        r2s = [float(x) for x in config.get("r2", (0.25,))]
+        r1s = _float_list(config, "r1", (0.25,))
+        r2s = _float_list(config, "r2", (0.25,))
         return [(a, b) for a in r1s for b in r2s]
     return [(0.25, 0.25), (0.75, 0.75)]
 
@@ -198,11 +225,11 @@ def _sweep_packing(instance, config, params) -> list:
 
 
 def _sweep_collision(instance, config, params) -> list:
-    bin_rates = config.get("bin_rates", [[params.R1, params.R2]])
+    bin_rates = _float_pairs("bin_rates", config.get("bin_rates", [[params.R1, params.R2]]))
     rows = []
     for seed in _seed_list(config, params):
         for r1, r2 in bin_rates:
-            trial = replace(params, R1=float(r1), R2=float(r2), seed=seed)
+            trial = replace(params, R1=r1, R2=r2, seed=seed)
             t0 = time.perf_counter()
             rate = binning_collision_rate(trial, instance.p_uv, [seed])
             ms = (time.perf_counter() - t0) * 1000.0
@@ -215,9 +242,10 @@ def _sweep_collision(instance, config, params) -> list:
 
 
 def _sweep_soft_covering(instance, config, params, args) -> list:
-    rate_sums = [float(r) for r in config.get("rate_sums", (1.0,))]
-    delta = args.delta if args.delta is not None else float(config.get("delta", 0.2))
-    eta = args.eta if args.eta is not None else float(config.get("eta", 0.1))
+    rate_sums = _float_list(config, "rate_sums", (1.0,))
+    delta = args.delta if args.delta is not None else _as_float(
+        "delta", config.get("delta", 0.2))
+    eta = args.eta if args.eta is not None else _as_float("eta", config.get("eta", 0.1))
     rows = []
     for seed in _seed_list(config, params):
         for rate_sum in rate_sums:
@@ -266,7 +294,7 @@ def cmd_covering_check(instance, config, args) -> str:
         sub_a = serialize.povm_from_json(config["approx_A"])
         sub_b = serialize.povm_from_json(config["approx_B"])
     else:
-        shrink = float(config.get("shrink", 0.1))
+        shrink = _as_float("shrink", config.get("shrink", 0.1))
         if not 0.0 <= shrink < 1.0:
             raise InvariantError(f"shrink must sit in [0, 1), got {shrink}")
         sub_a = SubPovm(d.povm_A.outcomes,

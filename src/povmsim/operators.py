@@ -51,6 +51,11 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
+def weighted_gram(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Hermitian operator z diag(w) z^dag of an eigen-form (z, w), w real."""
+    return hermitize((z * w) @ z.conj().T)
+
+
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
@@ -112,20 +117,6 @@ def partial_trace(op, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
         t = np.transpose(t, perm + [len(kd) + p for p in perm])
         t = t.reshape(kept_dim, kept_dim)
     return t
-
-
-def permute_subsystems(op, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors of a square operator: new factor i is old factor order[i]."""
-    a = np.asarray(op, dtype=np.complex128)
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    order = tuple(int(i) for i in order)
-    if sorted(order) != list(range(n)):
-        raise InvariantError(f"order {order} is not a permutation of {n} subsystems")
-    total = int(np.prod(dims))
-    t = a.reshape(dims + dims)
-    t = np.transpose(t, order + tuple(n + i for i in order))
-    return t.reshape(total, total)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ against the tensor-power target measurement.
 Scoring never materializes the simulated operators in full: every trace norm
 is evaluated inside the support of the input state, where a codeword-pair
 operator Gamma_u x Gamma_v turns into an r^n x r^n sandwich (r the state's
-rank).  These sandwiches are closed once per trial and give both G and the
+rank).  Each Gamma is carried in eigen-form Z diag(w) Z^dag, Z with one
+column per dimension of its compressed conditional typical subspace, so a
+sandwich is a weighted Gram matrix of the small factor C^dag (Z_u x Z_v).
+These sandwiches are closed once per trial and give both G and the
 covering/binning error split (s1, s2); binned cells are never sandwiched, as
 a cell's block is the sum of its codeword-pair blocks.
 Everything is deterministic given (params, seed); randomness flows through
@@ -48,6 +51,7 @@ from .operators import (
     tensor,
     tensor_povm,
     trace_norm,
+    weighted_gram,
 )
 from .typicality import (
     SEQ_CAP,
@@ -239,8 +243,10 @@ def build_approx_operators(codebook: Codebook, rho: DensityOperator, ens, bundle
 
     Each drawn codeword value receives
         gamma * pinv_sqrt(rho^{(x)n}) Lambda_seq pinv_sqrt(rho^{(x)n})
-    with gamma = count * (1 - eps) / ((1 + eta) * L); values never drawn get
-    the zero operator and are simply absent from the family.
+    with gamma = count * (1 - eps) / ((1 + eta) * L), in eigen-form: the pair
+    (pinv_sqrt(rho^{(x)n}) z, gamma * vals) of lambda_operators' (z, vals),
+    whose weighted_gram is the operator.  Values never drawn get the zero
+    operator and are simply absent from the family.
     """
     if side not in ("A", "B"):
         raise InvariantError("side must be 'A' or 'B'")
@@ -254,8 +260,8 @@ def build_approx_operators(codebook: Codebook, rho: DensityOperator, ens, bundle
     for lst in lists:
         fam = {}
         for seq, c in Counter(lst).items():
-            _, lam = lambda_operators(rho, ens, seq, bundle)
-            fam[seq] = hermitize((c * scale) * (pinv @ lam @ pinv))
+            z, vals = lambda_operators(rho, ens, seq, bundle)
+            fam[seq] = (pinv @ z, (c * scale) * vals)
         families.append(fam)
     return families
 
@@ -445,24 +451,43 @@ def _sandwich_frame(rho_AB: DensityOperator, n: int):
     return c1, c_perm.reshape(dA ** n, dB ** n, c_perm.shape[1])
 
 
-def _sandwich_blocks(xs, ys, cperm3: np.ndarray) -> np.ndarray:
-    """Every C^dag (X_a x Y_b) C as an (a, b, r^n, r^n) array, X and Y Hermitian.
+def _stacked_factors(factors) -> tuple:
+    """(z, w) eigen-forms as a (count, side, k) factor stack and a (count, k)
+    weight stack, ragged k padded with zero columns of zero weight."""
+    k = max([1] + [z.shape[1] for z, _ in factors])
+    side = factors[0][0].shape[0]
+    zs = np.zeros((len(factors), side, k), dtype=np.complex128)
+    ws = np.zeros((len(factors), k))
+    for zp, wp, (z, w) in zip(zs, ws, factors):
+        zp[:, :z.shape[1]] = z
+        wp[:w.size] = w
+    return zs, ws
 
-    conj((X_a x I) C) and (I x Y_b) C are laid out as (a r^n, dB^n dA^n) and
-    (b r^n, dB^n dA^n) matrices, so one matmul closes all pairs at once.
+
+def _sandwich_blocks(xs, ys, cperm3: np.ndarray) -> np.ndarray:
+    """Every C^dag (X_a x Y_b) C as an (a, b, r^n, r^n) array.
+
+    X_a = Z_a diag(w_a) Z_a^dag and Y_b = W_b diag(v_b) W_b^dag enter as
+    eigen-forms (Z_a, w_a) and (W_b, v_b) with real weights, so each block is
+    the weighted Gram matrix H diag(w_a x v_b) H^dag of the r^n x k_a k_b
+    factor H = C^dag (Z_a x W_b), and no operator on the full space is
+    formed.  A factor with no columns gives a zero block.
     """
     dA, dB, rn = cperm3.shape
-    xs = np.asarray(xs, dtype=np.complex128)
-    ys = np.asarray(ys, dtype=np.complex128)
-    # rows (p, y), columns x: sum_x' conj(C[x', y, p]) X[x', x], which is
-    # conj((X x I) C) for Hermitian X
-    c_left = np.ascontiguousarray(cperm3.conj().transpose(2, 1, 0)).reshape(rn * dB, dA)
-    left = np.matmul(c_left, xs).reshape(len(xs) * rn, dB * dA)
-    # per (b, q): sum_y' Y[y, y'] C[x, y', q], rows y, columns x
-    c_right = np.ascontiguousarray(cperm3.transpose(2, 1, 0))
-    right = np.matmul(ys[:, None], c_right[None]).reshape(len(ys) * rn, dB * dA)
-    out = left @ right.T
-    return out.reshape(len(xs), rn, len(ys), rn).transpose(0, 2, 1, 3)
+    zx, wx = _stacked_factors(xs)
+    zy, wy = _stacked_factors(ys)
+    (a, _, ka), (b, _, kb) = zx.shape, zy.shape
+    # rows (y, p), columns (a, i): sum_x conj(C[x, y, p]) Z_a[x, i]
+    half = cperm3.reshape(dA, dB * rn).conj().T @ zx.transpose(1, 0, 2).reshape(dA, a * ka)
+    # H[p, a, i, b, j] = sum_y half[y, p, a, i] W_b[y, j]
+    h = half.reshape(dB, rn * a * ka).T @ zy.transpose(1, 0, 2).reshape(dB, b * kb)
+    h = h.reshape(rn, a, ka, b, kb).transpose(2, 4, 1, 3, 0).reshape(ka * kb, a, b, rn)
+    hw = h * (wx.T[:, None, :, None] * wy.T[None, :, None, :]).reshape(ka * kb, a, b, 1)
+    # one broadcast outer product per factor column pair (i, j)
+    out = hw[0][..., :, None] * h[0].conj()[..., None, :]
+    for t in range(1, ka * kb):
+        out += hw[t][..., :, None] * h[t].conj()[..., None, :]
+    return out
 
 
 def _add_block(acc: dict, key, block: np.ndarray):
@@ -581,7 +606,10 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     sum of per-string sandwich trace norms, plus the target mass sitting on
     strings the simulation never emits, plus the simulated family's leakage.
 
-    Memory scales with rank(rho_AB)^{2n}; the dimension cap bounds the rest.
+    Memory scales with the a b rank(rho_AB)^{2n} entries of the codeword-pair
+    blocks of one (mu1, mu2), a and b the distinct codewords: the operators
+    enter the sandwich as eigen-factors, so no (dA dB)^n-sided operator or
+    product is formed.  The dimension cap bounds the rest.
     """
     dA, dB = d.dims
     n = params.n
@@ -600,14 +628,17 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     codebook = generate_codebooks(params, bundle_A.pruned, bundle_B.pruned)
     fams_A = build_approx_operators(codebook, rho_A, ens_A, bundle_A, params, side="A")
     fams_B = build_approx_operators(codebook, rho_B, ens_B, bundle_B, params, side="B")
-    checks_A = [check_sub_povm(f.values()) for f in fams_A]
-    checks_B = [check_sub_povm(f.values()) for f in fams_B]
+    # validity and the resummation residual take the operators as matrices
+    dense_A = [{u: weighted_gram(*f) for u, f in fam.items()} for fam in fams_A]
+    dense_B = [{v: weighted_gram(*f) for v, f in fam.items()} for fam in fams_B]
+    checks_A = [check_sub_povm(f.values()) for f in dense_A]
+    checks_B = [check_sub_povm(f.values()) for f in dense_B]
 
     binmaps = generate_bin_maps(params, bundle_A.typical, bundle_B.typical)
     binned_A = [bin_povm(fam, binmaps[0].assignments[mu], params.bins1)
-                for mu, fam in enumerate(fams_A)]
+                for mu, fam in enumerate(dense_A)]
     binned_B = [bin_povm(fam, binmaps[1].assignments[mu], params.bins2)
-                for mu, fam in enumerate(fams_B)]
+                for mu, fam in enumerate(dense_B)]
 
     p_uv = outcome_distribution(rho_AB, d.povm_A, d.povm_B)
     joint = partial(typical_pairs, p_uv=p_uv, outcomes_A=d.povm_A.outcomes,
@@ -937,10 +968,12 @@ def distortion_of_protocol(binned_A, binned_B, decoder: DecoderTable, recon,
     r = c1.shape[1]
 
     def completed(fams, dim):
-        # completion bin 0 holds I minus the sum of the binned operators
+        # completion bin 0 holds I minus the sum of the binned operators; each
+        # operator, indefinite in general, enters the sandwich as (vecs, vals)
         eye = np.eye(dim, dtype=np.complex128)
-        return [{0: hermitize(reduce(np.subtract, [fam[b] for b in sorted(fam)], eye)),
-                 **fam} for fam in fams]
+        full = [{0: reduce(np.subtract, [fam[b] for b in sorted(fam)], eye), **fam}
+                for fam in fams]
+        return [{b: eigh_desc(op)[::-1] for b, op in fam.items()} for fam in full]
 
     N1, N2 = decoder.n_mu
     w_mu = 1.0 / (N1 * N2)

@@ -29,6 +29,7 @@ from .operators import (
     eigh_desc,
     hermitize,
     von_neumann_entropy,
+    weighted_gram,
 )
 
 SEQ_CAP = 2 ** 20     # max number of sequences ever enumerated
@@ -277,11 +278,15 @@ def conditional_typical_projector(ens: Ensemble, seq: Sequence, delta: float) ->
 class ProjectorBundle:
     """All projectors needed to build approximating operators at one (n, delta).
 
-    pi_rho is the typical projector of the average state; lam_seq maps each
-    typical sequence s to pi_rho Pi_s rho_s Pi_s pi_rho, rho_s the product of
-    the ensemble states along s and Pi_s its conditional typical projector;
-    pi_hat cuts off the small eigenvalues of the pruned average of lam_seq.
-    pi_hat's range lies inside pi_rho's by construction, so the two commute.
+    pi_rho is the typical projector of the average state.  lam_seq maps each
+    typical sequence s to the eigen-form (pi_rho B_s, lambda_s) of
+    Lambda'_s = pi_rho Pi_s rho_s Pi_s pi_rho = (pi_rho B_s) diag(lambda_s)
+    (pi_rho B_s)^dag: rho_s is the product of the ensemble states along s,
+    B_s the product eigenvectors spanning its conditional typical subspace
+    and lambda_s their product eigenvalues, so the factor has one column per
+    dimension of that subspace.  pi_hat cuts off the small eigenvalues of
+    the pruned average of the Lambda'_s; its range lies inside pi_rho's by
+    construction, so the two commute.
     """
     pi_rho: np.ndarray
     lam_seq: Mapping
@@ -312,13 +317,14 @@ def build_projector_bundle(rho: DensityOperator, ens: Ensemble, n: int,
 
     spectra = {u: _grouped_spectrum(ens.state(u).mat) for u in ens.outcomes}
     lam_seq = {}
-    sigma_prime = np.zeros((d ** n, d ** n), dtype=np.complex128)
-    for seq, w in zip(tset.members, pruned.probs):
+    for seq in tset.members:
         basis, vals = _typical_subspace(spectra, seq, strings, delta)
-        lifted = pi_rho @ basis
-        lam_seq[seq] = hermitize((lifted * vals) @ lifted.conj().T)
-        sigma_prime += float(w) * lam_seq[seq]
-    sigma_prime = hermitize(sigma_prime)
+        lam_seq[seq] = (pi_rho @ basis, vals)
+    # sigma' = sum_s p(s) Lambda'_s as one weighted Gram product
+    factors = np.concatenate([z for z, _ in lam_seq.values()], axis=1)
+    weights = np.concatenate([w * vals for w, (_, vals) in
+                              zip(pruned.probs, lam_seq.values())])
+    sigma_prime = weighted_gram(factors, weights)
 
     eps = max(0.0, 1.0 - tset.mass)
     entropy = von_neumann_entropy(rho)
@@ -340,10 +346,10 @@ def build_projector_bundle(rho: DensityOperator, ens: Ensemble, n: int,
 
 def lambda_operators(rho: DensityOperator, ens: Ensemble, seq: Sequence,
                      bundle: ProjectorBundle):
-    """The two-stage compressed operators for one typical sequence.
+    """The two-stage compressed operator of one typical sequence in eigen-form.
 
-    Returns (lam_prime, lam): the bundle's compressed conditional state, and
-    that state additionally sandwiched between the cutoff projector.
+    Returns (z, vals) with pi_hat Lambda'_s pi_hat = z diag(vals) z^dag: the
+    bundle's factor of the compressed conditional state, cut off by pi_hat.
     """
-    lam_prime = bundle.lam_seq[tuple(seq)]
-    return lam_prime, hermitize(bundle.pi_hat @ lam_prime @ bundle.pi_hat)
+    lifted, vals = bundle.lam_seq[tuple(seq)]
+    return bundle.pi_hat @ lifted, vals

@@ -238,6 +238,29 @@ def test_non_finite_or_fractional_config_exits_3(extra, word, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("extra", [
+    {"command": "simulate", "delta": None},
+    {"command": "simulate", "delta": "abc"},
+    {"command": "simulate", "seeds": 3},
+    {"command": "simulate", "ns": 2},
+    {"command": "packing-sweep", "rate_pairs": [[None, 0.5]]},
+    {"command": "packing-sweep", "rate_pairs": [[0.5]]},
+    {"command": "packing-sweep", "r1": [None]},
+    {"command": "sweep", "kind": "collision", "bin_rates": [[0.25, "x"]]},
+    {"command": "sweep", "kind": "soft-covering", "rate_sums": [None]},
+    {"command": "sweep", "kind": "soft-covering", "eta": [0.1]},
+    {"command": "covering-check", "shrink": None},
+], ids=["null-delta", "text-delta", "int-seeds", "int-ns", "null-rate-pair",
+        "short-rate-pair", "null-r1", "text-bin-rate", "null-rate-sum",
+        "list-eta", "null-shrink"])
+def test_malformed_config_number_exits_3(extra, tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"input": "binary-correlated", **extra})
+    rc, out, err = _run(capsys, "--input", cfg)
+    assert rc == 3, err
+    assert err.startswith("invariant violation:")
+    assert out == ""
+
+
 @pytest.mark.parametrize("extra", [{"command": "simulate"},
                                    {"command": "sweep", "kind": "collision"}],
                          ids=["simulate", "collision"])

@@ -21,7 +21,6 @@ from povmsim.operators import (
     matrix_sqrt_and_pinv_sqrt,
     operator_norm,
     partial_trace,
-    permute_subsystems,
     purify,
     quantum_mutual_information,
     shannon_entropy,
@@ -81,16 +80,6 @@ def test_partial_trace_keep_order_reorders():
     b = random_density(rng, (3,)).mat
     red = partial_trace(np.kron(a, b), (2, 3), keep=(1, 0))
     assert np.allclose(red, np.kron(b, a), atol=1e-12)
-
-
-def test_permute_subsystems_on_kron():
-    rng = np.random.default_rng(6)
-    a = random_density(rng, (2,)).mat
-    b = random_density(rng, (3,)).mat
-    c = random_density(rng, (2,)).mat
-    full = tensor(a, b, c)
-    got = permute_subsystems(full, (2, 3, 2), (2, 0, 1))
-    assert np.allclose(got, tensor(c, a, b), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from povmsim.measurement import (
     SeparableDecomposition,
     canonical_ensemble,
     compose_decomposition,
+    deterministic_decomposition,
     outcome_distribution,
 )
 from povmsim.operators import (
@@ -22,9 +23,10 @@ from povmsim.operators import (
     Ensemble,
     Povm,
     matrix_sqrt_and_pinv_sqrt,
-    permute_subsystems,
+    partial_trace,
     tensor,
     trace_norm,
+    weighted_gram,
 )
 from povmsim.protocol import (
     BinMap,
@@ -61,9 +63,11 @@ from povmsim.typicality import (
 PUV_DIAG = np.array([[0.5, 0.0], [0.0, 0.5]])
 
 
-def _pieces(name="binary-correlated", seed=0, n=None, d=None):
-    """The protocol objects of one trial, built stepwise as the trial does."""
-    inst = fixtures.load_fixture(name)
+def _pieces(inst=None, seed=0, n=None, d=None):
+    """The protocol objects of one trial, built stepwise as the trial does;
+    the approximating families as matrices.  ``inst`` defaults to the
+    binary-correlated fixture."""
+    inst = inst or fixtures.load_fixture("binary-correlated")
     params = dataclasses.replace(inst.params, seed=seed, n=n or inst.params.n)
     d = d or inst.decomposition
     rho_A = inst.state.marginal((0,))
@@ -73,8 +77,12 @@ def _pieces(name="binary-correlated", seed=0, n=None, d=None):
     bundle_A = build_projector_bundle(rho_A, ens_A, params.n, params.delta)
     bundle_B = build_projector_bundle(rho_B, ens_B, params.n, params.delta)
     codebook = generate_codebooks(params, bundle_A.pruned, bundle_B.pruned)
-    fams_A = build_approx_operators(codebook, rho_A, ens_A, bundle_A, params, side="A")
-    fams_B = build_approx_operators(codebook, rho_B, ens_B, bundle_B, params, side="B")
+
+    def dense(fams):
+        return [{s: weighted_gram(*f) for s, f in fam.items()} for fam in fams]
+
+    fams_A = dense(build_approx_operators(codebook, rho_A, ens_A, bundle_A, params, side="A"))
+    fams_B = dense(build_approx_operators(codebook, rho_B, ens_B, bundle_B, params, side="B"))
     binmaps = generate_bin_maps(params, bundle_A.typical, bundle_B.typical)
     binned_A = [bin_povm(f, binmaps[0].assignments[mu], params.bins1)
                 for mu, f in enumerate(fams_A)]
@@ -99,10 +107,27 @@ def _stochastic_binary():
     return SeparableDecomposition(m, m, ("a", "b", "c"), rows)
 
 
+def _noisy_binary():
+    """binary-correlated's state read by the noisy diagonal POVM
+    {diag(0.8, 0.3), diag(0.2, 0.7)} on both sides, integrated to whether
+    the two outcomes are equal, at delta = 1.0.
+
+    The canonical ensemble states are mixed, so the approximating operators
+    have ranks 1 to 4 at n = 2, 3 and the sandwich pads ragged factors.
+    """
+    inst = fixtures.load_fixture("binary-correlated")
+    m = Povm(("0", "1"), (np.diag([0.8, 0.3]), np.diag([0.2, 0.7])))
+    d = deterministic_decomposition(m, m, lambda u, v: "equal" if u == v else "differ")
+    return dataclasses.replace(inst, params=dataclasses.replace(inst.params, delta=1.0)), d
+
+
 def _instance(name):
-    """A fixture and its decomposition; "stochastic" is _stochastic_binary."""
+    """A fixture and its decomposition; "stochastic" is _stochastic_binary and
+    "noisy" is _noisy_binary."""
     if name == "stochastic":
         return fixtures.load_fixture("binary-correlated"), _stochastic_binary()
+    if name == "noisy":
+        return _noisy_binary()
     inst = fixtures.load_fixture(name)
     return inst, inst.decomposition
 
@@ -110,6 +135,25 @@ def _instance(name):
 # ---------------------------------------------------------------------------
 # full-matrix oracles for the rank-reduced trial
 # ---------------------------------------------------------------------------
+
+def permute_subsystems(op, dims, order):
+    """Reorder the tensor factors of a square operator: new factor i is old
+    factor order[i]."""
+    a = np.asarray(op, dtype=np.complex128)
+    t = a.reshape(tuple(dims) * 2)
+    t = np.transpose(t, tuple(order) + tuple(len(dims) + i for i in order))
+    return t.reshape(a.shape)
+
+
+def test_permute_subsystems_on_kron():
+    rng = np.random.default_rng(6)
+    a = random_density(rng, (2,)).mat
+    b = random_density(rng, (3,)).mat
+    c = random_density(rng, (2,)).mat
+    full = tensor(a, b, c)
+    got = permute_subsystems(full, (2, 3, 2), (2, 0, 1))
+    assert np.allclose(got, tensor(c, a, b), atol=1e-12)
+
 
 def decoded_family(binned_A, binned_B, decoder):
     """The simulated family before the integration, keyed by decoded pair.
@@ -226,6 +270,37 @@ class _Oracle:
         s2 = sum(self.norm(unbinned.get(p, 0.0) - decoded.get(p, 0.0))
                  for p in set(unbinned) | set(decoded))
         return s1, s2
+
+
+def _dense_distortion(binned_A, binned_B, decoder, recon, obs, state):
+    """Average per-letter distortion with every cell block, completion bins
+    included, formed as the dense w_mu c^dag (Gamma_i x Gamma_j) c on the
+    side-major rho^{(x)n} = c c^dag."""
+    n = len(decoder.sentinel[0])
+    c1, cperm3 = _sandwich_frame(state, n)
+    c = cperm3.reshape(-1, cperm3.shape[2])
+    r = c1.shape[1]
+    xdim = next(iter(recon.values())).dim
+    N1, N2 = decoder.n_mu
+
+    def completed(fam):
+        side = next(iter(fam.values())).shape[0]
+        return [(0, np.eye(side) - sum(fam.values()))] + list(fam.items())
+
+    total = 0.0
+    for mu1, fam_a in enumerate(binned_A):
+        for mu2, fam_b in enumerate(binned_B):
+            for i, op_a in completed(fam_a):
+                for j, op_b in completed(fam_b):
+                    block = c.conj().T @ np.kron(op_a, op_b) @ c / (N1 * N2)
+                    u, v = decoder.lookup(mu1, mu2, i, j)
+                    for pos in range(n):
+                        ref = np.zeros((state.dim, state.dim), dtype=np.complex128)
+                        ref[:r, :r] = partial_trace(block.T, [r] * n, (pos,))
+                        letter = (np.eye(xdim) / xdim if VOID_LETTER in (u[pos], v[pos])
+                                  else recon[(u[pos], v[pos])].mat)
+                        total += np.trace(obs @ np.kron(ref, letter)).real
+    return total / n
 
 
 def _dense_resummation_error(binned_A, binned_B, decoder, integration):
@@ -450,7 +525,9 @@ def test_faithfulness_trial_deterministic_and_seed_sensitive():
 
 def test_sandwich_blocks_match_full_conjugation():
     # unequal side dimensions and a rank-deficient state pin the side-major
-    # layout: block (a, b) is C^dag (X_a x Y_b) C with rho^{(x)n} = C C^dag
+    # layout: block (a, b) is C^dag (X_a x Y_b) C with rho^{(x)n} = C C^dag,
+    # X_a = Z_a diag(w_a) Z_a^dag given by its factor; ragged ranks, an empty
+    # factor and negative weights all go through the one padded product
     rng = np.random.default_rng(4)
     n, dA, dB = 2, 2, 3
     full = random_density(rng, (dA, dB)).mat
@@ -464,28 +541,31 @@ def test_sandwich_blocks_match_full_conjugation():
     rho_n = permute_subsystems(np.kron(rho.mat, rho.mat), [dA, dB] * n, order)
     assert np.allclose(c @ c.conj().T, rho_n, atol=1e-12)
 
-    def hermitian(d):
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        return a + a.conj().T
+    def factor(side, k):
+        z = rng.normal(size=(side, k)) + 1j * rng.normal(size=(side, k))
+        return z, rng.normal(size=k)  # weights of either sign
 
-    xs = [hermitian(dA ** n) for _ in range(3)]
-    ys = [hermitian(dB ** n) for _ in range(2)]
+    xs = [factor(dA ** n, k) for k in (0, 1, 2, dA ** n)]
+    ys = [factor(dB ** n, k) for k in (2, 0, dB ** n, 1)]
     blocks = _sandwich_blocks(xs, ys, cperm3)
-    assert blocks.shape == (3, 2, 16, 16)
-    for a, x in enumerate(xs):
-        for b, y in enumerate(ys):
+    assert blocks.shape == (4, 4, 16, 16)
+    for a, (zx, wx) in enumerate(xs):
+        for b, (zy, wy) in enumerate(ys):
+            x = zx @ np.diag(wx) @ zx.conj().T
+            y = zy @ np.diag(wy) @ zy.conj().T
             want = c.conj().T @ np.kron(x, y) @ c
-            assert np.allclose(blocks[a, b], want, atol=1e-12)
+            assert np.max(np.abs(blocks[a, b] - want)) < 1e-12
+    assert not blocks[0].any() and not blocks[:, 1].any()
 
 
-@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic"])
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy"])
 def test_trial_G_matches_full_matrix_oracle(name):
     inst, d = _instance(name)
     for n in (2, 3):
         oracle = _Oracle(inst.state, d, n)
         for seed in (0, 1, 2):
             _, params, _, _, _, binned_A, binned_B, decoder = _pieces(
-                inst.name, seed=seed, n=n, d=d)
+                inst, seed=seed, n=n, d=d)
             r = faithfulness_trial(params, inst.state, d)
             assert (r.collisions, r.occupied) == (decoder.collisions, decoder.occupied)
             family = overall_povm(binned_A, binned_B, decoder, d)
@@ -496,7 +576,7 @@ def test_trial_G_matches_full_matrix_oracle(name):
 def test_factored_resummation_matches_dense(name):
     inst, d = _instance(name)
     for n in (2, 3, 4):
-        _, params, _, _, _, binned_A, binned_B, decoder = _pieces(inst.name, n=n, d=d)
+        _, params, _, _, _, binned_A, binned_B, decoder = _pieces(inst, n=n, d=d)
         r = faithfulness_trial(params, inst.state, d)
         dense = _dense_resummation_error(binned_A, binned_B, decoder, d)
         assert abs(r.resummation_error - dense) < 1e-12
@@ -506,14 +586,14 @@ def test_factored_resummation_matches_dense(name):
             assert r.resummation_error == 0.0
 
 
-@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic"])
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy"])
 def test_error_split_matches_full_matrix_oracle(name):
     inst, d = _instance(name)
     for n in (2, 3):
         oracle = _Oracle(inst.state, d, n)
         for seed in (0, 1, 2):
             _, params, _, fams_A, fams_B, binned_A, binned_B, decoder = _pieces(
-                inst.name, seed=seed, n=n, d=d)
+                inst, seed=seed, n=n, d=d)
             r = faithfulness_trial(params, inst.state, d)
             s1, s2 = oracle.split(*_typical_sets(inst.state, d, params),
                                   unbinned_family(fams_A, fams_B),
@@ -676,6 +756,23 @@ def test_distortion_identity_observable_is_one():
     got = distortion_of_protocol(binned_A, binned_B, decoder, recon,
                                  np.eye(8), inst.state)
     assert abs(got - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["binary-correlated", "example1"])
+def test_distortion_matches_full_matrix_oracle(name):
+    inst = fixtures.load_fixture(name)
+    recon = {(u, v): st for (u, v, _), st in inst.recon.items()}
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    for n in (2, 3):
+        for seed in (0, 1):
+            _, _, _, _, _, binned_A, binned_B, decoder = _pieces(inst, seed=seed, n=n)
+            for obs in (inst.delta_obs, a + a.conj().T):
+                got = distortion_of_protocol(binned_A, binned_B, decoder, recon,
+                                             obs, inst.state)
+                want = _dense_distortion(binned_A, binned_B, decoder, recon,
+                                         obs, inst.state)
+                assert abs(got - want) < 1e-12
 
 
 def test_distortion_complementary_observables_sum_to_one():

@@ -9,7 +9,7 @@ import pytest
 from povmsim import fixtures
 from povmsim.errors import CapExceededError, InvariantError
 from povmsim.measurement import canonical_ensemble
-from povmsim.operators import DensityOperator, Ensemble
+from povmsim.operators import DensityOperator, Ensemble, weighted_gram
 from povmsim.typicality import (
     all_sequences,
     build_projector_bundle,
@@ -177,7 +177,8 @@ def test_bundle_lam_seq_matches_projector_sandwich(name, n):
         bundle = build_projector_bundle(rho, ens, n, delta)
         pi_rho = typical_projector(rho, n, delta)
         assert set(bundle.lam_seq) == set(bundle.typical.members)
-        for seq, got in bundle.lam_seq.items():
+        for seq, factor in bundle.lam_seq.items():
+            got = weighted_gram(*factor)
             pc = conditional_typical_projector(ens, seq, delta)
             rho_s = reduce(np.kron, [ens.state(s).mat for s in seq])
             want = pi_rho @ pc @ rho_s @ pc @ pi_rho
@@ -193,7 +194,8 @@ def test_projector_bundle_binary_fixture_diagonal_oracle():
     assert np.allclose(bundle.pi_rho, np.eye(4), atol=1e-12)
     assert set(bundle.typical.members) == {("0", "1"), ("1", "0")}
     assert abs(bundle.params["eps"] - 0.5) < 1e-12
-    assert np.allclose(bundle.lam_seq[("0", "1")], np.diag([0, 1, 0, 0]), atol=1e-12)
+    assert np.allclose(weighted_gram(*bundle.lam_seq[("0", "1")]), np.diag([0, 1, 0, 0]),
+                       atol=1e-12)
     # pruned average is diag(0, 1/2, 1/2, 0); both nonzero modes clear the cutoff
     assert np.allclose(bundle.pi_hat, np.diag([0.0, 1.0, 1.0, 0.0]), atol=1e-10)
 
