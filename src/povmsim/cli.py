@@ -29,6 +29,7 @@ from .protocol import (ProtocolParams, binning_collision_rate,
                        packing_norm_trial, soft_covering_trial)
 from .regions import (fourier_motzkin, intermediate_system, rd_inner_bound,
                       region_for, single_letter_system)
+from .typicality import SEQ_CAP
 
 COMMANDS = ("region", "simulate", "sweep", "fm-check", "covering-check",
             "packing-sweep", "rd-eval")
@@ -64,7 +65,13 @@ def _instance_from_json(payload: dict) -> fixtures.Instance:
     rho = serialize.density_from_json(payload["state"])
     d = serialize.decomposition_from_json(payload["decomposition"])
     if "p_uv" in payload:
-        p_uv = np.asarray(payload["p_uv"], dtype=float)
+        try:
+            p_uv = np.asarray(payload["p_uv"], dtype=float)
+        except (TypeError, ValueError):
+            p_uv = None
+        if p_uv is None or not np.all(np.isfinite(p_uv)):
+            raise InvariantError(
+                f"p_uv must be a matrix of finite numbers, got {payload['p_uv']!r}")
     else:
         p_uv = outcome_distribution(rho, d.povm_A, d.povm_B)
     if "ensemble" in payload:
@@ -72,7 +79,7 @@ def _instance_from_json(payload: dict) -> fixtures.Instance:
     else:
         ens = fixtures.soft_covering_ensemble()
     recon = {}
-    for key, obj in payload.get("recon", {}).items():
+    for key, obj in _as_dict("recon", payload.get("recon", {})).items():
         u, v = serialize.parse_pair_key(key, d.povm_A.outcomes, d.povm_B.outcomes)
         recon[(u, v, 0)] = serialize.density_from_json(obj)
     if "delta_obs" in payload:
@@ -95,10 +102,11 @@ def _resolve(args):
     payload = _load_json(args.input)
     if not isinstance(payload, dict):
         raise InvariantError("input JSON must be an object")
+    own = _as_dict("config", payload.get("config", {}))
     if "state" in payload:
-        return _instance_from_json(payload), dict(payload.get("config", {}))
+        return _instance_from_json(payload), dict(own)
     config = {k: v for k, v in payload.items() if k not in ("input", "config")}
-    config.update(payload.get("config", {}))
+    config.update(own)
     inner = payload.get("input")
     if inner is None:
         raise InvariantError("config file must name its input fixture or file")
@@ -107,7 +115,7 @@ def _resolve(args):
     inner_payload = _load_json(inner)
     if not isinstance(inner_payload, dict) or "state" not in inner_payload:
         raise InvariantError("nested input file must hold a state and decomposition")
-    merged = dict(inner_payload.get("config", {}))
+    merged = dict(_as_dict("config", inner_payload.get("config", {})))
     merged.update(config)
     return _instance_from_json(inner_payload), merged
 
@@ -133,6 +141,12 @@ def _as_float(key: str, value) -> float:
 def _as_list(key: str, value) -> list:
     if not isinstance(value, list):
         raise InvariantError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _as_dict(key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise InvariantError(f"{key} must be an object, got {value!r}")
     return value
 
 
@@ -177,6 +191,16 @@ def _n_list(config: dict, params: ProtocolParams) -> list:
     return [params.n]
 
 
+def _row_seeds(config: dict, params: ProtocolParams, inner: list) -> list:
+    """The seed list of a command that loops over seeds x inner, refused
+    before any row is computed when those rows exceed the enumeration cap."""
+    seeds = _seed_list(config, params)
+    if len(seeds) * len(inner) > SEQ_CAP:
+        raise CapExceededError(
+            f"{len(seeds)} x {len(inner)} result rows exceed the cap {SEQ_CAP}")
+    return seeds
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -188,9 +212,10 @@ def cmd_region(instance, config, args) -> str:
 
 def cmd_simulate(instance, config, args) -> str:
     params = _params_for(instance, config, args)
+    ns = _n_list(config, params)
     rows = []
-    for seed in _seed_list(config, params):
-        for n in _n_list(config, params):
+    for seed in _row_seeds(config, params, ns):
+        for n in ns:
             trial = replace(params, n=n, seed=seed)
             report = faithfulness_trial(trial, instance.state,
                                         instance.decomposition)
@@ -212,7 +237,7 @@ def _sweep_packing(instance, config, params) -> list:
     d = instance.decomposition
     pairs = _packing_pairs(config)
     rows = []
-    for seed in _seed_list(config, params):
+    for seed in _row_seeds(config, params, pairs):
         for r1, r2 in pairs:
             t0 = time.perf_counter()
             norm = packing_norm_trial(d.povm_A, d.povm_B, instance.p_uv,
@@ -227,7 +252,7 @@ def _sweep_packing(instance, config, params) -> list:
 def _sweep_collision(instance, config, params) -> list:
     bin_rates = _float_pairs("bin_rates", config.get("bin_rates", [[params.R1, params.R2]]))
     rows = []
-    for seed in _seed_list(config, params):
+    for seed in _row_seeds(config, params, bin_rates):
         for r1, r2 in bin_rates:
             trial = replace(params, R1=r1, R2=r2, seed=seed)
             t0 = time.perf_counter()
@@ -247,7 +272,7 @@ def _sweep_soft_covering(instance, config, params, args) -> list:
         "delta", config.get("delta", 0.2))
     eta = args.eta if args.eta is not None else _as_float("eta", config.get("eta", 0.1))
     rows = []
-    for seed in _seed_list(config, params):
+    for seed in _row_seeds(config, params, rate_sums):
         for rate_sum in rate_sums:
             t0 = time.perf_counter()
             err = soft_covering_trial(instance.ensemble, params.n, rate_sum,

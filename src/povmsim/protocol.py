@@ -12,10 +12,12 @@ is evaluated inside the support of the input state, where a codeword-pair
 operator Gamma_u x Gamma_v turns into an r^n x r^n sandwich (r the state's
 rank).  Each Gamma is carried in eigen-form Z diag(w) Z^dag, Z with one
 column per dimension of its compressed conditional typical subspace, so a
-sandwich is a weighted Gram matrix of the small factor C^dag (Z_u x Z_v).
-These sandwiches are closed once per trial and give both G and the
-covering/binning error split (s1, s2); binned cells are never sandwiched, as
-a cell's block is the sum of its codeword-pair blocks.
+sandwich is H diag(w_u x w_v) H^dag with the thin factor H = C^dag (Z_u x Z_v).
+Blocks stay in that form through scoring: a decoded, emitted or target block
+is a list of factor pieces, whose trace norm comes from the R of one QR of
+the pieces side by side.  The same pieces give G and the covering/binning
+error split (s1, s2); binned cells are never sandwiched, as a cell's block
+is the sum of its codeword-pair pieces.
 Everything is deterministic given (params, seed); randomness flows through
 counter-based substreams, one per random object.
 """
@@ -79,10 +81,6 @@ STREAM_SOFT = 6
 # out-of-alphabet sentinel letter, used when every sequence is typical;
 # its image under any integration is the all-void string
 VOID_LETTER = "__void__"
-
-# diagnostics that enumerate pairs of typical sets stop above this count
-ENUM_CAP = 4096
-
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for one random object of one trial."""
@@ -425,12 +423,15 @@ def _image_weight_total(pair, integration: SeparableDecomposition) -> float:
 # rank-reduced sandwich frame
 # ---------------------------------------------------------------------------
 
-def _support_factor(rho_AB: DensityOperator) -> np.ndarray:
-    """d x r factor C with rho = C C^dag, columns scaled eigenvectors."""
-    vals, vecs = eigh_desc(rho_AB.mat)
-    top = max(float(vals[0]), 0.0)
-    keep = vals > EIG_CUTOFF * max(top, 1e-300)
-    return vecs[:, keep] * np.sqrt(np.clip(vals[keep], 0.0, None))
+def _support_factor(mats: np.ndarray) -> np.ndarray:
+    """d x r factor C with mat = C C^dag of a PSD matrix, or of each matrix in
+    a stack: eigenvectors by descending eigenvalue, scaled by their roots and
+    cut below the relative cutoff, in a stack zero-padded to the widest."""
+    vals, vecs = np.linalg.eigh(hermitize(mats))
+    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
+    keep = vals > EIG_CUTOFF * np.maximum(vals[..., :1], 1e-300)
+    scaled = vecs * np.sqrt(np.where(keep, vals, 0.0))[..., None, :]
+    return scaled[..., :keep.sum(axis=-1).max()]
 
 
 def _side_major_rows(c_copy: np.ndarray, dA: int, dB: int, n: int) -> np.ndarray:
@@ -446,7 +447,7 @@ def _sandwich_frame(rho_AB: DensityOperator, n: int):
     """(c1, cperm3): the support factor of rho_AB and its n-th Kronecker power
     with side-major rows, shaped (dA^n, dB^n, r^n)."""
     dA, dB = rho_AB.dims
-    c1 = _support_factor(rho_AB)
+    c1 = _support_factor(rho_AB.mat)
     c_perm = _side_major_rows(tensor(*[c1] * n), dA, dB, n)
     return c1, c_perm.reshape(dA ** n, dB ** n, c_perm.shape[1])
 
@@ -464,14 +465,15 @@ def _stacked_factors(factors) -> tuple:
     return zs, ws
 
 
-def _sandwich_blocks(xs, ys, cperm3: np.ndarray) -> np.ndarray:
-    """Every C^dag (X_a x Y_b) C as an (a, b, r^n, r^n) array.
+def _sandwich_factors(xs, ys, cperm3: np.ndarray) -> tuple:
+    """Every C^dag (X_a x Y_b) C in factor form: (H, w) shaped
+    (a, b, r^n, k_a k_b) and (a, b, k_a k_b), block (a, b) being
+    H[a, b] diag(w[a, b]) H[a, b]^dag.
 
     X_a = Z_a diag(w_a) Z_a^dag and Y_b = W_b diag(v_b) W_b^dag enter as
-    eigen-forms (Z_a, w_a) and (W_b, v_b) with real weights, so each block is
-    the weighted Gram matrix H diag(w_a x v_b) H^dag of the r^n x k_a k_b
-    factor H = C^dag (Z_a x W_b), and no operator on the full space is
-    formed.  A factor with no columns gives a zero block.
+    eigen-forms (Z_a, w_a) and (W_b, v_b) with real weights, so
+    H[a, b] = C^dag (Z_a x W_b) with weights w_a x v_b, and no operator on
+    the full space is formed.  A factor with no columns gives a zero block.
     """
     dA, dB, rn = cperm3.shape
     zx, wx = _stacked_factors(xs)
@@ -481,24 +483,13 @@ def _sandwich_blocks(xs, ys, cperm3: np.ndarray) -> np.ndarray:
     half = cperm3.reshape(dA, dB * rn).conj().T @ zx.transpose(1, 0, 2).reshape(dA, a * ka)
     # H[p, a, i, b, j] = sum_y half[y, p, a, i] W_b[y, j]
     h = half.reshape(dB, rn * a * ka).T @ zy.transpose(1, 0, 2).reshape(dB, b * kb)
-    h = h.reshape(rn, a, ka, b, kb).transpose(2, 4, 1, 3, 0).reshape(ka * kb, a, b, rn)
-    hw = h * (wx.T[:, None, :, None] * wy.T[None, :, None, :]).reshape(ka * kb, a, b, 1)
-    # one broadcast outer product per factor column pair (i, j)
-    out = hw[0][..., :, None] * h[0].conj()[..., None, :]
-    for t in range(1, ka * kb):
-        out += hw[t][..., :, None] * h[t].conj()[..., None, :]
-    return out
-
-
-def _add_block(acc: dict, key, block: np.ndarray):
-    """acc[key] += block without writing into a stored block: the first block
-    of a key is kept as given, which may be a view shared with another dict."""
-    acc[key] = acc[key] + block if key in acc else block
+    h = h.reshape(rn, a, ka, b, kb).transpose(1, 3, 0, 2, 4).reshape(a, b, rn, ka * kb)
+    return h, (wx[:, None, :, None] * wy[None, :, None, :]).reshape(a, b, ka * kb)
 
 
 def _kron_rows(table: np.ndarray, alphabet, strings) -> np.ndarray:
     """table[s_1] x ... x table[s_n] for each of k strings over the alphabet
-    indexing table's r x r blocks: a new (k, r^n, r^n) stack, entry for entry
+    indexing table's r x c blocks: a new (k, r^n, c^n) stack, entry for entry
     equal to the np.kron chain."""
     idx = _letter_indices(strings, alphabet)
     out = table[idx[:, 0]]
@@ -509,8 +500,40 @@ def _kron_rows(table: np.ndarray, alphabet, strings) -> np.ndarray:
 
 
 def _trace_norm_sum(blocks) -> float:
-    """Sum of the trace norms of a nonempty stack of Hermitian blocks."""
-    return float(np.abs(np.linalg.eigvalsh(hermitize(np.asarray(blocks)))).sum())
+    """Sum of the trace norms of Hermitian blocks in factor form.
+
+    A block is a list of (F, s) pieces, F of shape (side, m) and s of m real
+    weights, and stands for sum F diag(s) F^dag.  With the side-by-side
+    factor F = QR the block shares its nonzero eigenvalues with
+    R diag(s) R^dag, so blocks of one total width take one batched reduced
+    QR and one eigvalsh, whatever the width; width 0 is a zero block.
+    """
+    groups = {}
+    for pieces in blocks:
+        f = np.concatenate([f for f, _ in pieces], axis=1)
+        groups.setdefault(f.shape[1], []).append((f, np.concatenate([s for _, s in pieces])))
+    total = 0.0
+    for group in groups.values():
+        r = np.linalg.qr(np.stack([f for f, _ in group]), mode="r")
+        rs = r * np.stack([s for _, s in group])[:, None, :]
+        total += np.abs(np.linalg.eigvalsh(rs @ r.conj().transpose(0, 2, 1))).sum()
+    return float(total)
+
+
+def _gap_norms(c1: np.ndarray, letter_ops, alphabet, pieces) -> tuple:
+    """(sum_x ||T_x - P_x||_1, sum_x tr T_x) over the strings x keying pieces.
+
+    T_x is the product target block (x)_k c1^dag op(x_k) c1, letter_ops
+    giving op per alphabet letter, and P_x has the (F, s) pieces pieces[x].
+    Letter blocks are PSD, so T_x is the Gram matrix of the Kronecker row of
+    its letters' support factors, padded with zero columns to one width; a
+    zero letter has no columns.
+    """
+    table = _support_factor(c1.conj().T @ np.stack(letter_ops) @ c1)
+    targets = _kron_rows(table, alphabet, pieces)
+    ones = np.ones(targets.shape[2])
+    gaps = [[(t, ones)] + [(f, -s) for f, s in p] for t, p in zip(targets, pieces.values())]
+    return _trace_norm_sum(gaps), float(np.sum(np.abs(targets) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +548,9 @@ class TrialReport:
     resummation_error is the largest entry of the simulated family's total
     minus the product of the averaged per-sender binned totals, computed in
     factored form; it is exactly 0 for deterministic integrations.
-    Diagnostics hold gamma/zeta statistics, bin spreads, the
-    leakage split, and the covering/binning error split (s1, s2) when the
-    typical sets are small enough to enumerate in pairs; s1 and s2 are
-    scored from the same codeword-pair blocks as G.
+    Diagnostics hold gamma/zeta statistics, bin spreads, the leakage split
+    and the covering/binning error split (s1, s2), scored from the same
+    codeword-pair factor pieces as G.
     """
     params: ProtocolParams
     faithfulness_G: float
@@ -606,10 +628,11 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     sum of per-string sandwich trace norms, plus the target mass sitting on
     strings the simulation never emits, plus the simulated family's leakage.
 
-    Memory scales with the a b rank(rho_AB)^{2n} entries of the codeword-pair
-    blocks of one (mu1, mu2), a and b the distinct codewords: the operators
-    enter the sandwich as eigen-factors, so no (dA dB)^n-sided operator or
-    product is formed.  The dimension cap bounds the rest.
+    Memory scales with the factors, r = rank(rho_AB): a b r^n k_a k_b entries
+    for the codeword pairs of one (mu1, mu2), a and b the distinct codewords
+    and k their widths, and r^n m + min(r^n, m)^2 for a scored block of total
+    width m.  No (dA dB)^n-sided operator is formed; the dimension cap bounds
+    the rest.
     """
     dA, dB = d.dims
     n = params.n
@@ -645,44 +668,56 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
                     outcomes_B=d.povm_B.outcomes, delta=params.delta)
     decoder = build_decoder(codebook, binmaps, joint)
 
-    # one sandwich pass over the unbinned families: every codeword-pair block
-    # is kept for the error split and added to the pair its cell decodes to,
-    # so by linearity a cell's block is the sum of its codeword-pair blocks;
+    # one sandwich pass over the unbinned families: every codeword pair's
+    # factor piece is filed under the pair and under the pair its cell
+    # decodes to, so by linearity a decoded block is the sum of its pieces;
     # cells without codewords hold zero blocks and are never visited
     c1, cperm3 = _sandwich_frame(rho_AB, n)
     w_mu = 1.0 / (params.N1 * params.N2)
-    int_blocks, pair_blocks = {}, {}
+    pair_pieces, decoded_pieces = {}, {}
     covered = 0.0
     for mu1, fam_a in enumerate(fams_A):
         for mu2, fam_b in enumerate(fams_B):
-            blocks = _sandwich_blocks(list(fam_a.values()), list(fam_b.values()), cperm3)
-            blocks *= w_mu
-            covered += float(np.trace(blocks, axis1=2, axis2=3).real.sum())
+            h, w = _sandwich_factors(list(fam_a.values()), list(fam_b.values()), cperm3)
+            w *= w_mu
+            covered += float(np.sum(np.sum(np.abs(h) ** 2, axis=2) * w))
             bins_b = [binmaps[1].bin_of(mu2, v) for v in fam_b]
             for a, u in enumerate(fam_a):
                 i = binmaps[0].bin_of(mu1, u)
                 for b, (v, j) in enumerate(zip(fam_b, bins_b)):
-                    _add_block(int_blocks, (u, v), blocks[a, b])
-                    _add_block(pair_blocks, decoder.lookup(mu1, mu2, i, j), blocks[a, b])
+                    piece = (h[a, b], w[a, b])
+                    pair_pieces.setdefault((u, v), []).append(piece)
+                    decoded_pieces.setdefault(decoder.lookup(mu1, mu2, i, j), []).append(piece)
 
-    # push decoded pairs through the integration
-    m1_blocks = {}
-    for pair, block in pair_blocks.items():
-        for z, w in _z_images(pair, d):
-            m1_blocks[z] = m1_blocks.get(z, 0.0) + w * block
-
-    # letterwise target blocks of the composed measurement; the reserved
-    # letter's block is zero, so a void string is scored against nothing
+    # push decoded pairs through the integration and score each emitted
+    # string against its letterwise target; the reserved letter's target is
+    # zero, so a void string is scored against nothing
+    image_pieces = {}
+    for pair, pieces in decoded_pieces.items():
+        for z, wz in _z_images(pair, d):
+            image_pieces.setdefault(z, []).extend((f, wz * s) for f, s in pieces)
     target = compose_decomposition(d)
-    ztable = np.stack([c1.conj().T @ target.op(z) @ c1 for z in target.outcomes])
-    ztable = np.concatenate([ztable, np.zeros_like(ztable[:1])])
-    gaps = _kron_rows(ztable, tuple(target.outcomes) + (VOID_LETTER,), m1_blocks)
-    support_mass = float(np.trace(gaps, axis1=1, axis2=2).real.sum())
-    for gap, block in zip(gaps, m1_blocks.values()):
-        gap -= block
+    ops = [target.op(z) for z in target.outcomes]
+    g_gaps, support_mass = _gap_norms(
+        c1, ops + [np.zeros_like(ops[0])], tuple(target.outcomes) + (VOID_LETTER,),
+        image_pieces)
     leakage = max(0.0, 1.0 - covered)
     missed = max(0.0, 1.0 - support_mass)
-    g_val = _trace_norm_sum(gaps) + missed + leakage
+    g_val = g_gaps + missed + leakage
+
+    # covering/binning split, reported not asserted: s1 scores the unbinned
+    # codeword-pair blocks against the product targets on T_A x T_B.  A pair
+    # without codewords contributes its target's trace p^n(u, v), and those
+    # masses sum to at most 1, so only codeword pairs (all typical) are
+    # scored.  s2 is the norm-sum gap between the unbinned and the decoded
+    # blocks; the sentinel is the one decoded pair that is no codeword pair.
+    letters = [(u, v) for u in d.povm_A.outcomes for v in d.povm_B.outcomes]
+    s1_gaps, hit_mass = _gap_norms(
+        c1, [tensor(d.povm_A.op(u), d.povm_B.op(v)) for u, v in letters], letters,
+        {tuple(zip(u, v)): p for (u, v), p in pair_pieces.items()})
+    s2 = _trace_norm_sum(
+        pair_pieces.get(p, []) + [(f, -s) for f, s in decoded_pieces.get(p, [])]
+        for p in {**pair_pieces, **decoded_pieces})
 
     diagnostics = {
         "eps_A": float(bundle_A.params["eps"]),
@@ -692,18 +727,13 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
         "leakage": leakage,
         "missed_mass": missed,
         "support_mass": support_mass,
+        "s1": 1.0 + s1_gaps - hit_mass + leakage,
+        "s2": s2,
     }
     diagnostics.update(_stats("gamma", _gamma_values(
         codebook.u_lists, bundle_A.params["eps"], params.eta, params.L1)))
     diagnostics.update(_stats("zeta", _gamma_values(
         codebook.v_lists, bundle_B.params["eps"], params.eta, params.L2)))
-
-    n_pairs = len(bundle_A.typical.members) * len(bundle_B.typical.members)
-    if n_pairs <= ENUM_CAP:
-        s1, s2 = _error_split(d, bundle_A, bundle_B, c1, int_blocks, pair_blocks,
-                              covered)
-        diagnostics["s1"] = s1
-        diagnostics["s2"] = s2
 
     resum = _resummation_error(binned_A, binned_B, decoder, d)
     return TrialReport(params, g_val,
@@ -712,37 +742,6 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
                        tuple(e for _, e in checks_A),
                        tuple(e for _, e in checks_B),
                        decoder.collisions, decoder.occupied, resum, diagnostics)
-
-
-def _error_split(d, bundle_A, bundle_B, c1, int_blocks, pair_blocks, covered):
-    """Covering/binning split of the trial error, reported not asserted.
-
-    Both terms reuse the trial's codeword-pair blocks (int_blocks, the
-    mu-averaged unbinned product family, and covered, its trace) and the
-    decoded blocks summed from them (pair_blocks).  s1 scores int_blocks
-    against the target on all typical sequence pairs; s2 is the norm-sum gap
-    between int_blocks and pair_blocks.  Codewords are typical, so both go
-    over T_A one row at a time, each stack at most |T_B| blocks.
-    """
-    pairs = [(u, v) for u in d.povm_A.outcomes for v in d.povm_B.outcomes]
-    ptable = np.stack([c1.conj().T @ tensor(d.povm_A.op(u), d.povm_B.op(v)) @ c1
-                       for u, v in pairs])
-    members_B = bundle_B.typical.members
-    s1 = s2 = joint_mass = 0.0
-    for u in bundle_A.typical.members:
-        gaps = _kron_rows(ptable, pairs, [tuple(zip(u, v)) for v in members_B])
-        joint_mass += float(np.trace(gaps, axis1=1, axis2=2).real.sum())
-        hits = [(k, (u, v)) for k, v in enumerate(members_B) if (u, v) in int_blocks]
-        for k, key in hits:
-            gaps[k] -= int_blocks[key]
-        s1 += _trace_norm_sum(gaps)
-        if hits:
-            s2 += _trace_norm_sum([int_blocks[key] - pair_blocks.get(key, 0.0)
-                                   for _, key in hits])
-    s1 += max(0.0, 1.0 - joint_mass) + max(0.0, 1.0 - covered)
-    # the sentinel is the one decoded pair that is no codeword pair
-    rest = [blk for key, blk in pair_blocks.items() if key not in int_blocks]
-    return s1, s2 + (_trace_norm_sum(rest) if rest else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -981,8 +980,8 @@ def distortion_of_protocol(binned_A, binned_B, decoder: DecoderTable, recon,
     total = 0.0
     for mu1, fam_a in enumerate(completed(binned_A, dA ** n)):
         for mu2, fam_b in enumerate(full_B):
-            cells = w_mu * _sandwich_blocks(list(fam_a.values()),
-                                            list(fam_b.values()), cperm3)
+            h, w = _sandwich_factors(list(fam_a.values()), list(fam_b.values()), cperm3)
+            cells = (h * (w_mu * w)[:, :, None, :]) @ h.conj().swapaxes(2, 3)
             for a, i in enumerate(fam_a):
                 for b, j in enumerate(fam_b):
                     rblock = cells[a, b].T

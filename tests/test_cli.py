@@ -288,3 +288,49 @@ def test_missing_command_exits_3(capsys):
     rc, out, err = _run(capsys, "--input", "example1")
     assert rc == 3
     assert "invariant violation" in err
+
+
+def _example1_instance(**extra):
+    inst = fixtures.load_fixture("example1")
+    return {"state": serialize.density_to_json(inst.state),
+            "decomposition": serialize.decomposition_to_json(inst.decomposition),
+            **extra}
+
+
+@pytest.mark.parametrize("command", ["simulate", "region", "rd-eval", "packing-sweep"])
+@pytest.mark.parametrize("payload, field", [
+    (_example1_instance(p_uv="x"), "p_uv"),
+    (_example1_instance(p_uv=[[0.5], [0.25, 0.25]]), "p_uv"),
+    (_example1_instance(p_uv=[[float("nan")] * 4] * 4), "p_uv"),
+    (_example1_instance(config=[1]), "config"),
+    ({"input": "example1", "config": [1]}, "config"),
+    (_example1_instance(recon=[1]), "recon"),
+], ids=["text-p_uv", "ragged-p_uv", "nan-p_uv", "list-config", "list-config-bare",
+        "list-recon"])
+def test_malformed_instance_field_exits_3(payload, field, command, tmp_path, capsys):
+    path = _write_config(tmp_path, payload, "input.json")
+    rc, out, err = _run(capsys, "--command", command, "--input", path)
+    assert rc == 3, err
+    assert err.startswith(f"invariant violation: {field} must be")
+    assert out == ""
+
+
+@pytest.mark.parametrize("extra", [
+    {"command": "simulate", "seeds": [0, 1], "ns": [2, 3]},
+    {"command": "packing-sweep", "seeds": [0, 1], "rate_pairs": [[0.25, 0.25], [0.5, 0.5]]},
+    {"command": "sweep", "kind": "collision", "seeds": [0, 1],
+     "bin_rates": [[0.25, 0.25], [0.5, 0.5]]},
+    {"command": "sweep", "kind": "soft-covering", "seeds": [0, 1], "rate_sums": [0.5, 1.0]},
+], ids=["simulate", "packing", "collision", "soft-covering"])
+def test_row_count_cap_exits_4(extra, monkeypatch, tmp_path, capsys):
+    # four rows against a cap of three: refused before the first row runs
+    monkeypatch.setattr(cli, "SEQ_CAP", 3)
+    calls = []
+    for name in ("faithfulness_trial", "packing_norm_trial", "binning_collision_rate",
+                 "soft_covering_trial"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+    cfg = _write_config(tmp_path, {"input": "binary-correlated", **extra})
+    rc, out, err = _run(capsys, "--input", cfg)
+    assert rc == 4
+    assert err.startswith("cap exceeded:") and "rows" in err
+    assert out == "" and calls == []

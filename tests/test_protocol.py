@@ -34,8 +34,9 @@ from povmsim.protocol import (
     ProtocolParams,
     TrialReport,
     VOID_LETTER,
-    _sandwich_blocks,
+    _sandwich_factors,
     _sandwich_frame,
+    _trace_norm_sum,
     bin_povm,
     binning_collision_rate,
     build_approx_operators,
@@ -519,7 +520,8 @@ def test_faithfulness_trial_deterministic_and_seed_sensitive():
     p2 = dataclasses.replace(inst.params, seed=2)
     r2 = faithfulness_trial(p2, inst.state, inst.decomposition)
     assert r2.faithfulness_G != r0.faithfulness_G
-    for key in ("eps_A", "eps_B", "leakage", "missed_mass", "gamma_mean", "zeta_mean"):
+    for key in ("eps_A", "eps_B", "leakage", "missed_mass", "gamma_mean", "zeta_mean",
+                "s1", "s2"):
         assert key in r0.diagnostics
 
 
@@ -527,7 +529,8 @@ def test_sandwich_blocks_match_full_conjugation():
     # unequal side dimensions and a rank-deficient state pin the side-major
     # layout: block (a, b) is C^dag (X_a x Y_b) C with rho^{(x)n} = C C^dag,
     # X_a = Z_a diag(w_a) Z_a^dag given by its factor; ragged ranks, an empty
-    # factor and negative weights all go through the one padded product
+    # factor and negative weights all go through the one padded product, and
+    # each block is closed here from its factor piece (H[a, b], w[a, b])
     rng = np.random.default_rng(4)
     n, dA, dB = 2, 2, 3
     full = random_density(rng, (dA, dB)).mat
@@ -547,8 +550,9 @@ def test_sandwich_blocks_match_full_conjugation():
 
     xs = [factor(dA ** n, k) for k in (0, 1, 2, dA ** n)]
     ys = [factor(dB ** n, k) for k in (2, 0, dB ** n, 1)]
-    blocks = _sandwich_blocks(xs, ys, cperm3)
-    assert blocks.shape == (4, 4, 16, 16)
+    h, w = _sandwich_factors(xs, ys, cperm3)
+    assert h.shape == (4, 4, 16, dA ** n * dB ** n) and w.shape == h.shape[:2] + h.shape[3:]
+    blocks = (h * w[:, :, None, :]) @ h.conj().swapaxes(2, 3)
     for a, (zx, wx) in enumerate(xs):
         for b, (zy, wy) in enumerate(ys):
             x = zx @ np.diag(wx) @ zx.conj().T
@@ -556,6 +560,24 @@ def test_sandwich_blocks_match_full_conjugation():
             want = c.conj().T @ np.kron(x, y) @ c
             assert np.max(np.abs(blocks[a, b] - want)) < 1e-12
     assert not blocks[0].any() and not blocks[:, 1].any()
+
+
+def test_trace_norm_sum_matches_dense():
+    # factor pieces of widths below, equal to and above the row count, signed
+    # weights, a block of several pieces and a width-0 piece, all in one call
+    rng = np.random.default_rng(9)
+    side = 6
+
+    def piece(m):
+        f = rng.normal(size=(side, m)) + 1j * rng.normal(size=(side, m))
+        return f, rng.normal(size=m)
+
+    blocks = [[piece(2)], [piece(side)], [piece(side + 5)], [piece(3), piece(0), piece(4)],
+              [piece(0)], [piece(2)], [piece(1), piece(1)]]
+    got = _trace_norm_sum(blocks)
+    want = sum(trace_norm(sum((f * s) @ f.conj().T for f, s in pieces))
+               for pieces in blocks)
+    assert abs(got - want) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy"])
@@ -603,8 +625,10 @@ def test_error_split_matches_full_matrix_oracle(name):
 
 
 def test_error_split_bounds_total():
-    inst = fixtures.load_fixture("binary-correlated")
-    for n in (2, 3):
+    # example1 at n = 4 has |T_A| |T_B| > 4096 typical pairs; the split is
+    # scored over codeword pairs only, so it is reported there too
+    for name, n in (("binary-correlated", 2), ("binary-correlated", 3), ("example1", 4)):
+        inst = fixtures.load_fixture(name)
         for seed in (0, 1, 2):
             p = dataclasses.replace(inst.params, n=n, seed=seed)
             r = faithfulness_trial(p, inst.state, inst.decomposition)
