@@ -19,7 +19,7 @@ from .regions import (RateTriple, RegionReport, fourier_motzkin,
                       intermediate_system, membership, rd_inner_bound,
                       region_for, single_letter_system, winter_region)
 from .typicality import (ProjectorBundle, TypicalSet, build_projector_bundle,
-                         pruned_distribution, typical_projector, typical_set)
+                         pruned_distribution, typical_set)
 
 __all__ = [
     "CapExceededError", "InvariantError",
@@ -35,5 +35,5 @@ __all__ = [
     "membership", "rd_inner_bound", "region_for", "single_letter_system",
     "winter_region",
     "ProjectorBundle", "TypicalSet", "build_projector_bundle",
-    "pruned_distribution", "typical_projector", "typical_set",
+    "pruned_distribution", "typical_set",
 ]

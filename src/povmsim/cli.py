@@ -36,6 +36,11 @@ COMMANDS = ("region", "simulate", "sweep", "fm-check", "covering-check",
 
 PARAM_KEYS = ("n", "Rt1", "Rt2", "R1", "R2", "N1", "N2", "eta", "delta", "seed")
 _INT_KEYS = frozenset({"n", "N1", "N2", "seed"})
+# every config key a command reads; "input" and "config" are read only at the
+# top of a bare config file and never reach the merged config
+CONFIG_KEYS = frozenset(PARAM_KEYS) | {
+    "command", "output", "kind", "seeds", "ns", "rate_pairs", "r1", "r2",
+    "bin_rates", "rate_sums", "approx_A", "approx_B", "shrink"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,9 +91,12 @@ def _instance_from_json(payload: dict) -> fixtures.Instance:
         delta_obs = serialize.matrix_from_json(payload["delta_obs"])
     else:
         delta_obs = np.zeros((0, 0), dtype=np.complex128)
+    name = payload.get("name", "instance")
+    if not isinstance(name, str):
+        raise InvariantError(f"name must be a string, got {name!r}")
     params = ProtocolParams(n=2, Rt1=1.0, Rt2=1.0, R1=1.0, R2=1.0)
     return fixtures.Instance(
-        name=str(payload.get("name", "instance")), state=rho, decomposition=d,
+        name=name, state=rho, decomposition=d,
         params=params, p_uv=p_uv, ensemble=ens, recon=recon,
         delta_obs=delta_obs)
 
@@ -356,6 +364,9 @@ _DISPATCH = {
 
 def _run(args) -> int:
     instance, config = _resolve(args)
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise InvariantError(f"unknown config key {unknown[0]!r}")
     command = args.command or config.get("command")
     if command is None:
         raise InvariantError("no command given by flag or config")

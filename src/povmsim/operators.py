@@ -77,6 +77,21 @@ def tensor(*ops) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
+def kron_rows(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[i_1] x ... x table[i_n] for each row of a (k, n) index array.
+
+    ``table`` is a stack of r x c blocks and the result a new (k, r^n, c^n)
+    stack.  The products run left to right, so every entry equals the
+    ``np.kron`` chain's bit for bit; with c = 1 the blocks are columns and
+    each result is one Khatri-Rao column, with r = c = 1 one product scalar.
+    """
+    out = table[idx[:, 0]]
+    for col in idx.T[1:]:
+        out = (out[:, :, None, :, None] * table[col][:, None, :, None, :]).reshape(
+            len(idx), out.shape[1] * table.shape[1], out.shape[2] * table.shape[2])
+    return out
+
+
 def partial_trace(op, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Reduced operator over the kept subsystems.
 

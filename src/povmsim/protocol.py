@@ -47,6 +47,7 @@ from .operators import (
     SubPovm,
     eigh_desc,
     hermitize,
+    kron_rows,
     matrix_sqrt_and_pinv_sqrt,
     operator_norm,
     partial_trace,
@@ -487,18 +488,6 @@ def _sandwich_factors(xs, ys, cperm3: np.ndarray) -> tuple:
     return h, (wx[:, None, :, None] * wy[None, :, None, :]).reshape(a, b, ka * kb)
 
 
-def _kron_rows(table: np.ndarray, alphabet, strings) -> np.ndarray:
-    """table[s_1] x ... x table[s_n] for each of k strings over the alphabet
-    indexing table's r x c blocks: a new (k, r^n, c^n) stack, entry for entry
-    equal to the np.kron chain."""
-    idx = _letter_indices(strings, alphabet)
-    out = table[idx[:, 0]]
-    for col in idx.T[1:]:
-        out = (out[:, :, None, :, None] * table[col][:, None, :, None, :]).reshape(
-            len(idx), out.shape[1] * table.shape[1], -1)
-    return out
-
-
 def _trace_norm_sum(blocks) -> float:
     """Sum of the trace norms of Hermitian blocks in factor form.
 
@@ -530,7 +519,7 @@ def _gap_norms(c1: np.ndarray, letter_ops, alphabet, pieces) -> tuple:
     zero letter has no columns.
     """
     table = _support_factor(c1.conj().T @ np.stack(letter_ops) @ c1)
-    targets = _kron_rows(table, alphabet, pieces)
+    targets = kron_rows(table, _letter_indices(pieces, alphabet))
     ones = np.ones(targets.shape[2])
     gaps = [[(t, ones)] + [(f, -s) for f, s in p] for t, p in zip(targets, pieces.values())]
     return _trace_norm_sum(gaps), float(np.sum(np.abs(targets) ** 2))
@@ -605,12 +594,14 @@ def _resummation_error(binned_A, binned_B, decoder: DecoderTable,
     """
     N1, N2 = decoder.n_mu
     w_mu = 1.0 / (N1 * N2)
+    # every cell decodes to the sentinel or to a pair its table holds
+    totals = {pair: _image_weight_total(pair, integration)
+              for pair in (decoder.sentinel, *decoder.cells.values())}
     acc = 0.0
     for mu1 in range(N1):
         for mu2 in range(N2):
             for i in range(1, decoder.bins1 + 1):
-                weights = [_image_weight_total(decoder.lookup(mu1, mu2, i, j),
-                                               integration)
+                weights = [totals[decoder.lookup(mu1, mu2, i, j)]
                            for j in range(1, decoder.bins2 + 1)]
                 gaps = [(j, w - 1.0) for j, w in enumerate(weights, 1) if w != 1.0]
                 if gaps:
@@ -797,6 +788,15 @@ def _diagonal_vectors(povm: SubPovm):
     return vecs
 
 
+def _joint_law(p_uv) -> np.ndarray:
+    """p_uv as a float matrix of finite, nonnegative entries summing to 1."""
+    p = np.asarray(p_uv, dtype=float)
+    if (p.ndim != 2 or not np.all(np.isfinite(p)) or np.any(p < -1e-12)
+            or abs(p.sum() - 1.0) > 1e-9):
+        raise InvariantError("p_uv must be a joint distribution matrix")
+    return p
+
+
 def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
                        r1: float, r2: float, delta: float, seed: int) -> float:
     """Operator norm of the jointly typical slab of a random product codebook.
@@ -807,9 +807,7 @@ def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
     POVM pairs take a vector fast path, so larger blocklengths stay inside
     the caps.
     """
-    p = np.asarray(p_uv, dtype=float)
-    if p.ndim != 2 or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise InvariantError("p_uv must be a joint distribution matrix")
+    p = _joint_law(p_uv)
     outA = tuple(povm_A.outcomes)
     outB = tuple(povm_B.outcomes)
     if p.shape != (len(outA), len(outB)):
@@ -872,9 +870,7 @@ def binning_collision_rate(params: ProtocolParams, p_uv, seeds) -> float:
     counts over all seeds.
     """
     _check_cell_cap(params)
-    p = np.asarray(p_uv, dtype=float)
-    if p.ndim != 2 or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise InvariantError("p_uv must be a joint distribution matrix")
+    p = _joint_law(p_uv)
     pU = np.clip(p.sum(axis=1), 0.0, None)
     pV = np.clip(p.sum(axis=0), 0.0, None)
     t_u = typical_set(pU, params.n, params.delta)

@@ -1,22 +1,25 @@
-"""Typical sets, pruned distributions, and typicality projectors.
+"""Typical sets, pruned distributions, and the projector bundle.
 
 Classical typicality here is the strong (letter-frequency) kind: a sequence
 is delta-typical when every letter's empirical frequency is within delta
 times its probability, which in particular forbids letters of probability
-zero.  Quantum typical projectors apply the same criterion to eigenvalue
+zero.  Quantum typical subspaces apply the same criterion to eigenvalue
 strings; eigenvalues are grouped up to a relative tolerance first, so flat
-spectra are typical at any delta and the projectors are basis-independent
+spectra are typical at any delta and the subspaces are basis-independent
 under degeneracy.
 
 Typical sets of one source and eigen-index strings are enumerated under
-the |alphabet|^n cap, operators under the d^n cap.  Joint typicality of
-codeword pairs is decided from the letter counts of the pairs in use, at
-most SEQ_CAP pairs per call, so no pair string is enumerated.
+the |alphabet|^n cap, and the bundle's operators are held under the d^n
+cap.  The bundle decides the conditional typical subspace of every typical
+sequence in one pass, from eigen-group counts in chunks of at most
+MASK_CAP counts, and forms only the typical product eigenvectors; no
+projector is a public result.  Joint typicality of codeword pairs is
+decided from the letter counts of the pairs in use, at most SEQ_CAP pairs
+per call, so no pair string is enumerated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,12 +31,14 @@ from .operators import (
     Ensemble,
     eigh_desc,
     hermitize,
+    kron_rows,
     von_neumann_entropy,
     weighted_gram,
 )
 
 SEQ_CAP = 2 ** 20     # max number of sequences ever enumerated
 DIM_CAP = 4096        # max operator side length
+MASK_CAP = 2 ** 16    # max group counts per chunk of the conditional typicality test
 GROUP_RTOL = 1e-9     # eigenvalues closer than this (relative) share a group
 
 
@@ -69,12 +74,13 @@ def _letter_counts(seqs: np.ndarray, alphabet_size: int) -> np.ndarray:
     return np.stack([(seqs == a).sum(axis=1) for a in range(alphabet_size)], axis=1)
 
 
-def _typical_mask(counts: np.ndarray, probs: np.ndarray, n: int, delta: float) -> np.ndarray:
-    # |c/n - p| <= delta * p per letter; p = 0 forces c = 0
+def _typical_mask(counts: np.ndarray, probs: np.ndarray, n, delta: float) -> np.ndarray:
+    # |c/n - p| <= delta * p per letter (last axis); p = 0 forces c = 0; n is
+    # the length, or an array of block lengths broadcasting against counts
     lo = n * probs * (1.0 - delta)
     hi = n * probs * (1.0 + delta)
     slack = 1e-9  # integer counts against real thresholds
-    return np.all((counts >= lo - slack) & (counts <= hi + slack), axis=1)
+    return np.all((counts >= lo - slack) & (counts <= hi + slack), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +201,7 @@ def pruned_distribution(t: TypicalSet) -> PrunedDistribution:
 
 
 # ---------------------------------------------------------------------------
-# quantum typicality projectors
+# conditional typical subspaces
 # ---------------------------------------------------------------------------
 
 def _grouped_spectrum(mat: np.ndarray):
@@ -220,54 +226,53 @@ def _grouped_spectrum(mat: np.ndarray):
     return vals, vecs, ids, probs
 
 
-def _typical_subspace(spectra: Mapping, seq: Sequence, strings: np.ndarray,
-                      delta: float):
-    """(basis, vals): the product eigenvectors spanning the conditionally
-    typical subspace of the product state along ``seq``, and their product
-    eigenvalues, so the state compressed by that subspace's projector is
-    basis diag(vals) basis^dag.
+def _typical_columns(spectra, seqs: np.ndarray, strings: np.ndarray, delta: float):
+    """(columns, vals, widths): the conditionally typical subspaces of the
+    product states along every row of ``seqs``, side by side.
 
-    ``spectra`` maps each letter to its state's grouped spectrum; ``strings``
-    holds every eigen-index string of length len(seq).
+    ``spectra[u]`` is the grouped spectrum of letter u's state, ``seqs`` a
+    (count, n) array of letter indices and ``strings`` every eigen-index
+    string of length n.  String t is typical for sequence s when, for each
+    letter u, the eigen-group counts of t at the positions carrying u pass
+    _typical_mask at that block's length; a letter absent from s passes.
+    columns holds the typical product eigenvectors (x)_k V_{s_k}[:, t_k],
+    sequence after sequence and each in string order, vals their product
+    eigenvalues and widths the column count of each sequence, so the state
+    along s compressed by its subspace's projector is
+    columns_s diag(vals_s) columns_s^dag.
     """
-    mask = np.ones(strings.shape[0], dtype=bool)
-    for u in set(seq):
-        pos = [i for i, s in enumerate(seq) if s == u]
-        _, _, ids, gprobs = spectra[u]
-        counts = _letter_counts(ids[strings[:, pos]], gprobs.size)
-        mask &= _typical_mask(counts, gprobs, len(pos), delta)
-    vals = reduce(np.kron, [spectra[s][0] for s in seq])
-    vecs = reduce(np.kron, [spectra[s][1] for s in seq])
-    return vecs[:, mask], vals[mask]
-
-
-def _typical_projector_parts(rho: DensityOperator, strings: np.ndarray, delta: float):
-    """(projector, orthonormal basis of its range) for rho^{(x)n} over the
-    length-n eigen-index strings: the conditional criterion on one letter."""
-    basis, _ = _typical_subspace({0: _grouped_spectrum(rho.mat)},
-                                 (0,) * strings.shape[1], strings, delta)
-    return basis @ basis.conj().T, basis
-
-
-def typical_projector(rho: DensityOperator, n: int, delta: float) -> np.ndarray:
-    """Projector onto the delta-typical eigenvalue strings of rho^{(x)n}."""
-    _check_dim_cap(rho.dim, n)
-    return _typical_projector_parts(rho, all_sequences(rho.dim, n), delta)[0]
-
-
-def conditional_typical_projector(ens: Ensemble, seq: Sequence, delta: float) -> np.ndarray:
-    """Projector onto conditionally typical eigen-strings of a state sequence.
-
-    The criterion is block-local: for each distinct outcome u in ``seq``, the
-    eigen-group frequencies at the positions carrying u must be delta-typical
-    for the spectrum of that outcome's state, at the block's own length.
-    """
-    if ens.outcomes is None:
-        raise InvariantError("ensemble needs outcome labels for conditioning")
-    _check_dim_cap(ens.dim, len(seq))
-    spectra = {u: _grouped_spectrum(ens.state(u).mat) for u in set(seq)}
-    basis, _ = _typical_subspace(spectra, seq, all_sequences(ens.dim, len(seq)), delta)
-    return basis @ basis.conj().T
+    count, n = seqs.shape
+    size = strings.shape[0]
+    groups = max(gp.size for *_, gp in spectra)
+    # hits[u, k, (t, g)] = 1 when string t puts position k in group g of
+    # letter u's spectrum; padded groups have probability 0 and no hits
+    gprobs = np.zeros((len(spectra), groups))
+    hits = np.zeros((len(spectra), n, size * groups))
+    for u, (_, _, ids, gp) in enumerate(spectra):
+        gprobs[u, :gp.size] = gp
+        hits[u] = (ids[strings.T][..., None] == np.arange(groups)).reshape(n, -1)
+    # the (sequences, strings) mask is only ever held one chunk at a time
+    chunk = max(1, MASK_CAP // (size * groups))
+    rows, picks, widths = [], [], []
+    for start in range(0, count, chunk):
+        part = seqs[start:start + chunk]
+        mask = np.ones((len(part), size), dtype=bool)
+        for u in range(len(spectra)):
+            at = (part == u).astype(float)
+            counts = (at @ hits[u]).reshape(len(part), size, groups)
+            mask &= _typical_mask(counts, gprobs[u], at.sum(axis=1)[:, None, None], delta)
+        r, t = np.nonzero(mask)
+        rows.append(r + start)
+        picks.append(t)
+        widths.append(mask.sum(axis=1))
+    # Khatri-Rao rows over tables indexed u d + t: column V_u[:, t], value lambda_u[t]
+    d = spectra[0][1].shape[0]
+    idx = seqs[np.concatenate(rows)] * d + strings[np.concatenate(picks)]
+    vecs = np.stack([v for _, v, _, _ in spectra]).transpose(0, 2, 1)
+    vals = np.stack([v for v, _, _, _ in spectra])
+    columns = kron_rows(vecs.reshape(-1, d, 1), idx)[:, :, 0].T
+    return (np.ascontiguousarray(columns), kron_rows(vals.reshape(-1, 1, 1), idx).ravel(),
+            np.concatenate(widths))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +289,9 @@ class ProjectorBundle:
     (pi_rho B_s)^dag: rho_s is the product of the ensemble states along s,
     B_s the product eigenvectors spanning its conditional typical subspace
     and lambda_s their product eigenvalues, so the factor has one column per
-    dimension of that subspace.  pi_hat cuts off the small eigenvalues of
+    dimension of that subspace.  Every factor is a column slice (a view) of
+    one d^n x sum_s k_s array, and lambda_s a slice of one eigenvalue array,
+    both in member order.  pi_hat cuts off the small eigenvalues of
     the pruned average of the Lambda'_s; its range lies inside pi_rho's by
     construction, so the two commute.
     """
@@ -298,10 +305,13 @@ class ProjectorBundle:
 
 def build_projector_bundle(rho: DensityOperator, ens: Ensemble, n: int,
                            delta: float, delta1: float | None = None) -> ProjectorBundle:
-    """Assemble typical/conditional/cutoff projectors for one source block.
+    """Assemble the typical projector, the compressed conditional states and
+    the cutoff projector of one source block.
 
-    Every compressed conditional state is built once, from the per-letter
-    spectra of the ensemble states.  The cutoff threshold is
+    The conditional typical subspaces of all typical sequences come from one
+    batched pass over the per-letter spectra of the ensemble states, and
+    pi_rho is applied to all their product eigenvectors in one product.
+    The cutoff threshold is
     (1 - mass) * 2^{-n(S(rho) + delta1)} with delta1 defaulting to delta; at
     mass 1 the threshold degenerates to 0 and pi_hat becomes the support
     projector of the pruned average operator.
@@ -313,18 +323,19 @@ def build_projector_bundle(rho: DensityOperator, ens: Ensemble, n: int,
     tset = typical_set(ens.weights, n, delta, alphabet=ens.outcomes)
     pruned = pruned_distribution(tset)
     strings = all_sequences(d, n)
-    pi_rho, range_basis = _typical_projector_parts(rho, strings, delta)
+    # pi_rho's range: the one sequence 0^n over rho's own grouped spectrum
+    range_basis, _, _ = _typical_columns([_grouped_spectrum(rho.mat)],
+                                         np.zeros((1, n), dtype=np.intp), strings, delta)
+    pi_rho = range_basis @ range_basis.conj().T
 
-    spectra = {u: _grouped_spectrum(ens.state(u).mat) for u in ens.outcomes}
-    lam_seq = {}
-    for seq in tset.members:
-        basis, vals = _typical_subspace(spectra, seq, strings, delta)
-        lam_seq[seq] = (pi_rho @ basis, vals)
+    spectra = [_grouped_spectrum(ens.state(u).mat) for u in ens.outcomes]
+    columns, lam_vals, widths = _typical_columns(
+        spectra, _letter_indices(tset.members, ens.outcomes), strings, delta)
+    factors = pi_rho @ columns
     # sigma' = sum_s p(s) Lambda'_s as one weighted Gram product
-    factors = np.concatenate([z for z, _ in lam_seq.values()], axis=1)
-    weights = np.concatenate([w * vals for w, (_, vals) in
-                              zip(pruned.probs, lam_seq.values())])
-    sigma_prime = weighted_gram(factors, weights)
+    sigma_prime = weighted_gram(factors, np.repeat(pruned.probs, widths) * lam_vals)
+    lam_seq = {seq: (factors[:, end - w:end], lam_vals[end - w:end])
+               for seq, w, end in zip(tset.members, widths.tolist(), np.cumsum(widths).tolist())}
 
     eps = max(0.0, 1.0 - tset.mass)
     entropy = von_neumann_entropy(rho)

@@ -334,3 +334,26 @@ def test_row_count_cap_exits_4(extra, monkeypatch, tmp_path, capsys):
     assert rc == 4
     assert err.startswith("cap exceeded:") and "rows" in err
     assert out == "" and calls == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "region", "packing-sweep", "sweep", "rd-eval"])
+@pytest.mark.parametrize("payload", [
+    {"input": "example1", "nz": 3},
+    {"input": "example1", "config": {"nz": 3}},
+    _example1_instance(config={"nz": 3}),
+], ids=["bare-config", "bare-config-object", "instance-config"])
+def test_unknown_config_key_exits_3(payload, command, tmp_path, capsys):
+    path = _write_config(tmp_path, payload, "input.json")
+    rc, out, err = _run(capsys, "--command", command, "--input", path)
+    assert rc == 3, err
+    assert err.startswith("invariant violation: unknown config key 'nz'")
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "region", "rd-eval", "packing-sweep"])
+def test_non_string_instance_name_exits_3(command, tmp_path, capsys):
+    path = _write_config(tmp_path, _example1_instance(name={"a": 1}), "input.json")
+    rc, out, err = _run(capsys, "--command", command, "--input", path)
+    assert rc == 3, err
+    assert err.startswith("invariant violation: name must be a string")
+    assert out == ""

@@ -18,6 +18,7 @@ from povmsim.operators import (
     eigh_desc,
     hermitize,
     holevo_information,
+    kron_rows,
     matrix_sqrt_and_pinv_sqrt,
     operator_norm,
     partial_trace,
@@ -122,6 +123,19 @@ def test_pinv_sqrt_rank_deficient_gives_support_projector():
     rho = 0.7 * _proj(v)
     s, p = matrix_sqrt_and_pinv_sqrt(rho)
     assert np.allclose(s @ p, _proj(v), atol=1e-10)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 1), (1, 2)])
+def test_kron_rows_equals_kron_chain(rows, cols):
+    rng = np.random.default_rng(rows * 10 + cols)
+    table = rng.normal(size=(4, rows, cols)) + 1j * rng.normal(size=(4, rows, cols))
+    idx = rng.integers(0, 4, size=(5, 3))
+    got = kron_rows(table, idx)
+    assert got.shape == (5, rows ** 3, cols ** 3)
+    for row, out in zip(idx, got):
+        assert np.array_equal(out, np.kron(np.kron(table[row[0]], table[row[1]]), table[row[2]]))
+    # no index rows give an empty stack of the same block shape
+    assert kron_rows(table, idx[:0]).shape == (0, rows ** 3, cols ** 3)
 
 
 def test_eigh_desc_order():

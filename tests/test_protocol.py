@@ -734,6 +734,18 @@ def test_packing_rejects_bad_distribution():
                            2, 0.5, 0.5, 0.3, seed=0)
 
 
+@pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda p: packing_norm_trial(fixtures.computational_povm(), fixtures.computational_povm(),
+                                 p, 2, 0.5, 0.5, 0.3, seed=0),
+    lambda p: binning_collision_rate(
+        ProtocolParams(n=2, Rt1=1.0, Rt2=1.0, R1=0.5, R2=0.5, delta=0.6), p, [0]),
+], ids=["packing", "collision"])
+def test_non_finite_joint_law_rejected(call, fill):
+    with pytest.raises(InvariantError, match="p_uv must be a joint distribution matrix"):
+        call(np.full((2, 2), fill))
+
+
 def test_packing_union_proxy_hand_count():
     # L1 = L2 = 2; jointly typical members 0011 and 1100 each carry
     # product-marginal mass (1/4)^2, so the proxy is 4 * 2 / 16 = 1/2

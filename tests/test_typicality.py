@@ -1,4 +1,4 @@
-"""Typical sets, pruned distributions, and typicality projectors."""
+"""Typical sets, pruned distributions, and the projector bundle."""
 
 import itertools
 from functools import reduce
@@ -6,19 +6,18 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from povmsim import fixtures
+from povmsim import fixtures, typicality
 from povmsim.errors import CapExceededError, InvariantError
 from povmsim.measurement import canonical_ensemble
 from povmsim.operators import DensityOperator, Ensemble, weighted_gram
 from povmsim.typicality import (
     all_sequences,
     build_projector_bundle,
-    conditional_typical_projector,
     pruned_distribution,
     typical_pairs,
-    typical_projector,
     typical_set,
 )
+from typical_oracle import conditional_typical_projector, typical_projector
 
 KET0 = np.array([1.0, 0.0])
 KETP = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -164,8 +163,9 @@ def test_conditional_projector_pure_states():
     assert np.allclose(proj, _proj(np.kron(KET0, KETP)), atol=1e-10)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("name", ["binary-correlated", "example1"])
+@pytest.mark.parametrize("name, n", [
+    ("binary-correlated", 2), ("binary-correlated", 3), ("binary-correlated", 5),
+    ("example1", 2), ("example1", 3), ("example1", 4)])
 def test_bundle_lam_seq_matches_projector_sandwich(name, n):
     # lam_seq[s] against pi_rho Pi_s (rho_s1 x ... x rho_sn) Pi_s pi_rho
     inst = fixtures.load_fixture(name)
@@ -183,6 +183,40 @@ def test_bundle_lam_seq_matches_projector_sandwich(name, n):
             rho_s = reduce(np.kron, [ens.state(s).mat for s in seq])
             want = pi_rho @ pc @ rho_s @ pc @ pi_rho
             assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _bundle_arrays(bundle):
+    factors = [a for z, v in bundle.lam_seq.values() for a in (z, v)]
+    return [bundle.pi_rho, bundle.pi_hat] + factors
+
+
+@pytest.mark.parametrize("name, n", [("binary-correlated", 5), ("example1", 3)])
+def test_bundle_chunks_leave_every_array_bit_equal(name, n, monkeypatch):
+    # the typicality mask is decided chunk by chunk over the typical sequences
+    inst = fixtures.load_fixture(name)
+    rho = inst.state.marginal((0,))
+    ens = canonical_ensemble(rho, inst.decomposition.povm_A)
+    want = build_projector_bundle(rho, ens, n, inst.params.delta)
+    chunk_rows = []
+    mask = typicality._typical_mask
+
+    def spy(counts, *rest):
+        if counts.ndim == 3:  # (sequences, eigen-strings, groups) of one chunk
+            chunk_rows.append(counts.shape[0])
+        return mask(counts, *rest)
+
+    monkeypatch.setattr(typicality, "_typical_mask", spy)
+    groups = max(typicality._grouped_spectrum(ens.state(u).mat)[3].size for u in ens.outcomes)
+    # one sequence per chunk, then seven per chunk with a shorter last chunk
+    assert len(want.typical.members) % 7
+    for cap, rows in ((1, 1), (7 * rho.dim ** n * groups, 7)):
+        monkeypatch.setattr(typicality, "MASK_CAP", cap)
+        chunk_rows.clear()
+        got = build_projector_bundle(rho, ens, n, inst.params.delta)
+        assert max(chunk_rows) == rows
+        assert list(got.lam_seq) == list(want.lam_seq)
+        for a, b in zip(_bundle_arrays(got), _bundle_arrays(want), strict=True):
+            assert np.array_equal(a, b)
 
 
 def test_projector_bundle_binary_fixture_diagonal_oracle():
@@ -204,8 +238,11 @@ def test_sequence_and_dimension_caps():
     with pytest.raises(CapExceededError):
         all_sequences(2, 25)
     rho = DensityOperator(np.eye(2) / 2, (2,))
+    ens = Ensemble((0.5, 0.5), (DensityOperator(_proj(KET0), (2,)),
+                                DensityOperator(_proj(np.array([0.0, 1.0])), (2,))),
+                   outcomes=("0", "1"))
     with pytest.raises(CapExceededError):
-        typical_projector(rho, 13, 0.5)
+        build_projector_bundle(rho, ens, 13, 0.5)
 
 
 def test_all_sequences_index_dtype_holds_large_alphabets():
