@@ -57,6 +57,7 @@ from .operators import (
     weighted_gram,
 )
 from .typicality import (
+    CHUNK_CAP,
     SEQ_CAP,
     PrunedDistribution,
     TypicalSet,
@@ -805,7 +806,9 @@ def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
     distinct sequence contributes its draw count times the tensor-power POVM
     element, and only jointly typical pairs enter the sum.  All-diagonal
     POVM pairs take a vector fast path, so larger blocklengths stay inside
-    the caps.
+    the caps: the diagonals of all distinct codewords' elements come from
+    one Kronecker-row pass over the letters' diagonals, and the slab's
+    diagonal is one weighted product of them.
     """
     p = _joint_law(p_uv)
     outA = tuple(povm_A.outcomes)
@@ -830,8 +833,10 @@ def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
     vecsA = _diagonal_vectors(povm_A)
     vecsB = _diagonal_vectors(povm_B)
     if vecsA is not None and vecsB is not None and (dA * dB) ** n <= 2 ** 20:
-        du = np.stack([reduce(np.kron, [vecsA[s] for s in u]) for u in us])
-        dv = np.stack([reduce(np.kron, [vecsB[s] for s in v]) for v in vs])
+        du = kron_rows(np.stack([vecsA[z] for z in outA])[:, :, None],
+                       _letter_indices(us, outA))[:, :, 0]
+        dv = kron_rows(np.stack([vecsB[z] for z in outB])[:, :, None],
+                       _letter_indices(vs, outB))[:, :, 0]
         w = np.where(joint, np.outer([countsU[u] for u in us], [countsV[v] for v in vs]), 0.0)
         acc = du.T @ w @ dv
         return max(0.0, float(acc.max()))
@@ -897,7 +902,10 @@ def soft_covering_trial(ens, n: int, rate_sum: float, seed: int,
 
     Compares the tensor power of the ensemble average against the scaled
     empirical average of roughly 2^{n rate_sum} codeword states drawn from
-    the pruned typical distribution of the weights.
+    the pruned typical distribution of the weights.  The states of the
+    distinct draws are built by Kronecker-row passes over the letter states,
+    a few at a time so that no chunk holds more than CHUNK_CAP entries, and
+    added with their draw counts in first-draw order.
     """
     _check_dim_cap(ens.dim, n)
     weights = np.asarray(ens.weights, dtype=float)
@@ -908,8 +916,15 @@ def soft_covering_trial(ens, n: int, rate_sum: float, seed: int,
     draws = pruned.sample(substream(seed, STREAM_SOFT), M)
     target = tensor(*[ens.average()] * n)
     acc = np.zeros_like(target)
-    for seq, c in Counter(tuple(s) for s in draws).items():
-        acc += c * tensor(*(ens.state(s).mat for s in seq))
+    counts = Counter(tuple(s) for s in draws)
+    idx = _letter_indices(counts, ens.outcomes)
+    table = np.stack([np.asarray(ens.state(u).mat, dtype=np.complex128) for u in ens.outcomes])
+    draw_counts = list(counts.values())
+    step = max(1, CHUNK_CAP // target.size)
+    for start in range(0, len(idx), step):
+        states = kron_rows(table, idx[start:start + step])
+        for c, state in zip(draw_counts[start:start + step], states):
+            acc += c * state
     scale = (1.0 - eps) / ((1.0 + eta) * M)
     return trace_norm(target - scale * acc)
 

@@ -41,13 +41,18 @@ def matrix_from_json(obj) -> np.ndarray:
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantError(f"malformed matrix payload: {exc}")
+    if not isinstance(entries, list):
+        raise InvariantError(f"matrix entries must be a list, got {entries!r}")
     if rows < 0 or cols < 0 or rows * cols != len(entries):
         raise InvariantError("rows*cols must equal the entry count")
     flat = []
     for e in entries:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise InvariantError("matrix entries must be [re, im] pairs")
-        flat.append(complex(float(e[0]), float(e[1])))
+        try:
+            flat.append(complex(float(e[0]), float(e[1])))
+        except (TypeError, ValueError):
+            raise InvariantError(f"matrix entries must be numbers, got {e!r}") from None
     return np.array(flat, dtype=np.complex128).reshape(rows, cols)
 
 
@@ -62,7 +67,11 @@ def density_from_json(obj) -> DensityOperator:
     dims = obj.get("dims")
     if dims is None:
         raise InvariantError("density payload needs a dims field")
-    return DensityOperator(mat, tuple(int(d) for d in dims))
+    try:
+        dims = tuple(int(d) for d in dims)
+    except (TypeError, ValueError):
+        raise InvariantError(f"density dims must be a list of integers, got {dims!r}") from None
+    return DensityOperator(mat, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +183,7 @@ def ensemble_from_json(obj) -> Ensemble:
         weights = [float(w) for w in obj["weights"]]
         outcomes = tuple(_freeze_label(o) for o in obj["outcomes"])
         states = tuple(density_from_json(s) for s in obj["states"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvariantError(f"malformed ensemble payload: {exc}")
     return Ensemble(np.asarray(weights), states, outcomes)
 

@@ -11,11 +11,12 @@ under degeneracy.
 Typical sets of one source and eigen-index strings are enumerated under
 the |alphabet|^n cap, and the bundle's operators are held under the d^n
 cap.  The bundle decides the conditional typical subspace of every typical
-sequence in one pass, from eigen-group counts in chunks of at most
-MASK_CAP counts, and forms only the typical product eigenvectors; no
-projector is a public result.  Joint typicality of codeword pairs is
-decided from the letter counts of the pairs in use, at most SEQ_CAP pairs
-per call, so no pair string is enumerated.
+sequence in one pass, from eigen-group counts, and forms only the typical
+product eigenvectors; no projector is a public result.  Joint typicality of
+codeword pairs is decided from the pair-letter counts of the pairs in use,
+at most SEQ_CAP pairs per call, taken from one one-hot product per block of
+pairs, so no pair string is enumerated.  Every batched pass holds its
+transient count arrays in chunks of at most CHUNK_CAP entries.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .operators import (
 
 SEQ_CAP = 2 ** 20     # max number of sequences ever enumerated
 DIM_CAP = 4096        # max operator side length
-MASK_CAP = 2 ** 16    # max group counts per chunk of the conditional typicality test
+CHUNK_CAP = 2 ** 14   # max entries of any transient array a batched pass holds at once
 GROUP_RTOL = 1e-9     # eigenvalues closer than this (relative) share a group
 
 
@@ -109,11 +110,6 @@ class TypicalSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def prob(self, seq) -> float:
-        """Product probability of a sequence under the base distribution."""
-        idx = {a: i for i, a in enumerate(self.alphabet)}
-        return float(np.prod([self.probs[idx[s]] for s in seq])) if len(seq) else 1.0
-
 
 def _validated_probs(probs, n: int, delta: float) -> np.ndarray:
     p = np.asarray(probs, dtype=float).ravel()
@@ -152,20 +148,33 @@ def typical_pairs(us, vs, p_uv, outcomes_A, outcomes_B, delta: float) -> np.ndar
 
     ``p_uv`` is the joint letter law, rows indexed by ``outcomes_A`` and
     columns by ``outcomes_B``.  typical_set's criterion is applied to the
-    pair-letter counts of zip(u, v), one row of ``us`` at a time.
+    pair-letter counts of zip(u, v).  With one-hot letter tables
+    hot_u[a, x, k] = [u_a[k] = x] and hot_v[k, b, y] = [v_b[k] = y], the
+    counts of a block of pairs are one matrix product hot_u @ hot_v, exact
+    in floating point; blocks of pairs are sized so that no count array
+    holds more than CHUNK_CAP entries (a block has at least one pair).
     """
     if len(us) * len(vs) > SEQ_CAP:
         raise CapExceededError(
             f"{len(us)} x {len(vs)} sequence pairs exceed the cap {SEQ_CAP}")
-    if np.shape(p_uv) != (len(outcomes_A), len(outcomes_B)):
+    size_A, size_B = len(outcomes_A), len(outcomes_B)
+    if np.shape(p_uv) != (size_A, size_B):
         raise InvariantError("alphabet and probability table must be parallel")
     n = len(us[0])
     p = _validated_probs(p_uv, n, delta)
-    rows = _letter_indices(us, outcomes_A) * len(outcomes_B)
-    cols = _letter_indices(vs, outcomes_B)
+    hot_u = (_letter_indices(us, outcomes_A)[:, None, :] == np.arange(size_A)[:, None]) * 1.0
+    hot_v = (_letter_indices(vs, outcomes_B).T[:, :, None] == np.arange(size_B)) * 1.0
+    step_v = max(1, CHUNK_CAP // p.size)
+    step_u = max(1, CHUNK_CAP // (p.size * min(len(vs), step_v)))
     mask = np.empty((len(us), len(vs)), dtype=bool)
-    for out, row in zip(mask, rows):
-        out[:] = _typical_mask(_letter_counts(row + cols, p.size), p, n, delta)
+    for i in range(0, len(us), step_u):
+        rows = hot_u[i:i + step_u]
+        for j in range(0, len(vs), step_v):
+            cols = hot_v[:, j:j + step_v]
+            counts = (rows.reshape(-1, n) @ cols.reshape(n, -1)).reshape(
+                len(rows), size_A, cols.shape[1], size_B).transpose(0, 2, 1, 3)
+            mask[i:i + step_u, j:j + step_v] = _typical_mask(
+                counts.reshape(len(rows), cols.shape[1], p.size), p, n, delta)
     return mask
 
 
@@ -194,9 +203,12 @@ class PrunedDistribution:
 
 
 def pruned_distribution(t: TypicalSet) -> PrunedDistribution:
+    """Each member's product probability, left to right over its letters,
+    divided by their sum."""
     if len(t.members) == 0 or t.mass <= 0.0:
         raise InvariantError("cannot prune onto an empty typical set")
-    masses = np.array([t.prob(m) for m in t.members], dtype=float)
+    idx = _letter_indices(t.members, t.alphabet)
+    masses = kron_rows(t.probs.reshape(-1, 1, 1), idx).ravel()
     return PrunedDistribution(t, masses / np.sum(masses))
 
 
@@ -252,7 +264,7 @@ def _typical_columns(spectra, seqs: np.ndarray, strings: np.ndarray, delta: floa
         gprobs[u, :gp.size] = gp
         hits[u] = (ids[strings.T][..., None] == np.arange(groups)).reshape(n, -1)
     # the (sequences, strings) mask is only ever held one chunk at a time
-    chunk = max(1, MASK_CAP // (size * groups))
+    chunk = max(1, CHUNK_CAP // (size * groups))
     rows, picks, widths = [], [], []
     for start in range(0, count, chunk):
         part = seqs[start:start + chunk]

@@ -357,3 +357,27 @@ def test_non_string_instance_name_exits_3(command, tmp_path, capsys):
     assert rc == 3, err
     assert err.startswith("invariant violation: name must be a string")
     assert out == ""
+
+
+_ENSEMBLE = serialize.ensemble_to_json(fixtures.soft_covering_ensemble())
+_STATE = _example1_instance()["state"]
+_BAD_ENTRIES = [["q", 0]] + _STATE["entries"][1:]
+
+
+@pytest.mark.parametrize("extra", [
+    {"ensemble": dict(_ENSEMBLE, weights=["x", 0.5])},
+    {"ensemble": dict(_ENSEMBLE, states=[dict(_ENSEMBLE["states"][0], entries=[["q", 0]] * 4),
+                                         _ENSEMBLE["states"][1]])},
+    {"delta_obs": {"rows": 1, "cols": 1, "entries": [["q", 0]]}},
+    {"state": dict(_STATE, entries=_BAD_ENTRIES)},
+    {"delta_obs": {"rows": 1, "cols": 1, "entries": 7}},
+    {"state": dict(_STATE, dims=["x"])},
+], ids=["text-weight", "text-ensemble-entry", "text-delta_obs-entry", "text-state-entry",
+        "int-entries", "text-dims"])
+def test_malformed_matrix_or_ensemble_payload_exits_3(extra, tmp_path, capsys):
+    payload = _example1_instance(config={"kind": "soft-covering", "n": 2}, **extra)
+    path = _write_config(tmp_path, payload, "input.json")
+    rc, out, err = _run(capsys, "--command", "sweep", "--input", path)
+    assert rc == 3, err
+    assert err.startswith("invariant violation:")
+    assert out == ""

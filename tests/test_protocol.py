@@ -3,13 +3,13 @@
 import dataclasses
 import itertools
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
 
 from conftest import random_density, random_povm, random_sub_povm
-from povmsim import fixtures
+from povmsim import fixtures, protocol
 from povmsim.errors import InvariantError
 from povmsim.measurement import (
     SeparableDecomposition,
@@ -22,6 +22,7 @@ from povmsim.operators import (
     DensityOperator,
     Ensemble,
     Povm,
+    kron_rows,
     matrix_sqrt_and_pinv_sqrt,
     partial_trace,
     tensor,
@@ -33,6 +34,9 @@ from povmsim.protocol import (
     Codebook,
     ProtocolParams,
     TrialReport,
+    STREAM_PACKING_A,
+    STREAM_PACKING_B,
+    STREAM_SOFT,
     VOID_LETTER,
     _sandwich_factors,
     _sandwich_frame,
@@ -720,6 +724,29 @@ def test_packing_paths_agree_under_local_rotation():
     assert abs(fast - dense) < 1e-9
 
 
+def test_packing_diagonal_rows_equal_kron_chains(monkeypatch):
+    # du and dv hold the diagonal of each distinct drawn codeword's
+    # tensor-power element, in first-draw order, bit for bit
+    povm = Povm(("0", "1"), (np.diag([0.3, 0.8]), np.diag([0.7, 0.2])))
+    n, rate, seed = 6, 0.75, 2
+    calls = []
+
+    def spy(table, idx):
+        calls.append((idx, kron_rows(table, idx)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(protocol, "kron_rows", spy)
+    packing_norm_trial(povm, povm, PUV_DIAG, n, rate, rate, 0.3, seed)
+    assert len(calls) == 2
+    for tag, (idx, rows) in zip((STREAM_PACKING_A, STREAM_PACKING_B), calls):
+        size = (protocol._count_for_rate(n, rate), n)
+        draws = substream(seed, tag).choice(2, size=size, p=[0.5, 0.5])
+        assert idx.tolist() == [list(u) for u in dict.fromkeys(map(tuple, draws))]
+        for u, row in zip(idx, rows):
+            want = reduce(np.kron, [np.real(np.diagonal(povm.op(povm.outcomes[k]))) for k in u])
+            assert np.array_equal(row[:, 0], want)
+
+
 def test_packing_norm_grows_with_rate():
     comp = fixtures.computational_povm()
     lo = packing_norm_trial(comp, comp, PUV_DIAG, 8, 0.25, 0.25, 0.3, seed=1)
@@ -770,6 +797,33 @@ def test_soft_covering_exact_floor_for_constant_ensemble():
     eta = 0.1
     err = soft_covering_trial(ens, 4, 0.5, seed=0, delta=1.0, eta=eta)
     assert abs(err - eta / (1.0 + eta)) < 1e-12
+
+
+@pytest.mark.parametrize("per_chunk", [None, 4])
+def test_soft_covering_accumulator_matches_tensor_loop(per_chunk, monkeypatch):
+    # the scored matrix target - scale * acc equals the one built from a
+    # dense tensor() per distinct draw, added in first-draw order; per_chunk
+    # codeword states per chunk leaves a shorter last chunk
+    rng = np.random.default_rng(11)
+    ens = Ensemble((0.2, 0.3, 0.5), tuple(random_density(rng, (2,)) for _ in range(3)),
+                   outcomes=("a", "b", "c"))
+    n, rate_sum, delta, eta, seed = 4, 1.5, 1.0, 0.05, 4
+    if per_chunk:
+        monkeypatch.setattr(protocol, "CHUNK_CAP", per_chunk * 4 ** n)
+    scored = []
+    monkeypatch.setattr(protocol, "trace_norm", lambda m: scored.append(m) or 0.0)
+    soft_covering_trial(ens, n, rate_sum, seed, delta=delta, eta=eta)
+    tset = typical_set(ens.weights, n, delta, alphabet=ens.outcomes)
+    M = protocol._count_for_rate(n, rate_sum)
+    draws = pruned_distribution(tset).sample(substream(seed, STREAM_SOFT), M)
+    counts = Counter(draws)
+    assert per_chunk is None or len(counts) % per_chunk
+    target = tensor(*[ens.average()] * n)
+    acc = np.zeros_like(target)
+    for seq, c in counts.items():
+        acc += c * tensor(*(ens.state(s).mat for s in seq))
+    scale = (1.0 - max(0.0, 1.0 - tset.mass)) / ((1.0 + eta) * M)
+    assert np.array_equal(scored[0], target - scale * acc)
 
 
 def test_soft_covering_error_drops_above_holevo_rate():

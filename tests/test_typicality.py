@@ -17,7 +17,12 @@ from povmsim.typicality import (
     typical_pairs,
     typical_set,
 )
-from typical_oracle import conditional_typical_projector, typical_projector
+from typical_oracle import (
+    conditional_typical_projector,
+    sequence_prob,
+    typical_pairs_by_row,
+    typical_projector,
+)
 
 KET0 = np.array([1.0, 0.0])
 KETP = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -84,8 +89,19 @@ def test_pruned_distribution_is_conditioned_product():
     pruned = pruned_distribution(t)
     assert abs(float(np.sum(pruned.probs)) - 1.0) < 1e-12
     for seq, q in zip(t.members, pruned.probs):
-        assert abs(q - t.prob(seq) / t.mass) < 1e-12
+        assert abs(q - sequence_prob(t, seq) / t.mass) < 1e-12
     assert pruned.prob((0,) * 6) == 0.0
+
+
+@pytest.mark.parametrize("probs, n, delta, alphabet", [
+    ((0.3, 0.7), 6, 0.5, None),
+    ((0.1, 0.2, 0.3, 0.4), 7, 0.9, None),
+    ((0.5, 0.25, 0.25), 8, 0.4, ("a", "b", "c")),
+])
+def test_pruned_probs_bit_equal_to_member_products(probs, n, delta, alphabet):
+    t = typical_set(probs, n, delta, alphabet=alphabet)
+    masses = np.array([sequence_prob(t, m) for m in t.members])
+    assert np.array_equal(pruned_distribution(t).probs, masses / np.sum(masses))
 
 
 def test_pruned_sampling_deterministic():
@@ -114,6 +130,36 @@ def test_typical_pairs_match_enumerated_joint_set(name):
     # the pair cap is checked before any pair is counted
     with pytest.raises(CapExceededError):
         typical_pairs([("0",)] * 1025, [("0",)] * 1024, inst.p_uv, outA, outB, 0.5)
+
+
+@pytest.mark.parametrize("name", ["binary-correlated", "example1"])
+def test_typical_pairs_chunks_match_row_oracle(name, monkeypatch):
+    # blocks of pairs cross row and column boundaries; each count array
+    # stays under the cap, and the mask equals the per-row loop's
+    inst = fixtures.load_fixture(name)
+    outA = inst.decomposition.povm_A.outcomes
+    outB = inst.decomposition.povm_B.outcomes
+    pairs = len(outA) * len(outB)
+    rng = np.random.default_rng(3)
+    n = 5
+    us = [tuple(outA[k] for k in row) for row in rng.integers(len(outA), size=(10, n))]
+    vs = [tuple(outB[k] for k in row) for row in rng.integers(len(outB), size=(3, n))]
+    vs += [tuple(outB[outA.index(a)] for a in u) for u in us[:4]]  # some typical pairs
+    sizes = []
+    mask = typicality._typical_mask
+
+    def spy(counts, *rest):
+        sizes.append(counts.size)
+        return mask(counts, *rest)
+
+    monkeypatch.setattr(typicality, "_typical_mask", spy)
+    for cap in (typicality.CHUNK_CAP, 1, 5 * pairs, 3 * len(vs) * pairs):
+        monkeypatch.setattr(typicality, "CHUNK_CAP", cap)
+        for delta in (0.3, 0.6, 1.0):
+            sizes.clear()
+            got = typical_pairs(us, vs, inst.p_uv, outA, outB, delta)
+            assert max(sizes) <= max(cap, pairs)
+            assert np.array_equal(got, typical_pairs_by_row(us, vs, inst.p_uv, outA, outB, delta))
 
 
 def test_pruning_empty_set_raises():
@@ -210,7 +256,7 @@ def test_bundle_chunks_leave_every_array_bit_equal(name, n, monkeypatch):
     # one sequence per chunk, then seven per chunk with a shorter last chunk
     assert len(want.typical.members) % 7
     for cap, rows in ((1, 1), (7 * rho.dim ** n * groups, 7)):
-        monkeypatch.setattr(typicality, "MASK_CAP", cap)
+        monkeypatch.setattr(typicality, "CHUNK_CAP", cap)
         chunk_rows.clear()
         got = build_projector_bundle(rho, ens, n, inst.params.delta)
         assert max(chunk_rows) == rows

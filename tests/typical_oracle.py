@@ -1,9 +1,11 @@
-"""Per-sequence typical projectors: the slow reference for the projector bundle.
+"""Per-sequence typicality: the slow reference for the batched passes.
 
 Each projector is built from the full d^n-sided np.kron chain of eigenbases,
 one sequence at a time, and its eigen-strings are masked by a Python loop over
 the distinct letters.  The bundle decides the same masks for all typical
 sequences at once and builds only the typical columns; tests compare the two.
+Joint typicality of codeword pairs is decided one row of ``us`` at a time, and
+a sequence's probability is one product per sequence.
 """
 from functools import reduce
 
@@ -14,9 +16,29 @@ from povmsim.typicality import (
     _check_dim_cap,
     _grouped_spectrum,
     _letter_counts,
+    _letter_indices,
     _typical_mask,
+    _validated_probs,
     all_sequences,
 )
+
+
+def sequence_prob(t, seq):
+    """Product probability of a sequence under a typical set's base law."""
+    idx = {a: i for i, a in enumerate(t.alphabet)}
+    return float(np.prod([t.probs[idx[s]] for s in seq])) if len(seq) else 1.0
+
+
+def typical_pairs_by_row(us, vs, p_uv, outcomes_A, outcomes_B, delta):
+    """typical_pairs' mask from the pair-letter counts of one row of us at a time."""
+    n = len(us[0])
+    p = _validated_probs(p_uv, n, delta)
+    rows = _letter_indices(us, outcomes_A) * len(outcomes_B)
+    cols = _letter_indices(vs, outcomes_B)
+    mask = np.empty((len(us), len(vs)), dtype=bool)
+    for out, row in zip(mask, rows):
+        out[:] = _typical_mask(_letter_counts(row + cols, p.size), p, n, delta)
+    return mask
 
 
 def typical_subspace(spectra, seq, strings, delta):
