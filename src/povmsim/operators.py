@@ -431,6 +431,8 @@ class Ensemble:
                 raise InvariantError("outcomes and weights must be parallel")
         if w.size == 0:
             raise InvariantError("empty ensemble")
+        if not np.all(np.isfinite(w)):
+            raise InvariantError(f"ensemble weights must be finite, got {w.tolist()}")
         if float(np.min(w)) < -self.tol:
             raise InvariantError("negative ensemble weight")
         if abs(float(np.sum(w)) - 1.0) > self.tol:

@@ -13,11 +13,12 @@ operator Gamma_u x Gamma_v turns into an r^n x r^n sandwich (r the state's
 rank).  Each Gamma is carried in eigen-form Z diag(w) Z^dag, Z with one
 column per dimension of its compressed conditional typical subspace, so a
 sandwich is H diag(w_u x w_v) H^dag with the thin factor H = C^dag (Z_u x Z_v).
-Blocks stay in that form through scoring: a decoded, emitted or target block
-is a list of factor pieces, whose trace norm comes from the R of one QR of
-the pieces side by side.  The same pieces give G and the covering/binning
-error split (s1, s2); binned cells are never sandwiched, as a cell's block
-is the sum of its codeword-pair pieces.
+Blocks stay in that form through scoring: the factor columns of every
+codeword pair go into one pool, and a pair, decoded, emitted or target block
+is a set of (column, weight) entries tagged with its integer block id, whose
+trace norm comes from the R of one QR of its columns side by side.  The same
+pool gives G and the covering/binning error split (s1, s2); binned cells are
+never sandwiched, as a cell's block is the sum of its codeword pairs' columns.
 Everything is deterministic given (params, seed); randomness flows through
 counter-based substreams, one per random object.
 """
@@ -489,41 +490,61 @@ def _sandwich_factors(xs, ys, cperm3: np.ndarray) -> tuple:
     return h, (wx[:, None, :, None] * wy[None, :, None, :]).reshape(a, b, ka * kb)
 
 
-def _trace_norm_sum(blocks) -> float:
+def _first_appearance(codes: np.ndarray) -> tuple:
+    """(ids, keys): integer codes renumbered 0, 1, ... in order of first
+    appearance, and the distinct codes in that order."""
+    keys, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], keys[order]
+
+
+def _trace_norm_sum(pool: np.ndarray, block: np.ndarray, col: np.ndarray,
+                    weight: np.ndarray) -> float:
     """Sum of the trace norms of Hermitian blocks in factor form.
 
-    A block is a list of (F, s) pieces, F of shape (side, m) and s of m real
-    weights, and stands for sum F diag(s) F^dag.  With the side-by-side
-    factor F = QR the block shares its nonzero eigenvalues with
-    R diag(s) R^dag, so blocks of one total width take one batched reduced
-    QR and one eigvalsh, whatever the width; width 0 is a zero block.
+    Entry e puts the column pool[col[e]] with the real weight weight[e] into
+    block block[e], which stands for F diag(s) F^dag over its entries in
+    entry order.  With F = QR a block shares its nonzero eigenvalues with
+    R diag(s) R^dag, so the blocks of one width (entry count) take one
+    gather, one batched reduced QR and one eigvalsh, whatever the width;
+    widths go in order of first appearance, and a block id without entries
+    is a zero block.
     """
-    groups = {}
-    for pieces in blocks:
-        f = np.concatenate([f for f, _ in pieces], axis=1)
-        groups.setdefault(f.shape[1], []).append((f, np.concatenate([s for _, s in pieces])))
+    order = np.argsort(block, kind="stable")
+    cols, weights = col[order], weight[order]
+    widths = np.bincount(block)
+    starts = np.cumsum(widths) - widths
+    _, first = np.unique(widths, return_index=True)
     total = 0.0
-    for group in groups.values():
-        r = np.linalg.qr(np.stack([f for f, _ in group]), mode="r")
-        rs = r * np.stack([s for _, s in group])[:, None, :]
+    for m in widths[np.sort(first)]:
+        take = starts[widths == m][:, None] + np.arange(m)
+        r = np.linalg.qr(pool[cols[take]].transpose(0, 2, 1), mode="r")
+        rs = r * weights[take][:, None, :]
         total += np.abs(np.linalg.eigvalsh(rs @ r.conj().transpose(0, 2, 1))).sum()
     return float(total)
 
 
-def _gap_norms(c1: np.ndarray, letter_ops, alphabet, pieces) -> tuple:
-    """(sum_x ||T_x - P_x||_1, sum_x tr T_x) over the strings x keying pieces.
+def _gap_norms(c1: np.ndarray, letter_ops, idx: np.ndarray, pool: np.ndarray,
+               block: np.ndarray, col: np.ndarray, weight: np.ndarray) -> tuple:
+    """(sum_x ||T_x - P_x||_1, sum_x tr T_x) over the blocks x = 0, 1, ...
+    of idx's rows, P_x being block x of the entries (block, col, weight).
 
-    T_x is the product target block (x)_k c1^dag op(x_k) c1, letter_ops
-    giving op per alphabet letter, and P_x has the (F, s) pieces pieces[x].
-    Letter blocks are PSD, so T_x is the Gram matrix of the Kronecker row of
-    its letters' support factors, padded with zero columns to one width; a
-    zero letter has no columns.
+    T_x is the product target block (x)_k c1^dag op(idx[x, k]) c1, letter_ops
+    giving op per letter index.  Letter blocks are PSD, so T_x is the Gram
+    matrix of the Kronecker row of its letters' support factors, padded with
+    zero columns to one width; a zero letter has no columns.  The target
+    columns join the pool, and their entries go in front of P_x's, whose
+    weights are negated.
     """
     table = _support_factor(c1.conj().T @ np.stack(letter_ops) @ c1)
-    targets = kron_rows(table, _letter_indices(pieces, alphabet))
-    ones = np.ones(targets.shape[2])
-    gaps = [[(t, ones)] + [(f, -s) for f, s in p] for t, p in zip(targets, pieces.values())]
-    return _trace_norm_sum(gaps), float(np.sum(np.abs(targets) ** 2))
+    targets = kron_rows(table, idx)
+    count, side, width = targets.shape
+    pool = np.concatenate([pool, targets.transpose(0, 2, 1).reshape(-1, side)])
+    t_cols = np.arange(len(pool) - count * width, len(pool))
+    gaps = _trace_norm_sum(pool, np.concatenate([np.repeat(np.arange(count), width), block]),
+                           np.concatenate([t_cols, col]),
+                           np.concatenate([np.ones(count * width), -weight]))
+    return gaps, float(np.sum(np.abs(targets) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +641,13 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     sum of per-string sandwich trace norms, plus the target mass sitting on
     strings the simulation never emits, plus the simulated family's leakage.
 
-    Memory scales with the factors, r = rank(rho_AB): a b r^n k_a k_b entries
-    for the codeword pairs of one (mu1, mu2), a and b the distinct codewords
-    and k their widths, and r^n m + min(r^n, m)^2 for a scored block of total
-    width m.  No (dA dB)^n-sided operator is formed; the dimension cap bounds
-    the rest.
+    Memory scales with the factors, r = rank(rho_AB): the pool holds
+    a b k_a k_b columns of r^n entries for each (mu1, mu2), a and b the
+    distinct codewords and k their widths, with a few integer ids per
+    column; scoring adds the target columns and, per block width m, the
+    gathered r^n m factors and min(r^n, m)^2 R blocks.  No Python list is
+    kept per codeword pair, and no (dA dB)^n-sided operator is formed; the
+    dimension cap bounds the rest.
     """
     dA, dB = d.dims
     n = params.n
@@ -660,39 +683,71 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
                     outcomes_B=d.povm_B.outcomes, delta=params.delta)
     decoder = build_decoder(codebook, binmaps, joint)
 
-    # one sandwich pass over the unbinned families: every codeword pair's
-    # factor piece is filed under the pair and under the pair its cell
-    # decodes to, so by linearity a decoded block is the sum of its pieces;
-    # cells without codewords hold zero blocks and are never visited
+    # one sandwich pass over the unbinned families pools every codeword
+    # pair's factor columns, each tagged with the code of its pair and of the
+    # pair its cell decodes to: uid |V| + vid over the distinct codewords,
+    # and |U| |V| for the sentinel, from one decoded-code table per (mu1,
+    # mu2) indexed by bin.  By linearity a decoded block is the sum of its
+    # pairs' columns; cells without codewords hold zero blocks and are never
+    # visited
     c1, cperm3 = _sandwich_frame(rho_AB, n)
     w_mu = 1.0 / (params.N1 * params.N2)
-    pair_pieces, decoded_pieces = {}, {}
+    us = list(dict.fromkeys(u for fam in fams_A for u in fam))
+    vs = list(dict.fromkeys(v for fam in fams_B for v in fam))
+    uid = {u: k for k, u in enumerate(us)}
+    vid = {v: k for k, v in enumerate(vs)}
+    nv = len(vs)
+    sentinel = len(us) * nv
+    tables = np.full((params.N1, params.N2, params.bins1 + 1, params.bins2 + 1), sentinel)
+    tables[tuple(np.array(list(decoder.cells), dtype=np.intp).reshape(-1, 4).T)] = [
+        uid[u] * nv + vid[v] for u, v in decoder.cells.values()]
+
+    def ids_and_bins(fam, ids, binmap, mu):
+        return (np.array([ids[s] for s in fam], dtype=np.intp),
+                np.array([binmap.bin_of(mu, s) for s in fam], dtype=np.intp))
+
+    parts, weights, pair_codes, decoded_codes = [], [], [], []
     covered = 0.0
     for mu1, fam_a in enumerate(fams_A):
+        ia, bins_a = ids_and_bins(fam_a, uid, binmaps[0], mu1)
         for mu2, fam_b in enumerate(fams_B):
+            ib, bins_b = ids_and_bins(fam_b, vid, binmaps[1], mu2)
             h, w = _sandwich_factors(list(fam_a.values()), list(fam_b.values()), cperm3)
             w *= w_mu
             covered += float(np.sum(np.sum(np.abs(h) ** 2, axis=2) * w))
-            bins_b = [binmaps[1].bin_of(mu2, v) for v in fam_b]
-            for a, u in enumerate(fam_a):
-                i = binmaps[0].bin_of(mu1, u)
-                for b, (v, j) in enumerate(zip(fam_b, bins_b)):
-                    piece = (h[a, b], w[a, b])
-                    pair_pieces.setdefault((u, v), []).append(piece)
-                    decoded_pieces.setdefault(decoder.lookup(mu1, mu2, i, j), []).append(piece)
+            width = h.shape[3]
+            parts.append(h.transpose(0, 1, 3, 2).reshape(-1, h.shape[2]))
+            weights.append(w.ravel())
+            pair_codes.append(np.repeat(ia[:, None] * nv + ib, width))
+            decoded_codes.append(np.repeat(tables[mu1, mu2, bins_a[:, None], bins_b], width))
+    pool = np.concatenate(parts)
+    w = np.concatenate(weights)
+    cols = np.arange(w.size)
+    pair_code, decoded_code = np.concatenate(pair_codes), np.concatenate(decoded_codes)
+    pair_id, pair_keys = _first_appearance(pair_code)
+    decoded_id, decoded_keys = _first_appearance(decoded_code)
 
-    # push decoded pairs through the integration and score each emitted
-    # string against its letterwise target; the reserved letter's target is
-    # zero, so a void string is scored against nothing
-    image_pieces = {}
-    for pair, pieces in decoded_pieces.items():
-        for z, wz in _z_images(pair, d):
-            image_pieces.setdefault(z, []).extend((f, wz * s) for f, s in pieces)
+    # push decoded pairs through the integration: an emitted string's block
+    # takes each of its decoded pairs' columns, pair by pair, at the image
+    # weight, and is scored against its letterwise target; the reserved
+    # letter's target is zero, so a void string is scored against nothing
+    images, hits = {}, []
+    for k, code in enumerate(decoded_keys):
+        pair = decoder.sentinel if code == sentinel else (us[code // nv], vs[code % nv])
+        hits += [(k, images.setdefault(z, len(images)), wz) for z, wz in _z_images(pair, d)]
+    source, image, image_w = (np.array(x) for x in zip(*hits))
+    # hit h takes the columns of decoded pair source[h], in column order
+    counts = np.bincount(decoded_id)
+    lengths = counts[source]
+    offsets = (np.cumsum(counts) - counts)[source] - (np.cumsum(lengths) - lengths)
+    image_col = np.argsort(decoded_id, kind="stable")[
+        np.repeat(offsets, lengths) + np.arange(lengths.sum())]
     target = compose_decomposition(d)
     ops = [target.op(z) for z in target.outcomes]
     g_gaps, support_mass = _gap_norms(
-        c1, ops + [np.zeros_like(ops[0])], tuple(target.outcomes) + (VOID_LETTER,),
-        image_pieces)
+        c1, ops + [np.zeros_like(ops[0])],
+        _letter_indices(images, tuple(target.outcomes) + (VOID_LETTER,)),
+        pool, np.repeat(image, lengths), image_col, np.repeat(image_w, lengths) * w[image_col])
     leakage = max(0.0, 1.0 - covered)
     missed = max(0.0, 1.0 - support_mass)
     g_val = g_gaps + missed + leakage
@@ -702,14 +757,17 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     # without codewords contributes its target's trace p^n(u, v), and those
     # masses sum to at most 1, so only codeword pairs (all typical) are
     # scored.  s2 is the norm-sum gap between the unbinned and the decoded
-    # blocks; the sentinel is the one decoded pair that is no codeword pair.
+    # blocks, one block per pair code; the sentinel is the one decoded pair
+    # that is no codeword pair
+    n_B = len(d.povm_B.outcomes)
     letters = [(u, v) for u in d.povm_A.outcomes for v in d.povm_B.outcomes]
     s1_gaps, hit_mass = _gap_norms(
-        c1, [tensor(d.povm_A.op(u), d.povm_B.op(v)) for u, v in letters], letters,
-        {tuple(zip(u, v)): p for (u, v), p in pair_pieces.items()})
-    s2 = _trace_norm_sum(
-        pair_pieces.get(p, []) + [(f, -s) for f, s in decoded_pieces.get(p, [])]
-        for p in {**pair_pieces, **decoded_pieces})
+        c1, [tensor(d.povm_A.op(u), d.povm_B.op(v)) for u, v in letters],
+        _letter_indices(us, d.povm_A.outcomes)[pair_keys // nv] * n_B
+        + _letter_indices(vs, d.povm_B.outcomes)[pair_keys % nv],
+        pool, pair_id, cols, w)
+    s2_id, _ = _first_appearance(np.concatenate([pair_code, decoded_code]))
+    s2 = _trace_norm_sum(pool, s2_id, np.concatenate([cols, cols]), np.concatenate([w, -w]))
 
     diagnostics = {
         "eps_A": float(bundle_A.params["eps"]),

@@ -381,3 +381,15 @@ def test_malformed_matrix_or_ensemble_payload_exits_3(extra, tmp_path, capsys):
     assert rc == 3, err
     assert err.startswith("invariant violation:")
     assert out == ""
+
+
+def test_non_finite_ensemble_weight_exits_3(tmp_path, capsys):
+    # NaN passes both the sign and the sum test, so it must be refused by
+    # name before the sweep prunes a typical set of the weights
+    payload = _example1_instance(config={"kind": "soft-covering", "n": 2},
+                                 ensemble=dict(_ENSEMBLE, weights=[float("nan"), 0.5]))
+    path = _write_config(tmp_path, payload, "input.json")
+    rc, out, err = _run(capsys, "--command", "sweep", "--input", path)
+    assert rc == 3, err
+    assert err.startswith("invariant violation: ensemble weights must be finite")
+    assert out == ""

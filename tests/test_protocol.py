@@ -568,7 +568,9 @@ def test_sandwich_blocks_match_full_conjugation():
 
 def test_trace_norm_sum_matches_dense():
     # factor pieces of widths below, equal to and above the row count, signed
-    # weights, a block of several pieces and a width-0 piece, all in one call
+    # weights, a block of several pieces and width-0 pieces, all in one call;
+    # the pieces' columns go into one pool, the entries of all blocks are
+    # shuffled together, and block 7 has no entries
     rng = np.random.default_rng(9)
     side = 6
 
@@ -577,10 +579,16 @@ def test_trace_norm_sum_matches_dense():
         return f, rng.normal(size=m)
 
     blocks = [[piece(2)], [piece(side)], [piece(side + 5)], [piece(3), piece(0), piece(4)],
-              [piece(0)], [piece(2)], [piece(1), piece(1)]]
-    got = _trace_norm_sum(blocks)
-    want = sum(trace_norm(sum((f * s) @ f.conj().T for f, s in pieces))
-               for pieces in blocks)
+              [piece(0)], [piece(2)], [piece(1), piece(1)], [], [piece(3)]]
+    pieces = [(x, f, s) for x, p in enumerate(blocks) for f, s in p]
+    pool = np.concatenate([f.T for _, f, _ in pieces])
+    block = np.concatenate([np.full(f.shape[1], x) for x, f, _ in pieces])
+    weight = np.concatenate([s for _, _, s in pieces])
+    shuffle = rng.permutation(len(pool))
+    assert (np.diff(block[shuffle]) < 0).any()
+    got = _trace_norm_sum(pool, block[shuffle], shuffle, weight[shuffle])
+    want = sum(trace_norm(sum(((f * s) @ f.conj().T for f, s in p), np.zeros((side, side))))
+               for p in blocks)
     assert abs(got - want) < 1e-12
 
 
@@ -626,6 +634,30 @@ def test_error_split_matches_full_matrix_oracle(name):
                                   decoded_family(binned_A, binned_B, decoder))
             assert abs(r.diagnostics["s1"] - s1) < 1e-12
             assert abs(r.diagnostics["s2"] - s2) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy"])
+def test_multi_mu_trial_matches_full_matrix_oracle(name):
+    # several common-randomness indices per side: codeword pairs recur across
+    # (mu1, mu2), each (mu1, mu2) has its own bins and decoder cells, and the
+    # sandwich pads each (mu1, mu2) to its own factor width
+    inst, d = _instance(name)
+    for N1, N2 in ((2, 3), (3, 2)):
+        inst_mu = dataclasses.replace(inst, params=dataclasses.replace(inst.params, N1=N1, N2=N2))
+        for n in (2, 3):
+            oracle = _Oracle(inst.state, d, n)
+            for seed in (0, 1):
+                _, params, _, fams_A, fams_B, binned_A, binned_B, decoder = _pieces(
+                    inst_mu, seed=seed, n=n, d=d)
+                assert decoder.n_mu == (N1, N2)
+                r = faithfulness_trial(params, inst.state, d)
+                family = overall_povm(binned_A, binned_B, decoder, d)
+                assert abs(r.faithfulness_G - oracle.G(family)) < 1e-12
+                s1, s2 = oracle.split(*_typical_sets(inst.state, d, params),
+                                      unbinned_family(fams_A, fams_B),
+                                      decoded_family(binned_A, binned_B, decoder))
+                assert abs(r.diagnostics["s1"] - s1) < 1e-12
+                assert abs(r.diagnostics["s2"] - s2) < 1e-12
 
 
 def test_error_split_bounds_total():
