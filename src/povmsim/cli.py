@@ -84,7 +84,7 @@ def _instance_from_json(payload: dict) -> fixtures.Instance:
     else:
         ens = fixtures.soft_covering_ensemble()
     recon = {}
-    for key, obj in _as_dict("recon", payload.get("recon", {})).items():
+    for key, obj in _typed("recon", payload.get("recon", {}), dict).items():
         u, v = serialize.parse_pair_key(key, d.povm_A.outcomes, d.povm_B.outcomes)
         recon[(u, v, 0)] = serialize.density_from_json(obj)
     if "delta_obs" in payload:
@@ -110,20 +110,20 @@ def _resolve(args):
     payload = _load_json(args.input)
     if not isinstance(payload, dict):
         raise InvariantError("input JSON must be an object")
-    own = _as_dict("config", payload.get("config", {}))
+    own = _typed("config", payload.get("config", {}), dict)
     if "state" in payload:
         return _instance_from_json(payload), dict(own)
     config = {k: v for k, v in payload.items() if k not in ("input", "config")}
     config.update(own)
-    inner = payload.get("input")
-    if inner is None:
+    if "input" not in payload:
         raise InvariantError("config file must name its input fixture or file")
+    inner = _typed("input", payload["input"], str)
     if inner in fixtures.FIXTURE_NAMES:
         return fixtures.load_fixture(inner), config
     inner_payload = _load_json(inner)
     if not isinstance(inner_payload, dict) or "state" not in inner_payload:
         raise InvariantError("nested input file must hold a state and decomposition")
-    merged = dict(_as_dict("config", inner_payload.get("config", {})))
+    merged = dict(_typed("config", inner_payload.get("config", {}), dict))
     merged.update(config)
     return _instance_from_json(inner_payload), merged
 
@@ -146,20 +146,18 @@ def _as_float(key: str, value) -> float:
         raise InvariantError(f"{key} must be a number, got {value!r}") from None
 
 
-def _as_list(key: str, value) -> list:
-    if not isinstance(value, list):
-        raise InvariantError(f"{key} must be a list, got {value!r}")
-    return value
+_KINDS = {str: "a string", list: "a list", dict: "an object"}
 
 
-def _as_dict(key: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise InvariantError(f"{key} must be an object, got {value!r}")
+def _typed(key: str, value, kind: type):
+    """A config or instance value of JSON kind str, list or dict."""
+    if not isinstance(value, kind):
+        raise InvariantError(f"{key} must be {_KINDS[kind]}, got {value!r}")
     return value
 
 
 def _float_pairs(key: str, value) -> list:
-    pairs = _as_list(key, value)
+    pairs = _typed(key, value, list)
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise InvariantError(f"{key} must be a list of number pairs, got {value!r}")
     return [(_as_float(key, a), _as_float(key, b)) for a, b in pairs]
@@ -168,7 +166,7 @@ def _float_pairs(key: str, value) -> list:
 def _float_list(config: dict, key: str, default) -> list:
     if key not in config:
         return list(default)
-    return [_as_float(key, x) for x in _as_list(key, config[key])]
+    return [_as_float(key, x) for x in _typed(key, config[key], list)]
 
 
 def _params_for(instance: fixtures.Instance, config: dict,
@@ -189,13 +187,16 @@ def _params_for(instance: fixtures.Instance, config: dict,
 
 def _seed_list(config: dict, params: ProtocolParams) -> list:
     if "seeds" in config:
-        return [_as_int("seeds", s) for s in _as_list("seeds", config["seeds"])]
+        seeds = [_as_int("seeds", s) for s in _typed("seeds", config["seeds"], list)]
+        if any(s < 0 for s in seeds):
+            raise InvariantError(f"seeds must be non-negative, got {config['seeds']!r}")
+        return seeds
     return [params.seed]
 
 
 def _n_list(config: dict, params: ProtocolParams) -> list:
     if "ns" in config:
-        return [_as_int("ns", n) for n in _as_list("ns", config["ns"])]
+        return [_as_int("ns", n) for n in _typed("ns", config["ns"], list)]
     return [params.n]
 
 
@@ -367,6 +368,9 @@ def _run(args) -> int:
     unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:
         raise InvariantError(f"unknown config key {unknown[0]!r}")
+    for key in ("command", "output"):
+        if key in config:
+            _typed(key, config[key], str)
     command = args.command or config.get("command")
     if command is None:
         raise InvariantError("no command given by flag or config")

@@ -7,6 +7,11 @@ pairs back to the unique jointly typical codeword pair, and push the decoded
 pairs through the integration channel.  The resulting joint family is scored
 against the tensor-power target measurement.
 
+Codewords, bin assignments and decoded pairs are member ids of the typical
+sets (rows of TypicalSet.seqs); the decoder turns decoded ids back into
+letter rows, the sentinel's included, and the letters index the canonical
+ensembles' outcomes, which one index array per side maps to POVM outcomes.
+
 Scoring never materializes the simulated operators in full: every trace norm
 is evaluated inside the support of the input state, where a codeword-pair
 operator Gamma_u x Gamma_v turns into an r^n x r^n sandwich (r the state's
@@ -24,9 +29,7 @@ counter-based substreams, one per random object.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from typing import Mapping
@@ -63,8 +66,7 @@ from .typicality import (
     PrunedDistribution,
     TypicalSet,
     _check_dim_cap,
-    _letter_indices,
-    all_sequences,
+    _exceeds,
     build_projector_bundle,
     lambda_operators,
     pruned_distribution,
@@ -80,10 +82,6 @@ STREAM_BINS_B = 3
 STREAM_PACKING_A = 4
 STREAM_PACKING_B = 5
 STREAM_SOFT = 6
-
-# out-of-alphabet sentinel letter, used when every sequence is typical;
-# its image under any integration is the all-void string
-VOID_LETTER = "__void__"
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for one random object of one trial."""
@@ -164,71 +162,67 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Per-mu codeword lists for both senders, duplicates kept."""
+    """Per-mu codewords for both senders: one array of member ids per mu,
+    in draw order, duplicates kept."""
     u_lists: tuple
     v_lists: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "u_lists",
-                           tuple(tuple(tuple(s) for s in lst) for lst in self.u_lists))
-        object.__setattr__(self, "v_lists",
-                           tuple(tuple(tuple(s) for s in lst) for lst in self.v_lists))
 
 
 def generate_codebooks(params: ProtocolParams, pruned_U: PrunedDistribution,
                        pruned_V: PrunedDistribution) -> Codebook:
     """Draw the per-mu codeword lists from the pruned typical distributions."""
-    u_lists = tuple(
-        tuple(pruned_U.sample(substream(params.seed, STREAM_CODEBOOK_A, mu), params.L1))
-        for mu in range(params.N1))
-    v_lists = tuple(
-        tuple(pruned_V.sample(substream(params.seed, STREAM_CODEBOOK_B, mu), params.L2))
-        for mu in range(params.N2))
+    u_lists = tuple(pruned_U.sample(substream(params.seed, STREAM_CODEBOOK_A, mu), params.L1)
+                    for mu in range(params.N1))
+    v_lists = tuple(pruned_V.sample(substream(params.seed, STREAM_CODEBOOK_B, mu), params.L2)
+                    for mu in range(params.N2))
     return Codebook(u_lists, v_lists)
+
+
+def _first_appearance(codes: np.ndarray) -> tuple:
+    """(ids, keys): the entries (rows, for a 2-D array) of codes renumbered
+    0, 1, ... in order of first appearance, and the distinct ones in that
+    order."""
+    keys, first, inverse = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], keys[order]
+
+
+def _distinct(draws: np.ndarray) -> tuple:
+    """(values, counts): the distinct entries (rows) of draws in order of
+    first draw, with their draw counts."""
+    ids, keys = _first_appearance(draws)
+    return keys, np.bincount(ids)
 
 
 @dataclass(frozen=True)
 class BinMap:
-    """Uniform random bin assignment over the full typical set, one per mu."""
+    """Uniform random bin assignment over the full typical set: row mu of
+    ``assignments`` holds the bin of every member id for that mu."""
     typical: TypicalSet
-    assignments: tuple
+    assignments: np.ndarray
     nbins: int
 
     def __post_init__(self):
-        object.__setattr__(self, "assignments",
-                           tuple(dict(a) for a in self.assignments))
-        members = set(self.typical.members)
-        for a in self.assignments:
-            if set(a) != members:
-                raise InvariantError("bin assignment must cover the typical set exactly")
-            for b in a.values():
-                if not 1 <= b <= self.nbins:
-                    raise InvariantError(f"bin index {b} outside [1, {self.nbins}]")
-
-    def bin_of(self, mu: int, seq) -> int:
-        return self.assignments[mu][tuple(seq)]
+        a = np.asarray(self.assignments)
+        if a.ndim != 2 or a.shape[1] != len(self.typical):
+            raise InvariantError("bin assignment must cover the typical set exactly")
+        if a.size and not (1 <= a.min() and a.max() <= self.nbins):
+            raise InvariantError(f"bin indices outside [1, {self.nbins}]")
+        object.__setattr__(self, "assignments", a)
 
     def spread(self) -> int:
         """Largest minus smallest bin occupancy across all mu, empties included."""
-        worst = 0
-        for a in self.assignments:
-            sizes = np.zeros(self.nbins, dtype=int)
-            for b in a.values():
-                sizes[b - 1] += 1
-            worst = max(worst, int(sizes.max() - sizes.min()))
-        return worst
+        return max((int(np.ptp(np.bincount(a - 1, minlength=self.nbins)))
+                    for a in self.assignments), default=0)
 
 
 def generate_bin_maps(params: ProtocolParams, typical_A: TypicalSet,
                       typical_B: TypicalSet):
     """Independent uniform bin indices for every typical sequence, per mu."""
     def draw(tag, tset, n_mu, nbins):
-        assignments = []
-        for mu in range(n_mu):
-            rng = substream(params.seed, tag, mu)
-            idx = rng.integers(1, nbins + 1, size=len(tset.members))
-            assignments.append({seq: int(b) for seq, b in zip(tset.members, idx)})
-        return BinMap(tset, tuple(assignments), nbins)
+        return BinMap(tset, np.stack([
+            substream(params.seed, tag, mu).integers(1, nbins + 1, size=len(tset))
+            for mu in range(n_mu)]), nbins)
 
     return (draw(STREAM_BINS_A, typical_A, params.N1, params.bins1),
             draw(STREAM_BINS_B, typical_B, params.N2, params.bins2))
@@ -247,7 +241,8 @@ def build_approx_operators(codebook: Codebook, rho: DensityOperator, ens, bundle
     with gamma = count * (1 - eps) / ((1 + eta) * L), in eigen-form: the pair
     (pinv_sqrt(rho^{(x)n}) z, gamma * vals) of lambda_operators' (z, vals),
     whose weighted_gram is the operator.  Values never drawn get the zero
-    operator and are simply absent from the family.
+    operator and are simply absent from the family, which is keyed by member
+    id in order of first draw.
     """
     if side not in ("A", "B"):
         raise InvariantError("side must be 'A' or 'B'")
@@ -260,9 +255,9 @@ def build_approx_operators(codebook: Codebook, rho: DensityOperator, ens, bundle
     families = []
     for lst in lists:
         fam = {}
-        for seq, c in Counter(lst).items():
-            z, vals = lambda_operators(rho, ens, seq, bundle)
-            fam[seq] = (pinv @ z, (c * scale) * vals)
+        for s, c in zip(*(a.tolist() for a in _distinct(lst))):
+            z, vals = lambda_operators(rho, ens, s, bundle)
+            fam[s] = (pinv @ z, (c * scale) * vals)
         families.append(fam)
     return families
 
@@ -284,18 +279,19 @@ def check_sub_povm(ops, tol: float = DEFAULT_TOL):
     return excess <= tol, excess
 
 
-def bin_povm(ops: Mapping, assignment: Mapping, nbins: int) -> dict:
+def bin_povm(ops: Mapping, assignment: np.ndarray, nbins: int) -> dict:
     """Merge operators whose outcomes share a bin; the total sum is unchanged.
 
-    ``assignment`` must map every outcome of ``ops`` to a bin in [1, nbins].
-    Empty bins get explicit zero operators so decoder cells stay addressable.
+    ``ops`` is keyed by member id and ``assignment`` holds the bin of every
+    member id, each in [1, nbins].  Empty bins get explicit zero operators
+    so decoder cells stay addressable.
     """
     dim = None
     binned = {}
-    for seq, op in ops.items():
-        b = assignment.get(tuple(seq))
-        if b is None:
-            raise InvariantError(f"operator at {seq} has no bin assignment")
+    for s, op in ops.items():
+        if not 0 <= s < len(assignment):
+            raise InvariantError(f"operator at member {s} has no bin assignment")
+        b = int(assignment[s])
         if not 1 <= b <= nbins:
             raise InvariantError(f"bin index {b} outside [1, {nbins}]")
         dim = op.shape[0]
@@ -310,39 +306,48 @@ def bin_povm(ops: Mapping, assignment: Mapping, nbins: int) -> dict:
     return {b: binned[b] for b in sorted(binned)}
 
 
-def sentinel_sequence(tset: TypicalSet) -> tuple:
-    """Lexicographically smallest atypical sequence, in alphabet order.
+def sentinel_sequence(tset: TypicalSet) -> np.ndarray:
+    """Lexicographically smallest atypical sequence, as letter indices.
 
-    Falls back to the reserved out-of-alphabet letter when every sequence is
-    typical, which keeps the choice deterministic.
+    Member rows are in lexicographic order, so it sits at the first rank
+    the members skip.  When every sequence is typical it is the all-void
+    row, the void letter being index len(alphabet), which keeps the choice
+    deterministic.
     """
-    for row in all_sequences(len(tset.alphabet), tset.n):
-        seq = tuple(tset.alphabet[i] for i in row)
-        if seq not in tset:
-            return seq
-    return (VOID_LETTER,) * tset.n
+    size, n = len(tset.alphabet), tset.n
+    place = size ** np.arange(n - 1, -1, -1)
+    ranks = tset.seqs @ place
+    skipped = np.flatnonzero(ranks != np.arange(len(ranks)))
+    first = int(skipped[0]) if skipped.size else len(ranks)
+    if first == size ** n:
+        return np.full(n, size, dtype=np.intp)
+    return first // place % size
 
 
 @dataclass(frozen=True)
 class DecoderTable:
     """Bin-pair decoding tables, one per (mu1, mu2).
 
-    ``cells`` holds only the uniquely decodable cells, keyed
-    (mu1, mu2, i, j); every other cell, and any cell with a zero bin index,
-    decodes to the sentinel pair.
+    ``cells`` maps only the uniquely decodable cells, keyed
+    (mu1, mu2, i, j), to their pair of member ids; every other cell, and
+    any cell with a zero bin index, decodes to the sentinel pair, id |T_A|
+    and |T_B|.  ``rows`` holds per side the letter rows of the typical
+    members followed by the sentinel's, so rows[0][u] and rows[1][v] are the
+    letters of a decoded id pair (u, v), as indices into ``alphabets``, the
+    void letter being the index one past the end.
     """
     cells: Mapping
-    sentinel: tuple
+    rows: tuple
+    alphabets: tuple
     bins1: int
     bins2: int
     n_mu: tuple
     collisions: int
     occupied: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", dict(self.cells))
-        object.__setattr__(self, "sentinel",
-                           (tuple(self.sentinel[0]), tuple(self.sentinel[1])))
+    @property
+    def sentinel(self) -> tuple:
+        return (len(self.rows[0]) - 1, len(self.rows[1]) - 1)
 
     def lookup(self, mu1: int, mu2: int, i: int, j: int) -> tuple:
         if i == 0 or j == 0:
@@ -350,76 +355,84 @@ class DecoderTable:
         return self.cells.get((mu1, mu2, i, j), self.sentinel)
 
 
-def build_decoder(codebook: Codebook, binmaps, joint_typical,
-                  sentinel: tuple | None = None) -> DecoderTable:
+def build_decoder(codebook: Codebook, binmaps, joint_typical) -> DecoderTable:
     """Populate each cell with its unique jointly typical codeword pair.
 
-    Candidate pairs are the distinct codeword values of the two mu-indexed
-    books that ``joint_typical`` marks: it maps distinct codewords (us, vs) to
-    their (len(us), len(vs)) joint-typicality mask, as a partial of
-    typical_pairs does.  A cell whose candidate set is empty or holds several
-    pairs decodes to the sentinel.
+    Candidate pairs are the distinct codewords of the two mu-indexed books
+    that ``joint_typical`` marks: it maps the letter rows of distinct
+    codewords (us, vs) to their (len(us), len(vs)) joint-typicality mask,
+    as a partial of typical_pairs does.  A cell whose candidate set is empty
+    or holds several pairs decodes to the sentinel.
     """
     bm1, bm2 = binmaps
-    if sentinel is None:
-        sentinel = (sentinel_sequence(bm1.typical), sentinel_sequence(bm2.typical))
-    u_books = [list(dict.fromkeys(lst)) for lst in codebook.u_lists]  # draw order kept
-    v_books = [list(dict.fromkeys(lst)) for lst in codebook.v_lists]
-    cell_pairs = {}
-    for mu1, us in enumerate(u_books):
+    t1, t2 = bm1.typical, bm2.typical
+    v_books = [_distinct(lst)[0] for lst in codebook.v_lists]  # draw order kept
+    found = []  # (mu1, mu2, i, j, u, v) per jointly typical pair
+    for mu1, lst_u in enumerate(codebook.u_lists):
+        us = _distinct(lst_u)[0]
         for mu2, vs in enumerate(v_books):
-            for a, b in zip(*np.nonzero(joint_typical(us, vs))):
-                key = (mu1, mu2, bm1.bin_of(mu1, us[a]), bm2.bin_of(mu2, vs[b]))
-                cell_pairs.setdefault(key, []).append((us[a], vs[b]))
-    cells = {}
-    collisions = 0
-    for key, pairs in cell_pairs.items():
-        # one (mu1, mu2) tests each distinct pair once, so pairs are distinct
-        if len(pairs) == 1:
-            cells[key] = pairs[0]
-        else:
-            collisions += 1
-    return DecoderTable(cells, tuple(sentinel), bm1.nbins, bm2.nbins,
+            a, b = np.nonzero(joint_typical(t1.seqs[us], t2.seqs[vs]))
+            found.append(np.stack([np.full(a.size, mu1), np.full(a.size, mu2),
+                                   bm1.assignments[mu1, us[a]], bm2.assignments[mu2, vs[b]],
+                                   us[a], vs[b]], axis=1))
+    # one (mu1, mu2) tests each distinct pair once, so a cell's pairs are distinct
+    found = np.concatenate(found)
+    _, first, counts = np.unique(found[:, :4], axis=0, return_index=True, return_counts=True)
+    cells = {(m1, m2, i, j): (u, v)
+             for m1, m2, i, j, u, v in found[np.sort(first[counts == 1])].tolist()}
+    rows = tuple(np.vstack([t.seqs, sentinel_sequence(t)]) for t in (t1, t2))
+    return DecoderTable(cells, rows, (t1.alphabet, t2.alphabet), bm1.nbins, bm2.nbins,
                         (len(codebook.u_lists), len(codebook.v_lists)),
-                        collisions, len(cell_pairs))
+                        int(np.sum(counts > 1)), len(counts))
 
 
 # ---------------------------------------------------------------------------
 # the simulated joint measurement
 # ---------------------------------------------------------------------------
 
-def _z_images(pair, integration: SeparableDecomposition):
-    """(z-string, weight) pairs the integration assigns to a decoded pair.
+def _letter_map(alphabet, labels) -> np.ndarray:
+    """Index in ``labels`` of each letter of ``alphabet``, then len(labels)
+    for the void letter len(alphabet)."""
+    return np.array([labels.index(a) for a in alphabet] + [len(labels)], dtype=np.intp)
 
-    Deterministic integrations yield a single string with weight 1; a pair
-    carrying the reserved letter maps to the all-void string.
+
+def _integration_laws(d: SeparableDecomposition) -> np.ndarray:
+    """law[x, y]: the integration's output law of POVM outcome pair (x, y)
+    over z_alphabet and then the void output letter, the void letter being
+    index |outcomes| on each side; a pair with a void letter emits the void
+    letter."""
+    outs_A, outs_B = d.povm_A.outcomes, d.povm_B.outcomes
+    nx, ny, nz = len(outs_A), len(outs_B), len(d.z_alphabet)
+    law = np.zeros((nx + 1, ny + 1, nz + 1))
+    law[:nx, :ny, :nz] = [[d.row(u, v) for v in outs_B] for u in outs_A]
+    law[nx, :, nz] = law[:, ny, nz] = 1.0
+    return law
+
+
+def _z_images(u: np.ndarray, v: np.ndarray, law: np.ndarray) -> tuple:
+    """(source, zs, weights): every output string the integration assigns
+    to the decoded pairs with letter rows (u[p], v[p]).
+
+    Strings come pair by pair and, per pair, in lexicographic order, each
+    tagged with its pair p and weighted by the product of its letters'
+    output probabilities, left to right; ``law`` is _integration_laws'
+    table, so a pair carrying the void letter maps to the all-void string.
     """
-    u, v = pair
-    n = len(u)
-    if VOID_LETTER in u or VOID_LETTER in v:
-        yield (VOID_LETTER,) * n, 1.0
-        return
-    zalpha = integration.z_alphabet
-    supports = []
-    for ui, vi in zip(u, v):
-        row = integration.row(ui, vi)
-        supports.append([(zalpha[k], float(row[k])) for k in np.flatnonzero(row > 0.0)])
-    for combo in itertools.product(*supports):
-        weight = 1.0
-        for _, w in combo:
-            weight *= w
-        yield tuple(z for z, _ in combo), weight
+    source = np.arange(len(u))
+    zs = np.zeros((len(u), 0), dtype=np.intp)
+    weights = np.ones(len(u))
+    for k in range(u.shape[1]):
+        p = law[u[source, k], v[source, k]]
+        hit, z = np.nonzero(p > 0.0)
+        source, zs, weights = source[hit], np.column_stack([zs[hit], z]), weights[hit] * p[hit, z]
+    return source, zs, weights
 
 
-def _image_weight_total(pair, integration: SeparableDecomposition) -> float:
-    u, v = pair
-    if VOID_LETTER in u or VOID_LETTER in v:
-        return 1.0
-    total = 1.0
-    for ui, vi in zip(u, v):
-        row = integration.row(ui, vi)
-        total *= float(np.sum(row[row > 0.0]))
-    return total
+def _image_weight_totals(u: np.ndarray, v: np.ndarray, law: np.ndarray) -> np.ndarray:
+    """Total image weight of each pair of letter rows (u[p], v[p]): the
+    product over letters of the positive output probabilities' sums."""
+    totals = np.array([[np.sum(p[p > 0.0]) for p in row] for row in law])
+    return kron_rows(totals.reshape(-1, 1, 1), u * law.shape[1] + v).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +501,6 @@ def _sandwich_factors(xs, ys, cperm3: np.ndarray) -> tuple:
     h = half.reshape(dB, rn * a * ka).T @ zy.transpose(1, 0, 2).reshape(dB, b * kb)
     h = h.reshape(rn, a, ka, b, kb).transpose(1, 3, 0, 2, 4).reshape(a, b, rn, ka * kb)
     return h, (wx[:, None, :, None] * wy[None, :, None, :]).reshape(a, b, ka * kb)
-
-
-def _first_appearance(codes: np.ndarray) -> tuple:
-    """(ids, keys): integer codes renumbered 0, 1, ... in order of first
-    appearance, and the distinct codes in that order."""
-    keys, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return np.argsort(order)[inverse], keys[order]
 
 
 def _trace_norm_sum(pool: np.ndarray, block: np.ndarray, col: np.ndarray,
@@ -590,11 +595,7 @@ class TrialReport:
 
 def _gamma_values(lists, eps: float, eta: float, L: int):
     scale = (1.0 - eps) / ((1.0 + eta) * L)
-    vals = []
-    for lst in lists:
-        for c in Counter(lst).values():
-            vals.append(c * scale)
-    return vals
+    return [c * scale for lst in lists for c in _distinct(lst)[1].tolist()]
 
 
 def _stats(prefix: str, vals) -> dict:
@@ -604,27 +605,23 @@ def _stats(prefix: str, vals) -> dict:
             f"{prefix}_max": float(arr.max())}
 
 
-def _resummation_error(binned_A, binned_B, decoder: DecoderTable,
-                       integration: SeparableDecomposition) -> float:
+def _resummation_error(binned_A, binned_B, cell_weights: np.ndarray) -> float:
     """Largest entry of the simulated family's total minus the product of the
     mu-averaged per-sender binned totals.
 
-    By bilinearity of the Kronecker product the difference is
-    sum_mu w_mu sum_i Gamma_i x (sum_j (w_ij - 1) Gamma_j), w_ij the total
-    integration weight of the pair decoded in cell (i, j); only a row holding
-    a weight other than exactly 1 needs a Kronecker product.
+    cell_weights[mu1, mu2, i, j] is the total integration weight of the pair
+    decoded in cell (i, j) of (mu1, mu2), bins counted from 1.  By
+    bilinearity of the Kronecker product the difference is
+    sum_mu w_mu sum_i Gamma_i x (sum_j (w_ij - 1) Gamma_j); only a row
+    holding a weight other than exactly 1 needs a Kronecker product.
     """
-    N1, N2 = decoder.n_mu
+    N1, N2, bins1, _ = cell_weights.shape
     w_mu = 1.0 / (N1 * N2)
-    # every cell decodes to the sentinel or to a pair its table holds
-    totals = {pair: _image_weight_total(pair, integration)
-              for pair in (decoder.sentinel, *decoder.cells.values())}
     acc = 0.0
     for mu1 in range(N1):
         for mu2 in range(N2):
-            for i in range(1, decoder.bins1 + 1):
-                weights = [totals[decoder.lookup(mu1, mu2, i, j)]
-                           for j in range(1, decoder.bins2 + 1)]
+            for i in range(1, bins1):
+                weights = cell_weights[mu1, mu2, i, 1:].tolist()
                 gaps = [(j, w - 1.0) for j, w in enumerate(weights, 1) if w != 1.0]
                 if gaps:
                     row = sum(g * binned_B[mu2][j] for j, g in gaps)
@@ -678,40 +675,38 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     binned_B = [bin_povm(fam, binmaps[1].assignments[mu], params.bins2)
                 for mu, fam in enumerate(dense_B)]
 
+    # typical letters index the canonical ensembles' outcomes, which drop
+    # zero-probability POVM outcomes; p_uv, the POVM elements and the
+    # integration are indexed by POVM outcome
+    to_A = _letter_map(ens_A.outcomes, d.povm_A.outcomes)
+    to_B = _letter_map(ens_B.outcomes, d.povm_B.outcomes)
     p_uv = outcome_distribution(rho_AB, d.povm_A, d.povm_B)
-    joint = partial(typical_pairs, p_uv=p_uv, outcomes_A=d.povm_A.outcomes,
-                    outcomes_B=d.povm_B.outcomes, delta=params.delta)
-    decoder = build_decoder(codebook, binmaps, joint)
+    decoder = build_decoder(codebook, binmaps, lambda us, vs: typical_pairs(
+        to_A[us], to_B[vs], p_uv, params.delta))
+    rows_A, rows_B = to_A[decoder.rows[0]], to_B[decoder.rows[1]]
 
     # one sandwich pass over the unbinned families pools every codeword
-    # pair's factor columns, each tagged with the code of its pair and of the
-    # pair its cell decodes to: uid |V| + vid over the distinct codewords,
-    # and |U| |V| for the sentinel, from one decoded-code table per (mu1,
-    # mu2) indexed by bin.  By linearity a decoded block is the sum of its
-    # pairs' columns; cells without codewords hold zero blocks and are never
-    # visited
+    # pair's factor columns, each tagged with the code u (|T_B| + 1) + v of
+    # its member-id pair and of the pair its cell decodes to, the sentinel
+    # included, from one decoded-code table per (mu1, mu2) indexed by bin.
+    # By linearity a decoded block is the sum of its pairs' columns; cells
+    # without codewords hold zero blocks and are never visited
     c1, cperm3 = _sandwich_frame(rho_AB, n)
     w_mu = 1.0 / (params.N1 * params.N2)
-    us = list(dict.fromkeys(u for fam in fams_A for u in fam))
-    vs = list(dict.fromkeys(v for fam in fams_B for v in fam))
-    uid = {u: k for k, u in enumerate(us)}
-    vid = {v: k for k, v in enumerate(vs)}
-    nv = len(vs)
-    sentinel = len(us) * nv
-    tables = np.full((params.N1, params.N2, params.bins1 + 1, params.bins2 + 1), sentinel)
+    nv = len(rows_B)
+    tables = np.full((params.N1, params.N2, params.bins1 + 1, params.bins2 + 1),
+                     decoder.sentinel[0] * nv + decoder.sentinel[1])
     tables[tuple(np.array(list(decoder.cells), dtype=np.intp).reshape(-1, 4).T)] = [
-        uid[u] * nv + vid[v] for u, v in decoder.cells.values()]
-
-    def ids_and_bins(fam, ids, binmap, mu):
-        return (np.array([ids[s] for s in fam], dtype=np.intp),
-                np.array([binmap.bin_of(mu, s) for s in fam], dtype=np.intp))
+        u * nv + v for u, v in decoder.cells.values()]
 
     parts, weights, pair_codes, decoded_codes = [], [], [], []
     covered = 0.0
     for mu1, fam_a in enumerate(fams_A):
-        ia, bins_a = ids_and_bins(fam_a, uid, binmaps[0], mu1)
+        ia = np.array(list(fam_a), dtype=np.intp)
+        bins_a = binmaps[0].assignments[mu1, ia]
         for mu2, fam_b in enumerate(fams_B):
-            ib, bins_b = ids_and_bins(fam_b, vid, binmaps[1], mu2)
+            ib = np.array(list(fam_b), dtype=np.intp)
+            bins_b = binmaps[1].assignments[mu2, ib]
             h, w = _sandwich_factors(list(fam_a.values()), list(fam_b.values()), cperm3)
             w *= w_mu
             covered += float(np.sum(np.sum(np.abs(h) ** 2, axis=2) * w))
@@ -729,13 +724,11 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
 
     # push decoded pairs through the integration: an emitted string's block
     # takes each of its decoded pairs' columns, pair by pair, at the image
-    # weight, and is scored against its letterwise target; the reserved
+    # weight, and is scored against its letterwise target; the void
     # letter's target is zero, so a void string is scored against nothing
-    images, hits = {}, []
-    for k, code in enumerate(decoded_keys):
-        pair = decoder.sentinel if code == sentinel else (us[code // nv], vs[code % nv])
-        hits += [(k, images.setdefault(z, len(images)), wz) for z, wz in _z_images(pair, d)]
-    source, image, image_w = (np.array(x) for x in zip(*hits))
+    law = _integration_laws(d)
+    source, zs, image_w = _z_images(rows_A[decoded_keys // nv], rows_B[decoded_keys % nv], law)
+    image, image_rows = _first_appearance(zs)
     # hit h takes the columns of decoded pair source[h], in column order
     counts = np.bincount(decoded_id)
     lengths = counts[source]
@@ -743,10 +736,9 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     image_col = np.argsort(decoded_id, kind="stable")[
         np.repeat(offsets, lengths) + np.arange(lengths.sum())]
     target = compose_decomposition(d)
-    ops = [target.op(z) for z in target.outcomes]
+    ops = list(target.operators)
     g_gaps, support_mass = _gap_norms(
-        c1, ops + [np.zeros_like(ops[0])],
-        _letter_indices(images, tuple(target.outcomes) + (VOID_LETTER,)),
+        c1, ops + [np.zeros_like(ops[0])], image_rows,
         pool, np.repeat(image, lengths), image_col, np.repeat(image_w, lengths) * w[image_col])
     leakage = max(0.0, 1.0 - covered)
     missed = max(0.0, 1.0 - support_mass)
@@ -760,11 +752,9 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     # blocks, one block per pair code; the sentinel is the one decoded pair
     # that is no codeword pair
     n_B = len(d.povm_B.outcomes)
-    letters = [(u, v) for u in d.povm_A.outcomes for v in d.povm_B.outcomes]
     s1_gaps, hit_mass = _gap_norms(
-        c1, [tensor(d.povm_A.op(u), d.povm_B.op(v)) for u, v in letters],
-        _letter_indices(us, d.povm_A.outcomes)[pair_keys // nv] * n_B
-        + _letter_indices(vs, d.povm_B.outcomes)[pair_keys % nv],
+        c1, [tensor(a, b) for a in d.povm_A.operators for b in d.povm_B.operators],
+        rows_A[pair_keys // nv] * n_B + rows_B[pair_keys % nv],
         pool, pair_id, cols, w)
     s2_id, _ = _first_appearance(np.concatenate([pair_code, decoded_code]))
     s2 = _trace_norm_sum(pool, s2_id, np.concatenate([cols, cols]), np.concatenate([w, -w]))
@@ -785,7 +775,9 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     diagnostics.update(_stats("zeta", _gamma_values(
         codebook.v_lists, bundle_B.params["eps"], params.eta, params.L2)))
 
-    resum = _resummation_error(binned_A, binned_B, decoder, d)
+    cell, cell_keys = _first_appearance(tables.ravel())
+    totals = _image_weight_totals(rows_A[cell_keys // nv], rows_B[cell_keys % nv], law)
+    resum = _resummation_error(binned_A, binned_B, totals[cell].reshape(tables.shape))
     return TrialReport(params, g_val,
                        tuple(v for v, _ in checks_A),
                        tuple(v for v, _ in checks_B),
@@ -836,15 +828,16 @@ def separate_check(rho_AB: DensityOperator, gamma_A: np.ndarray, povm_B: SubPovm
 # ---------------------------------------------------------------------------
 
 def _diagonal_vectors(povm: SubPovm):
-    """Real diagonals of an all-diagonal POVM, or None if any off-diagonal."""
-    vecs = {}
-    for z, op in povm.items():
+    """Real diagonals of an all-diagonal POVM, one row per outcome, or None
+    if any element has an off-diagonal entry."""
+    vecs = []
+    for op in povm.operators:
         scale = max(1.0, float(np.max(np.abs(op))))
         off = op - np.diag(np.diagonal(op))
         if np.max(np.abs(off)) > 1e-12 * scale:
             return None
-        vecs[z] = np.real(np.diagonal(op)).copy()
-    return vecs
+        vecs.append(np.real(np.diagonal(op)))
+    return np.stack(vecs)
 
 
 def _joint_law(p_uv) -> np.ndarray:
@@ -869,42 +862,39 @@ def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
     diagonal is one weighted product of them.
     """
     p = _joint_law(p_uv)
-    outA = tuple(povm_A.outcomes)
-    outB = tuple(povm_B.outcomes)
-    if p.shape != (len(outA), len(outB)):
+    if p.shape != (len(povm_A.outcomes), len(povm_B.outcomes)):
         raise InvariantError("p_uv shape must match the POVM outcome counts")
+    dA = povm_A.dim
+    dB = povm_B.dim
+    # the diagonal path holds vectors of (dA dB)^n entries, the dense path
+    # is held under the smaller dimension cap, so neither runs above 2^20
+    if _exceeds(dA * dB, n, 2 ** 20):
+        raise CapExceededError(f"packing dimension {dA * dB}^{n} exceeds the cap {2 ** 20}")
     pU = np.clip(p.sum(axis=1), 0.0, None)
     pV = np.clip(p.sum(axis=0), 0.0, None)
     L1 = _count_for_rate(n, r1)
     L2 = _count_for_rate(n, r2)
-    idxU = substream(seed, STREAM_PACKING_A).choice(len(outA), size=(L1, n),
-                                                    p=pU / pU.sum())
-    idxV = substream(seed, STREAM_PACKING_B).choice(len(outB), size=(L2, n),
-                                                    p=pV / pV.sum())
-    countsU = Counter(tuple(outA[k] for k in row) for row in idxU)
-    countsV = Counter(tuple(outB[k] for k in row) for row in idxV)
-    us, vs = list(countsU), list(countsV)
-    joint = typical_pairs(us, vs, p, outA, outB, delta)
-    dA = povm_A.dim
-    dB = povm_B.dim
+    us, countsU = _distinct(substream(seed, STREAM_PACKING_A).choice(
+        p.shape[0], size=(L1, n), p=pU / pU.sum()))
+    vs, countsV = _distinct(substream(seed, STREAM_PACKING_B).choice(
+        p.shape[1], size=(L2, n), p=pV / pV.sum()))
+    joint = typical_pairs(us, vs, p, delta)
 
     vecsA = _diagonal_vectors(povm_A)
     vecsB = _diagonal_vectors(povm_B)
-    if vecsA is not None and vecsB is not None and (dA * dB) ** n <= 2 ** 20:
-        du = kron_rows(np.stack([vecsA[z] for z in outA])[:, :, None],
-                       _letter_indices(us, outA))[:, :, 0]
-        dv = kron_rows(np.stack([vecsB[z] for z in outB])[:, :, None],
-                       _letter_indices(vs, outB))[:, :, 0]
-        w = np.where(joint, np.outer([countsU[u] for u in us], [countsV[v] for v in vs]), 0.0)
+    if vecsA is not None and vecsB is not None:
+        du = kron_rows(vecsA[:, :, None], us)[:, :, 0]
+        dv = kron_rows(vecsB[:, :, None], vs)[:, :, 0]
+        w = np.where(joint, np.outer(countsU, countsV), 0.0)
         acc = du.T @ w @ dv
         return max(0.0, float(acc.max()))
 
     _check_dim_cap(dA * dB, n)
     acc = np.zeros(((dA * dB) ** n,) * 2, dtype=np.complex128)
-    opsU = [tensor(*(povm_A.op(s) for s in u)) for u in us]
-    opsV = [tensor(*(povm_B.op(s) for s in v)) for v in vs]
+    opsU = [tensor(*(povm_A.operators[k] for k in u)) for u in us.tolist()]
+    opsV = [tensor(*(povm_B.operators[k] for k in v)) for v in vs.tolist()]
     for a, b in zip(*np.nonzero(joint)):
-        acc += (countsU[us[a]] * countsV[vs[b]]) * np.kron(opsU[a], opsV[b])
+        acc += (countsU[a] * countsV[b]) * np.kron(opsU[a], opsV[b])
     return operator_norm(acc) if joint.any() else 0.0
 
 
@@ -914,14 +904,11 @@ def packing_union_proxy(p_uv, n: int, r1: float, r2: float, delta: float) -> flo
     p = np.asarray(p_uv, dtype=float)
     pU = p.sum(axis=1)
     pV = p.sum(axis=0)
-    # the one enumerated pair set: its product-marginal mass is the proxy
-    q_pair = np.outer(pU, pV).ravel()
-    mass = 0.0
-    for member in typical_set(p.ravel(), n, delta).members:
-        q = 1.0
-        for k in member:
-            q *= q_pair[k]
-        mass += q
+    # the one enumerated pair set: its product-marginal mass is the proxy,
+    # member masses added in member order
+    q_pair = np.outer(pU, pV).reshape(-1, 1, 1)
+    masses = kron_rows(q_pair, typical_set(p.ravel(), n, delta).seqs).ravel()
+    mass = np.cumsum(masses)[-1] if masses.size else 0.0
     return _count_for_rate(n, r1) * _count_for_rate(n, r2) * mass
 
 
@@ -938,8 +925,7 @@ def binning_collision_rate(params: ProtocolParams, p_uv, seeds) -> float:
     pV = np.clip(p.sum(axis=0), 0.0, None)
     t_u = typical_set(pU, params.n, params.delta)
     t_v = typical_set(pV, params.n, params.delta)
-    joint = partial(typical_pairs, p_uv=p, outcomes_A=range(p.shape[0]),
-                    outcomes_B=range(p.shape[1]), delta=params.delta)
+    joint = partial(typical_pairs, p_uv=p, delta=params.delta)
     pruned_u = pruned_distribution(t_u)
     pruned_v = pruned_distribution(t_v)
     collisions = 0
@@ -967,17 +953,17 @@ def soft_covering_trial(ens, n: int, rate_sum: float, seed: int,
     """
     _check_dim_cap(ens.dim, n)
     weights = np.asarray(ens.weights, dtype=float)
-    tset = typical_set(weights, n, delta, alphabet=tuple(ens.outcomes))
+    tset = typical_set(weights, n, delta, alphabet=ens.outcomes)
     pruned = pruned_distribution(tset)
     eps = max(0.0, 1.0 - tset.mass)
     M = _count_for_rate(n, rate_sum)
     draws = pruned.sample(substream(seed, STREAM_SOFT), M)
     target = tensor(*[ens.average()] * n)
     acc = np.zeros_like(target)
-    counts = Counter(tuple(s) for s in draws)
-    idx = _letter_indices(counts, ens.outcomes)
-    table = np.stack([np.asarray(ens.state(u).mat, dtype=np.complex128) for u in ens.outcomes])
-    draw_counts = list(counts.values())
+    ids, counts = _distinct(draws)
+    idx = tset.seqs[ids]
+    table = np.stack([np.asarray(state.mat, dtype=np.complex128) for state in ens.states])
+    draw_counts = counts.tolist()
     step = max(1, CHUNK_CAP // target.size)
     for start in range(0, len(idx), step):
         states = kron_rows(table, idx[start:start + step])
@@ -1001,12 +987,12 @@ def distortion_of_protocol(binned_A, binned_B, decoder: DecoderTable, recon,
     first, matching the canonical purification) and is averaged over the n
     letter positions.  The reference block of a cell is the transpose of
     the cell sandwich in the eigenbasis of the input state, padded back to
-    the full reference dimension.  Letters carrying the reserved
-    out-of-alphabet sentinel reconstruct to the maximally mixed state.
+    the full reference dimension.  Letters carrying the void letter of the
+    sentinel reconstruct to the maximally mixed state.
     """
     dA, dB = rho_AB.dims
     dim_ref = dA * dB
-    n = len(decoder.sentinel[0])
+    n = decoder.rows[0].shape[1]
     _check_dim_cap(dA * dB, n)
     states = {}
     for key, value in recon.items():
@@ -1024,13 +1010,17 @@ def distortion_of_protocol(binned_A, binned_B, decoder: DecoderTable, recon,
         raise InvariantError("observable must act on reference x reconstruction")
     mixed = np.eye(xdim, dtype=np.complex128) / xdim
 
-    def letter_state(a, b):
-        if a == VOID_LETTER or b == VOID_LETTER:
-            return mixed
-        try:
-            return states[(a, b)]
-        except KeyError:
-            raise InvariantError(f"no reconstruction state for pair {(a, b)}")
+    # the state of each letter pair, void letters last; a pair without one
+    # is refused only when a decoded pair carries it
+    alpha_A, alpha_B = decoder.alphabets
+    table = [[states.get((a, b)) for b in alpha_B] + [mixed] for a in alpha_A]
+    table.append([mixed] * (len(alpha_B) + 1))
+
+    def letter_state(x, y):
+        if table[x][y] is None:
+            raise InvariantError(
+                f"no reconstruction state for pair {(alpha_A[x], alpha_B[y])}")
+        return table[x][y]
 
     c1, cperm3 = _sandwich_frame(rho_AB, n)
     r = c1.shape[1]
@@ -1054,7 +1044,8 @@ def distortion_of_protocol(binned_A, binned_B, decoder: DecoderTable, recon,
             for a, i in enumerate(fam_a):
                 for b, j in enumerate(fam_b):
                     rblock = cells[a, b].T
-                    useq, vseq = decoder.lookup(mu1, mu2, i, j)
+                    u, v = decoder.lookup(mu1, mu2, i, j)
+                    useq, vseq = decoder.rows[0][u].tolist(), decoder.rows[1][v].tolist()
                     for pos in range(n):
                         f = partial_trace(rblock, [r] * n, (pos,)) if n > 1 else rblock
                         ref = np.zeros((dim_ref, dim_ref), dtype=np.complex128)

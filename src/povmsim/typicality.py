@@ -8,6 +8,10 @@ strings; eigenvalues are grouped up to a relative tolerance first, so flat
 spectra are typical at any delta and the subspaces are basis-independent
 under degeneracy.
 
+A sequence is a row of letter indices into its alphabet, and a typical
+sequence is named by its member id, its row in TypicalSet.seqs; labels are
+only read where a labelled object is looked up.
+
 Typical sets of one source and eigen-index strings are enumerated under
 the |alphabet|^n cap, and the bundle's operators are held under the d^n
 cap.  The bundle decides the conditional typical subspace of every typical
@@ -21,7 +25,6 @@ transient count arrays in chunks of at most CHUNK_CAP entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,14 +46,20 @@ CHUNK_CAP = 2 ** 14   # max entries of any transient array a batched pass holds 
 GROUP_RTOL = 1e-9     # eigenvalues closer than this (relative) share a group
 
 
+def _exceeds(base: int, n: int, cap: int) -> bool:
+    """Whether base^n > cap.  For base >= 2 an n of cap.bit_length() or more
+    already exceeds it, so the power is only formed below that length."""
+    return base > 1 and (n >= cap.bit_length() or base ** n > cap)
+
+
 def _check_seq_cap(alphabet_size: int, n: int):
-    if alphabet_size ** n > SEQ_CAP:
+    if _exceeds(alphabet_size, n, SEQ_CAP):
         raise CapExceededError(
             f"{alphabet_size}^{n} sequences exceed the enumeration cap {SEQ_CAP}")
 
 
 def _check_dim_cap(dim: int, n: int):
-    if dim ** n > DIM_CAP:
+    if _exceeds(dim, n, DIM_CAP):
         raise CapExceededError(
             f"operator dimension {dim}^{n} exceeds the cap {DIM_CAP}")
 
@@ -64,11 +73,6 @@ def all_sequences(alphabet_size: int, n: int) -> np.ndarray:
     dtype = np.min_scalar_type(max(alphabet_size - 1, 0))
     grids = np.meshgrid(*([np.arange(alphabet_size, dtype=dtype)] * n), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1) if n > 0 else np.zeros((1, 0), dtype)
-
-
-def _letter_indices(strings, alphabet) -> np.ndarray:
-    pos = {a: i for i, a in enumerate(alphabet)}
-    return np.array([[pos[a] for a in x] for x in strings], dtype=np.intp)
 
 
 def _letter_counts(seqs: np.ndarray, alphabet_size: int) -> np.ndarray:
@@ -90,25 +94,29 @@ def _typical_mask(counts: np.ndarray, probs: np.ndarray, n, delta: float) -> np.
 
 @dataclass(frozen=True)
 class TypicalSet:
-    """delta-typical sequences of a memoryless source, with their total mass."""
+    """delta-typical sequences of a memoryless source, with their total mass.
+
+    ``seqs`` holds one row of letter indices into ``alphabet`` per member, in
+    lexicographic order; a member's id is its row.
+    """
     alphabet: tuple
     probs: np.ndarray
     n: int
     delta: float
-    members: tuple
+    seqs: np.ndarray
     mass: float
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        object.__setattr__(self, "members", tuple(tuple(m) for m in self.members))
-        object.__setattr__(self, "_member_set", frozenset(self.members))
 
-    def __contains__(self, seq) -> bool:
-        return tuple(seq) in self._member_set
+    @property
+    def members(self) -> tuple:
+        """The members as tuples of alphabet labels, in id order."""
+        return tuple(tuple(self.alphabet[i] for i in row) for row in self.seqs.tolist())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.seqs)
 
 
 def _validated_probs(probs, n: int, delta: float) -> np.ndarray:
@@ -136,34 +144,32 @@ def typical_set(probs, n: int, delta: float, alphabet=None) -> TypicalSet:
     seqs = all_sequences(p.size, n)
     counts = _letter_counts(seqs, p.size)
     mask = _typical_mask(counts, p, n, delta)
-    kept = seqs[mask]
     logs = np.log(np.where(p > 0, p, 1.0))
     masses = np.exp(counts[mask].astype(float) @ logs)
-    members = tuple(tuple(alphabet[i] for i in row) for row in kept)
-    return TypicalSet(alphabet, p, n, float(delta), members, float(np.sum(masses)))
+    return TypicalSet(alphabet, p, n, float(delta), seqs[mask].astype(np.intp),
+                      float(np.sum(masses)))
 
 
-def typical_pairs(us, vs, p_uv, outcomes_A, outcomes_B, delta: float) -> np.ndarray:
+def typical_pairs(us: np.ndarray, vs: np.ndarray, p_uv, delta: float) -> np.ndarray:
     """Joint delta-typicality of every zipped pair (u, v), a (len(us), len(vs)) mask.
 
-    ``p_uv`` is the joint letter law, rows indexed by ``outcomes_A`` and
-    columns by ``outcomes_B``.  typical_set's criterion is applied to the
-    pair-letter counts of zip(u, v).  With one-hot letter tables
-    hot_u[a, x, k] = [u_a[k] = x] and hot_v[k, b, y] = [v_b[k] = y], the
-    counts of a block of pairs are one matrix product hot_u @ hot_v, exact
-    in floating point; blocks of pairs are sized so that no count array
-    holds more than CHUNK_CAP entries (a block has at least one pair).
+    ``us`` and ``vs`` hold one sequence per row as letter indices into the
+    rows and columns of the joint letter law ``p_uv``.  typical_set's
+    criterion is applied to the pair-letter counts of zip(u, v).  With
+    one-hot letter tables hot_u[a, x, k] = [u_a[k] = x] and
+    hot_v[k, b, y] = [v_b[k] = y], the counts of a block of pairs are one
+    matrix product hot_u @ hot_v, exact in floating point; blocks of pairs
+    are sized so that no count array holds more than CHUNK_CAP entries (a
+    block has at least one pair).
     """
     if len(us) * len(vs) > SEQ_CAP:
         raise CapExceededError(
             f"{len(us)} x {len(vs)} sequence pairs exceed the cap {SEQ_CAP}")
-    size_A, size_B = len(outcomes_A), len(outcomes_B)
-    if np.shape(p_uv) != (size_A, size_B):
-        raise InvariantError("alphabet and probability table must be parallel")
-    n = len(us[0])
+    size_A, size_B = np.shape(p_uv)
+    n = us.shape[1]
     p = _validated_probs(p_uv, n, delta)
-    hot_u = (_letter_indices(us, outcomes_A)[:, None, :] == np.arange(size_A)[:, None]) * 1.0
-    hot_v = (_letter_indices(vs, outcomes_B).T[:, :, None] == np.arange(size_B)) * 1.0
+    hot_u = (us[:, None, :] == np.arange(size_A)[:, None]) * 1.0
+    hot_v = (vs.T[:, :, None] == np.arange(size_B)) * 1.0
     step_v = max(1, CHUNK_CAP // p.size)
     step_u = max(1, CHUNK_CAP // (p.size * min(len(vs), step_v)))
     mask = np.empty((len(us), len(vs)), dtype=bool)
@@ -180,35 +186,29 @@ def typical_pairs(us, vs, p_uv, outcomes_A, outcomes_B, delta: float) -> np.ndar
 
 @dataclass(frozen=True)
 class PrunedDistribution:
-    """The product distribution conditioned on landing in the typical set."""
+    """The product distribution conditioned on landing in the typical set,
+    one probability per member id."""
     base: TypicalSet
     probs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        if self.probs.size != len(self.base.members):
+        if self.probs.size != len(self.base):
             raise InvariantError("pruned table must be parallel to the member list")
         if abs(float(np.sum(self.probs)) - 1.0) > 1e-12:
             raise InvariantError("pruned distribution must sum to 1")
-        object.__setattr__(self, "_index",
-                           {m: i for i, m in enumerate(self.base.members)})
 
-    def prob(self, seq) -> float:
-        i = self._index.get(tuple(seq))
-        return 0.0 if i is None else float(self.probs[i])
-
-    def sample(self, rng: np.random.Generator, size: int) -> list:
-        idx = rng.choice(len(self.base.members), size=size, p=self.probs)
-        return [self.base.members[i] for i in idx]
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` independent member ids."""
+        return rng.choice(len(self.probs), size=size, p=self.probs)
 
 
 def pruned_distribution(t: TypicalSet) -> PrunedDistribution:
     """Each member's product probability, left to right over its letters,
     divided by their sum."""
-    if len(t.members) == 0 or t.mass <= 0.0:
+    if len(t) == 0 or t.mass <= 0.0:
         raise InvariantError("cannot prune onto an empty typical set")
-    idx = _letter_indices(t.members, t.alphabet)
-    masses = kron_rows(t.probs.reshape(-1, 1, 1), idx).ravel()
+    masses = kron_rows(t.probs.reshape(-1, 1, 1), t.seqs).ravel()
     return PrunedDistribution(t, masses / np.sum(masses))
 
 
@@ -295,8 +295,8 @@ def _typical_columns(spectra, seqs: np.ndarray, strings: np.ndarray, delta: floa
 class ProjectorBundle:
     """All projectors needed to build approximating operators at one (n, delta).
 
-    pi_rho is the typical projector of the average state.  lam_seq maps each
-    typical sequence s to the eigen-form (pi_rho B_s, lambda_s) of
+    pi_rho is the typical projector of the average state.  lam_seq[s] is
+    the eigen-form (pi_rho B_s, lambda_s), s a member id, of
     Lambda'_s = pi_rho Pi_s rho_s Pi_s pi_rho = (pi_rho B_s) diag(lambda_s)
     (pi_rho B_s)^dag: rho_s is the product of the ensemble states along s,
     B_s the product eigenvectors spanning its conditional typical subspace
@@ -308,7 +308,7 @@ class ProjectorBundle:
     construction, so the two commute.
     """
     pi_rho: np.ndarray
-    lam_seq: Mapping
+    lam_seq: tuple
     pi_hat: np.ndarray
     typical: TypicalSet
     pruned: PrunedDistribution
@@ -340,14 +340,13 @@ def build_projector_bundle(rho: DensityOperator, ens: Ensemble, n: int,
                                          np.zeros((1, n), dtype=np.intp), strings, delta)
     pi_rho = range_basis @ range_basis.conj().T
 
-    spectra = [_grouped_spectrum(ens.state(u).mat) for u in ens.outcomes]
-    columns, lam_vals, widths = _typical_columns(
-        spectra, _letter_indices(tset.members, ens.outcomes), strings, delta)
+    spectra = [_grouped_spectrum(state.mat) for state in ens.states]
+    columns, lam_vals, widths = _typical_columns(spectra, tset.seqs, strings, delta)
     factors = pi_rho @ columns
     # sigma' = sum_s p(s) Lambda'_s as one weighted Gram product
     sigma_prime = weighted_gram(factors, np.repeat(pruned.probs, widths) * lam_vals)
-    lam_seq = {seq: (factors[:, end - w:end], lam_vals[end - w:end])
-               for seq, w, end in zip(tset.members, widths.tolist(), np.cumsum(widths).tolist())}
+    lam_seq = tuple((factors[:, end - w:end], lam_vals[end - w:end])
+                    for w, end in zip(widths.tolist(), np.cumsum(widths).tolist()))
 
     eps = max(0.0, 1.0 - tset.mass)
     entropy = von_neumann_entropy(rho)
@@ -367,12 +366,13 @@ def build_projector_bundle(rho: DensityOperator, ens: Ensemble, n: int,
     return ProjectorBundle(pi_rho, lam_seq, pi_hat, tset, pruned, params)
 
 
-def lambda_operators(rho: DensityOperator, ens: Ensemble, seq: Sequence,
+def lambda_operators(rho: DensityOperator, ens: Ensemble, seq: int,
                      bundle: ProjectorBundle):
     """The two-stage compressed operator of one typical sequence in eigen-form.
 
-    Returns (z, vals) with pi_hat Lambda'_s pi_hat = z diag(vals) z^dag: the
-    bundle's factor of the compressed conditional state, cut off by pi_hat.
+    ``seq`` is the sequence's member id.  Returns (z, vals) with
+    pi_hat Lambda'_s pi_hat = z diag(vals) z^dag: the bundle's factor of the
+    compressed conditional state, cut off by pi_hat.
     """
-    lifted, vals = bundle.lam_seq[tuple(seq)]
+    lifted, vals = bundle.lam_seq[seq]
     return bundle.pi_hat @ lifted, vals

@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: outputs, ordering, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from povmsim import cli, fixtures, serialize
 
@@ -393,3 +396,95 @@ def test_non_finite_ensemble_weight_exits_3(tmp_path, capsys):
     assert rc == 3, err
     assert err.startswith("invariant violation: ensemble weights must be finite")
     assert out == ""
+
+
+@pytest.mark.parametrize("extra", [
+    {"command": "simulate"},
+    {"command": "sweep", "kind": "soft-covering"},
+    {"command": "packing-sweep", "rate_pairs": [[0.0, 0.0]]},
+], ids=["simulate", "soft-covering", "packing-rate-0"])
+def test_huge_blocklength_exits_4(extra, tmp_path, capsys):
+    # the d^n caps are decided without forming the power, and packing checks
+    # its dimension before drawing (L, n) codeword arrays
+    cfg = _write_config(tmp_path, {"input": "binary-correlated", "n": 1e12, **extra})
+    t0 = time.perf_counter()
+    rc, out, err = _run(capsys, "--input", cfg)
+    assert rc == 4, err
+    assert err.startswith("cap exceeded:")
+    assert out == ""
+    assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.mark.parametrize("payload", [
+    {"input": "binary-correlated", "command": ["x"]},
+    {"input": "binary-correlated", "command": {"a": 1}},
+    {"input": "binary-correlated", "command": "region", "output": 1.5},
+    {"input": "binary-correlated", "command": "region", "output": ["a"]},
+    {"input": "binary-correlated", "command": "region", "output": True},
+    {"input": ["x"], "command": "region"},
+    {"input": "binary-correlated", "command": "packing-sweep", "seeds": [-1]},
+    {"input": "binary-correlated", "command": "sweep", "kind": "soft-covering",
+     "seeds": [-1]},
+], ids=["list-command", "object-command", "float-output", "list-output", "true-output",
+        "list-input", "negative-seed-packing", "negative-seed-soft-covering"])
+def test_non_string_or_negative_config_value_exits_3(payload, tmp_path, capsys):
+    cfg = _write_config(tmp_path, payload)
+    rc, out, err = _run(capsys, "--input", cfg)
+    assert rc == 3, err
+    assert err.startswith("invariant violation:")
+    assert out == ""
+
+
+_NUMBERS = st.sampled_from([0, 1, 2, 3, 0.5, -1, float("nan"), float("inf"), float("-inf"),
+                            1e12])
+_SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=3))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                    st.lists(st.lists(_SCALARS, max_size=2), max_size=2),
+                    st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2))
+_MALFORMED_INSTANCES = {
+    "text-p_uv": _example1_instance(p_uv="x"),
+    "list-recon": _example1_instance(recon=[1]),
+    "object-name": _example1_instance(name={"a": 1}),
+    "text-weight": _example1_instance(ensemble=dict(_ENSEMBLE, weights=["x", 0.5])),
+    "list-config": _example1_instance(config=[1]),
+    "null-state": _example1_instance(state=None),
+}
+
+
+def _config_values(output):
+    """A strategy per config key: well-formed values three times in four,
+    then anything."""
+    number_lists = st.lists(_NUMBERS, min_size=1, max_size=3)
+    pair_lists = st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), min_size=1, max_size=2)
+    povm = serialize.povm_to_json(fixtures.computational_povm())
+    typed = {
+        "command": st.sampled_from(cli.COMMANDS + ("packing-sweep",)),
+        "kind": st.sampled_from(["packing", "collision", "soft-covering"]),
+        "output": st.just(output),
+        "seeds": number_lists, "ns": number_lists, "r1": number_lists, "r2": number_lists,
+        "rate_sums": number_lists, "rate_pairs": pair_lists, "bin_rates": pair_lists,
+        "approx_A": st.just(povm), "approx_B": st.just(povm),
+    }
+    junk = {"output": _VALUES.filter(lambda v: not isinstance(v, str))}
+    return {key: st.sampled_from([True] * 3 + [False]).flatmap(
+        lambda good, key=key: typed.get(key, _NUMBERS) if good else junk.get(key, _VALUES))
+        for key in cli.CONFIG_KEYS}
+
+
+@settings(max_examples=600, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_contract_on_generated_configs(data, tmp_path, capsys):
+    # any config over the known keys, on a fixture or on an instance file
+    # with one malformed field, exits 0, 2, 3 or 4 without a traceback and
+    # prints nothing to stdout unless it succeeds
+    values = _config_values(str(tmp_path / "out.txt"))
+    keys = data.draw(st.lists(st.sampled_from(sorted(cli.CONFIG_KEYS - {"command"})),
+                              max_size=4, unique=True))
+    config = {key: data.draw(values[key]) for key in ["command"] + keys}
+    malformed = [_write_config(tmp_path, payload, f"{name}.json")
+                 for name, payload in _MALFORMED_INSTANCES.items()]
+    config["input"] = data.draw(st.sampled_from(list(fixtures.FIXTURE_NAMES) * 3 + malformed))
+    rc, out, err = _run(capsys, "--input", _write_config(tmp_path, config))
+    assert rc in (0, 2, 3, 4), err
+    assert rc == 0 or out == ""

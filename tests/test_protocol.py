@@ -37,7 +37,7 @@ from povmsim.protocol import (
     STREAM_PACKING_A,
     STREAM_PACKING_B,
     STREAM_SOFT,
-    VOID_LETTER,
+    _letter_map,
     _sandwich_factors,
     _sandwich_frame,
     _trace_norm_sum,
@@ -64,6 +64,16 @@ from povmsim.typicality import (
     typical_pairs,
     typical_set,
 )
+from typical_oracle import (
+    VOID,
+    _letter_indices,
+    bin_maps_by_label,
+    decoded_labels,
+    decoder_by_label,
+    label_rows,
+    sentinel_by_enumeration,
+    typical_pairs_by_row,
+)
 
 PUV_DIAG = np.array([[0.5, 0.0], [0.0, 0.5]])
 
@@ -71,7 +81,8 @@ PUV_DIAG = np.array([[0.5, 0.0], [0.0, 0.5]])
 def _pieces(inst=None, seed=0, n=None, d=None):
     """The protocol objects of one trial, built stepwise as the trial does;
     the approximating families as matrices.  ``inst`` defaults to the
-    binary-correlated fixture."""
+    binary-correlated fixture.  Codewords and family keys are returned as
+    label tuples."""
     inst = inst or fixtures.load_fixture("binary-correlated")
     params = dataclasses.replace(inst.params, seed=seed, n=n or inst.params.n)
     d = d or inst.decomposition
@@ -94,10 +105,17 @@ def _pieces(inst=None, seed=0, n=None, d=None):
     binned_B = [bin_povm(f, binmaps[1].assignments[mu], params.bins2)
                 for mu, f in enumerate(fams_B)]
     p_uv = outcome_distribution(inst.state, d.povm_A, d.povm_B)
-    joint = partial(typical_pairs, p_uv=p_uv, outcomes_A=d.povm_A.outcomes,
-                    outcomes_B=d.povm_B.outcomes, delta=params.delta)
-    decoder = build_decoder(codebook, binmaps, joint)
-    return inst, params, codebook, fams_A, fams_B, binned_A, binned_B, decoder
+    to_A = _letter_map(ens_A.outcomes, d.povm_A.outcomes)
+    to_B = _letter_map(ens_B.outcomes, d.povm_B.outcomes)
+    decoder = build_decoder(codebook, binmaps, lambda us, vs: typical_pairs(
+        to_A[us], to_B[vs], p_uv, params.delta))
+    t_A, t_B = bundle_A.typical, bundle_B.typical
+    labels = Codebook(tuple(label_rows(t_A.alphabet, t_A.seqs[lst]) for lst in codebook.u_lists),
+                      tuple(label_rows(t_B.alphabet, t_B.seqs[lst]) for lst in codebook.v_lists))
+    members_A, members_B = t_A.members, t_B.members
+    fams_A = [{members_A[s]: op for s, op in fam.items()} for fam in fams_A]
+    fams_B = [{members_B[s]: op for s, op in fam.items()} for fam in fams_B]
+    return inst, params, labels, fams_A, fams_B, binned_A, binned_B, decoder
 
 
 def _stochastic_binary():
@@ -126,13 +144,27 @@ def _noisy_binary():
     return dataclasses.replace(inst, params=dataclasses.replace(inst.params, delta=1.0)), d
 
 
+def _zero_outcome_binary():
+    """binary-correlated's POVM with a zero element "z" between its two
+    outcomes, on both sides, integrated to whether the outcomes are equal.
+
+    The canonical ensembles drop "z", so typical letters index a strict
+    subset of the POVM outcomes.
+    """
+    m = fixtures.load_fixture("binary-correlated").decomposition.povm_A
+    z = Povm(("0", "z", "1"), (m.op("0"), np.zeros((2, 2)), m.op("1")))
+    return deterministic_decomposition(z, z, lambda u, v: "equal" if u == v else "differ")
+
+
 def _instance(name):
-    """A fixture and its decomposition; "stochastic" is _stochastic_binary and
-    "noisy" is _noisy_binary."""
+    """A fixture and its decomposition; "stochastic" is _stochastic_binary,
+    "noisy" is _noisy_binary and "zero-outcome" is _zero_outcome_binary."""
     if name == "stochastic":
         return fixtures.load_fixture("binary-correlated"), _stochastic_binary()
     if name == "noisy":
         return _noisy_binary()
+    if name == "zero-outcome":
+        return fixtures.load_fixture("binary-correlated"), _zero_outcome_binary()
     inst = fixtures.load_fixture(name)
     return inst, inst.decomposition
 
@@ -172,7 +204,7 @@ def decoded_family(binned_A, binned_B, decoder):
         for mu2 in range(N2):
             for i in range(1, decoder.bins1 + 1):
                 for j in range(1, decoder.bins2 + 1):
-                    pair = decoder.lookup(mu1, mu2, i, j)
+                    pair = decoded_labels(decoder, mu1, mu2, i, j)
                     cell = w_mu * np.kron(binned_A[mu1][i], binned_B[mu2][j])
                     acc[pair] = acc.get(pair, 0.0) + cell
     return acc
@@ -213,8 +245,8 @@ def _typical_sets(state, d, params):
 
 def _images(u, v, integration):
     """(z-string, weight) pairs of a decoded pair; void pairs map to void."""
-    if VOID_LETTER in u or VOID_LETTER in v:
-        return [((VOID_LETTER,) * len(u), 1.0)]
+    if VOID in u or VOID in v:
+        return [((VOID,) * len(u), 1.0)]
     supports = [[(z, p) for z, p in zip(integration.z_alphabet, integration.row(a, b))
                  if p > 0.0] for a, b in zip(u, v)]
     return [(tuple(z for z, _ in combo), float(np.prod([p for _, p in combo])))
@@ -281,7 +313,7 @@ def _dense_distortion(binned_A, binned_B, decoder, recon, obs, state):
     """Average per-letter distortion with every cell block, completion bins
     included, formed as the dense w_mu c^dag (Gamma_i x Gamma_j) c on the
     side-major rho^{(x)n} = c c^dag."""
-    n = len(decoder.sentinel[0])
+    n = decoder.rows[0].shape[1]
     c1, cperm3 = _sandwich_frame(state, n)
     c = cperm3.reshape(-1, cperm3.shape[2])
     r = c1.shape[1]
@@ -298,11 +330,11 @@ def _dense_distortion(binned_A, binned_B, decoder, recon, obs, state):
             for i, op_a in completed(fam_a):
                 for j, op_b in completed(fam_b):
                     block = c.conj().T @ np.kron(op_a, op_b) @ c / (N1 * N2)
-                    u, v = decoder.lookup(mu1, mu2, i, j)
+                    u, v = decoded_labels(decoder, mu1, mu2, i, j)
                     for pos in range(n):
                         ref = np.zeros((state.dim, state.dim), dtype=np.complex128)
                         ref[:r, :r] = partial_trace(block.T, [r] * n, (pos,))
-                        letter = (np.eye(xdim) / xdim if VOID_LETTER in (u[pos], v[pos])
+                        letter = (np.eye(xdim) / xdim if VOID in (u[pos], v[pos])
                                   else recon[(u[pos], v[pos])].mat)
                         total += np.trace(obs @ np.kron(ref, letter)).real
     return total / n
@@ -319,7 +351,7 @@ def _dense_resummation_error(binned_A, binned_B, decoder, integration):
         for mu2 in range(N2):
             for i in range(1, decoder.bins1 + 1):
                 for j in range(1, decoder.bins2 + 1):
-                    u, v = decoder.lookup(mu1, mu2, i, j)
+                    u, v = decoded_labels(decoder, mu1, mu2, i, j)
                     w = sum(wz for _, wz in _images(u, v, integration))
                     acc = acc + (w_mu * w) * np.kron(binned_A[mu1][i], binned_B[mu2][j])
     return float(np.max(np.abs(acc - np.kron(sum_A, sum_B))))
@@ -360,6 +392,10 @@ def test_params_validation():
         ProtocolParams(n=2, Rt1=1.0, Rt2=1.0, R1=0.5, R2=0.5, seed=-1)
 
 
+def _same_lists(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 def test_codebooks_typical_and_seeded():
     t = typical_set((0.5, 0.5), 6, 0.6, alphabet=("0", "1"))
     pruned = pruned_distribution(t)
@@ -367,11 +403,11 @@ def test_codebooks_typical_and_seeded():
     c0 = generate_codebooks(p0, pruned, pruned)
     assert len(c0.u_lists) == p0.N1 and len(c0.u_lists[0]) == p0.L1
     for seq in c0.u_lists[0]:
-        assert seq in t
+        assert 0 <= seq < len(t)  # a member id
     again = generate_codebooks(p0, pruned, pruned)
-    assert c0.u_lists == again.u_lists and c0.v_lists == again.v_lists
+    assert _same_lists(c0.u_lists, again.u_lists) and _same_lists(c0.v_lists, again.v_lists)
     c1 = generate_codebooks(dataclasses.replace(p0, seed=1), pruned, pruned)
-    assert c0.u_lists != c1.u_lists
+    assert not _same_lists(c0.u_lists, c1.u_lists)
 
 
 # ---------------------------------------------------------------------------
@@ -382,34 +418,34 @@ def test_bin_maps_cover_typical_set():
     t = typical_set((0.5, 0.5), 4, 0.6, alphabet=("0", "1"))
     p = ProtocolParams(n=4, Rt1=1.0, Rt2=1.0, R1=0.5, R2=0.5, delta=0.6, seed=3)
     bm1, bm2 = generate_bin_maps(p, t, t)
-    assert set(bm1.assignments[0]) == set(t.members)
-    for seq in t.members:
-        assert 1 <= bm1.bin_of(0, seq) <= p.bins1
+    assert bm1.assignments.shape == (p.N1, len(t))
+    for b in bm1.assignments[0]:
+        assert 1 <= b <= p.bins1
     assert bm1.spread() >= 0
     again, _ = generate_bin_maps(p, t, t)
-    assert bm1.assignments == again.assignments
+    assert np.array_equal(bm1.assignments, again.assignments)
 
 
 def test_bin_map_validation():
     t = typical_set((0.5, 0.5), 2, 0.6, alphabet=("0", "1"))
     with pytest.raises(InvariantError):
-        BinMap(t, ({("0", "1"): 1},), 2)  # misses a typical member
-    full = {("0", "1"): 1, ("1", "0"): 5}
+        BinMap(t, np.array([[1]]), 2)  # misses a typical member
+    full = np.array([[1, 5]])
     with pytest.raises(InvariantError):
-        BinMap(t, (full,), 2)  # bin index out of range
+        BinMap(t, full, 2)  # bin index out of range
 
 
 def test_bin_povm_merges_and_pads():
     a = np.diag([0.3, 0.0])
     b = np.diag([0.0, 0.4])
-    binned = bin_povm({("x",): a, ("y",): b}, {("x",): 1, ("y",): 1}, 2)
+    binned = bin_povm({0: a, 1: b}, np.array([1, 1]), 2)
     assert set(binned) == {1, 2}
     assert np.allclose(binned[1], a + b, atol=1e-15)
     assert np.allclose(binned[2], 0.0, atol=1e-15)
     with pytest.raises(InvariantError):
-        bin_povm({("x",): a}, {}, 2)
+        bin_povm({0: a}, np.array([], dtype=int), 2)
     with pytest.raises(InvariantError):
-        bin_povm({("x",): a}, {("x",): 3}, 2)
+        bin_povm({0: a}, np.array([3]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -461,35 +497,68 @@ def test_trial_family_validity_matches_closed_form():
 
 def test_sentinel_smallest_atypical():
     t = typical_set((0.5, 0.5), 2, 0.6, alphabet=("0", "1"))
-    assert sentinel_sequence(t) == ("0", "0")
+    assert label_rows(t.alphabet, [sentinel_sequence(t)]) == [("0", "0")]
     t_all = typical_set((0.5, 0.5), 1, 1.0, alphabet=("0", "1"))
-    assert sentinel_sequence(t_all) == (VOID_LETTER,)
+    assert label_rows(t_all.alphabet, [sentinel_sequence(t_all)]) == [(VOID,)]
 
 
 def _decoder_fixture(v_list, nbins):
     t = typical_set((0.5, 0.5), 2, 0.6, alphabet=("0", "1"))
-    joint = partial(typical_pairs, p_uv=PUV_DIAG, outcomes_A=("0", "1"),
-                    outcomes_B=("0", "1"), delta=0.6)
-    assign = {("0", "1"): 1, ("1", "0"): nbins}
-    bm = BinMap(t, (assign,), nbins)
-    codebook = Codebook(((("0", "1"), ("1", "0")),), (v_list,))
+    joint = partial(typical_pairs, p_uv=PUV_DIAG, delta=0.6)
+    ids = {m: k for k, m in enumerate(t.members)}
+    assign = np.array([[1, nbins]])  # ("0", "1") and ("1", "0")
+    bm = BinMap(t, assign, nbins)
+    codebook = Codebook((np.array([ids[("0", "1")], ids[("1", "0")]]),),
+                        (np.array([ids[v] for v in v_list]),))
     return build_decoder(codebook, (bm, bm), joint)
 
 
 def test_decoder_unique_cell_and_sentinel():
     dec = _decoder_fixture(v_list=(("0", "1"),), nbins=2)
-    assert dec.lookup(0, 0, 1, 1) == (("0", "1"), ("0", "1"))
+    assert decoded_labels(dec, 0, 0, 1, 1) == (("0", "1"), ("0", "1"))
     assert dec.collisions == 0 and dec.occupied == 1
     sent = (("0", "0"), ("0", "0"))
-    assert dec.sentinel == sent
-    assert dec.lookup(0, 0, 2, 1) == sent   # cell never populated
-    assert dec.lookup(0, 0, 0, 1) == sent   # completion bin index
+    assert (label_rows(dec.alphabets[0], dec.rows[0][[dec.sentinel[0]]])[0],
+            label_rows(dec.alphabets[1], dec.rows[1][[dec.sentinel[1]]])[0]) == sent
+    assert decoded_labels(dec, 0, 0, 2, 1) == sent   # cell never populated
+    assert decoded_labels(dec, 0, 0, 0, 1) == sent   # completion bin index
 
 
 def test_decoder_collision_goes_to_sentinel():
     dec = _decoder_fixture(v_list=(("0", "1"), ("1", "0")), nbins=1)
     assert dec.collisions == 1 and dec.occupied == 1
     assert dec.lookup(0, 0, 1, 1) == dec.sentinel
+
+
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "zero-outcome"])
+def test_decoder_matches_label_oracle(name):
+    # the member-id decoder, read back as labels, against bin-pair decoding
+    # over label tuples with tuple-keyed bin maps and an enumerated sentinel
+    inst, d = _instance(name)
+    p_uv = outcome_distribution(inst.state, d.povm_A, d.povm_B)
+    for N1, N2 in ((1, 1), (2, 3)):
+        for n in (2, 3, 4):
+            for seed in (0, 1, 2):
+                params = dataclasses.replace(inst.params, n=n, seed=seed, N1=N1, N2=N2)
+                t_A, t_B = _typical_sets(inst.state, d, params)
+                to_A = _letter_map(t_A.alphabet, d.povm_A.outcomes)
+                to_B = _letter_map(t_B.alphabet, d.povm_B.outcomes)
+                codebook = generate_codebooks(params, pruned_distribution(t_A),
+                                              pruned_distribution(t_B))
+                dec = build_decoder(codebook, generate_bin_maps(params, t_A, t_B),
+                                    lambda us, vs: typical_pairs(to_A[us], to_B[vs], p_uv,
+                                                                 params.delta))
+                cells, collisions, occupied = decoder_by_label(
+                    [label_rows(t_A.alphabet, t_A.seqs[lst]) for lst in codebook.u_lists],
+                    [label_rows(t_B.alphabet, t_B.seqs[lst]) for lst in codebook.v_lists],
+                    bin_maps_by_label(params, t_A, t_B),
+                    lambda us, vs: typical_pairs_by_row(
+                        _letter_indices(us, d.povm_A.outcomes),
+                        _letter_indices(vs, d.povm_B.outcomes), p_uv, params.delta))
+                assert {key: decoded_labels(dec, *key) for key in dec.cells} == cells
+                assert (dec.collisions, dec.occupied) == (collisions, occupied)
+                assert decoded_labels(dec, 0, 0, 0, 0) == (sentinel_by_enumeration(t_A),
+                                                           sentinel_by_enumeration(t_B))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +661,8 @@ def test_trace_norm_sum_matches_dense():
     assert abs(got - want) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy"])
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy",
+                                  "zero-outcome"])
 def test_trial_G_matches_full_matrix_oracle(name):
     inst, d = _instance(name)
     for n in (2, 3):
@@ -620,7 +690,8 @@ def test_factored_resummation_matches_dense(name):
             assert r.resummation_error == 0.0
 
 
-@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy"])
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy",
+                                  "zero-outcome"])
 def test_error_split_matches_full_matrix_oracle(name):
     inst, d = _instance(name)
     for n in (2, 3):
@@ -636,7 +707,8 @@ def test_error_split_matches_full_matrix_oracle(name):
             assert abs(r.diagnostics["s2"] - s2) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy"])
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy",
+                                  "zero-outcome"])
 def test_multi_mu_trial_matches_full_matrix_oracle(name):
     # several common-randomness indices per side: codeword pairs recur across
     # (mu1, mu2), each (mu1, mu2) has its own bins and decoder cells, and the
@@ -831,6 +903,17 @@ def test_soft_covering_exact_floor_for_constant_ensemble():
     assert abs(err - eta / (1.0 + eta)) < 1e-12
 
 
+def test_soft_covering_reads_no_labels():
+    # the draws are member ids and letter-index rows, so an ensemble without
+    # outcome labels scores the same as its labelled copy
+    rng = np.random.default_rng(12)
+    states = tuple(random_density(rng, (2,)) for _ in range(3))
+    labelled = Ensemble((0.2, 0.3, 0.5), states, outcomes=("a", "b", "c"))
+    plain = Ensemble((0.2, 0.3, 0.5), states)
+    assert (soft_covering_trial(plain, 4, 1.0, 3, delta=1.0)
+            == soft_covering_trial(labelled, 4, 1.0, 3, delta=1.0))
+
+
 @pytest.mark.parametrize("per_chunk", [None, 4])
 def test_soft_covering_accumulator_matches_tensor_loop(per_chunk, monkeypatch):
     # the scored matrix target - scale * acc equals the one built from a
@@ -848,7 +931,8 @@ def test_soft_covering_accumulator_matches_tensor_loop(per_chunk, monkeypatch):
     tset = typical_set(ens.weights, n, delta, alphabet=ens.outcomes)
     M = protocol._count_for_rate(n, rate_sum)
     draws = pruned_distribution(tset).sample(substream(seed, STREAM_SOFT), M)
-    counts = Counter(draws)
+    members = tset.members
+    counts = Counter(members[i] for i in draws.tolist())
     assert per_chunk is None or len(counts) % per_chunk
     target = tensor(*[ens.average()] * n)
     acc = np.zeros_like(target)

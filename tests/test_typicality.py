@@ -18,6 +18,7 @@ from povmsim.typicality import (
     typical_set,
 )
 from typical_oracle import (
+    _letter_indices,
     conditional_typical_projector,
     sequence_prob,
     typical_pairs_by_row,
@@ -59,9 +60,9 @@ def test_typical_set_matches_bruteforce():
     t = typical_set(probs, 6, 0.5)
     assert set(t.members) == want_members
     assert abs(t.mass - want_mass) < 1e-12
-    for m in t.members:
-        assert m in t
-    assert (0, 0, 0, 0, 0, 0) not in t
+    # member ids follow the lexicographic order of the rows
+    assert t.members == tuple(sorted(want_members))
+    assert (0, 0, 0, 0, 0, 0) not in t.members
 
 
 def test_typical_mass_grows_with_blocklength():
@@ -90,7 +91,7 @@ def test_pruned_distribution_is_conditioned_product():
     assert abs(float(np.sum(pruned.probs)) - 1.0) < 1e-12
     for seq, q in zip(t.members, pruned.probs):
         assert abs(q - sequence_prob(t, seq) / t.mass) < 1e-12
-    assert pruned.prob((0,) * 6) == 0.0
+    assert pruned.probs.size == len(t)
 
 
 @pytest.mark.parametrize("probs, n, delta, alphabet", [
@@ -109,7 +110,7 @@ def test_pruned_sampling_deterministic():
     pruned = pruned_distribution(t)
     a = pruned.sample(np.random.default_rng(42), 20)
     b = pruned.sample(np.random.default_rng(42), 20)
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1"])
@@ -123,13 +124,15 @@ def test_typical_pairs_match_enumerated_joint_set(name):
         us = list(itertools.product(outA, repeat=n))
         vs = list(itertools.product(outB, repeat=n))
         for delta in (0.3, 0.6, 1.0):
-            joint = typical_set(inst.p_uv.ravel(), n, delta, alphabet=pairs)
+            joint = set(typical_set(inst.p_uv.ravel(), n, delta, alphabet=pairs).members)
             want = np.array([[tuple(zip(u, v)) in joint for v in vs] for u in us])
-            got = typical_pairs(us, vs, inst.p_uv, outA, outB, delta)
+            got = typical_pairs(_letter_indices(us, outA), _letter_indices(vs, outB),
+                                inst.p_uv, delta)
             assert np.array_equal(got, want)
     # the pair cap is checked before any pair is counted
     with pytest.raises(CapExceededError):
-        typical_pairs([("0",)] * 1025, [("0",)] * 1024, inst.p_uv, outA, outB, 0.5)
+        typical_pairs(np.zeros((1025, 1), dtype=np.intp), np.zeros((1024, 1), dtype=np.intp),
+                      inst.p_uv, 0.5)
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1"])
@@ -142,9 +145,10 @@ def test_typical_pairs_chunks_match_row_oracle(name, monkeypatch):
     pairs = len(outA) * len(outB)
     rng = np.random.default_rng(3)
     n = 5
-    us = [tuple(outA[k] for k in row) for row in rng.integers(len(outA), size=(10, n))]
-    vs = [tuple(outB[k] for k in row) for row in rng.integers(len(outB), size=(3, n))]
-    vs += [tuple(outB[outA.index(a)] for a in u) for u in us[:4]]  # some typical pairs
+    us = rng.integers(len(outA), size=(10, n))
+    vs = rng.integers(len(outB), size=(3, n))
+    # some typical pairs: v repeats u's labels
+    vs = np.vstack([vs, [[outB.index(outA[k]) for k in u] for u in us[:4]]])
     sizes = []
     mask = typicality._typical_mask
 
@@ -157,9 +161,9 @@ def test_typical_pairs_chunks_match_row_oracle(name, monkeypatch):
         monkeypatch.setattr(typicality, "CHUNK_CAP", cap)
         for delta in (0.3, 0.6, 1.0):
             sizes.clear()
-            got = typical_pairs(us, vs, inst.p_uv, outA, outB, delta)
+            got = typical_pairs(us, vs, inst.p_uv, delta)
             assert max(sizes) <= max(cap, pairs)
-            assert np.array_equal(got, typical_pairs_by_row(us, vs, inst.p_uv, outA, outB, delta))
+            assert np.array_equal(got, typical_pairs_by_row(us, vs, inst.p_uv, delta))
 
 
 def test_pruning_empty_set_raises():
@@ -222,8 +226,8 @@ def test_bundle_lam_seq_matches_projector_sandwich(name, n):
         ens = canonical_ensemble(rho, povm)
         bundle = build_projector_bundle(rho, ens, n, delta)
         pi_rho = typical_projector(rho, n, delta)
-        assert set(bundle.lam_seq) == set(bundle.typical.members)
-        for seq, factor in bundle.lam_seq.items():
+        assert len(bundle.lam_seq) == len(bundle.typical)
+        for seq, factor in zip(bundle.typical.members, bundle.lam_seq):
             got = weighted_gram(*factor)
             pc = conditional_typical_projector(ens, seq, delta)
             rho_s = reduce(np.kron, [ens.state(s).mat for s in seq])
@@ -232,7 +236,7 @@ def test_bundle_lam_seq_matches_projector_sandwich(name, n):
 
 
 def _bundle_arrays(bundle):
-    factors = [a for z, v in bundle.lam_seq.values() for a in (z, v)]
+    factors = [a for z, v in bundle.lam_seq for a in (z, v)]
     return [bundle.pi_rho, bundle.pi_hat] + factors
 
 
@@ -260,7 +264,7 @@ def test_bundle_chunks_leave_every_array_bit_equal(name, n, monkeypatch):
         chunk_rows.clear()
         got = build_projector_bundle(rho, ens, n, inst.params.delta)
         assert max(chunk_rows) == rows
-        assert list(got.lam_seq) == list(want.lam_seq)
+        assert len(got.lam_seq) == len(want.lam_seq)
         for a, b in zip(_bundle_arrays(got), _bundle_arrays(want), strict=True):
             assert np.array_equal(a, b)
 
@@ -274,7 +278,8 @@ def test_projector_bundle_binary_fixture_diagonal_oracle():
     assert np.allclose(bundle.pi_rho, np.eye(4), atol=1e-12)
     assert set(bundle.typical.members) == {("0", "1"), ("1", "0")}
     assert abs(bundle.params["eps"] - 0.5) < 1e-12
-    assert np.allclose(weighted_gram(*bundle.lam_seq[("0", "1")]), np.diag([0, 1, 0, 0]),
+    assert np.allclose(weighted_gram(*bundle.lam_seq[bundle.typical.members.index(("0", "1"))]),
+                       np.diag([0, 1, 0, 0]),
                        atol=1e-12)
     # pruned average is diag(0, 1/2, 1/2, 0); both nonzero modes clear the cutoff
     assert np.allclose(bundle.pi_hat, np.diag([0.0, 1.0, 1.0, 0.0]), atol=1e-10)
@@ -301,3 +306,19 @@ def test_all_sequences_index_dtype_holds_large_alphabets():
     wide = typical_set(uniform, 2, 143.0)
     assert len(wide.members) == 144 ** 2
     assert abs(wide.mass - 1.0) < 1e-12
+
+
+def test_caps_exact_at_boundary_and_bounded_in_n():
+    # 4^6 = 4096 and 2^20 sit on the caps; an n of 10^12 is refused without
+    # forming the power, and a one-letter alphabet never exceeds a cap
+    typicality._check_dim_cap(4, 6)
+    typicality._check_seq_cap(2, 20)
+    typicality._check_dim_cap(1, 10 ** 12)
+    for check, size, n in ((typicality._check_dim_cap, 4, 7),
+                           (typicality._check_dim_cap, 2, 13),
+                           (typicality._check_seq_cap, 2, 21),
+                           (typicality._check_seq_cap, 1025, 2),
+                           (typicality._check_dim_cap, 2, 10 ** 12),
+                           (typicality._check_seq_cap, 3, 10 ** 12)):
+        with pytest.raises(CapExceededError):
+            check(size, n)
