@@ -220,6 +220,9 @@ class SeparableDecomposition:
                 p = np.asarray(self.rows[(u, v)], dtype=float).ravel()
                 if p.size != len(self.z_alphabet):
                     raise InvariantError(f"row for {(u, v)} has length {p.size}")
+                # NaN passes both tests below
+                if not np.all(np.isfinite(p)):
+                    raise InvariantError(f"non-finite channel probability at {(u, v)}")
                 if float(np.min(p)) < -self.tol:
                     raise InvariantError(f"negative channel probability at {(u, v)}")
                 if abs(float(np.sum(p)) - 1.0) > self.tol:

@@ -428,13 +428,6 @@ def _z_images(u: np.ndarray, v: np.ndarray, law: np.ndarray) -> tuple:
     return source, zs, weights
 
 
-def _image_weight_totals(u: np.ndarray, v: np.ndarray, law: np.ndarray) -> np.ndarray:
-    """Total image weight of each pair of letter rows (u[p], v[p]): the
-    product over letters of the positive output probabilities' sums."""
-    totals = np.array([[np.sum(p[p > 0.0]) for p in row] for row in law])
-    return kron_rows(totals.reshape(-1, 1, 1), u * law.shape[1] + v).ravel()
-
-
 # ---------------------------------------------------------------------------
 # rank-reduced sandwich frame
 # ---------------------------------------------------------------------------
@@ -560,10 +553,17 @@ def _gap_norms(c1: np.ndarray, letter_ops, idx: np.ndarray, pool: np.ndarray,
 class TrialReport:
     """Everything one protocol realization produced.
 
-    Validity tuples carry one entry per common-randomness index and side.
-    resummation_error is the largest entry of the simulated family's total
-    minus the product of the averaged per-sender binned totals, computed in
-    factored form; it is exactly 0 for deterministic integrations.
+    Validity tuples carry one entry per common-randomness index and side;
+    each family's excess comes from the one matrix its operators sum to.
+    resummation_error bounds the largest entry of the simulated family's
+    total minus the product of the averaged per-sender binned totals,
+    sum_mu w_mu sum_ij (w_ij - 1) Gamma_i x Gamma_j with w_ij the total
+    image weight of the pair cell (i, j) decodes to.  As
+    |Gamma[x, x']| <= sqrt(Gamma[x, x] Gamma[x', x']) for PSD Gamma and
+    sum_i Gamma_i <= (1 + excess) I, averaging over mu gives the bound
+        max |w - 1| (1 + mean excess_A) (1 + mean excess_B)
+    over the decoded pairs of cells holding codewords.  It is exactly 0.0
+    for deterministic integrations, whose every image weight is exactly 1.
     Diagnostics hold gamma/zeta statistics, bin spreads, the leakage split
     and the covering/binning error split (s1, s2), scored from the same
     codeword-pair factor pieces as G.
@@ -605,28 +605,11 @@ def _stats(prefix: str, vals) -> dict:
             f"{prefix}_max": float(arr.max())}
 
 
-def _resummation_error(binned_A, binned_B, cell_weights: np.ndarray) -> float:
-    """Largest entry of the simulated family's total minus the product of the
-    mu-averaged per-sender binned totals.
-
-    cell_weights[mu1, mu2, i, j] is the total integration weight of the pair
-    decoded in cell (i, j) of (mu1, mu2), bins counted from 1.  By
-    bilinearity of the Kronecker product the difference is
-    sum_mu w_mu sum_i Gamma_i x (sum_j (w_ij - 1) Gamma_j); only a row
-    holding a weight other than exactly 1 needs a Kronecker product.
-    """
-    N1, N2, bins1, _ = cell_weights.shape
-    w_mu = 1.0 / (N1 * N2)
-    acc = 0.0
-    for mu1 in range(N1):
-        for mu2 in range(N2):
-            for i in range(1, bins1):
-                weights = cell_weights[mu1, mu2, i, 1:].tolist()
-                gaps = [(j, w - 1.0) for j, w in enumerate(weights, 1) if w != 1.0]
-                if gaps:
-                    row = sum(g * binned_B[mu2][j] for j, g in gaps)
-                    acc = acc + w_mu * np.kron(binned_A[mu1][i], row)
-    return float(np.max(np.abs(acc)))
+def _family_sum(fam: Mapping) -> np.ndarray:
+    """The sum of a family of eigen-forms (z, w) as one matrix: the
+    weighted_gram of all factors side by side."""
+    zs, ws = zip(*fam.values())
+    return weighted_gram(np.concatenate(zs, axis=1), np.concatenate(ws))
 
 
 def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
@@ -643,8 +626,11 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     distinct codewords and k their widths, with a few integer ids per
     column; scoring adds the target columns and, per block width m, the
     gathered r^n m factors and min(r^n, m)^2 R blocks.  No Python list is
-    kept per codeword pair, and no (dA dB)^n-sided operator is formed; the
-    dimension cap bounds the rest.
+    kept per codeword pair, no matrix per codeword is formed, and no
+    (dA dB)^n-sided operator; sub-POVM validity takes one d^n-sided matrix
+    per family.  No cap bounds the scoring gather yet: a stochastic
+    integration fans each decoded pair into many image blocks, each as
+    wide as all its pairs' columns.
     """
     dA, dB = d.dims
     n = params.n
@@ -663,17 +649,10 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     codebook = generate_codebooks(params, bundle_A.pruned, bundle_B.pruned)
     fams_A = build_approx_operators(codebook, rho_A, ens_A, bundle_A, params, side="A")
     fams_B = build_approx_operators(codebook, rho_B, ens_B, bundle_B, params, side="B")
-    # validity and the resummation residual take the operators as matrices
-    dense_A = [{u: weighted_gram(*f) for u, f in fam.items()} for fam in fams_A]
-    dense_B = [{v: weighted_gram(*f) for v, f in fam.items()} for fam in fams_B]
-    checks_A = [check_sub_povm(f.values()) for f in dense_A]
-    checks_B = [check_sub_povm(f.values()) for f in dense_B]
+    checks_A = [check_sub_povm([_family_sum(fam)]) for fam in fams_A]
+    checks_B = [check_sub_povm([_family_sum(fam)]) for fam in fams_B]
 
     binmaps = generate_bin_maps(params, bundle_A.typical, bundle_B.typical)
-    binned_A = [bin_povm(fam, binmaps[0].assignments[mu], params.bins1)
-                for mu, fam in enumerate(dense_A)]
-    binned_B = [bin_povm(fam, binmaps[1].assignments[mu], params.bins2)
-                for mu, fam in enumerate(dense_B)]
 
     # typical letters index the canonical ensembles' outcomes, which drop
     # zero-probability POVM outcomes; p_uv, the POVM elements and the
@@ -775,14 +754,17 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     diagnostics.update(_stats("zeta", _gamma_values(
         codebook.v_lists, bundle_B.params["eps"], params.eta, params.L2)))
 
-    cell, cell_keys = _first_appearance(tables.ravel())
-    totals = _image_weight_totals(rows_A[cell_keys // nv], rows_B[cell_keys % nv], law)
-    resum = _resummation_error(binned_A, binned_B, totals[cell].reshape(tables.shape))
+    # only cells whose bins both hold codewords have nonzero blocks, and they
+    # decode to decoded_keys; TrialReport states the residual bound
+    excess_A = tuple(e for _, e in checks_A)
+    excess_B = tuple(e for _, e in checks_B)
+    pair_w = np.bincount(source, image_w, minlength=len(decoded_keys))
+    resum = (float(np.max(np.abs(pair_w - 1.0)))
+             * (1.0 + float(np.mean(excess_A))) * (1.0 + float(np.mean(excess_B))))
     return TrialReport(params, g_val,
                        tuple(v for v, _ in checks_A),
                        tuple(v for v, _ in checks_B),
-                       tuple(e for _, e in checks_A),
-                       tuple(e for _, e in checks_B),
+                       excess_A, excess_B,
                        decoder.collisions, decoder.occupied, resum, diagnostics)
 
 

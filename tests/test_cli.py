@@ -398,6 +398,25 @@ def test_non_finite_ensemble_weight_exits_3(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["simulate", "region", "fm-check"])
+def test_non_finite_channel_row_exits_3(command, tmp_path, capsys):
+    # a NaN entry passes both the sign and the sum test of a channel row, and
+    # the trial would drop its letter from the images without a word
+    inst = fixtures.load_fixture("binary-correlated")
+    decomposition = serialize.decomposition_to_json(inst.decomposition)
+    rows = decomposition["channel"]["rows"]
+    first = next(iter(rows))
+    rows[first] = [float("nan")] + rows[first][1:]
+    payload = {"state": serialize.density_to_json(inst.state),
+               "decomposition": decomposition,
+               "config": {"n": 3, "delta": 0.6}}
+    path = _write_config(tmp_path, payload, "input.json")
+    rc, out, err = _run(capsys, "--command", command, "--input", path)
+    assert rc == 3, err
+    assert err.startswith("invariant violation: non-finite channel probability at ('0', '0')")
+    assert out == ""
+
+
 @pytest.mark.parametrize("extra", [
     {"command": "simulate"},
     {"command": "sweep", "kind": "soft-covering"},

@@ -130,6 +130,15 @@ def _stochastic_binary():
     return SeparableDecomposition(m, m, ("a", "b", "c"), rows)
 
 
+def _off_by_tol_binary():
+    """_stochastic_binary with rows (0, 0) and (1, 1) that miss a sum of 1
+    by -5e-10 and +4e-10, inside the decomposition's 1e-9 tolerance."""
+    d = _stochastic_binary()
+    rows = {**d.rows, ("0", "0"): (0.3, 0.6, 0.1 - 5e-10),
+            ("1", "1"): (0.1, 0.3, 0.6 + 4e-10)}
+    return SeparableDecomposition(d.povm_A, d.povm_B, d.z_alphabet, rows)
+
+
 def _noisy_binary():
     """binary-correlated's state read by the noisy diagonal POVM
     {diag(0.8, 0.3), diag(0.2, 0.7)} on both sides, integrated to whether
@@ -158,9 +167,12 @@ def _zero_outcome_binary():
 
 def _instance(name):
     """A fixture and its decomposition; "stochastic" is _stochastic_binary,
-    "noisy" is _noisy_binary and "zero-outcome" is _zero_outcome_binary."""
+    "off-by-tol" is _off_by_tol_binary, "noisy" is _noisy_binary and
+    "zero-outcome" is _zero_outcome_binary."""
     if name == "stochastic":
         return fixtures.load_fixture("binary-correlated"), _stochastic_binary()
+    if name == "off-by-tol":
+        return fixtures.load_fixture("binary-correlated"), _off_by_tol_binary()
     if name == "noisy":
         return _noisy_binary()
     if name == "zero-outcome":
@@ -477,6 +489,26 @@ def test_check_sub_povm():
     assert ok and excess == 0.0
 
 
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy",
+                                  "zero-outcome"])
+def test_trial_validity_matches_dense_families(name):
+    # the trial sums each family in one Gram matrix of its factors; the
+    # oracle sums the family's per-codeword matrices
+    inst, d = _instance(name)
+    for N1, N2 in ((1, 1), (2, 3)):
+        inst_mu = dataclasses.replace(inst, params=dataclasses.replace(inst.params, N1=N1, N2=N2))
+        for n in (2, 3):
+            _, params, _, fams_A, fams_B, _, _, _ = _pieces(inst_mu, n=n, d=d)
+            r = faithfulness_trial(params, inst.state, d)
+            for fams, flags, excesses in ((fams_A, r.sub_povm_valid_A, r.excess_A),
+                                          (fams_B, r.sub_povm_valid_B, r.excess_B)):
+                assert len(fams) == len(flags) == len(excesses)
+                for fam, ok, excess in zip(fams, flags, excesses):
+                    want_ok, want = check_sub_povm(fam.values())
+                    assert ok == want_ok
+                    assert abs(excess - want) < 1e-12
+
+
 def test_trial_family_validity_matches_closed_form():
     # at tiny blocklengths the draw can pile many repeats onto one codeword,
     # pushing the diagonal family sum past the identity; the validity check
@@ -676,18 +708,28 @@ def test_trial_G_matches_full_matrix_oracle(name):
             assert abs(r.faithfulness_G - oracle.G(family)) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic"])
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic",
+                                  "off-by-tol"])
 def test_factored_resummation_matches_dense(name):
+    # the trial reports a bound on the dense residual: exactly 0 when every
+    # image weight is exactly 1, rounding-sized on float row sums, and above
+    # the acceptance limit on rows that miss 1 by up to the tolerance
     inst, d = _instance(name)
-    for n in (2, 3, 4):
-        _, params, _, _, _, binned_A, binned_B, decoder = _pieces(inst, n=n, d=d)
-        r = faithfulness_trial(params, inst.state, d)
-        dense = _dense_resummation_error(binned_A, binned_B, decoder, d)
-        assert abs(r.resummation_error - dense) < 1e-12
-        if name == "stochastic":
-            assert r.resummation_error > 0.0  # the factored Kronecker rows ran
-        else:
-            assert r.resummation_error == 0.0
+    for N1, N2 in ((1, 1), (2, 3)):
+        inst_mu = dataclasses.replace(inst, params=dataclasses.replace(inst.params, N1=N1, N2=N2))
+        for n in (2, 3, 4):
+            _, params, _, _, _, binned_A, binned_B, decoder = _pieces(inst_mu, n=n, d=d)
+            r = faithfulness_trial(params, inst.state, d)
+            dense = _dense_resummation_error(binned_A, binned_B, decoder, d)
+            assert dense <= r.resummation_error + 1e-14
+            if name == "off-by-tol":
+                assert r.resummation_error > 1e-10
+                continue
+            assert r.resummation_error <= 1e-10
+            if name == "stochastic":
+                assert r.resummation_error > 0.0  # the float row sums miss 1
+            else:
+                assert r.resummation_error == 0.0
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy",
