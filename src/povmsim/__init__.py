@@ -8,16 +8,15 @@ resummation checks, and Monte-Carlo packing / soft-covering experiments.
 from .errors import CapExceededError, InvariantError
 from .measurement import (CqState, SeparableDecomposition,
                           compose_decomposition, deterministic_decomposition,
-                          faithfulness_distance, verify_purification_identity)
+                          faithfulness_distance)
 from .operators import (DensityOperator, Ensemble, Povm, PureBipartiteState,
                         SubPovm, partial_trace, purify)
 from .protocol import (ProtocolParams, TrialReport, binning_collision_rate,
                        faithfulness_trial, mutual_covering_check,
-                       packing_norm_trial, packing_union_proxy,
-                       separate_check, soft_covering_trial)
+                       packing_norm_trial, soft_covering_trial)
 from .regions import (RateTriple, RegionReport, fourier_motzkin,
                       intermediate_system, membership, rd_inner_bound,
-                      region_for, single_letter_system, winter_region)
+                      region_for, single_letter_system)
 from .typicality import (ProjectorBundle, TypicalSet, build_projector_bundle,
                          pruned_distribution, typical_set)
 
@@ -25,15 +24,13 @@ __all__ = [
     "CapExceededError", "InvariantError",
     "CqState", "SeparableDecomposition", "compose_decomposition",
     "deterministic_decomposition", "faithfulness_distance",
-    "verify_purification_identity",
     "DensityOperator", "Ensemble", "Povm", "PureBipartiteState", "SubPovm",
     "partial_trace", "purify",
     "ProtocolParams", "TrialReport", "binning_collision_rate",
     "faithfulness_trial", "mutual_covering_check", "packing_norm_trial",
-    "packing_union_proxy", "separate_check", "soft_covering_trial",
+    "soft_covering_trial",
     "RateTriple", "RegionReport", "fourier_motzkin", "intermediate_system",
     "membership", "rd_inner_bound", "region_for", "single_letter_system",
-    "winter_region",
     "ProjectorBundle", "TypicalSet", "build_projector_bundle",
     "pruned_distribution", "typical_set",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -364,6 +365,9 @@ _DISPATCH = {
 
 
 def _run(args) -> int:
+    # NaN fails both comparisons, so it is refused with the infinities
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise InvariantError(f"--tol must be a finite non-negative number, got {args.tol!r}")
     instance, config = _resolve(args)
     unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:

@@ -1,15 +1,16 @@
 """Measurement semantics on top of the operator substrate.
 
-This module turns measurements into states: separable decompositions of joint
-measurements, classical-quantum states produced by measuring one side of a
-purification, canonical ensembles, the auxiliary states sigma1/sigma2/sigma3
-that feed the rate-region bounds, and the faithfulness metric between a target
-measurement and an approximating sub-POVM.
+This module turns measurements into states: classical-quantum states,
+separable decompositions of joint measurements, canonical ensembles, the
+joint outcome law of local measurements, the auxiliary states
+sigma1/sigma2/sigma3 (the canonical purification measured on one or both
+sides) that feed the rate-region bounds, and the faithfulness metric between
+a target measurement and an approximating sub-POVM.
 
 A classical-quantum state is stored blockwise: one PSD operator per tuple of
 classical outcomes, on the tensor product of the surviving quantum registers.
 All entropic quantities reduce to block spectra, so nothing here ever forms
-the (much larger) fully embedded density matrix except on request.
+the (much larger) fully embedded density matrix.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .operators import (
     DensityOperator,
     Ensemble,
     Povm,
-    PureBipartiteState,
     SubPovm,
     hermitize,
     matrix_sqrt_and_pinv_sqrt,
@@ -88,14 +88,6 @@ class CqState:
 
     def registers(self) -> tuple:
         return self.cregisters + self.qregisters
-
-    def prob(self, key) -> float:
-        key = tuple(key) if isinstance(key, (tuple, list)) else (key,)
-        blk = self.blocks.get(key)
-        return 0.0 if blk is None else float(np.real(np.trace(blk)))
-
-    def probs(self) -> dict:
-        return {key: float(np.real(np.trace(blk))) for key, blk in self.blocks.items()}
 
     def reduce(self, keep: Sequence[str]) -> "CqState":
         """Marginalize down to the named registers (classical and/or quantum).
@@ -284,42 +276,10 @@ def compose_decomposition(d: SeparableDecomposition) -> Povm:
 # measuring a purification
 # ---------------------------------------------------------------------------
 
-def apply_measurement(psi: PureBipartiteState, m: SubPovm, measured: int = 1,
-                      clabel: str = "X", qlabel: str = "R") -> CqState:
-    """Measure one side of a pure bipartite state, keep the other as quantum.
-
-    Returns the classical-quantum state with blocks
-    Tr_measured{(I (x) Lambda_x) |psi><psi|}; block traces are the outcome
-    probabilities.  For a sub-POVM the traces sum to at most 1, which is
-    rejected by CqState, so pass complete POVMs here (sub-POVM callers handle
-    the deficit explicitly).
-    """
-    if measured not in (0, 1):
-        raise InvariantError("measured must select one of the two subsystems")
-    dims = psi.dims
-    if m.dim != dims[measured]:
-        raise InvariantError(f"POVM dim {m.dim} does not match subsystem dim {dims[measured]}")
-    keep = 1 - measured
-    proj = psi.projector()
-    blocks = {}
-    eye_keep = np.eye(dims[keep])
-    for x, op in m.items():
-        full = tensor(op, eye_keep) if measured == 0 else tensor(eye_keep, op)
-        blocks[(x,)] = hermitize(partial_trace(full @ proj, dims, (keep,)))
-    return CqState(
-        cregisters=(clabel,),
-        alphabets={clabel: m.outcomes},
-        qregisters=(qlabel,),
-        qdims={qlabel: dims[keep]},
-        blocks=blocks,
-        tol=max(m.tol, 1e-8),
-    )
-
-
-def canonical_ensemble(rho: DensityOperator, m: Povm, cutoff: float = EIG_CUTOFF) -> Ensemble:
+def canonical_ensemble(rho: DensityOperator, m: Povm) -> Ensemble:
     """Ensemble {lambda_x, sqrt(rho) Lambda_x sqrt(rho) / lambda_x} induced by a POVM.
 
-    Outcomes with probability below ``cutoff`` are dropped from the ensemble
+    Outcomes with probability below ``EIG_CUTOFF`` are dropped from the ensemble
     and recorded on the ``dropped`` field (their states are undefined and they
     contribute nothing to entropic quantities).
     """
@@ -327,7 +287,7 @@ def canonical_ensemble(rho: DensityOperator, m: Povm, cutoff: float = EIG_CUTOFF
     weights, states, outs, dropped = [], [], [], []
     for x, op in m.items():
         lam = float(np.real(np.trace(op @ rho.mat)))
-        if lam < cutoff:
+        if lam < EIG_CUTOFF:
             dropped.append(x)
             continue
         s = hermitize(sq @ op @ sq) / lam
@@ -441,33 +401,3 @@ def faithfulness_distance(rho: DensityOperator, m: SubPovm, mtilde: SubPovm) -> 
         total += trace_norm(sq @ diff @ sq)
     leak = float(np.real(np.trace((np.eye(m.dim) - mtilde.total()) @ rho.mat)))
     return total + max(leak, 0.0)
-
-
-def verify_purification_identity(rho: DensityOperator, m: SubPovm, mtilde: SubPovm):
-    """Both sides of the purified-distance identity, computed independently.
-
-    lhs sandwiches operator differences between sqrt(rho) factors;
-    rhs measures the canonical purification and takes one block-diagonal
-    trace norm on the classical-quantum output states.  The two must agree
-    for any (rho, m, mtilde) on matching alphabets.
-    """
-    lhs = faithfulness_distance(rho, m, mtilde)
-
-    psi = purify(rho)
-    proj = psi.projector()
-    dims = psi.dims
-    eye_ref = np.eye(dims[0])
-    union = _union_alphabet(m, mtilde)
-    dR = dims[0]
-    big = len(union) * dR
-    d1 = np.zeros((big, big), dtype=np.complex128)
-    d2 = np.zeros((big, big), dtype=np.complex128)
-    for k, x in enumerate(union):
-        sl = slice(k * dR, (k + 1) * dR)
-        op1 = tensor(eye_ref, _op_or_zero(m, x, m.dim))
-        op2 = tensor(eye_ref, _op_or_zero(mtilde, x, m.dim))
-        d1[sl, sl] = partial_trace(op1 @ proj, dims, (0,))
-        d2[sl, sl] = partial_trace(op2 @ proj, dims, (0,))
-    leak = float(np.real(np.trace((np.eye(m.dim) - mtilde.total()) @ rho.mat)))
-    rhs = trace_norm(d1 - d2) + max(leak, 0.0)
-    return lhs, rhs

@@ -1,5 +1,11 @@
 """Dense complex-operator substrate.
 
+Matrix helpers (Hermitian parts, Kronecker products and Kronecker rows,
+partial traces), spectra and norms (descending eigendecompositions, trace and
+operator norms, square roots and pseudo-inverse square roots, von Neumann
+entropy), density operators and their canonical purifications, POVMs,
+sub-POVMs and their products, and ensembles with their Holevo information.
+
 Operators are plain ``numpy`` arrays of ``complex128``; the classes in this
 module only add the bookkeeping that the rest of the package relies on
 (subsystem dimension labels, outcome alphabets, ensemble weights) together
@@ -29,9 +35,6 @@ from .errors import InvariantError
 
 DEFAULT_TOL = 1e-9
 EIG_CUTOFF = 1e-12  # relative to the largest eigenvalue
-
-#: outcome label appended by :func:`complete_sub_povm` for the deficit operator
-COMPLETION_OUTCOME = "__rest__"
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +166,10 @@ def operator_norm(op) -> float:
     return float(np.max(np.linalg.svd(a, compute_uv=False)))
 
 
-def matrix_sqrt_and_pinv_sqrt(op, cutoff: float = EIG_CUTOFF):
+def matrix_sqrt_and_pinv_sqrt(op):
     """Square root and pseudo-inverse square root of a PSD operator.
 
-    Eigenvalues at or below ``cutoff`` times the largest eigenvalue are
+    Eigenvalues at or below ``EIG_CUTOFF`` times the largest eigenvalue are
     treated as zero: they are dropped from the pseudo-inverse, so that
     ``sqrt(A) @ pinv_sqrt(A)`` is the projector onto the support of ``A``.
 
@@ -180,7 +183,7 @@ def matrix_sqrt_and_pinv_sqrt(op, cutoff: float = EIG_CUTOFF):
         raise InvariantError("matrix square root expects a Hermitian operator")
     vals, vecs = eigh_desc(a)
     top = float(vals[0]) if vals.size else 0.0
-    floor = cutoff * max(top, 0.0)
+    floor = EIG_CUTOFF * max(top, 0.0)
     if np.any(vals < -max(floor, DEFAULT_TOL)):
         raise InvariantError("matrix square root expects a PSD operator")
     vals = np.clip(vals, 0.0, None)
@@ -191,7 +194,7 @@ def matrix_sqrt_and_pinv_sqrt(op, cutoff: float = EIG_CUTOFF):
     return sqrt, pinv
 
 
-def von_neumann_entropy(rho, cutoff: float = EIG_CUTOFF) -> float:
+def von_neumann_entropy(rho) -> float:
     """Entropy -sum lambda_i log2 lambda_i over eigenvalues above the cutoff.
 
     Accepts a raw PSD array or a :class:`DensityOperator`.  Unnormalized
@@ -201,18 +204,7 @@ def von_neumann_entropy(rho, cutoff: float = EIG_CUTOFF) -> float:
     a = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
     vals = np.linalg.eigvalsh(hermitize(a))
     top = float(np.max(vals)) if vals.size else 0.0
-    floor = cutoff * max(top, 0.0)
-    pos = vals[vals > floor]
-    if pos.size == 0:
-        return 0.0
-    return float(-np.sum(pos * np.log2(pos)))
-
-
-def shannon_entropy(p, cutoff: float = EIG_CUTOFF) -> float:
-    """Classical -sum p log2 p with the same cutoff convention."""
-    v = np.asarray(p, dtype=float).ravel()
-    top = float(np.max(v)) if v.size else 0.0
-    pos = v[v > cutoff * max(top, 0.0)]
+    pos = vals[vals > EIG_CUTOFF * max(top, 0.0)]
     if pos.size == 0:
         return 0.0
     return float(-np.sum(pos * np.log2(pos)))
@@ -259,11 +251,6 @@ class DensityOperator:
         keep = tuple(keep)
         red = partial_trace(self.mat, self.dims, keep)
         return DensityOperator(hermitize(red), tuple(self.dims[k] for k in keep), tol=self.tol)
-
-    def power(self, n: int) -> "DensityOperator":
-        """n-fold tensor power, dims repeated copy by copy."""
-        m = tensor(*([self.mat] * n)) if n > 1 else self.mat
-        return DensityOperator(m, self.dims * n, tol=max(self.tol, 1e-8))
 
 
 @dataclass(frozen=True)
@@ -371,24 +358,6 @@ class Povm(SubPovm):
         super().__init__(tuple(outcomes), tuple(operators), tol, _complete=True)
 
 
-def complete_sub_povm(m: SubPovm, label=COMPLETION_OUTCOME) -> Povm:
-    """Complete a sub-POVM by appending the deficit operator I - sum.
-
-    The deficit must be PSD within tolerance (it is, for any valid SubPovm);
-    tiny negative eigenvalues from rounding are clipped.
-    """
-    gap = hermitize(np.eye(m.dim) - m.total())
-    lo = float(np.min(np.linalg.eigvalsh(gap)))
-    if lo < -m.tol:
-        raise InvariantError(f"completion operator not PSD: min eigenvalue {lo:.3e}")
-    if lo < 0.0:
-        vals, vecs = eigh_desc(gap)
-        gap = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-    if label in m.outcomes:
-        raise InvariantError(f"completion label {label!r} collides with an outcome")
-    return Povm(m.outcomes + (label,), m.operators + (gap,), tol=max(m.tol, 1e-8))
-
-
 def tensor_povm(a: SubPovm, b: SubPovm) -> SubPovm:
     """Product measurement with paired outcome labels (x, y)."""
     outs = tuple((x, y) for x in a.outcomes for y in b.outcomes)
@@ -448,31 +417,6 @@ class Ensemble:
 
     def average(self) -> np.ndarray:
         return np.sum([w * s.mat for w, s in zip(self.weights, self.states)], axis=0)
-
-    def state(self, outcome) -> DensityOperator:
-        if self.outcomes is None:
-            raise InvariantError("ensemble has no outcome labels")
-        return self.states[self.outcomes.index(outcome)]
-
-    def weight(self, outcome) -> float:
-        if self.outcomes is None:
-            raise InvariantError("ensemble has no outcome labels")
-        return float(self.weights[self.outcomes.index(outcome)])
-
-
-def quantum_mutual_information(rho: DensityOperator, cut: Iterable[int]) -> float:
-    """I(A;B) = S(A) + S(B) - S(AB) for the bipartition selected by ``cut``.
-
-    ``cut`` lists the subsystem indices forming the first side; the rest form
-    the second.
-    """
-    cut = tuple(sorted(set(int(i) for i in cut)))
-    rest = tuple(i for i in range(len(rho.dims)) if i not in cut)
-    if not cut or not rest:
-        raise InvariantError("cut must be a proper nonempty bipartition")
-    sa = von_neumann_entropy(partial_trace(rho.mat, rho.dims, cut))
-    sb = von_neumann_entropy(partial_trace(rho.mat, rho.dims, rest))
-    return sa + sb - von_neumann_entropy(rho.mat)
 
 
 def holevo_information(ens: Ensemble) -> float:

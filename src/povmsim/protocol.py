@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -54,7 +54,6 @@ from .operators import (
     kron_rows,
     matrix_sqrt_and_pinv_sqrt,
     operator_norm,
-    partial_trace,
     tensor,
     tensor_povm,
     trace_norm,
@@ -82,6 +81,9 @@ STREAM_BINS_B = 3
 STREAM_PACKING_A = 4
 STREAM_PACKING_B = 5
 STREAM_SOFT = 6
+
+GATHER_CAP = 2 ** 20  # max entries of one scoring gather, unless one block is wider
+
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for one random object of one trial."""
@@ -232,7 +234,7 @@ def generate_bin_maps(params: ProtocolParams, typical_A: TypicalSet,
 # approximating operators, binning, decoding
 # ---------------------------------------------------------------------------
 
-def build_approx_operators(codebook: Codebook, rho: DensityOperator, ens, bundle,
+def build_approx_operators(codebook: Codebook, rho: DensityOperator, bundle,
                            params: ProtocolParams, side: str = "A"):
     """Approximating sub-POVM candidates, one family per common-randomness index.
 
@@ -256,7 +258,7 @@ def build_approx_operators(codebook: Codebook, rho: DensityOperator, ens, bundle
     for lst in lists:
         fam = {}
         for s, c in zip(*(a.tolist() for a in _distinct(lst))):
-            z, vals = lambda_operators(rho, ens, s, bundle)
+            z, vals = lambda_operators(s, bundle)
             fam[s] = (pinv @ z, (c * scale) * vals)
         families.append(fam)
     return families
@@ -348,11 +350,6 @@ class DecoderTable:
     @property
     def sentinel(self) -> tuple:
         return (len(self.rows[0]) - 1, len(self.rows[1]) - 1)
-
-    def lookup(self, mu1: int, mu2: int, i: int, j: int) -> tuple:
-        if i == 0 or j == 0:
-            return self.sentinel
-        return self.cells.get((mu1, mu2, i, j), self.sentinel)
 
 
 def build_decoder(codebook: Codebook, binmaps, joint_typical) -> DecoderTable:
@@ -502,12 +499,17 @@ def _trace_norm_sum(pool: np.ndarray, block: np.ndarray, col: np.ndarray,
 
     Entry e puts the column pool[col[e]] with the real weight weight[e] into
     block block[e], which stands for F diag(s) F^dag over its entries in
-    entry order.  With F = QR a block shares its nonzero eigenvalues with
-    R diag(s) R^dag, so the blocks of one width (entry count) take one
-    gather, one batched reduced QR and one eigvalsh, whatever the width;
-    widths go in order of first appearance, and a block id without entries
-    is a zero block.
+    entry order, F holding its m columns side by side, each a row of pool.
+    With F = QR a block shares its nonzero eigenvalues with R diag(s) R^dag,
+    so blocks of one width m go through one batched reduced QR and one
+    eigvalsh; when m is at least F's row count QR cannot shrink F, and F
+    itself serves as R.
+    Widths go in order of first appearance, each width's blocks gathered a
+    chunk at a time, so that no gathered factor holds more than GATHER_CAP
+    entries unless a single block does; a block id without entries is a
+    zero block.
     """
+    side = pool.shape[1]
     order = np.argsort(block, kind="stable")
     cols, weights = col[order], weight[order]
     widths = np.bincount(block)
@@ -515,10 +517,14 @@ def _trace_norm_sum(pool: np.ndarray, block: np.ndarray, col: np.ndarray,
     _, first = np.unique(widths, return_index=True)
     total = 0.0
     for m in widths[np.sort(first)]:
-        take = starts[widths == m][:, None] + np.arange(m)
-        r = np.linalg.qr(pool[cols[take]].transpose(0, 2, 1), mode="r")
-        rs = r * weights[take][:, None, :]
-        total += np.abs(np.linalg.eigvalsh(rs @ r.conj().transpose(0, 2, 1))).sum()
+        heads = starts[widths == m]
+        step = max(1, GATHER_CAP // max(1, m * side))
+        for i in range(0, len(heads), step):
+            take = heads[i:i + step, None] + np.arange(m)
+            f = pool[cols[take]].transpose(0, 2, 1)
+            r = f if m >= side else np.linalg.qr(f, mode="r")
+            rs = r * weights[take][:, None, :]
+            total += np.abs(np.linalg.eigvalsh(rs @ r.conj().transpose(0, 2, 1))).sum()
     return float(total)
 
 
@@ -624,13 +630,16 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     Memory scales with the factors, r = rank(rho_AB): the pool holds
     a b k_a k_b columns of r^n entries for each (mu1, mu2), a and b the
     distinct codewords and k their widths, with a few integer ids per
-    column; scoring adds the target columns and, per block width m, the
-    gathered r^n m factors and min(r^n, m)^2 R blocks.  No Python list is
-    kept per codeword pair, no matrix per codeword is formed, and no
+    column; scoring adds the target columns and gathers the blocks of each
+    width m a chunk at a time, the r^n x m factors of a chunk holding at
+    most GATHER_CAP entries in all (one block, if that alone is wider) and
+    giving min(r^n, m)^2 blocks to diagonalize.  No Python list is kept per
+    codeword pair, no matrix per codeword is formed, and no
     (dA dB)^n-sided operator; sub-POVM validity takes one d^n-sided matrix
-    per family.  No cap bounds the scoring gather yet: a stochastic
-    integration fans each decoded pair into many image blocks, each as
-    wide as all its pairs' columns.
+    per family.  The pool and the entry index arrays are held under no cap:
+    a stochastic integration fans each decoded pair into many image blocks,
+    each taking all its pairs' columns, so image entries can far outnumber
+    the pool's columns.
     """
     dA, dB = d.dims
     n = params.n
@@ -647,8 +656,8 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     bundle_B = build_projector_bundle(rho_B, ens_B, n, params.delta)
 
     codebook = generate_codebooks(params, bundle_A.pruned, bundle_B.pruned)
-    fams_A = build_approx_operators(codebook, rho_A, ens_A, bundle_A, params, side="A")
-    fams_B = build_approx_operators(codebook, rho_B, ens_B, bundle_B, params, side="B")
+    fams_A = build_approx_operators(codebook, rho_A, bundle_A, params, side="A")
+    fams_B = build_approx_operators(codebook, rho_B, bundle_B, params, side="B")
     checks_A = [check_sub_povm([_family_sum(fam)]) for fam in fams_A]
     checks_B = [check_sub_povm([_family_sum(fam)]) for fam in fams_B]
 
@@ -788,23 +797,6 @@ def mutual_covering_check(rho_AB: DensityOperator, sub_A: SubPovm, sub_B: SubPov
     return f_a, f_b, f_joint
 
 
-def separate_check(rho_AB: DensityOperator, gamma_A: np.ndarray, povm_B: SubPovm):
-    """Both sides of the product-sandwich reduction identity.
-
-    Returns (lhs, rhs) where lhs sums the joint sandwich norms of
-    gamma_A x Lambda_y and rhs is the single-sided sandwich norm of gamma_A
-    on the A marginal; they agree whenever povm_B resolves the identity.
-    """
-    sq_ab, _ = matrix_sqrt_and_pinv_sqrt(rho_AB.mat)
-    lhs = 0.0
-    for _, op in povm_B.items():
-        lhs += trace_norm(sq_ab @ tensor(gamma_A, op) @ sq_ab)
-    rho_A = rho_AB.marginal((0,))
-    sq_a, _ = matrix_sqrt_and_pinv_sqrt(rho_A.mat)
-    rhs = trace_norm(sq_a @ np.asarray(gamma_A, dtype=np.complex128) @ sq_a)
-    return lhs, rhs
-
-
 # ---------------------------------------------------------------------------
 # packing, binning and covering statistics
 # ---------------------------------------------------------------------------
@@ -880,20 +872,6 @@ def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
     return operator_norm(acc) if joint.any() else 0.0
 
 
-def packing_union_proxy(p_uv, n: int, r1: float, r2: float, delta: float) -> float:
-    """Union-bound proxy: L1 L2 times the product-marginal mass of the
-    jointly typical set."""
-    p = np.asarray(p_uv, dtype=float)
-    pU = p.sum(axis=1)
-    pV = p.sum(axis=0)
-    # the one enumerated pair set: its product-marginal mass is the proxy,
-    # member masses added in member order
-    q_pair = np.outer(pU, pV).reshape(-1, 1, 1)
-    masses = kron_rows(q_pair, typical_set(p.ravel(), n, delta).seqs).ravel()
-    mass = np.cumsum(masses)[-1] if masses.size else 0.0
-    return _count_for_rate(n, r1) * _count_for_rate(n, r2) * mass
-
-
 def binning_collision_rate(params: ProtocolParams, p_uv, seeds) -> float:
     """Fraction of occupied decoder cells holding several typical pairs.
 
@@ -953,85 +931,3 @@ def soft_covering_trial(ens, n: int, rate_sum: float, seed: int,
             acc += c * state
     scale = (1.0 - eps) / ((1.0 + eta) * M)
     return trace_norm(target - scale * acc)
-
-
-# ---------------------------------------------------------------------------
-# distortion of the decoded protocol
-# ---------------------------------------------------------------------------
-
-def distortion_of_protocol(binned_A, binned_B, decoder: DecoderTable, recon,
-                           delta_obs, rho_AB: DensityOperator) -> float:
-    """Average per-letter distortion of the measure-and-reconstruct channel.
-
-    Every decoder cell, completion bins included, contributes its reference
-    block together with the letterwise reconstruction of its decoded pair;
-    the observable delta_obs acts on reference x reconstruction (reference
-    first, matching the canonical purification) and is averaged over the n
-    letter positions.  The reference block of a cell is the transpose of
-    the cell sandwich in the eigenbasis of the input state, padded back to
-    the full reference dimension.  Letters carrying the void letter of the
-    sentinel reconstruct to the maximally mixed state.
-    """
-    dA, dB = rho_AB.dims
-    dim_ref = dA * dB
-    n = decoder.rows[0].shape[1]
-    _check_dim_cap(dA * dB, n)
-    states = {}
-    for key, value in recon.items():
-        mat = value.mat if isinstance(value, DensityOperator) else np.asarray(
-            value, dtype=np.complex128)
-        states[key] = mat
-    if not states:
-        raise InvariantError("need at least one reconstruction state")
-    xdim = next(iter(states.values())).shape[0]
-    for mat in states.values():
-        if mat.shape != (xdim, xdim):
-            raise InvariantError("reconstruction states must share a dimension")
-    obs = np.asarray(delta_obs, dtype=np.complex128)
-    if obs.shape != (dim_ref * xdim, dim_ref * xdim):
-        raise InvariantError("observable must act on reference x reconstruction")
-    mixed = np.eye(xdim, dtype=np.complex128) / xdim
-
-    # the state of each letter pair, void letters last; a pair without one
-    # is refused only when a decoded pair carries it
-    alpha_A, alpha_B = decoder.alphabets
-    table = [[states.get((a, b)) for b in alpha_B] + [mixed] for a in alpha_A]
-    table.append([mixed] * (len(alpha_B) + 1))
-
-    def letter_state(x, y):
-        if table[x][y] is None:
-            raise InvariantError(
-                f"no reconstruction state for pair {(alpha_A[x], alpha_B[y])}")
-        return table[x][y]
-
-    c1, cperm3 = _sandwich_frame(rho_AB, n)
-    r = c1.shape[1]
-
-    def completed(fams, dim):
-        # completion bin 0 holds I minus the sum of the binned operators; each
-        # operator, indefinite in general, enters the sandwich as (vecs, vals)
-        eye = np.eye(dim, dtype=np.complex128)
-        full = [{0: reduce(np.subtract, [fam[b] for b in sorted(fam)], eye), **fam}
-                for fam in fams]
-        return [{b: eigh_desc(op)[::-1] for b, op in fam.items()} for fam in full]
-
-    N1, N2 = decoder.n_mu
-    w_mu = 1.0 / (N1 * N2)
-    full_B = completed(binned_B, dB ** n)
-    total = 0.0
-    for mu1, fam_a in enumerate(completed(binned_A, dA ** n)):
-        for mu2, fam_b in enumerate(full_B):
-            h, w = _sandwich_factors(list(fam_a.values()), list(fam_b.values()), cperm3)
-            cells = (h * (w_mu * w)[:, :, None, :]) @ h.conj().swapaxes(2, 3)
-            for a, i in enumerate(fam_a):
-                for b, j in enumerate(fam_b):
-                    rblock = cells[a, b].T
-                    u, v = decoder.lookup(mu1, mu2, i, j)
-                    useq, vseq = decoder.rows[0][u].tolist(), decoder.rows[1][v].tolist()
-                    for pos in range(n):
-                        f = partial_trace(rblock, [r] * n, (pos,)) if n > 1 else rblock
-                        ref = np.zeros((dim_ref, dim_ref), dtype=np.complex128)
-                        ref[:r, :r] = f
-                        joint_op = np.kron(ref, letter_state(useq[pos], vseq[pos]))
-                        total += float(np.real(np.trace(obs @ joint_op)))
-    return total / n

@@ -1,11 +1,12 @@
 """Rate regions as exact-rational inequality systems.
 
 Two layers live here.  The numeric layer computes named information bounds
-(winter_region, p2p_stochastic_region, dist_deterministic_region,
-dist_stochastic_region, rd_inner_bound) and packages them as RegionReport
-values.  The exact layer (InequalitySystem, fourier_motzkin) works over
-fractions: entropic values are quantized to rationals at a declared step,
-after which projection and set comparison are exact.
+(dist_deterministic_region, dist_stochastic_region, rd_inner_bound, picked
+for a decomposition by region_for) and packages them as RegionReport values,
+which membership checks rate points against.  The exact layer
+(InequalitySystem, fourier_motzkin, intermediate_system,
+single_letter_system) works over fractions: entropic values are quantized to
+rationals at QUANT_STEP, after which projection and set comparison are exact.
 
 The elimination keeps two redundancy filters: pairwise domination between
 proportional rows, and the ancestor-count cutoff (a row combined from more
@@ -26,22 +27,11 @@ from .errors import InvariantError
 from .measurement import (
     CqState,
     SeparableDecomposition,
-    apply_measurement,
-    attach_classical,
     auxiliary_states,
     deterministic_decomposition,
     stochastic_sigma3,
 )
-from .operators import (
-    DEFAULT_TOL,
-    DensityOperator,
-    Povm,
-    close,
-    hermitize,
-    partial_trace,
-    purify,
-    tensor,
-)
+from .operators import DEFAULT_TOL, DensityOperator, hermitize, tensor
 
 QUANT_STEP = Fraction(1, 10 ** 9)
 
@@ -49,13 +39,13 @@ GE = ">="
 GT = ">"
 
 
-def rationalize(x, step: Fraction = QUANT_STEP) -> Fraction:
-    """Snap a real number to the nearest multiple of the quantization step."""
+def rationalize(x) -> Fraction:
+    """Snap a real number to the nearest multiple of QUANT_STEP."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    return Fraction(round(float(x) / float(step))) * step
+    return Fraction(round(float(x) / float(QUANT_STEP))) * QUANT_STEP
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +133,14 @@ class InequalitySystem:
         object.__setattr__(self, "inequalities", rows)
 
     @classmethod
-    def from_rows(cls, variables: Sequence[str], rows, step: Fraction = QUANT_STEP):
+    def from_rows(cls, variables: Sequence[str], rows):
         """rows: iterables of (coeffs, relation, rhs); reals are quantized."""
         ineqs = []
         for i, (coeffs, rel, rhs) in enumerate(rows):
             ineqs.append(Inequality(
-                tuple(rationalize(c, step) for c in coeffs),
+                tuple(rationalize(c) for c in coeffs),
                 rel,
-                rationalize(rhs, step),
+                rationalize(rhs),
                 frozenset({i}),
             ))
         return cls(tuple(variables), tuple(ineqs))
@@ -163,18 +153,6 @@ class InequalitySystem:
     def same_region(self, other: "InequalitySystem") -> bool:
         return (self.variables == other.variables
                 and self.canonical_rows() == other.canonical_rows())
-
-    def satisfies(self, point: Mapping) -> bool:
-        """Exact membership of a rational point."""
-        vec = [Fraction(point[v]) for v in self.variables]
-        for r in self.inequalities:
-            lhs = sum(c * x for c, x in zip(r.coeffs, vec))
-            if r.relation == GE and not lhs >= r.rhs:
-                return False
-            if r.relation == GT and not lhs > r.rhs:
-                return False
-        return True
-
 
 def fourier_motzkin(sys: InequalitySystem, eliminate: Sequence[str]) -> InequalitySystem:
     """Project the feasible set onto the variables not in ``eliminate``.
@@ -224,25 +202,23 @@ def fourier_motzkin(sys: InequalitySystem, eliminate: Sequence[str]) -> Inequali
 # the intermediate distributed-rate system and its single-letter target
 # ---------------------------------------------------------------------------
 
-def intermediate_system(i1, i2, iuv, su, sv, strict: bool = False,
-                        step: Fraction = QUANT_STEP) -> InequalitySystem:
+def intermediate_system(i1, i2, iuv, su, sv) -> InequalitySystem:
     """Pre-elimination constraint set of the distributed protocol.
 
     Variables (R1, R2, C, Rt1, Rt2, C1, C2): bin rates, total common
     randomness, codebook rates, per-side randomness splits.  The packing
-    constraint is strict in the underlying argument; pass strict=False for
-    the closure (whose projection matches the closed single-letter region).
+    constraint is strict in the underlying argument; the system holds its
+    closure, whose projection matches the closed single-letter region.
     """
-    i1, i2, iuv = rationalize(i1, step), rationalize(i2, step), rationalize(iuv, step)
-    su, sv = rationalize(su, step), rationalize(sv, step)
+    i1, i2, iuv = rationalize(i1), rationalize(i2), rationalize(iuv)
+    su, sv = rationalize(su), rationalize(sv)
     v = ("R1", "R2", "C", "Rt1", "Rt2", "C1", "C2")
-    rel_pack = GT if strict else GE
     rows = [
         Inequality((0, 0, 0, 1, 0, 0, 0), GE, i1),            # codebook covers side A
         Inequality((0, 0, 0, 0, 1, 0, 0), GE, i2),            # codebook covers side B
         Inequality((0, 0, 0, 1, 0, 1, 0), GE, su),            # randomness + rate cover S(U)
         Inequality((0, 0, 0, 0, 1, 0, 1), GE, sv),            # randomness + rate cover S(V)
-        Inequality((1, 1, 0, -1, -1, 0, 0), rel_pack, -iuv),  # packing: bin excess < I(U;V)
+        Inequality((1, 1, 0, -1, -1, 0, 0), GE, -iuv),        # packing: bin excess <= I(U;V)
         Inequality((-1, 0, 0, 1, 0, 0, 0), GE, 0),            # Rt1 >= R1
         Inequality((0, -1, 0, 0, 1, 0, 0), GE, 0),            # Rt2 >= R2
         Inequality((1, 0, 0, 0, 0, 0, 0), GE, 0),
@@ -256,10 +232,10 @@ def intermediate_system(i1, i2, iuv, su, sv, strict: bool = False,
     return InequalitySystem(v, tuple(rows))
 
 
-def single_letter_system(i1, i2, iuv, su, sv, step: Fraction = QUANT_STEP) -> InequalitySystem:
+def single_letter_system(i1, i2, iuv, su, sv) -> InequalitySystem:
     """Single-letter (R1, R2, C) region the intermediate system projects onto."""
-    i1, i2, iuv = rationalize(i1, step), rationalize(i2, step), rationalize(iuv, step)
-    su, sv = rationalize(su, step), rationalize(sv, step)
+    i1, i2, iuv = rationalize(i1), rationalize(i2), rationalize(iuv)
+    su, sv = rationalize(su), rationalize(sv)
     rows = [
         ((1, 0, 0), GE, i1 - iuv),
         ((0, 1, 0), GE, i2 - iuv),
@@ -271,7 +247,7 @@ def single_letter_system(i1, i2, iuv, su, sv, step: Fraction = QUANT_STEP) -> In
         ((0, 1, 0), GE, 0),
         ((0, 0, 1), GE, 0),
     ]
-    return InequalitySystem.from_rows(("R1", "R2", "C"), rows, step)
+    return InequalitySystem.from_rows(("R1", "R2", "C"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +294,6 @@ class RegionReport:
             rows.append((str(label), tuple(float(c) for c in coeffs), float(rhs)))
         object.__setattr__(self, "constraints", tuple(rows))
 
-    def bounds(self) -> dict:
-        return {label: rhs for label, _, rhs in self.constraints}
-
     def to_json_dict(self) -> dict:
         return {
             "variables": list(self.variables),
@@ -350,52 +323,6 @@ def membership(point, report: RegionReport, tol: float = DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 # region builders
 # ---------------------------------------------------------------------------
-
-def winter_region(rho: DensityOperator, m: Povm) -> RegionReport:
-    """Measurement-compression bounds for one POVM: rate and rate-plus-randomness."""
-    sigma = apply_measurement(purify(rho), m, measured=1, clabel="U", qlabel="R")
-    iur = sigma.mutual_information(("U",), ("R",))
-    su = sigma.entropy(("U",))
-    return RegionReport(
-        variables=("R", "C"),
-        constraints=(
-            ("winter1", (1, 0), iur),
-            ("winter2", (1, 1), su),
-        ),
-        sources={"I(U;R)": iur, "S(U)": su},
-    )
-
-
-def p2p_stochastic_region(rho: DensityOperator, mbar: Povm, x_alphabet,
-                          rows: Mapping, target: Povm | None = None,
-                          tol: float = DEFAULT_TOL) -> RegionReport:
-    """Point-to-point simulation with stochastic post-processing of outcomes.
-
-    ``rows`` maps each intermediate outcome w to a distribution over
-    ``x_alphabet``.  When ``target`` is given, the relabeled POVM
-    sum_w P(x|w) L_w must reproduce it within tol.
-    """
-    x_alphabet = tuple(x_alphabet)
-    if target is not None:
-        for k, x in enumerate(x_alphabet):
-            built = np.sum([np.asarray(rows[w], dtype=float)[k] * mbar.op(w)
-                            for w in mbar.outcomes], axis=0)
-            if not close(built, target.op(x), max(tol, 1e-8)):
-                raise InvariantError(f"relabeled operators do not reproduce outcome {x!r}")
-    sigma = apply_measurement(purify(rho), mbar, measured=1, clabel="W", qlabel="R")
-    sigma = attach_classical(sigma, "X", x_alphabet,
-                             lambda key: np.asarray(rows[key[0]], dtype=float))
-    irw = sigma.mutual_information(("W",), ("R",))
-    irxw = sigma.mutual_information(("W",), ("R", "X"))
-    return RegionReport(
-        variables=("R", "C"),
-        constraints=(
-            ("p2p1", (1, 0), irw),
-            ("p2p2", (1, 1), irxw),
-        ),
-        sources={"I(R;W)": irw, "I(RX;W)": irxw},
-    )
-
 
 def dist_deterministic_region(sigma1: CqState, sigma2: CqState,
                               sigma3: CqState) -> RegionReport:

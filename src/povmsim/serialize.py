@@ -213,8 +213,8 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def trial_row(report, packing_norm=None, runtime_ms=None) -> dict:
-    """CSV row for one TrialReport; fields without a value stay empty."""
+def trial_row(report) -> dict:
+    """CSV row for one TrialReport; packing_norm and runtime_ms stay empty."""
     p = report.params
     return {
         "n": p.n, "Rt1": p.Rt1, "Rt2": p.Rt2, "R1": p.R1, "R2": p.R2,
@@ -222,8 +222,6 @@ def trial_row(report, packing_norm=None, runtime_ms=None) -> dict:
         "subpovm_valid": report.sub_povm_valid,
         "G": report.faithfulness_G,
         "collision_rate": report.collision_rate,
-        "packing_norm": packing_norm,
-        "runtime_ms": runtime_ms,
     }
 
 

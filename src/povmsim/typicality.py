@@ -316,7 +316,7 @@ class ProjectorBundle:
 
 
 def build_projector_bundle(rho: DensityOperator, ens: Ensemble, n: int,
-                           delta: float, delta1: float | None = None) -> ProjectorBundle:
+                           delta: float) -> ProjectorBundle:
     """Assemble the typical projector, the compressed conditional states and
     the cutoff projector of one source block.
 
@@ -324,12 +324,10 @@ def build_projector_bundle(rho: DensityOperator, ens: Ensemble, n: int,
     batched pass over the per-letter spectra of the ensemble states, and
     pi_rho is applied to all their product eigenvectors in one product.
     The cutoff threshold is
-    (1 - mass) * 2^{-n(S(rho) + delta1)} with delta1 defaulting to delta; at
-    mass 1 the threshold degenerates to 0 and pi_hat becomes the support
-    projector of the pruned average operator.
+    (1 - mass) * 2^{-n(S(rho) + delta)}; at mass 1 the threshold degenerates
+    to 0 and pi_hat becomes the support projector of the pruned average
+    operator.
     """
-    if delta1 is None:
-        delta1 = delta
     d = rho.dim
     _check_dim_cap(d, n)
     tset = typical_set(ens.weights, n, delta, alphabet=ens.outcomes)
@@ -350,7 +348,7 @@ def build_projector_bundle(rho: DensityOperator, ens: Ensemble, n: int,
 
     eps = max(0.0, 1.0 - tset.mass)
     entropy = von_neumann_entropy(rho)
-    threshold = eps * 2.0 ** (-n * (entropy + delta1))
+    threshold = eps * 2.0 ** (-n * (entropy + delta))
 
     # diagonalize inside range(pi_rho) so pi_hat commutes with it exactly
     sub = range_basis.conj().T @ sigma_prime @ range_basis
@@ -361,13 +359,12 @@ def build_projector_bundle(rho: DensityOperator, ens: Ensemble, n: int,
     lifted = range_basis @ keep
     pi_hat = lifted @ lifted.conj().T
 
-    params = {"n": n, "delta": float(delta), "delta1": float(delta1),
-              "eps": eps, "threshold": threshold, "entropy": entropy}
+    params = {"n": n, "delta": float(delta), "eps": eps, "threshold": threshold,
+              "entropy": entropy}
     return ProjectorBundle(pi_rho, lam_seq, pi_hat, tset, pruned, params)
 
 
-def lambda_operators(rho: DensityOperator, ens: Ensemble, seq: int,
-                     bundle: ProjectorBundle):
+def lambda_operators(seq: int, bundle: ProjectorBundle):
     """The two-stage compressed operator of one typical sequence in eigen-form.
 
     ``seq`` is the sequence's member id.  Returns (z, vals) with

@@ -12,15 +12,18 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import random_density, random_povm, random_sub_povm
+from oracles import (
+    bounds_of,
+    packing_union_proxy,
+    separate_check,
+    verify_purification_identity,
+)
 from povmsim import cli, fixtures
-from povmsim.measurement import verify_purification_identity
 from povmsim.operators import DensityOperator, holevo_information
 from povmsim.protocol import (
     faithfulness_trial,
     mutual_covering_check,
     packing_norm_trial,
-    packing_union_proxy,
-    separate_check,
     soft_covering_trial,
 )
 from povmsim.regions import (
@@ -54,7 +57,7 @@ def test_criterion_1_four_outcome_region_values():
     ]
     want = {"rate1": 0.5, "rate2": 0.5, "rate3": 1.5,
             "rate1c": 1.5, "rate2c": 1.5, "rate4": 3.5}
-    bounds = rep.bounds()
+    bounds = bounds_of(rep)
     checks += [abs(bounds[label] - rhs) < 1e-6 for label, rhs in want.items()]
     _report(1, all(checks), "entropic sources and six region bounds", t0, 1.0)
 

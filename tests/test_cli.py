@@ -183,6 +183,18 @@ def test_rd_eval_fixture(capsys):
     assert abs(got["rdrate3"] - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", ["covering-check", "rd-eval"])
+def test_non_finite_or_negative_tol_exits_3(command, tol, capsys):
+    # a NaN tolerance made covering-check report F_joint 0.38 <= 0.40 as not
+    # subadditive, and NaN or inf switched off rd-eval's PSD and sum checks
+    rc, out, err = _run(capsys, "--command", command, "--input", "binary-correlated",
+                        f"--tol={tol}")
+    assert rc == 3, err
+    assert err.startswith("invariant violation: --tol must be a finite non-negative number")
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -494,9 +506,9 @@ def _config_values(output):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_contract_on_generated_configs(data, tmp_path, capsys):
-    # any config over the known keys, on a fixture or on an instance file
-    # with one malformed field, exits 0, 2, 3 or 4 without a traceback and
-    # prints nothing to stdout unless it succeeds
+    # any config over the known keys and any numeric flags, on a fixture or
+    # on an instance file with one malformed field, exits 0, 2, 3 or 4
+    # without a traceback and prints nothing to stdout unless it succeeds
     values = _config_values(str(tmp_path / "out.txt"))
     keys = data.draw(st.lists(st.sampled_from(sorted(cli.CONFIG_KEYS - {"command"})),
                               max_size=4, unique=True))
@@ -504,6 +516,14 @@ def test_cli_contract_on_generated_configs(data, tmp_path, capsys):
     malformed = [_write_config(tmp_path, payload, f"{name}.json")
                  for name, payload in _MALFORMED_INSTANCES.items()]
     config["input"] = data.draw(st.sampled_from(list(fixtures.FIXTURE_NAMES) * 3 + malformed))
-    rc, out, err = _run(capsys, "--input", _write_config(tmp_path, config))
+    flags = data.draw(st.lists(st.sampled_from(["tol", "eta", "delta", "n", "seed"]),
+                               max_size=3, unique=True))
+    # "--flag=value" keeps a value such as -inf from reading as an option
+    argv = [f"--{flag}={data.draw(_NUMBERS)}" for flag in flags]
+    try:
+        rc, out, err = _run(capsys, "--input", _write_config(tmp_path, config), *argv)
+    except SystemExit as exc:  # argparse refuses --n or --seed that is no integer
+        out, err = capsys.readouterr()
+        rc = exc.code
     assert rc in (0, 2, 3, 4), err
     assert rc == 0 or out == ""

@@ -9,6 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_povm, random_sub_povm
+from oracles import (
+    distortion_of_protocol,
+    ensemble_state,
+    lookup,
+    packing_union_proxy,
+    separate_check,
+)
 from povmsim import fixtures, protocol
 from povmsim.errors import InvariantError
 from povmsim.measurement import (
@@ -46,15 +53,12 @@ from povmsim.protocol import (
     build_approx_operators,
     build_decoder,
     check_sub_povm,
-    distortion_of_protocol,
     faithfulness_trial,
     generate_bin_maps,
     generate_codebooks,
     mutual_covering_check,
     packing_norm_trial,
-    packing_union_proxy,
     sentinel_sequence,
-    separate_check,
     soft_covering_trial,
     substream,
 )
@@ -97,8 +101,8 @@ def _pieces(inst=None, seed=0, n=None, d=None):
     def dense(fams):
         return [{s: weighted_gram(*f) for s, f in fam.items()} for fam in fams]
 
-    fams_A = dense(build_approx_operators(codebook, rho_A, ens_A, bundle_A, params, side="A"))
-    fams_B = dense(build_approx_operators(codebook, rho_B, ens_B, bundle_B, params, side="B"))
+    fams_A = dense(build_approx_operators(codebook, rho_A, bundle_A, params, side="A"))
+    fams_B = dense(build_approx_operators(codebook, rho_B, bundle_B, params, side="B"))
     binmaps = generate_bin_maps(params, bundle_A.typical, bundle_B.typical)
     binned_A = [bin_povm(f, binmaps[0].assignments[mu], params.bins1)
                 for mu, f in enumerate(fams_A)]
@@ -559,7 +563,7 @@ def test_decoder_unique_cell_and_sentinel():
 def test_decoder_collision_goes_to_sentinel():
     dec = _decoder_fixture(v_list=(("0", "1"), ("1", "0")), nbins=1)
     assert dec.collisions == 1 and dec.occupied == 1
-    assert dec.lookup(0, 0, 1, 1) == dec.sentinel
+    assert lookup(dec, 0, 0, 1, 1) == dec.sentinel
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1", "zero-outcome"])
@@ -706,6 +710,35 @@ def test_trial_G_matches_full_matrix_oracle(name):
             assert (r.collisions, r.occupied) == (decoder.collisions, decoder.occupied)
             family = overall_povm(binned_A, binned_B, decoder, d)
             assert abs(r.faithfulness_G - oracle.G(family)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["binary-correlated", "stochastic"])
+def test_trial_gather_cap_matches_uncapped(name, monkeypatch):
+    # under a cap of a few entries every block is gathered and scored on its
+    # own, and G, s1 and s2 match the scores taken one gather per width
+    inst, d = _instance(name)
+    batches = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        if a.ndim == 3:  # a batch of R diag(s) R^dag blocks
+            batches.append(a.shape[0])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for n, seed in ((4, 0), (4, 1), (5, 0)):
+        params = dataclasses.replace(inst.params, n=n, seed=seed)
+        want = faithfulness_trial(params, inst.state, d)
+        assert max(batches) > 1
+        batches.clear()
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "GATHER_CAP", 4)
+            got = faithfulness_trial(params, inst.state, d)
+        assert set(batches) == {1}
+        batches.clear()
+        assert abs(got.faithfulness_G - want.faithfulness_G) < 1e-12
+        for key in ("s1", "s2"):
+            assert abs(got.diagnostics[key] - want.diagnostics[key]) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic",
@@ -979,7 +1012,7 @@ def test_soft_covering_accumulator_matches_tensor_loop(per_chunk, monkeypatch):
     target = tensor(*[ens.average()] * n)
     acc = np.zeros_like(target)
     for seq, c in counts.items():
-        acc += c * tensor(*(ens.state(s).mat for s in seq))
+        acc += c * tensor(*(ensemble_state(ens, s).mat for s in seq))
     scale = (1.0 - max(0.0, 1.0 - tset.mass)) / ((1.0 + eta) * M)
     assert np.array_equal(scored[0], target - scale * acc)
 

@@ -15,6 +15,7 @@ from functools import reduce
 
 import numpy as np
 
+from oracles import ensemble_state, lookup
 from povmsim.errors import InvariantError
 from povmsim.protocol import STREAM_BINS_A, STREAM_BINS_B, substream
 from povmsim.typicality import (
@@ -43,7 +44,7 @@ def label_rows(alphabet, rows) -> list:
 
 def decoded_labels(decoder, mu1, mu2, i, j) -> tuple:
     """The label tuples of the pair decoded in one cell, the sentinel's too."""
-    u, v = decoder.lookup(mu1, mu2, i, j)
+    u, v = lookup(decoder, mu1, mu2, i, j)
     return (label_rows(decoder.alphabets[0], decoder.rows[0][[u]])[0],
             label_rows(decoder.alphabets[1], decoder.rows[1][[v]])[0])
 
@@ -104,7 +105,7 @@ def conditional_typical_projector(ens, seq, delta):
     if ens.outcomes is None:
         raise InvariantError("ensemble needs outcome labels for conditioning")
     _check_dim_cap(ens.dim, len(seq))
-    spectra = {u: _grouped_spectrum(ens.state(u).mat) for u in set(seq)}
+    spectra = {u: _grouped_spectrum(ensemble_state(ens, u).mat) for u in set(seq)}
     basis, _ = typical_subspace(spectra, seq, all_sequences(ens.dim, len(seq)), delta)
     return basis @ basis.conj().T
 
