@@ -12,7 +12,7 @@ from .measurement import (CqState, SeparableDecomposition,
 from .operators import (DensityOperator, Ensemble, Povm, PureBipartiteState,
                         SubPovm, partial_trace, purify)
 from .protocol import (ProtocolParams, TrialReport, binning_collision_rate,
-                       faithfulness_trial, mutual_covering_check,
+                       error_split, faithfulness_trial, mutual_covering_check,
                        packing_norm_trial, soft_covering_trial)
 from .regions import (RateTriple, RegionReport, fourier_motzkin,
                       intermediate_system, membership, rd_inner_bound,
@@ -26,7 +26,7 @@ __all__ = [
     "deterministic_decomposition", "faithfulness_distance",
     "DensityOperator", "Ensemble", "Povm", "PureBipartiteState", "SubPovm",
     "partial_trace", "purify",
-    "ProtocolParams", "TrialReport", "binning_collision_rate",
+    "ProtocolParams", "TrialReport", "binning_collision_rate", "error_split",
     "faithfulness_trial", "mutual_covering_check", "packing_norm_trial",
     "soft_covering_trial",
     "RateTriple", "RegionReport", "fourier_motzkin", "intermediate_system",

@@ -394,7 +394,10 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage or help
+        return exc.code
     try:
         return _run(args)
     except json.JSONDecodeError as exc:

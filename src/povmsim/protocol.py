@@ -21,9 +21,10 @@ sandwich is H diag(w_u x w_v) H^dag with the thin factor H = C^dag (Z_u x Z_v).
 Blocks stay in that form through scoring: the factor columns of every
 codeword pair go into one pool, and a pair, decoded, emitted or target block
 is a set of (column, weight) entries tagged with its integer block id, whose
-trace norm comes from the R of one QR of its columns side by side.  The same
-pool gives G and the covering/binning error split (s1, s2); binned cells are
-never sandwiched, as a cell's block is the sum of its codeword pairs' columns.
+trace norm comes from the R of one QR of its columns side by side.  The pool
+gives G, and error_split scores the covering/binning error split (s1, s2)
+from the same pool on demand; binned cells are never sandwiched, as a cell's
+block is the sum of its codeword pairs' columns.
 Everything is deterministic given (params, seed); randomness flows through
 counter-based substreams, one per random object.
 """
@@ -140,8 +141,8 @@ class ProtocolParams:
             raise InvariantError("common-randomness sizes must be at least 1")
         if not 0.0 < self.eta < 1.0:
             raise InvariantError("eta must lie in (0, 1)")
-        if not self.delta > 0.0:
-            raise InvariantError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise InvariantError("delta must be a finite positive number")
         if int(self.seed) != self.seed or self.seed < 0:
             raise InvariantError("seed must be a nonnegative integer")
 
@@ -570,9 +571,9 @@ class TrialReport:
         max |w - 1| (1 + mean excess_A) (1 + mean excess_B)
     over the decoded pairs of cells holding codewords.  It is exactly 0.0
     for deterministic integrations, whose every image weight is exactly 1.
-    Diagnostics hold gamma/zeta statistics, bin spreads, the leakage split
-    and the covering/binning error split (s1, s2), scored from the same
-    codeword-pair factor pieces as G.
+    Diagnostics hold gamma/zeta statistics, eps per side, bin spreads, and
+    the leakage, missed mass and support mass that enter G; the
+    covering/binning error split (s1, s2) comes from error_split.
     """
     params: ProtocolParams
     faithfulness_G: float
@@ -618,29 +619,34 @@ def _family_sum(fam: Mapping) -> np.ndarray:
     return weighted_gram(np.concatenate(zs, axis=1), np.concatenate(ws))
 
 
-def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
-                       d: SeparableDecomposition) -> TrialReport:
-    """Run one random protocol realization and score it against the target.
+@dataclass(frozen=True)
+class _Realization:
+    """One protocol realization up to its pooled factor columns.
 
-    The score is the faithfulness distance between the tensor-power composed
-    measurement and the simulated joint family on the tensor-power state: a
-    sum of per-string sandwich trace norms, plus the target mass sitting on
-    strings the simulation never emits, plus the simulated family's leakage.
-
-    Memory scales with the factors, r = rank(rho_AB): the pool holds
-    a b k_a k_b columns of r^n entries for each (mu1, mu2), a and b the
-    distinct codewords and k their widths, with a few integer ids per
-    column; scoring adds the target columns and gathers the blocks of each
-    width m a chunk at a time, the r^n x m factors of a chunk holding at
-    most GATHER_CAP entries in all (one block, if that alone is wider) and
-    giving min(r^n, m)^2 blocks to diagonalize.  No Python list is kept per
-    codeword pair, no matrix per codeword is formed, and no
-    (dA dB)^n-sided operator; sub-POVM validity takes one d^n-sided matrix
-    per family.  The pool and the entry index arrays are held under no cap:
-    a stochastic integration fans each decoded pair into many image blocks,
-    each taking all its pairs' columns, so image entries can far outnumber
-    the pool's columns.
+    ``pool`` holds every codeword pair's sandwich factor columns, one row
+    each, at the weights ``weight``; ``pair_code`` and ``decoded_code`` tag
+    each column with the code u (|T_B| + 1) + v of its member-id pair and of
+    the pair its cell decodes to.  ``rows`` holds per side the POVM-outcome
+    letter rows of the decoded ids, and ``leakage`` the trace the unbinned
+    blocks leave short of 1.
     """
+    bundles: tuple
+    codebook: Codebook
+    checks: tuple
+    binmaps: tuple
+    decoder: DecoderTable
+    rows: tuple
+    c1: np.ndarray
+    pool: np.ndarray
+    weight: np.ndarray
+    pair_code: np.ndarray
+    decoded_code: np.ndarray
+    leakage: float
+
+
+def _realize(params: ProtocolParams, rho_AB: DensityOperator,
+             d: SeparableDecomposition) -> _Realization:
+    """Draw one protocol realization and pool its codeword-pair factors."""
     dA, dB = d.dims
     n = params.n
     _check_dim_cap(dA * dB, n)
@@ -703,12 +709,42 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
             weights.append(w.ravel())
             pair_codes.append(np.repeat(ia[:, None] * nv + ib, width))
             decoded_codes.append(np.repeat(tables[mu1, mu2, bins_a[:, None], bins_b], width))
-    pool = np.concatenate(parts)
-    w = np.concatenate(weights)
-    cols = np.arange(w.size)
-    pair_code, decoded_code = np.concatenate(pair_codes), np.concatenate(decoded_codes)
-    pair_id, pair_keys = _first_appearance(pair_code)
-    decoded_id, decoded_keys = _first_appearance(decoded_code)
+    return _Realization((bundle_A, bundle_B), codebook, (checks_A, checks_B), binmaps,
+                        decoder, (rows_A, rows_B), c1, np.concatenate(parts),
+                        np.concatenate(weights), np.concatenate(pair_codes),
+                        np.concatenate(decoded_codes), max(0.0, 1.0 - covered))
+
+
+def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
+                       d: SeparableDecomposition) -> TrialReport:
+    """Run one random protocol realization and score it against the target.
+
+    The score is the faithfulness distance between the tensor-power composed
+    measurement and the simulated joint family on the tensor-power state: a
+    sum of per-string sandwich trace norms, plus the target mass sitting on
+    strings the simulation never emits, plus the simulated family's leakage.
+    The covering/binning split of that error is not scored here; error_split
+    redraws the same realization to score it.
+
+    Memory scales with the factors, r = rank(rho_AB): the pool holds
+    a b k_a k_b columns of r^n entries for each (mu1, mu2), a and b the
+    distinct codewords and k their widths, with a few integer ids per
+    column; scoring adds the target columns and gathers the blocks of each
+    width m a chunk at a time, the r^n x m factors of a chunk holding at
+    most GATHER_CAP entries in all (one block, if that alone is wider) and
+    giving min(r^n, m)^2 blocks to diagonalize.  No Python list is kept per
+    codeword pair, no matrix per codeword is formed, and no
+    (dA dB)^n-sided operator; sub-POVM validity takes one d^n-sided matrix
+    per family.  The pool and the entry index arrays are held under no cap:
+    a stochastic integration fans each decoded pair into many image blocks,
+    each taking all its pairs' columns, so image entries can far outnumber
+    the pool's columns.
+    """
+    real = _realize(params, rho_AB, d)
+    rows_A, rows_B = real.rows
+    nv = len(rows_B)
+    w = real.weight
+    decoded_id, decoded_keys = _first_appearance(real.decoded_code)
 
     # push decoded pairs through the integration: an emitted string's block
     # takes each of its decoded pairs' columns, pair by pair, at the image
@@ -726,27 +762,14 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     target = compose_decomposition(d)
     ops = list(target.operators)
     g_gaps, support_mass = _gap_norms(
-        c1, ops + [np.zeros_like(ops[0])], image_rows,
-        pool, np.repeat(image, lengths), image_col, np.repeat(image_w, lengths) * w[image_col])
-    leakage = max(0.0, 1.0 - covered)
+        real.c1, ops + [np.zeros_like(ops[0])], image_rows,
+        real.pool, np.repeat(image, lengths), image_col, np.repeat(image_w, lengths) * w[image_col])
+    leakage = real.leakage
     missed = max(0.0, 1.0 - support_mass)
     g_val = g_gaps + missed + leakage
 
-    # covering/binning split, reported not asserted: s1 scores the unbinned
-    # codeword-pair blocks against the product targets on T_A x T_B.  A pair
-    # without codewords contributes its target's trace p^n(u, v), and those
-    # masses sum to at most 1, so only codeword pairs (all typical) are
-    # scored.  s2 is the norm-sum gap between the unbinned and the decoded
-    # blocks, one block per pair code; the sentinel is the one decoded pair
-    # that is no codeword pair
-    n_B = len(d.povm_B.outcomes)
-    s1_gaps, hit_mass = _gap_norms(
-        c1, [tensor(a, b) for a in d.povm_A.operators for b in d.povm_B.operators],
-        rows_A[pair_keys // nv] * n_B + rows_B[pair_keys % nv],
-        pool, pair_id, cols, w)
-    s2_id, _ = _first_appearance(np.concatenate([pair_code, decoded_code]))
-    s2 = _trace_norm_sum(pool, s2_id, np.concatenate([cols, cols]), np.concatenate([w, -w]))
-
+    bundle_A, bundle_B = real.bundles
+    binmaps = real.binmaps
     diagnostics = {
         "eps_A": float(bundle_A.params["eps"]),
         "eps_B": float(bundle_B.params["eps"]),
@@ -755,16 +778,15 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
         "leakage": leakage,
         "missed_mass": missed,
         "support_mass": support_mass,
-        "s1": 1.0 + s1_gaps - hit_mass + leakage,
-        "s2": s2,
     }
     diagnostics.update(_stats("gamma", _gamma_values(
-        codebook.u_lists, bundle_A.params["eps"], params.eta, params.L1)))
+        real.codebook.u_lists, bundle_A.params["eps"], params.eta, params.L1)))
     diagnostics.update(_stats("zeta", _gamma_values(
-        codebook.v_lists, bundle_B.params["eps"], params.eta, params.L2)))
+        real.codebook.v_lists, bundle_B.params["eps"], params.eta, params.L2)))
 
     # only cells whose bins both hold codewords have nonzero blocks, and they
     # decode to decoded_keys; TrialReport states the residual bound
+    checks_A, checks_B = real.checks
     excess_A = tuple(e for _, e in checks_A)
     excess_B = tuple(e for _, e in checks_B)
     pair_w = np.bincount(source, image_w, minlength=len(decoded_keys))
@@ -774,7 +796,38 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
                        tuple(v for v, _ in checks_A),
                        tuple(v for v, _ in checks_B),
                        excess_A, excess_B,
-                       decoder.collisions, decoder.occupied, resum, diagnostics)
+                       real.decoder.collisions, real.decoder.occupied, resum, diagnostics)
+
+
+def error_split(params: ProtocolParams, rho_AB: DensityOperator,
+                d: SeparableDecomposition) -> tuple:
+    """(s1, s2): the covering and binning terms of one realization's error.
+
+    The realization is the one faithfulness_trial scores for the same
+    (params, seed), drawn again, so the split costs a second realization
+    and only callers that ask for it pay.  s1 scores the unbinned
+    codeword-pair blocks against the product targets on T_A x T_B, plus
+    the target mass outside the codeword pairs and the leakage; s2 is the
+    norm-sum gap between the unbinned and the decoded blocks, one block per
+    pair code.  The achievability proof bounds G by s1 + s2.
+    """
+    real = _realize(params, rho_AB, d)
+    rows_A, rows_B = real.rows
+    nv = len(rows_B)
+    pool, w = real.pool, real.weight
+    cols = np.arange(w.size)
+    pair_id, pair_keys = _first_appearance(real.pair_code)
+    # a pair without codewords contributes its target's trace p^n(u, v), and
+    # those masses sum to at most 1, so only codeword pairs (all typical) are
+    # scored.  The sentinel is the one decoded pair that is no codeword pair
+    n_B = len(d.povm_B.outcomes)
+    s1_gaps, hit_mass = _gap_norms(
+        real.c1, [tensor(a, b) for a in d.povm_A.operators for b in d.povm_B.operators],
+        rows_A[pair_keys // nv] * n_B + rows_B[pair_keys % nv],
+        pool, pair_id, cols, w)
+    s2_id, _ = _first_appearance(np.concatenate([real.pair_code, real.decoded_code]))
+    s2 = _trace_norm_sum(pool, s2_id, np.concatenate([cols, cols]), np.concatenate([w, -w]))
+    return 1.0 + s1_gaps - hit_mass + real.leakage, s2
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ transient count arrays in chunks of at most CHUNK_CAP entries.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,8 +124,8 @@ def _validated_probs(probs, n: int, delta: float) -> np.ndarray:
     p = np.asarray(probs, dtype=float).ravel()
     if n < 1:
         raise InvariantError("blocklength must be at least 1")
-    if not delta > 0:
-        raise InvariantError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise InvariantError("delta must be a finite positive number")
     if float(np.min(p)) < -1e-12 or abs(float(np.sum(p)) - 1.0) > 1e-9:
         raise InvariantError("probs is not a probability distribution")
     return np.clip(p, 0.0, None)

@@ -199,6 +199,30 @@ def test_non_finite_or_negative_tol_exits_3(command, tol, capsys):
 # exit codes
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("config", [
+    {"command": "simulate"},
+    {"command": "sweep", "kind": "soft-covering", "rate_sums": [1.2], "n": 2},
+], ids=["simulate", "soft-covering"])
+def test_infinite_delta_exits_3(config, tmp_path, capsys):
+    # an infinite window made 0 * inf = NaN typicality bounds, so every
+    # sequence with a zero-probability letter was atypical and G read 2.0
+    cfg = _write_config(tmp_path, {"input": "binary-correlated", **config})
+    rc, out, err = _run(capsys, "--input", cfg, "--delta=inf")
+    assert rc == 3, err
+    assert err.startswith("invariant violation: delta must be a finite positive number")
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag", ["--n=0.5", "--seed=nan"])
+def test_unparseable_flag_returns_2(flag, capsys):
+    # main returns argparse's exit code, so an in-process caller sees no
+    # SystemExit
+    rc, out, err = _run(capsys, "--input", "binary-correlated", flag)
+    assert rc == 2
+    assert "invalid int value" in err
+    assert out == ""
+
+
 def test_malformed_json_exits_2_with_location(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"input": "example1",,}', encoding="utf-8")
@@ -520,10 +544,6 @@ def test_cli_contract_on_generated_configs(data, tmp_path, capsys):
                                max_size=3, unique=True))
     # "--flag=value" keeps a value such as -inf from reading as an option
     argv = [f"--{flag}={data.draw(_NUMBERS)}" for flag in flags]
-    try:
-        rc, out, err = _run(capsys, "--input", _write_config(tmp_path, config), *argv)
-    except SystemExit as exc:  # argparse refuses --n or --seed that is no integer
-        out, err = capsys.readouterr()
-        rc = exc.code
+    rc, out, err = _run(capsys, "--input", _write_config(tmp_path, config), *argv)
     assert rc in (0, 2, 3, 4), err
     assert rc == 0 or out == ""

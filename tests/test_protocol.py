@@ -53,6 +53,7 @@ from povmsim.protocol import (
     build_approx_operators,
     build_decoder,
     check_sub_povm,
+    error_split,
     faithfulness_trial,
     generate_bin_maps,
     generate_codebooks,
@@ -405,6 +406,8 @@ def test_params_validation():
     with pytest.raises(InvariantError):
         ProtocolParams(n=2, Rt1=1.0, Rt2=1.0, R1=0.5, R2=0.5, delta=0.0)
     with pytest.raises(InvariantError):
+        ProtocolParams(n=2, Rt1=1.0, Rt2=1.0, R1=0.5, R2=0.5, delta=float("inf"))
+    with pytest.raises(InvariantError):
         ProtocolParams(n=2, Rt1=1.0, Rt2=1.0, R1=0.5, R2=0.5, seed=-1)
 
 
@@ -629,9 +632,10 @@ def test_faithfulness_trial_deterministic_and_seed_sensitive():
     p2 = dataclasses.replace(inst.params, seed=2)
     r2 = faithfulness_trial(p2, inst.state, inst.decomposition)
     assert r2.faithfulness_G != r0.faithfulness_G
-    for key in ("eps_A", "eps_B", "leakage", "missed_mass", "gamma_mean", "zeta_mean",
-                "s1", "s2"):
+    for key in ("eps_A", "eps_B", "leakage", "missed_mass", "gamma_mean", "zeta_mean"):
         assert key in r0.diagnostics
+    s1, s2 = error_split(inst.params, inst.state, inst.decomposition)
+    assert s1 >= 0.0 and s2 >= 0.0
 
 
 def test_sandwich_blocks_match_full_conjugation():
@@ -729,16 +733,18 @@ def test_trial_gather_cap_matches_uncapped(name, monkeypatch):
     for n, seed in ((4, 0), (4, 1), (5, 0)):
         params = dataclasses.replace(inst.params, n=n, seed=seed)
         want = faithfulness_trial(params, inst.state, d)
+        want_split = error_split(params, inst.state, d)
         assert max(batches) > 1
         batches.clear()
         with monkeypatch.context() as m:
             m.setattr(protocol, "GATHER_CAP", 4)
             got = faithfulness_trial(params, inst.state, d)
+            got_split = error_split(params, inst.state, d)
         assert set(batches) == {1}
         batches.clear()
         assert abs(got.faithfulness_G - want.faithfulness_G) < 1e-12
-        for key in ("s1", "s2"):
-            assert abs(got.diagnostics[key] - want.diagnostics[key]) < 1e-12
+        for got_s, want_s in zip(got_split, want_split):
+            assert abs(got_s - want_s) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic",
@@ -774,12 +780,12 @@ def test_error_split_matches_full_matrix_oracle(name):
         for seed in (0, 1, 2):
             _, params, _, fams_A, fams_B, binned_A, binned_B, decoder = _pieces(
                 inst, seed=seed, n=n, d=d)
-            r = faithfulness_trial(params, inst.state, d)
+            got_s1, got_s2 = error_split(params, inst.state, d)
             s1, s2 = oracle.split(*_typical_sets(inst.state, d, params),
                                   unbinned_family(fams_A, fams_B),
                                   decoded_family(binned_A, binned_B, decoder))
-            assert abs(r.diagnostics["s1"] - s1) < 1e-12
-            assert abs(r.diagnostics["s2"] - s2) < 1e-12
+            assert abs(got_s1 - s1) < 1e-12
+            assert abs(got_s2 - s2) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy",
@@ -800,11 +806,12 @@ def test_multi_mu_trial_matches_full_matrix_oracle(name):
                 r = faithfulness_trial(params, inst.state, d)
                 family = overall_povm(binned_A, binned_B, decoder, d)
                 assert abs(r.faithfulness_G - oracle.G(family)) < 1e-12
+                got_s1, got_s2 = error_split(params, inst.state, d)
                 s1, s2 = oracle.split(*_typical_sets(inst.state, d, params),
                                       unbinned_family(fams_A, fams_B),
                                       decoded_family(binned_A, binned_B, decoder))
-                assert abs(r.diagnostics["s1"] - s1) < 1e-12
-                assert abs(r.diagnostics["s2"] - s2) < 1e-12
+                assert abs(got_s1 - s1) < 1e-12
+                assert abs(got_s2 - s2) < 1e-12
 
 
 def test_error_split_bounds_total():
@@ -815,8 +822,27 @@ def test_error_split_bounds_total():
         for seed in (0, 1, 2):
             p = dataclasses.replace(inst.params, n=n, seed=seed)
             r = faithfulness_trial(p, inst.state, inst.decomposition)
-            s1, s2 = r.diagnostics["s1"], r.diagnostics["s2"]
+            s1, s2 = error_split(p, inst.state, inst.decomposition)
             assert r.faithfulness_G <= s1 + s2 + 1e-9
+
+
+@pytest.mark.parametrize("name,n,seed,G,s1,s2", [
+    ("binary-correlated", 5, 0,
+     "0x1.9ee580535c3abp-1", "0x1.9ee580535c3abp-1", "0x1.0894262bf8313p-55"),
+    ("binary-correlated", 5, 1,
+     "0x1.e20d2b75d199bp-1", "0x1.a20d2b75d1999p-1", "0x1.c4422acf19242p-3"),
+    ("example1", 3, 0,
+     "0x1.ff00000000000p+0", "0x1.fae0000000000p+0", "0x1.88ea8a6d697aap-3"),
+    ("example1", 3, 1,
+     "0x1.ff00000000000p+0", "0x1.f340000000000p+0", "0x1.596bba65d011cp-2"),
+])
+def test_trial_and_split_pinned(name, n, seed, G, s1, s2):
+    # bit patterns recorded when G and the split were still scored in one
+    # call; scoring them apart must not move a bit
+    inst = fixtures.load_fixture(name)
+    p = dataclasses.replace(inst.params, n=n, seed=seed)
+    assert faithfulness_trial(p, inst.state, inst.decomposition).faithfulness_G.hex() == G
+    assert [x.hex() for x in error_split(p, inst.state, inst.decomposition)] == [s1, s2]
 
 
 def test_trial_report_validation():

@@ -81,6 +81,8 @@ def test_typical_set_validation():
     with pytest.raises(InvariantError):
         typical_set((0.3, 0.7), 4, 0.0)
     with pytest.raises(InvariantError):
+        typical_set((0.3, 0.7), 4, float("inf"))
+    with pytest.raises(InvariantError):
         typical_set((0.3, 0.8), 4, 0.5)
     with pytest.raises(InvariantError):
         typical_set((0.3, 0.7), 0, 0.5)
