@@ -130,9 +130,10 @@ def _resolve(args):
 
 
 def _as_int(key: str, value) -> int:
-    """An integral config number as an int: 3.0 passes, 2.7 and NaN do not."""
+    """An integral config number as an int: 3.0 passes, 2.7, NaN and true
+    do not."""
     try:
-        if value == int(value):
+        if not isinstance(value, bool) and value == int(value):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -140,11 +141,13 @@ def _as_int(key: str, value) -> int:
 
 
 def _as_float(key: str, value) -> float:
-    """A config number as a float: null, "abc" and lists do not pass."""
+    """A config number as a float: null, "abc", lists and true do not pass."""
     try:
-        return float(value)
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise InvariantError(f"{key} must be a number, got {value!r}") from None
+        pass
+    raise InvariantError(f"{key} must be a number, got {value!r}")
 
 
 _KINDS = {str: "a string", list: "a list", dict: "an object"}
@@ -223,14 +226,13 @@ def cmd_region(instance, config, args) -> str:
 def cmd_simulate(instance, config, args) -> str:
     params = _params_for(instance, config, args)
     ns = _n_list(config, params)
-    rows = []
-    for seed in _row_seeds(config, params, ns):
-        for n in ns:
-            trial = replace(params, n=n, seed=seed)
-            report = faithfulness_trial(trial, instance.state,
-                                        instance.decomposition)
-            rows.append(serialize.trial_row(report))
-    return serialize.csv_text(rows)
+    seeds = _row_seeds(config, params, ns)
+    # rows go seed by seed, trials n by n: the trials of one n share the
+    # protocol's seed-independent setup
+    rows = [[serialize.trial_row(faithfulness_trial(
+        replace(params, n=n, seed=seed), instance.state, instance.decomposition))
+        for seed in seeds] for n in ns]
+    return serialize.csv_text([row for seed_rows in zip(*rows) for row in seed_rows])
 
 
 def _packing_pairs(config: dict):
@@ -393,9 +395,12 @@ def _run(args) -> int:
     return 0
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse has printed its usage or help
         return exc.code
     try:

@@ -11,7 +11,9 @@ Two named fixtures ship with the package:
 
 Each fixture bundles a state, a decomposition, default trial parameters,
 the induced outcome distribution, a soft-covering ensemble and the
-reconstruction data used by the rate-distortion evaluator.
+reconstruction data used by the rate-distortion evaluator.  load_fixture
+builds each fixture once per process and hands out that one instance, its
+arrays read-only.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import InvariantError
 from .measurement import (SeparableDecomposition, deterministic_decomposition,
                           outcome_distribution)
-from .operators import DensityOperator, Ensemble, Povm
+from .operators import DensityOperator, Ensemble, Povm, read_only
 from .protocol import ProtocolParams
 
 _KET0 = np.array([1.0, 0.0], dtype=np.complex128)
@@ -136,7 +138,14 @@ _BUILDERS = {"example1": _example1, "binary-correlated": _binary_correlated}
 FIXTURE_NAMES = tuple(sorted(_BUILDERS))
 
 
+_LOADED: dict = {}
+
+
 def load_fixture(name: str) -> Instance:
+    """The named fixture, built on the first call and shared by every later
+    one; every array it holds is read-only."""
     if name not in _BUILDERS:
         raise InvariantError(f"unknown fixture {name!r}; have {FIXTURE_NAMES}")
-    return _BUILDERS[name]()
+    if name not in _LOADED:
+        _LOADED[name] = read_only(_BUILDERS[name]())
+    return _LOADED[name]

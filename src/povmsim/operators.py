@@ -25,9 +25,9 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +57,24 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 def weighted_gram(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The Hermitian operator z diag(w) z^dag of an eigen-form (z, w), w real."""
     return hermitize((z * w) @ z.conj().T)
+
+
+def read_only(obj):
+    """obj, with every array it holds marked read-only, through dataclass
+    fields, tuples, lists and mapping values, so that an in-place write into
+    a shared value raises instead of changing it for every later reader."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            read_only(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            read_only(x)
+    elif isinstance(obj, Mapping):
+        for x in obj.values():
+            read_only(x)
+    return obj
 
 
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

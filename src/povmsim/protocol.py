@@ -26,7 +26,12 @@ gives G, and error_split scores the covering/binning error split (s1, s2)
 from the same pool on demand; binned cells are never sandwiched, as a cell's
 block is the sum of its codeword pairs' columns.
 Everything is deterministic given (params, seed); randomness flows through
-counter-based substreams, one per random object.
+counter-based substreams, one per random object.  Only the codebooks, the
+bins and the decoder are random; what they are built on (the bundles, the
+letter maps and p(u, v), the sandwich frame, the pinv_sqrt(rho^{(x)n})
+powers and the target's letters) depends on (rho_AB, d, n, delta) alone.
+It is built once and kept in one slot, keyed by those values' content, so
+a sweep over seeds builds it once; its arrays are read-only.
 """
 from __future__ import annotations
 
@@ -55,6 +60,7 @@ from .operators import (
     kron_rows,
     matrix_sqrt_and_pinv_sqrt,
     operator_norm,
+    read_only,
     tensor,
     tensor_povm,
     trace_norm,
@@ -235,25 +241,30 @@ def generate_bin_maps(params: ProtocolParams, typical_A: TypicalSet,
 # approximating operators, binning, decoding
 # ---------------------------------------------------------------------------
 
-def build_approx_operators(codebook: Codebook, rho: DensityOperator, bundle,
+def _pinv_sqrt_power(rho: DensityOperator, n: int) -> np.ndarray:
+    """pinv_sqrt(rho^{(x)n}), the n-fold Kronecker power of pinv_sqrt(rho)."""
+    _, pinv1 = matrix_sqrt_and_pinv_sqrt(rho.mat)
+    return tensor(*[pinv1] * n)
+
+
+def build_approx_operators(codebook: Codebook, pinv: np.ndarray, bundle,
                            params: ProtocolParams, side: str = "A"):
     """Approximating sub-POVM candidates, one family per common-randomness index.
 
     Each drawn codeword value receives
         gamma * pinv_sqrt(rho^{(x)n}) Lambda_seq pinv_sqrt(rho^{(x)n})
     with gamma = count * (1 - eps) / ((1 + eta) * L), in eigen-form: the pair
-    (pinv_sqrt(rho^{(x)n}) z, gamma * vals) of lambda_operators' (z, vals),
-    whose weighted_gram is the operator.  Values never drawn get the zero
-    operator and are simply absent from the family, which is keyed by member
-    id in order of first draw.
+    (pinv z, gamma * vals) of lambda_operators' (z, vals), pinv being
+    pinv_sqrt(rho^{(x)n}) of the side's marginal, whose weighted_gram is the
+    operator.  Values never drawn get the zero operator and are simply
+    absent from the family, which is keyed by member id in order of first
+    draw.
     """
     if side not in ("A", "B"):
         raise InvariantError("side must be 'A' or 'B'")
     lists = codebook.u_lists if side == "A" else codebook.v_lists
     L = params.L1 if side == "A" else params.L2
     eps = bundle.params["eps"]
-    _, pinv1 = matrix_sqrt_and_pinv_sqrt(rho.mat)
-    pinv = tensor(*[pinv1] * params.n)
     scale = (1.0 - eps) / ((1.0 + params.eta) * L)
     families = []
     for lst in lists:
@@ -620,6 +631,75 @@ def _family_sum(fam: Mapping) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _Setup:
+    """The objects of a trial that depend on (rho_AB, d, n, delta) only.
+
+    ``bundles`` holds each side's projector bundle, ``letter_maps`` each
+    side's _letter_map from ensemble letters to POVM outcomes, ``p_uv`` the
+    joint outcome law, (``c1``, ``cperm3``) the sandwich frame, ``pinvs``
+    each side's pinv_sqrt(rho^{(x)n}), ``target_ops`` the composed target's
+    letter operators followed by the void letter's zero block, and ``law``
+    _integration_laws' table.  Every array is read-only.
+    """
+    bundles: tuple
+    letter_maps: tuple
+    p_uv: np.ndarray
+    c1: np.ndarray
+    cperm3: np.ndarray
+    pinvs: tuple
+    target_ops: tuple
+    law: np.ndarray
+
+
+def _setup_key(rho_AB: DensityOperator, d: SeparableDecomposition, n: int,
+               delta: float) -> tuple:
+    """Everything a _Setup is built from, by content: equal keys give
+    bit-equal setups, whichever objects carry the values."""
+    def povm(m):
+        return m.outcomes, tuple(op.tobytes() for op in m.operators), m.tol
+
+    rows = tuple(d.row(u, v).tobytes() for u in d.povm_A.outcomes for v in d.povm_B.outcomes)
+    return (rho_AB.mat.tobytes(), rho_AB.dims, rho_AB.tol, povm(d.povm_A), povm(d.povm_B),
+            d.z_alphabet, rows, d.tol, n, delta)
+
+
+def _build_setup(rho_AB: DensityOperator, d: SeparableDecomposition, n: int,
+                 delta: float) -> _Setup:
+    rho_A = rho_AB.marginal((0,))
+    rho_B = rho_AB.marginal((1,))
+    ens_A = canonical_ensemble(rho_A, d.povm_A)
+    ens_B = canonical_ensemble(rho_B, d.povm_B)
+    bundles = (build_projector_bundle(rho_A, ens_A, n, delta),
+               build_projector_bundle(rho_B, ens_B, n, delta))
+    # typical letters index the canonical ensembles' outcomes, which drop
+    # zero-probability POVM outcomes; p_uv, the POVM elements and the
+    # integration are indexed by POVM outcome
+    letter_maps = (_letter_map(ens_A.outcomes, d.povm_A.outcomes),
+                   _letter_map(ens_B.outcomes, d.povm_B.outcomes))
+    c1, cperm3 = _sandwich_frame(rho_AB, n)
+    ops = compose_decomposition(d).operators
+    return read_only(_Setup(
+        bundles, letter_maps, outcome_distribution(rho_AB, d.povm_A, d.povm_B), c1, cperm3,
+        (_pinv_sqrt_power(rho_A, n), _pinv_sqrt_power(rho_B, n)),
+        ops + (np.zeros_like(ops[0]),), _integration_laws(d)))
+
+
+_last_setup = (None, None)  # (key, setup) of the most recent build
+
+
+def _setup(rho_AB: DensityOperator, d: SeparableDecomposition, n: int,
+           delta: float) -> _Setup:
+    """The trial's seed-independent objects, built again only when their
+    key differs from the last build's; one setup is retained, and a build
+    that raises leaves the slot as it was."""
+    global _last_setup
+    key = _setup_key(rho_AB, d, n, delta)
+    if _last_setup[0] != key:
+        _last_setup = (key, _build_setup(rho_AB, d, n, delta))
+    return _last_setup[1]
+
+
+@dataclass(frozen=True)
 class _Realization:
     """One protocol realization up to its pooled factor columns.
 
@@ -630,13 +710,12 @@ class _Realization:
     letter rows of the decoded ids, and ``leakage`` the trace the unbinned
     blocks leave short of 1.
     """
-    bundles: tuple
+    setup: _Setup
     codebook: Codebook
     checks: tuple
     binmaps: tuple
     decoder: DecoderTable
     rows: tuple
-    c1: np.ndarray
     pool: np.ndarray
     weight: np.ndarray
     pair_code: np.ndarray
@@ -653,30 +732,19 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
     _check_cell_cap(params)
     if rho_AB.dims != (dA, dB):
         raise InvariantError("state and decomposition dimensions disagree")
-
-    rho_A = rho_AB.marginal((0,))
-    rho_B = rho_AB.marginal((1,))
-    ens_A = canonical_ensemble(rho_A, d.povm_A)
-    ens_B = canonical_ensemble(rho_B, d.povm_B)
-    bundle_A = build_projector_bundle(rho_A, ens_A, n, params.delta)
-    bundle_B = build_projector_bundle(rho_B, ens_B, n, params.delta)
+    setup = _setup(rho_AB, d, n, params.delta)
+    bundle_A, bundle_B = setup.bundles
 
     codebook = generate_codebooks(params, bundle_A.pruned, bundle_B.pruned)
-    fams_A = build_approx_operators(codebook, rho_A, bundle_A, params, side="A")
-    fams_B = build_approx_operators(codebook, rho_B, bundle_B, params, side="B")
+    fams_A = build_approx_operators(codebook, setup.pinvs[0], bundle_A, params, side="A")
+    fams_B = build_approx_operators(codebook, setup.pinvs[1], bundle_B, params, side="B")
     checks_A = [check_sub_povm([_family_sum(fam)]) for fam in fams_A]
     checks_B = [check_sub_povm([_family_sum(fam)]) for fam in fams_B]
 
     binmaps = generate_bin_maps(params, bundle_A.typical, bundle_B.typical)
-
-    # typical letters index the canonical ensembles' outcomes, which drop
-    # zero-probability POVM outcomes; p_uv, the POVM elements and the
-    # integration are indexed by POVM outcome
-    to_A = _letter_map(ens_A.outcomes, d.povm_A.outcomes)
-    to_B = _letter_map(ens_B.outcomes, d.povm_B.outcomes)
-    p_uv = outcome_distribution(rho_AB, d.povm_A, d.povm_B)
+    to_A, to_B = setup.letter_maps
     decoder = build_decoder(codebook, binmaps, lambda us, vs: typical_pairs(
-        to_A[us], to_B[vs], p_uv, params.delta))
+        to_A[us], to_B[vs], setup.p_uv, params.delta))
     rows_A, rows_B = to_A[decoder.rows[0]], to_B[decoder.rows[1]]
 
     # one sandwich pass over the unbinned families pools every codeword
@@ -685,7 +753,6 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
     # included, from one decoded-code table per (mu1, mu2) indexed by bin.
     # By linearity a decoded block is the sum of its pairs' columns; cells
     # without codewords hold zero blocks and are never visited
-    c1, cperm3 = _sandwich_frame(rho_AB, n)
     w_mu = 1.0 / (params.N1 * params.N2)
     nv = len(rows_B)
     tables = np.full((params.N1, params.N2, params.bins1 + 1, params.bins2 + 1),
@@ -701,7 +768,7 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
         for mu2, fam_b in enumerate(fams_B):
             ib = np.array(list(fam_b), dtype=np.intp)
             bins_b = binmaps[1].assignments[mu2, ib]
-            h, w = _sandwich_factors(list(fam_a.values()), list(fam_b.values()), cperm3)
+            h, w = _sandwich_factors(list(fam_a.values()), list(fam_b.values()), setup.cperm3)
             w *= w_mu
             covered += float(np.sum(np.sum(np.abs(h) ** 2, axis=2) * w))
             width = h.shape[3]
@@ -709,8 +776,8 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
             weights.append(w.ravel())
             pair_codes.append(np.repeat(ia[:, None] * nv + ib, width))
             decoded_codes.append(np.repeat(tables[mu1, mu2, bins_a[:, None], bins_b], width))
-    return _Realization((bundle_A, bundle_B), codebook, (checks_A, checks_B), binmaps,
-                        decoder, (rows_A, rows_B), c1, np.concatenate(parts),
+    return _Realization(setup, codebook, (checks_A, checks_B), binmaps,
+                        decoder, (rows_A, rows_B), np.concatenate(parts),
                         np.concatenate(weights), np.concatenate(pair_codes),
                         np.concatenate(decoded_codes), max(0.0, 1.0 - covered))
 
@@ -724,7 +791,10 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     sum of per-string sandwich trace norms, plus the target mass sitting on
     strings the simulation never emits, plus the simulated family's leakage.
     The covering/binning split of that error is not scored here; error_split
-    redraws the same realization to score it.
+    redraws the same realization to score it.  Only the seed-dependent
+    draws are made per call: the bundles, the sandwich frame and the other
+    objects that depend on (rho_AB, d, n, delta) alone come from _setup,
+    which rebuilds them only when those values change.
 
     Memory scales with the factors, r = rank(rho_AB): the pool holds
     a b k_a k_b columns of r^n entries for each (mu1, mu2), a and b the
@@ -738,7 +808,9 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     per family.  The pool and the entry index arrays are held under no cap:
     a stochastic integration fans each decoded pair into many image blocks,
     each taking all its pairs' columns, so image entries can far outnumber
-    the pool's columns.
+    the pool's columns.  Between calls the process retains one _Setup, the
+    most recent: both d^n-sided bundles and pinv_sqrt(rho^{(x)n}) powers,
+    the (dA^n, dB^n, r^n) frame and the target's (dA dB)-sided letters.
     """
     real = _realize(params, rho_AB, d)
     rows_A, rows_B = real.rows
@@ -750,8 +822,9 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     # takes each of its decoded pairs' columns, pair by pair, at the image
     # weight, and is scored against its letterwise target; the void
     # letter's target is zero, so a void string is scored against nothing
-    law = _integration_laws(d)
-    source, zs, image_w = _z_images(rows_A[decoded_keys // nv], rows_B[decoded_keys % nv], law)
+    setup = real.setup
+    source, zs, image_w = _z_images(rows_A[decoded_keys // nv], rows_B[decoded_keys % nv],
+                                    setup.law)
     image, image_rows = _first_appearance(zs)
     # hit h takes the columns of decoded pair source[h], in column order
     counts = np.bincount(decoded_id)
@@ -759,16 +832,14 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     offsets = (np.cumsum(counts) - counts)[source] - (np.cumsum(lengths) - lengths)
     image_col = np.argsort(decoded_id, kind="stable")[
         np.repeat(offsets, lengths) + np.arange(lengths.sum())]
-    target = compose_decomposition(d)
-    ops = list(target.operators)
     g_gaps, support_mass = _gap_norms(
-        real.c1, ops + [np.zeros_like(ops[0])], image_rows,
+        setup.c1, setup.target_ops, image_rows,
         real.pool, np.repeat(image, lengths), image_col, np.repeat(image_w, lengths) * w[image_col])
     leakage = real.leakage
     missed = max(0.0, 1.0 - support_mass)
     g_val = g_gaps + missed + leakage
 
-    bundle_A, bundle_B = real.bundles
+    bundle_A, bundle_B = setup.bundles
     binmaps = real.binmaps
     diagnostics = {
         "eps_A": float(bundle_A.params["eps"]),
@@ -804,8 +875,10 @@ def error_split(params: ProtocolParams, rho_AB: DensityOperator,
     """(s1, s2): the covering and binning terms of one realization's error.
 
     The realization is the one faithfulness_trial scores for the same
-    (params, seed), drawn again, so the split costs a second realization
-    and only callers that ask for it pay.  s1 scores the unbinned
+    (params, seed), drawn again from the same setup, so the split costs a
+    second draw of the codebooks, bins and decoder with their sandwich pass
+    (the setup is rebuilt only if the last trial used other inputs), and
+    only callers that ask for it pay.  s1 scores the unbinned
     codeword-pair blocks against the product targets on T_A x T_B, plus
     the target mass outside the codeword pairs and the leakage; s2 is the
     norm-sum gap between the unbinned and the decoded blocks, one block per
@@ -822,7 +895,7 @@ def error_split(params: ProtocolParams, rho_AB: DensityOperator,
     # scored.  The sentinel is the one decoded pair that is no codeword pair
     n_B = len(d.povm_B.outcomes)
     s1_gaps, hit_mass = _gap_norms(
-        real.c1, [tensor(a, b) for a in d.povm_A.operators for b in d.povm_B.operators],
+        real.setup.c1, [tensor(a, b) for a in d.povm_A.operators for b in d.povm_B.operators],
         rows_A[pair_keys // nv] * n_B + rows_B[pair_keys % nv],
         pool, pair_id, cols, w)
     s2_id, _ = _first_appearance(np.concatenate([real.pair_code, real.decoded_code]))

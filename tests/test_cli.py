@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from povmsim import cli, fixtures, serialize
+from povmsim import cli, fixtures, protocol, serialize
 
 
 def _run(capsys, *argv):
@@ -84,6 +84,24 @@ def test_simulate_rows_and_byte_identical_reruns(tmp_path, capsys):
         assert r["subpovm_valid"] in ("true", "false")
         assert float(r["G"]) >= 0.0
         assert r["packing_norm"] == "" and r["runtime_ms"] == ""
+
+
+def test_simulate_seed_n_grid_builds_one_setup_per_n(tmp_path, capsys, monkeypatch):
+    # rows come seed by seed, each equal to its (seed, n) trial run alone,
+    # while the trials run n by n and so build one setup per n
+    builds = []
+    build = protocol._build_setup
+    monkeypatch.setattr(protocol, "_last_setup", (None, None))
+    monkeypatch.setattr(protocol, "_build_setup", lambda *a: builds.append(a[2]) or build(*a))
+    cfg = _write_config(tmp_path, {"input": "binary-correlated", "command": "simulate",
+                                   "seeds": [0, 1, 2], "ns": [2, 3]})
+    rc, out, _ = _run(capsys, "--input", cfg)
+    assert rc == 0 and builds == [2, 3]
+    rows = out.splitlines()[1:]
+    for k, (seed, n) in enumerate((s, n) for s in (0, 1, 2) for n in (2, 3)):
+        rc, one, _ = _run(capsys, "--input", "binary-correlated", "--command", "simulate",
+                          "--seed", str(seed), "--n", str(n))
+        assert rc == 0 and one.splitlines()[1:] == [rows[k]]
 
 
 def test_simulate_flags_only_single_row(capsys):
@@ -297,6 +315,31 @@ def test_malformed_config_number_exits_3(extra, tmp_path, capsys):
     rc, out, err = _run(capsys, "--input", cfg)
     assert rc == 3, err
     assert err.startswith("invariant violation:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("extra,word", [
+    ({"command": "simulate", "seed": True}, "seed must be an integer"),
+    ({"command": "simulate", "n": True}, "n must be an integer"),
+    ({"command": "simulate", "N1": False}, "N1 must be an integer"),
+    ({"command": "simulate", "seeds": [0, True]}, "seeds must be an integer"),
+    ({"command": "simulate", "ns": [True]}, "ns must be an integer"),
+    ({"command": "simulate", "eta": False}, "eta must be a number"),
+    ({"command": "packing-sweep", "rate_pairs": [[True, False]]}, "rate_pairs must be a number"),
+    ({"command": "packing-sweep", "r1": [True]}, "r1 must be a number"),
+    ({"command": "sweep", "kind": "collision", "bin_rates": [[0.5, True]]},
+     "bin_rates must be a number"),
+    ({"command": "sweep", "kind": "soft-covering", "rate_sums": [False]},
+     "rate_sums must be a number"),
+    ({"command": "covering-check", "shrink": False}, "shrink must be a number"),
+], ids=["seed", "n", "N1", "seeds", "ns", "eta", "rate-pair", "r1", "bin-rate", "rate-sum",
+        "shrink"])
+def test_boolean_config_number_exits_3(extra, word, tmp_path, capsys):
+    # JSON true and false are no numbers, though Python's int(True) is 1
+    cfg = _write_config(tmp_path, {"input": "binary-correlated", **extra})
+    rc, out, err = _run(capsys, "--input", cfg)
+    assert rc == 3, err
+    assert err.startswith("invariant violation:") and word in err
     assert out == ""
 
 

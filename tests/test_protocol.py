@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 from collections import Counter
 from functools import partial, reduce
 
@@ -16,7 +17,7 @@ from oracles import (
     packing_union_proxy,
     separate_check,
 )
-from povmsim import fixtures, protocol
+from povmsim import fixtures, protocol, serialize
 from povmsim.errors import InvariantError
 from povmsim.measurement import (
     SeparableDecomposition,
@@ -102,8 +103,11 @@ def _pieces(inst=None, seed=0, n=None, d=None):
     def dense(fams):
         return [{s: weighted_gram(*f) for s, f in fam.items()} for fam in fams]
 
-    fams_A = dense(build_approx_operators(codebook, rho_A, bundle_A, params, side="A"))
-    fams_B = dense(build_approx_operators(codebook, rho_B, bundle_B, params, side="B"))
+    def pinv_n(rho):
+        return tensor(*[matrix_sqrt_and_pinv_sqrt(rho.mat)[1]] * params.n)
+
+    fams_A = dense(build_approx_operators(codebook, pinv_n(rho_A), bundle_A, params, side="A"))
+    fams_B = dense(build_approx_operators(codebook, pinv_n(rho_B), bundle_B, params, side="B"))
     binmaps = generate_bin_maps(params, bundle_A.typical, bundle_B.typical)
     binned_A = [bin_povm(f, binmaps[0].assignments[mu], params.bins1)
                 for mu, f in enumerate(fams_A)]
@@ -843,6 +847,102 @@ def test_trial_and_split_pinned(name, n, seed, G, s1, s2):
     p = dataclasses.replace(inst.params, n=n, seed=seed)
     assert faithfulness_trial(p, inst.state, inst.decomposition).faithfulness_G.hex() == G
     assert [x.hex() for x in error_split(p, inst.state, inst.decomposition)] == [s1, s2]
+
+
+# ---------------------------------------------------------------------------
+# the seed-independent setup, built once per (state, decomposition, n, delta)
+# ---------------------------------------------------------------------------
+
+def _report_bits(r):
+    """Every field of a TrialReport, floats as float.hex."""
+    def bits(x):
+        return x.hex() if isinstance(x, float) else x
+
+    return (bits(r.faithfulness_G), bits(r.resummation_error), r.sub_povm_valid_A,
+            r.sub_povm_valid_B, [bits(x) for x in r.excess_A + r.excess_B],
+            r.collisions, r.occupied, {k: bits(v) for k, v in r.diagnostics.items()})
+
+
+def _cold(monkeypatch, fn, *args):
+    """fn(*args) with the setup slot emptied first."""
+    monkeypatch.setattr(protocol, "_last_setup", (None, None))
+    return fn(*args)
+
+
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic"])
+def test_warm_setup_scores_bit_equal_to_cold(name, monkeypatch):
+    inst, d = _instance(name)
+    for n, seed in ((2, 0), (3, 1), (3, 2)):
+        params = dataclasses.replace(inst.params, n=n, seed=seed)
+        cold_trial = _report_bits(_cold(monkeypatch, faithfulness_trial, params, inst.state, d))
+        cold_split = [x.hex() for x in _cold(monkeypatch, error_split, params, inst.state, d)]
+        slot = protocol._last_setup
+        assert _report_bits(faithfulness_trial(params, inst.state, d)) == cold_trial
+        assert [x.hex() for x in error_split(params, inst.state, d)] == cold_split
+        assert protocol._last_setup is slot
+
+
+def test_equal_inputs_as_new_objects_hit_the_setup():
+    # an instance file re-read on every call carries equal values in new
+    # objects: a JSON round trip of the fixture's state and decomposition
+    inst = fixtures.load_fixture("example1")
+    params = dataclasses.replace(inst.params, n=3)
+    want = _report_bits(faithfulness_trial(params, inst.state, inst.decomposition))
+    slot = protocol._last_setup
+    state = serialize.density_from_json(json.loads(json.dumps(
+        serialize.density_to_json(inst.state))))
+    d = serialize.decomposition_from_json(json.loads(json.dumps(
+        serialize.decomposition_to_json(inst.decomposition))))
+    assert state.mat is not inst.state.mat and d is not inst.decomposition
+    assert _report_bits(faithfulness_trial(params, state, d)) == want
+    assert protocol._last_setup is slot
+
+
+def test_changed_state_n_or_delta_misses_the_setup(monkeypatch):
+    inst, d = _instance("binary-correlated")
+    params = dataclasses.replace(inst.params, n=3)
+    mat = np.array(inst.state.mat)
+    mat[0, 0] += 1e-12  # one entry, inside the trace tolerance
+    changed = DensityOperator(mat, inst.state.dims)
+    for p, state in ((params, changed), (dataclasses.replace(params, n=4), inst.state),
+                     (dataclasses.replace(params, delta=0.7), inst.state)):
+        faithfulness_trial(params, inst.state, d)
+        slot = protocol._last_setup
+        got = _report_bits(faithfulness_trial(p, state, d))
+        assert protocol._last_setup[0] != slot[0]
+        assert _report_bits(_cold(monkeypatch, faithfulness_trial, p, state, d)) == got
+
+
+def test_setup_and_fixture_arrays_are_read_only():
+    inst = fixtures.load_fixture("example1")
+    assert fixtures.load_fixture("example1") is inst
+    faithfulness_trial(inst.params, inst.state, inst.decomposition)
+    setup = protocol._last_setup[1]
+    bundle = setup.bundles[0]
+    arrays = [setup.p_uv, setup.c1, setup.cperm3, setup.law, *setup.pinvs,
+              *setup.target_ops, *setup.letter_maps, bundle.pi_rho, bundle.pi_hat,
+              bundle.lam_seq[0][0], bundle.lam_seq[0][1], bundle.typical.seqs,
+              bundle.typical.probs, bundle.pruned.probs,
+              inst.state.mat, inst.decomposition.povm_A.operators[0],
+              inst.decomposition.row("0", "0"), inst.p_uv, inst.delta_obs,
+              inst.ensemble.weights, inst.ensemble.states[0].mat,
+              next(iter(inst.recon.values())).mat]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a += 0
+
+
+def test_failing_setup_is_not_kept():
+    # four uniform letters leave no delta = 0.1 typical sequence at n = 2,
+    # so the setup's bundle build raises, on every call
+    inst = fixtures.load_fixture("example1")
+    faithfulness_trial(inst.params, inst.state, inst.decomposition)
+    slot = protocol._last_setup
+    bad = dataclasses.replace(inst.params, delta=0.1)
+    for score in (faithfulness_trial, faithfulness_trial, error_split):
+        with pytest.raises(InvariantError, match="empty typical set"):
+            score(bad, inst.state, inst.decomposition)
+        assert protocol._last_setup is slot
 
 
 def test_trial_report_validation():
