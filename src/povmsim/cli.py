@@ -71,10 +71,9 @@ def _instance_from_json(payload: dict) -> fixtures.Instance:
     rho = serialize.density_from_json(payload["state"])
     d = serialize.decomposition_from_json(payload["decomposition"])
     if "p_uv" in payload:
-        try:
-            p_uv = np.asarray(payload["p_uv"], dtype=float)
-        except (TypeError, ValueError):
-            p_uv = None
+        rows = [serialize.json_numbers("p_uv", row)
+                for row in _typed("p_uv", payload["p_uv"], list)]
+        p_uv = np.array(rows) if len({len(row) for row in rows}) == 1 else None
         if p_uv is None or not np.all(np.isfinite(p_uv)):
             raise InvariantError(
                 f"p_uv must be a matrix of finite numbers, got {payload['p_uv']!r}")

@@ -357,13 +357,13 @@ def auxiliary_states(rho_AB: DensityOperator, d: SeparableDecomposition):
     return sigma1, sigma2, sigma3
 
 
-def stochastic_sigma3(rho_AB: DensityOperator, d: SeparableDecomposition) -> CqState:
-    """sigma3 extended by the integration output: registers (U, V, Z; R).
+def stochastic_sigma3(sigma3: CqState, d: SeparableDecomposition) -> CqState:
+    """auxiliary_states' sigma3 extended by the integration output of d:
+    registers (U, V, Z; R).
 
-    Marginalizing Z recovers the deterministic sigma3 exactly (the Z branch
-    weights P(z|u,v) sum to one per block).
+    Marginalizing Z recovers sigma3 exactly (the Z branch weights P(z|u,v)
+    sum to one per block).
     """
-    _, _, sigma3 = auxiliary_states(rho_AB, d)
     return attach_classical(sigma3, "Z", d.z_alphabet, lambda key: d.row(*key))
 
 

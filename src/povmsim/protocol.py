@@ -18,18 +18,21 @@ operator Gamma_u x Gamma_v turns into an r^n x r^n sandwich (r the state's
 rank).  Each Gamma is carried in eigen-form Z diag(w) Z^dag, Z with one
 column per dimension of its compressed conditional typical subspace, so a
 sandwich is H diag(w_u x w_v) H^dag with the thin factor H = C^dag (Z_u x Z_v).
-Blocks stay in that form through scoring: the factor columns of every
-codeword pair go into one pool, and a pair, decoded, emitted or target block
-is a set of (column, weight) entries tagged with its integer block id, whose
-trace norm comes from the R of one QR of its columns side by side.  The pool
-gives G, and error_split scores the covering/binning error split (s1, s2)
-from the same pool on demand; binned cells are never sandwiched, as a cell's
-block is the sum of its codeword pairs' columns.
+Each sender's draws over all mu are one column array cut from the setup's,
+and one pass over the two arrays puts the factor column of every column
+pair, unpadded, into one pool.  Blocks stay in that form through scoring:
+a pair, decoded, emitted or target block is a set of (column, weight)
+entries tagged with its integer block id, whose trace norm comes from the
+R of one QR of its columns side by side.  The pool gives G, and error_split
+scores the covering/binning error split (s1, s2) from the same pool on
+demand; binned cells are never sandwiched, as a cell's block is the sum of
+its codeword pairs' columns.
 Everything is deterministic given (params, seed); randomness flows through
 counter-based substreams, one per random object.  Only the codebooks, the
 bins and the decoder are random; what they are built on (the bundles, the
-letter maps and p(u, v), the sandwich frame, the pinv_sqrt(rho^{(x)n})
-powers and the target's letters) depends on (rho_AB, d, n, delta) alone.
+letter maps and p(u, v), the sandwich frame, each side's column array
+pinv_sqrt(rho^{(x)n}) pi_hat [every bundle factor] and the target's
+letters) depends on (rho_AB, d, n, delta) alone.
 It is built once and kept in one slot, keyed by those values' content, so
 a sweep over seeds builds it once; its arrays are read-only.
 """
@@ -74,7 +77,6 @@ from .typicality import (
     _check_dim_cap,
     _exceeds,
     build_projector_bundle,
-    lambda_operators,
     pruned_distribution,
     typical_pairs,
     typical_set,
@@ -241,39 +243,44 @@ def generate_bin_maps(params: ProtocolParams, typical_A: TypicalSet,
 # approximating operators, binning, decoding
 # ---------------------------------------------------------------------------
 
-def _pinv_sqrt_power(rho: DensityOperator, n: int) -> np.ndarray:
-    """pinv_sqrt(rho^{(x)n}), the n-fold Kronecker power of pinv_sqrt(rho)."""
+def _approx_columns(rho: DensityOperator, bundle, n: int) -> tuple:
+    """(z, vals, offsets): pinv_sqrt(rho^{(x)n}) pi_hat times the factors of
+    the bundle's lam_seq side by side, and their eigenvalues; member s owns
+    columns offsets[s]:offsets[s + 1]."""
     _, pinv1 = matrix_sqrt_and_pinv_sqrt(rho.mat)
-    return tensor(*[pinv1] * n)
+    factors, vals = zip(*bundle.lam_seq)
+    return (tensor(*[pinv1] * n) @ (bundle.pi_hat @ np.concatenate(factors, axis=1)),
+            np.concatenate(vals), np.cumsum([0] + [v.size for v in vals]))
 
 
-def build_approx_operators(codebook: Codebook, pinv: np.ndarray, bundle,
-                           params: ProtocolParams, side: str = "A"):
-    """Approximating sub-POVM candidates, one family per common-randomness index.
+def build_approx_operators(codebook: Codebook, columns: tuple, bundle,
+                           params: ProtocolParams, side: str = "A") -> tuple:
+    """Approximating sub-POVM candidates of one sender, for every
+    common-randomness index at once.
 
-    Each drawn codeword value receives
-        gamma * pinv_sqrt(rho^{(x)n}) Lambda_seq pinv_sqrt(rho^{(x)n})
-    with gamma = count * (1 - eps) / ((1 + eta) * L), in eigen-form: the pair
-    (pinv z, gamma * vals) of lambda_operators' (z, vals), pinv being
-    pinv_sqrt(rho^{(x)n}) of the side's marginal, whose weighted_gram is the
-    operator.  Values never drawn get the zero operator and are simply
-    absent from the family, which is keyed by member id in order of first
-    draw.
+    Each drawn codeword value s receives
+        gamma * pinv_sqrt(rho^{(x)n}) pi_hat Lambda'_s pi_hat pinv_sqrt(rho^{(x)n})
+    with gamma = count * (1 - eps) / ((1 + eta) * L), in eigen-form: its
+    columns of _approx_columns' (z, vals, offsets), given as ``columns``,
+    weighted gamma * vals.  Returns (mu, ids, z, w), one entry per column:
+    its common-randomness index and member id, the column and its weight,
+    so the operator of (mu, s) is the weighted_gram of its columns.  Columns
+    go mu by mu, codewords in order of first draw; values never drawn get
+    the zero operator and have no columns.
     """
     if side not in ("A", "B"):
         raise InvariantError("side must be 'A' or 'B'")
-    lists = codebook.u_lists if side == "A" else codebook.v_lists
-    L = params.L1 if side == "A" else params.L2
-    eps = bundle.params["eps"]
-    scale = (1.0 - eps) / ((1.0 + params.eta) * L)
-    families = []
-    for lst in lists:
-        fam = {}
-        for s, c in zip(*(a.tolist() for a in _distinct(lst))):
-            z, vals = lambda_operators(s, bundle)
-            fam[s] = (pinv @ z, (c * scale) * vals)
-        families.append(fam)
-    return families
+    draws = np.stack(codebook.u_lists if side == "A" else codebook.v_lists)  # (mu, L)
+    z, vals, offsets = columns
+    members = len(offsets) - 1
+    scale = (1.0 - bundle.params["eps"]) / ((1.0 + params.eta) * draws.shape[1])
+    keys, counts = _distinct((draws + members * np.arange(len(draws))[:, None]).ravel())
+    mu, ids = np.divmod(keys, members)
+    widths = offsets[ids + 1] - offsets[ids]
+    take = (np.repeat(offsets[ids] - (np.cumsum(widths) - widths), widths)
+            + np.arange(widths.sum()))
+    return (np.repeat(mu, widths), np.repeat(ids, widths), z[:, take],
+            np.repeat(counts * scale, widths) * vals[take])
 
 
 def check_sub_povm(ops, tol: float = DEFAULT_TOL):
@@ -470,39 +477,21 @@ def _sandwich_frame(rho_AB: DensityOperator, n: int):
     return c1, c_perm.reshape(dA ** n, dB ** n, c_perm.shape[1])
 
 
-def _stacked_factors(factors) -> tuple:
-    """(z, w) eigen-forms as a (count, side, k) factor stack and a (count, k)
-    weight stack, ragged k padded with zero columns of zero weight."""
-    k = max([1] + [z.shape[1] for z, _ in factors])
-    side = factors[0][0].shape[0]
-    zs = np.zeros((len(factors), side, k), dtype=np.complex128)
-    ws = np.zeros((len(factors), k))
-    for zp, wp, (z, w) in zip(zs, ws, factors):
-        zp[:, :z.shape[1]] = z
-        wp[:w.size] = w
-    return zs, ws
+def _sandwich_factors(zx: np.ndarray, zy: np.ndarray, cperm3: np.ndarray) -> np.ndarray:
+    """C^dag (x_i x y_j) for every column x_i of zx and y_j of zy: the rows
+    of a (K_x K_y, r^n) array, row i K_y + j.
 
-
-def _sandwich_factors(xs, ys, cperm3: np.ndarray) -> tuple:
-    """Every C^dag (X_a x Y_b) C in factor form: (H, w) shaped
-    (a, b, r^n, k_a k_b) and (a, b, k_a k_b), block (a, b) being
-    H[a, b] diag(w[a, b]) H[a, b]^dag.
-
-    X_a = Z_a diag(w_a) Z_a^dag and Y_b = W_b diag(v_b) W_b^dag enter as
-    eigen-forms (Z_a, w_a) and (W_b, v_b) with real weights, so
-    H[a, b] = C^dag (Z_a x W_b) with weights w_a x v_b, and no operator on
-    the full space is formed.  A factor with no columns gives a zero block.
+    For X = zx diag(s) zx^dag and Y = zy diag(t) zy^dag with real weights,
+    C^dag (X x Y) C = H diag(s x t) H^dag with these rows as H's columns, so
+    no operator on the full space is formed; a factor with no columns gives
+    no rows.
     """
     dA, dB, rn = cperm3.shape
-    zx, wx = _stacked_factors(xs)
-    zy, wy = _stacked_factors(ys)
-    (a, _, ka), (b, _, kb) = zx.shape, zy.shape
-    # rows (y, p), columns (a, i): sum_x conj(C[x, y, p]) Z_a[x, i]
-    half = cperm3.reshape(dA, dB * rn).conj().T @ zx.transpose(1, 0, 2).reshape(dA, a * ka)
-    # H[p, a, i, b, j] = sum_y half[y, p, a, i] W_b[y, j]
-    h = half.reshape(dB, rn * a * ka).T @ zy.transpose(1, 0, 2).reshape(dB, b * kb)
-    h = h.reshape(rn, a, ka, b, kb).transpose(1, 3, 0, 2, 4).reshape(a, b, rn, ka * kb)
-    return h, (wx[:, None, :, None] * wy[None, :, None, :]).reshape(a, b, ka * kb)
+    # half[y, p, i] = sum_x conj(C[x, y, p]) zx[x, i]
+    half = cperm3.reshape(dA, dB * rn).conj().T @ zx
+    # h[p, i, j] = sum_y half[y, p, i] zy[y, j]
+    h = half.reshape(dB, -1).T @ zy
+    return np.ascontiguousarray(h.reshape(rn, -1).T)
 
 
 def _trace_norm_sum(pool: np.ndarray, block: np.ndarray, col: np.ndarray,
@@ -623,30 +612,24 @@ def _stats(prefix: str, vals) -> dict:
             f"{prefix}_max": float(arr.max())}
 
 
-def _family_sum(fam: Mapping) -> np.ndarray:
-    """The sum of a family of eigen-forms (z, w) as one matrix: the
-    weighted_gram of all factors side by side."""
-    zs, ws = zip(*fam.values())
-    return weighted_gram(np.concatenate(zs, axis=1), np.concatenate(ws))
-
-
 @dataclass(frozen=True)
 class _Setup:
     """The objects of a trial that depend on (rho_AB, d, n, delta) only.
 
     ``bundles`` holds each side's projector bundle, ``letter_maps`` each
     side's _letter_map from ensemble letters to POVM outcomes, ``p_uv`` the
-    joint outcome law, (``c1``, ``cperm3``) the sandwich frame, ``pinvs``
-    each side's pinv_sqrt(rho^{(x)n}), ``target_ops`` the composed target's
-    letter operators followed by the void letter's zero block, and ``law``
-    _integration_laws' table.  Every array is read-only.
+    joint outcome law, (``c1``, ``cperm3``) the sandwich frame, ``columns``
+    each side's _approx_columns (z, vals, offsets), the one array every
+    codeword's approximating operator is cut from, ``target_ops`` the
+    composed target's letter operators followed by the void letter's zero
+    block, and ``law`` _integration_laws' table.  Every array is read-only.
     """
     bundles: tuple
     letter_maps: tuple
     p_uv: np.ndarray
     c1: np.ndarray
     cperm3: np.ndarray
-    pinvs: tuple
+    columns: tuple
     target_ops: tuple
     law: np.ndarray
 
@@ -680,7 +663,7 @@ def _build_setup(rho_AB: DensityOperator, d: SeparableDecomposition, n: int,
     ops = compose_decomposition(d).operators
     return read_only(_Setup(
         bundles, letter_maps, outcome_distribution(rho_AB, d.povm_A, d.povm_B), c1, cperm3,
-        (_pinv_sqrt_power(rho_A, n), _pinv_sqrt_power(rho_B, n)),
+        (_approx_columns(rho_A, bundles[0], n), _approx_columns(rho_B, bundles[1], n)),
         ops + (np.zeros_like(ops[0]),), _integration_laws(d)))
 
 
@@ -736,10 +719,14 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
     bundle_A, bundle_B = setup.bundles
 
     codebook = generate_codebooks(params, bundle_A.pruned, bundle_B.pruned)
-    fams_A = build_approx_operators(codebook, setup.pinvs[0], bundle_A, params, side="A")
-    fams_B = build_approx_operators(codebook, setup.pinvs[1], bundle_B, params, side="B")
-    checks_A = [check_sub_povm([_family_sum(fam)]) for fam in fams_A]
-    checks_B = [check_sub_povm([_family_sum(fam)]) for fam in fams_B]
+    mu_A, id_A, z_A, w_A = build_approx_operators(codebook, setup.columns[0], bundle_A,
+                                                  params, side="A")
+    mu_B, id_B, z_B, w_B = build_approx_operators(codebook, setup.columns[1], bundle_B,
+                                                  params, side="B")
+    checks = tuple([check_sub_povm([weighted_gram(z[:, mu == m], w[mu == m])])
+                    for m in range(count)]
+                   for mu, z, w, count in ((mu_A, z_A, w_A, params.N1),
+                                           (mu_B, z_B, w_B, params.N2)))
 
     binmaps = generate_bin_maps(params, bundle_A.typical, bundle_B.typical)
     to_A, to_B = setup.letter_maps
@@ -747,39 +734,26 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
         to_A[us], to_B[vs], setup.p_uv, params.delta))
     rows_A, rows_B = to_A[decoder.rows[0]], to_B[decoder.rows[1]]
 
-    # one sandwich pass over the unbinned families pools every codeword
-    # pair's factor columns, each tagged with the code u (|T_B| + 1) + v of
+    # one sandwich pass over the two column arrays pools the factor column
+    # of every column pair, each tagged with the code u (|T_B| + 1) + v of
     # its member-id pair and of the pair its cell decodes to, the sentinel
-    # included, from one decoded-code table per (mu1, mu2) indexed by bin.
-    # By linearity a decoded block is the sum of its pairs' columns; cells
-    # without codewords hold zero blocks and are never visited
-    w_mu = 1.0 / (params.N1 * params.N2)
+    # included, read from one decoded-code table indexed by (mu1, mu2) and
+    # bins.  By linearity a decoded block is the sum of its pairs' columns;
+    # cells without codewords hold zero blocks and are never visited
     nv = len(rows_B)
     tables = np.full((params.N1, params.N2, params.bins1 + 1, params.bins2 + 1),
                      decoder.sentinel[0] * nv + decoder.sentinel[1])
     tables[tuple(np.array(list(decoder.cells), dtype=np.intp).reshape(-1, 4).T)] = [
         u * nv + v for u, v in decoder.cells.values()]
-
-    parts, weights, pair_codes, decoded_codes = [], [], [], []
-    covered = 0.0
-    for mu1, fam_a in enumerate(fams_A):
-        ia = np.array(list(fam_a), dtype=np.intp)
-        bins_a = binmaps[0].assignments[mu1, ia]
-        for mu2, fam_b in enumerate(fams_B):
-            ib = np.array(list(fam_b), dtype=np.intp)
-            bins_b = binmaps[1].assignments[mu2, ib]
-            h, w = _sandwich_factors(list(fam_a.values()), list(fam_b.values()), setup.cperm3)
-            w *= w_mu
-            covered += float(np.sum(np.sum(np.abs(h) ** 2, axis=2) * w))
-            width = h.shape[3]
-            parts.append(h.transpose(0, 1, 3, 2).reshape(-1, h.shape[2]))
-            weights.append(w.ravel())
-            pair_codes.append(np.repeat(ia[:, None] * nv + ib, width))
-            decoded_codes.append(np.repeat(tables[mu1, mu2, bins_a[:, None], bins_b], width))
-    return _Realization(setup, codebook, (checks_A, checks_B), binmaps,
-                        decoder, (rows_A, rows_B), np.concatenate(parts),
-                        np.concatenate(weights), np.concatenate(pair_codes),
-                        np.concatenate(decoded_codes), max(0.0, 1.0 - covered))
+    bin_A = binmaps[0].assignments[mu_A, id_A]
+    bin_B = binmaps[1].assignments[mu_B, id_B]
+    pool = _sandwich_factors(z_A, z_B, setup.cperm3)
+    weight = (w_A[:, None] * w_B).ravel() * (1.0 / (params.N1 * params.N2))
+    covered = float(np.sum(np.sum(np.abs(pool) ** 2, axis=1) * weight))
+    return _Realization(setup, codebook, checks, binmaps, decoder, (rows_A, rows_B),
+                        pool, weight, (id_A[:, None] * nv + id_B).ravel(),
+                        tables[mu_A[:, None], mu_B, bin_A[:, None], bin_B].ravel(),
+                        max(0.0, 1.0 - covered))
 
 
 def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
@@ -797,19 +771,20 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     which rebuilds them only when those values change.
 
     Memory scales with the factors, r = rank(rho_AB): the pool holds
-    a b k_a k_b columns of r^n entries for each (mu1, mu2), a and b the
-    distinct codewords and k their widths, with a few integer ids per
-    column; scoring adds the target columns and gathers the blocks of each
-    width m a chunk at a time, the r^n x m factors of a chunk holding at
-    most GATHER_CAP entries in all (one block, if that alone is wider) and
-    giving min(r^n, m)^2 blocks to diagonalize.  No Python list is kept per
+    (sum k_A)(sum k_B) unpadded columns of r^n entries, formed in one pass,
+    the sums running over each side's distinct codewords of every mu and k
+    being their widths, with a few integer ids per column; scoring adds the
+    target columns and gathers the blocks of each width m a chunk at a
+    time, the r^n x m factors of a chunk holding at most GATHER_CAP entries
+    in all (one block, if that alone is wider) and giving min(r^n, m)^2
+    blocks to diagonalize.  No Python object is kept per codeword or
     codeword pair, no matrix per codeword is formed, and no
     (dA dB)^n-sided operator; sub-POVM validity takes one d^n-sided matrix
     per family.  The pool and the entry index arrays are held under no cap:
     a stochastic integration fans each decoded pair into many image blocks,
     each taking all its pairs' columns, so image entries can far outnumber
     the pool's columns.  Between calls the process retains one _Setup, the
-    most recent: both d^n-sided bundles and pinv_sqrt(rho^{(x)n}) powers,
+    most recent: both d^n-sided bundles, each side's d^n-row column array,
     the (dA^n, dB^n, r^n) frame and the target's (dA dB)-sided letters.
     """
     real = _realize(params, rho_AB, d)

@@ -212,24 +212,21 @@ def intermediate_system(i1, i2, iuv, su, sv) -> InequalitySystem:
     """
     i1, i2, iuv = rationalize(i1), rationalize(i2), rationalize(iuv)
     su, sv = rationalize(su), rationalize(sv)
-    v = ("R1", "R2", "C", "Rt1", "Rt2", "C1", "C2")
     rows = [
-        Inequality((0, 0, 0, 1, 0, 0, 0), GE, i1),            # codebook covers side A
-        Inequality((0, 0, 0, 0, 1, 0, 0), GE, i2),            # codebook covers side B
-        Inequality((0, 0, 0, 1, 0, 1, 0), GE, su),            # randomness + rate cover S(U)
-        Inequality((0, 0, 0, 0, 1, 0, 1), GE, sv),            # randomness + rate cover S(V)
-        Inequality((1, 1, 0, -1, -1, 0, 0), GE, -iuv),        # packing: bin excess <= I(U;V)
-        Inequality((-1, 0, 0, 1, 0, 0, 0), GE, 0),            # Rt1 >= R1
-        Inequality((0, -1, 0, 0, 1, 0, 0), GE, 0),            # Rt2 >= R2
-        Inequality((1, 0, 0, 0, 0, 0, 0), GE, 0),
-        Inequality((0, 1, 0, 0, 0, 0, 0), GE, 0),
-        Inequality((0, 0, 1, 0, 0, -1, -1), GE, 0),           # C1 + C2 <= C
-        Inequality((0, 0, 0, 0, 0, 1, 0), GE, 0),
-        Inequality((0, 0, 0, 0, 0, 0, 1), GE, 0),
+        ((0, 0, 0, 1, 0, 0, 0), GE, i1),            # codebook covers side A
+        ((0, 0, 0, 0, 1, 0, 0), GE, i2),            # codebook covers side B
+        ((0, 0, 0, 1, 0, 1, 0), GE, su),            # randomness + rate cover S(U)
+        ((0, 0, 0, 0, 1, 0, 1), GE, sv),            # randomness + rate cover S(V)
+        ((1, 1, 0, -1, -1, 0, 0), GE, -iuv),        # packing: bin excess <= I(U;V)
+        ((-1, 0, 0, 1, 0, 0, 0), GE, 0),            # Rt1 >= R1
+        ((0, -1, 0, 0, 1, 0, 0), GE, 0),            # Rt2 >= R2
+        ((1, 0, 0, 0, 0, 0, 0), GE, 0),
+        ((0, 1, 0, 0, 0, 0, 0), GE, 0),
+        ((0, 0, 1, 0, 0, -1, -1), GE, 0),           # C1 + C2 <= C
+        ((0, 0, 0, 0, 0, 1, 0), GE, 0),
+        ((0, 0, 0, 0, 0, 0, 1), GE, 0),
     ]
-    rows = [Inequality(r.coeffs, r.relation, r.rhs, frozenset({i}))
-            for i, r in enumerate(rows)]
-    return InequalitySystem(v, tuple(rows))
+    return InequalitySystem.from_rows(("R1", "R2", "C", "Rt1", "Rt2", "C1", "C2"), rows)
 
 
 def single_letter_system(i1, i2, iuv, su, sv) -> InequalitySystem:
@@ -477,5 +474,4 @@ def region_for(rho_AB: DensityOperator, d: SeparableDecomposition,
     sigma1, sigma2, sigma3 = auxiliary_states(rho_AB, d)
     if not use_stochastic:
         return dist_deterministic_region(sigma1, sigma2, sigma3)
-    sigma3z = stochastic_sigma3(rho_AB, d)
-    return dist_stochastic_region(sigma1, sigma2, sigma3z)
+    return dist_stochastic_region(sigma1, sigma2, stochastic_sigma3(sigma3, d))

@@ -32,27 +32,47 @@ def matrix_to_json(mat) -> dict:
             "entries": [[float(x.real), float(x.imag)] for x in a.ravel()]}
 
 
+def json_number(what: str, value, integer: bool = False):
+    """A payload value that must be a number: a JSON int or float, never a
+    boolean or a numeric string.  Returns it as a float, or with ``integer``
+    an integral value as an int."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if not integer:
+                return float(value)
+            if value == int(value):
+                return int(value)
+    except (OverflowError, ValueError):
+        pass
+    raise InvariantError(f"{what} must be {'an integer' if integer else 'a number'}, "
+                         f"got {value!r}")
+
+
+def json_numbers(what: str, value) -> list:
+    """A JSON list of numbers as a list of floats."""
+    if not isinstance(value, list):
+        raise InvariantError(f"{what} must be a list of numbers, got {value!r}")
+    return [json_number(what, x) for x in value]
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InvariantError("matrix payload must be an object")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = json_number("matrix rows", obj["rows"], integer=True)
+        cols = json_number("matrix cols", obj["cols"], integer=True)
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvariantError(f"malformed matrix payload: {exc}")
+    except KeyError as exc:
+        raise InvariantError(f"malformed matrix payload: missing {exc}")
     if not isinstance(entries, list):
         raise InvariantError(f"matrix entries must be a list, got {entries!r}")
     if rows < 0 or cols < 0 or rows * cols != len(entries):
         raise InvariantError("rows*cols must equal the entry count")
     flat = []
     for e in entries:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
+        if not isinstance(e, list) or len(e) != 2:
             raise InvariantError("matrix entries must be [re, im] pairs")
-        try:
-            flat.append(complex(float(e[0]), float(e[1])))
-        except (TypeError, ValueError):
-            raise InvariantError(f"matrix entries must be numbers, got {e!r}") from None
+        flat.append(complex(*json_numbers("matrix entries", e)))
     return np.array(flat, dtype=np.complex128).reshape(rows, cols)
 
 
@@ -67,11 +87,10 @@ def density_from_json(obj) -> DensityOperator:
     dims = obj.get("dims")
     if dims is None:
         raise InvariantError("density payload needs a dims field")
-    try:
-        dims = tuple(int(d) for d in dims)
-    except (TypeError, ValueError):
-        raise InvariantError(f"density dims must be a list of integers, got {dims!r}") from None
-    return DensityOperator(mat, dims)
+    if not isinstance(dims, list):
+        raise InvariantError(f"density dims must be a list of integers, got {dims!r}")
+    return DensityOperator(mat, tuple(json_number("density dims", d, integer=True)
+                                      for d in dims))
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +176,12 @@ def decomposition_from_json(obj) -> SeparableDecomposition:
         raw_rows = channel["rows"]
     except (KeyError, TypeError) as exc:
         raise InvariantError(f"malformed decomposition payload: {exc}")
+    if not isinstance(raw_rows, dict):
+        raise InvariantError(f"channel rows must be an object, got {raw_rows!r}")
     rows = {}
     for key, row in raw_rows.items():
         u, v = parse_pair_key(key, povm_a.outcomes, povm_b.outcomes)
-        rows[(u, v)] = np.asarray(row, dtype=float)
+        rows[(u, v)] = np.asarray(json_numbers("channel rows", row))
     d = SeparableDecomposition(povm_a, povm_b, z_alphabet, rows)
     stored = obj.get("deterministic")
     if stored is not None and bool(stored) != d.deterministic:
@@ -180,7 +201,7 @@ def ensemble_to_json(ens: Ensemble) -> dict:
 
 def ensemble_from_json(obj) -> Ensemble:
     try:
-        weights = [float(w) for w in obj["weights"]]
+        weights = json_numbers("ensemble weights", obj["weights"])
         outcomes = tuple(_freeze_label(o) for o in obj["outcomes"])
         states = tuple(density_from_json(s) for s in obj["states"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -355,13 +355,24 @@ def distortion_of_protocol(binned_A, binned_B, decoder, recon,
                 for fam in fams]
         return [{b: eigh_desc(op)[::-1] for b, op in fam.items()} for fam in full]
 
+    def side_by_side(fam):
+        # every operator's eigenvectors as one column array, with its eigenvalues
+        vecs, vals = zip(*fam.values())
+        return np.concatenate(vecs, axis=1), np.stack(vals)
+
     N1, N2 = decoder.n_mu
     w_mu = 1.0 / (N1 * N2)
     full_B = completed(binned_B, dB ** n)
     total = 0.0
     for mu1, fam_a in enumerate(completed(binned_A, dA ** n)):
         for mu2, fam_b in enumerate(full_B):
-            h, w = _sandwich_factors(list(fam_a.values()), list(fam_b.values()), cperm3)
+            (za, wa), (zb, wb) = side_by_side(fam_a), side_by_side(fam_b)
+            a, b = len(wa), len(wb)
+            # rows (a, i, b, j) of the sandwich, regrouped as H[a, b] with
+            # columns (i, j), so cell (a, b) is H[a, b] diag(w[a, b]) H[a, b]^dag
+            h = _sandwich_factors(za, zb, cperm3).reshape(a, dA ** n, b, dB ** n, -1)
+            h = h.transpose(0, 2, 4, 1, 3).reshape(a, b, h.shape[-1], -1)
+            w = (wa[:, None, :, None] * wb[None, :, None, :]).reshape(a, b, -1)
             cells = (h * (w_mu * w)[:, :, None, :]) @ h.conj().swapaxes(2, 3)
             for a, i in enumerate(fam_a):
                 for b, j in enumerate(fam_b):

@@ -397,6 +397,61 @@ def test_malformed_instance_field_exits_3(payload, field, command, tmp_path, cap
     assert out == ""
 
 
+def _full_example1_instance():
+    """_example1_instance with every optional numeric field present, as JSON."""
+    inst = fixtures.load_fixture("example1")
+    return json.loads(json.dumps(_example1_instance(
+        p_uv=inst.p_uv.tolist(), delta_obs=serialize.matrix_to_json(inst.delta_obs),
+        ensemble=serialize.ensemble_to_json(fixtures.soft_covering_ensemble()))))
+
+
+def _set(*path, value):
+    """A mutation setting the entry at path (keys and indices) to value."""
+    def mutate(payload):
+        *head, last = path
+        for key in head:
+            payload = payload[key]
+        payload[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set("state", "entries", 1, value=[False, False]),
+    _set("state", "entries", 0, value=["0.5", 0]),
+    _set("state", "rows", value=[1]),
+    _set("state", "rows", value=True),
+    _set("state", "cols", value="4"),
+    _set("state", "dims", value=[True, 2]),
+    _set("state", "dims", value=["2", "2"]),
+    _set("decomposition", "povm_A", "operators", 0, "entries", 1, value=[False, 0]),
+    _set("decomposition", "channel", "rows", "(0,0)", value=["x"] + [0] * 15),
+    _set("decomposition", "channel", "rows", "(0,0)", value=[True] + [False] * 15),
+    _set("decomposition", "channel", "rows", value=[1]),
+    _set("ensemble", "weights", value=[True, False]),
+    _set("ensemble", "weights", value=["0.5", "0.5"]),
+    _set("ensemble", "states", 0, "dims", value=[True]),
+    _set("p_uv", value=[[True] + [False] * 3] + [[False] * 4] * 3),
+    _set("p_uv", 0, value=["0.25"] * 4),
+    _set("delta_obs", "rows", value=8.5),
+], ids=["bool-entry", "text-entry", "list-rows", "bool-rows", "text-cols", "bool-dims",
+        "text-dims", "bool-povm-entry", "text-channel-row", "bool-channel-row",
+        "list-channel-rows", "bool-weights", "text-weights", "bool-ensemble-dims",
+        "bool-p_uv", "text-p_uv-row", "fractional-rows"])
+def test_non_number_instance_field_exits_3(mutate, tmp_path, capsys):
+    # where an instance file holds a number only a JSON int or float passes:
+    # booleans and numeric strings are refused, not read as 1, 0 or 0.5
+    payload = _full_example1_instance()
+    rc, out, err = _run(capsys, "--command", "region", "--input",
+                        _write_config(tmp_path, payload, "input.json"))
+    assert rc == 0, err
+    mutate(payload)
+    rc, out, err = _run(capsys, "--command", "region", "--input",
+                        _write_config(tmp_path, payload, "input.json"))
+    assert rc == 3, err
+    assert err.startswith("invariant violation:") and "must be" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("extra", [
     {"command": "simulate", "seeds": [0, 1], "ns": [2, 3]},
     {"command": "packing-sweep", "seeds": [0, 1], "rate_pairs": [[0.25, 0.25], [0.5, 0.5]]},

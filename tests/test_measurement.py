@@ -227,7 +227,7 @@ def test_auxiliary_states_example1_entropies():
 def test_stochastic_sigma3_consistent_with_deterministic():
     inst = fixtures.load_fixture("example1")
     _, _, sigma3 = auxiliary_states(inst.state, inst.decomposition)
-    sigma3z = stochastic_sigma3(inst.state, inst.decomposition)
+    sigma3z = stochastic_sigma3(sigma3, inst.decomposition)
     red = sigma3z.reduce(("U", "V", "R"))
     for key in red.blocks:
         assert np.allclose(red.blocks[key], sigma3.blocks[key], atol=1e-10)

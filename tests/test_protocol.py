@@ -66,6 +66,7 @@ from povmsim.protocol import (
 )
 from povmsim.typicality import (
     build_projector_bundle,
+    lambda_operators,
     pruned_distribution,
     typical_pairs,
     typical_set,
@@ -100,14 +101,26 @@ def _pieces(inst=None, seed=0, n=None, d=None):
     bundle_B = build_projector_bundle(rho_B, ens_B, params.n, params.delta)
     codebook = generate_codebooks(params, bundle_A.pruned, bundle_B.pruned)
 
-    def dense(fams):
-        return [{s: weighted_gram(*f) for s, f in fam.items()} for fam in fams]
+    def columns(rho, bundle):
+        # every member's lambda_operators factor, side by side, times pinv_sqrt(rho^{(x)n})
+        forms = [lambda_operators(s, bundle) for s in range(len(bundle.typical))]
+        pinv_n = tensor(*[matrix_sqrt_and_pinv_sqrt(rho.mat)[1]] * params.n)
+        return (pinv_n @ np.concatenate([z for z, _ in forms], axis=1),
+                np.concatenate([v for _, v in forms]), np.cumsum([0] + [v.size for _, v in forms]))
 
-    def pinv_n(rho):
-        return tensor(*[matrix_sqrt_and_pinv_sqrt(rho.mat)[1]] * params.n)
+    def dense(cols, count):
+        # one matrix per (mu, member id), from the columns the pair owns
+        mu, ids, z, w = cols
+        fams = [{} for _ in range(count)]
+        for m, s in dict.fromkeys(zip(mu.tolist(), ids.tolist())):
+            own = (mu == m) & (ids == s)
+            fams[m][s] = weighted_gram(z[:, own], w[own])
+        return fams
 
-    fams_A = dense(build_approx_operators(codebook, pinv_n(rho_A), bundle_A, params, side="A"))
-    fams_B = dense(build_approx_operators(codebook, pinv_n(rho_B), bundle_B, params, side="B"))
+    fams_A = dense(build_approx_operators(codebook, columns(rho_A, bundle_A), bundle_A, params,
+                                          side="A"), params.N1)
+    fams_B = dense(build_approx_operators(codebook, columns(rho_B, bundle_B), bundle_B, params,
+                                          side="B"), params.N2)
     binmaps = generate_bin_maps(params, bundle_A.typical, bundle_B.typical)
     binned_A = [bin_povm(f, binmaps[0].assignments[mu], params.bins1)
                 for mu, f in enumerate(fams_A)]
@@ -646,8 +659,8 @@ def test_sandwich_blocks_match_full_conjugation():
     # unequal side dimensions and a rank-deficient state pin the side-major
     # layout: block (a, b) is C^dag (X_a x Y_b) C with rho^{(x)n} = C C^dag,
     # X_a = Z_a diag(w_a) Z_a^dag given by its factor; ragged ranks, an empty
-    # factor and negative weights all go through the one padded product, and
-    # each block is closed here from its factor piece (H[a, b], w[a, b])
+    # factor and negative weights all go through the one product of the
+    # factors side by side, and each block is closed here from its rows
     rng = np.random.default_rng(4)
     n, dA, dB = 2, 2, 3
     full = random_density(rng, (dA, dB)).mat
@@ -667,16 +680,20 @@ def test_sandwich_blocks_match_full_conjugation():
 
     xs = [factor(dA ** n, k) for k in (0, 1, 2, dA ** n)]
     ys = [factor(dB ** n, k) for k in (2, 0, dB ** n, 1)]
-    h, w = _sandwich_factors(xs, ys, cperm3)
-    assert h.shape == (4, 4, 16, dA ** n * dB ** n) and w.shape == h.shape[:2] + h.shape[3:]
-    blocks = (h * w[:, :, None, :]) @ h.conj().swapaxes(2, 3)
-    for a, (zx, wx) in enumerate(xs):
-        for b, (zy, wy) in enumerate(ys):
-            x = zx @ np.diag(wx) @ zx.conj().T
-            y = zy @ np.diag(wy) @ zy.conj().T
+    zx, zy = (np.concatenate([z for z, _ in fs], axis=1) for fs in (xs, ys))
+    h = _sandwich_factors(zx, zy, cperm3)
+    assert h.shape == (zx.shape[1] * zy.shape[1], 16)
+    rows = h.reshape(zx.shape[1], zy.shape[1], 16)
+    ax, ay = (np.cumsum([0] + [w.size for _, w in fs]) for fs in (xs, ys))
+    for a, (za, wa) in enumerate(xs):
+        for b, (zb, wb) in enumerate(ys):
+            f = rows[ax[a]:ax[a + 1], ay[b]:ay[b + 1]].reshape(-1, 16).T
+            block = (f * np.outer(wa, wb).ravel()) @ f.conj().T
+            x = za @ np.diag(wa) @ za.conj().T
+            y = zb @ np.diag(wb) @ zb.conj().T
             want = c.conj().T @ np.kron(x, y) @ c
-            assert np.max(np.abs(blocks[a, b] - want)) < 1e-12
-    assert not blocks[0].any() and not blocks[:, 1].any()
+            assert np.max(np.abs(block - want)) < 1e-12
+            assert block.any() == bool(wa.size and wb.size)
 
 
 def test_trace_norm_sum_matches_dense():
@@ -821,12 +838,16 @@ def test_multi_mu_trial_matches_full_matrix_oracle(name):
 def test_error_split_bounds_total():
     # example1 at n = 4 has |T_A| |T_B| > 4096 typical pairs; the split is
     # scored over codeword pairs only, so it is reported there too
-    for name, n in (("binary-correlated", 2), ("binary-correlated", 3), ("example1", 4)):
-        inst = fixtures.load_fixture(name)
+    cases = [("binary-correlated", 2, 1, 1), ("binary-correlated", 3, 1, 1), ("example1", 4, 1, 1),
+             ("stochastic", 2, 1, 1), ("stochastic", 3, 1, 1)]
+    cases += [(name, n, 2, 3) for name in ("binary-correlated", "example1", "stochastic")
+              for n in (2, 3)]
+    for name, n, N1, N2 in cases:
+        inst, d = _instance(name)
         for seed in (0, 1, 2):
-            p = dataclasses.replace(inst.params, n=n, seed=seed)
-            r = faithfulness_trial(p, inst.state, inst.decomposition)
-            s1, s2 = error_split(p, inst.state, inst.decomposition)
+            p = dataclasses.replace(inst.params, n=n, seed=seed, N1=N1, N2=N2)
+            r = faithfulness_trial(p, inst.state, d)
+            s1, s2 = error_split(p, inst.state, d)
             assert r.faithfulness_G <= s1 + s2 + 1e-9
 
 
@@ -919,7 +940,7 @@ def test_setup_and_fixture_arrays_are_read_only():
     faithfulness_trial(inst.params, inst.state, inst.decomposition)
     setup = protocol._last_setup[1]
     bundle = setup.bundles[0]
-    arrays = [setup.p_uv, setup.c1, setup.cperm3, setup.law, *setup.pinvs,
+    arrays = [setup.p_uv, setup.c1, setup.cperm3, setup.law, *setup.columns[0], *setup.columns[1],
               *setup.target_ops, *setup.letter_maps, bundle.pi_rho, bundle.pi_hat,
               bundle.lam_seq[0][0], bundle.lam_seq[0][1], bundle.typical.seqs,
               bundle.typical.probs, bundle.pruned.probs,
