@@ -393,7 +393,11 @@ def build_decoder(codebook: Codebook, binmaps, joint_typical) -> DecoderTable:
                                    us[a], vs[b]], axis=1))
     # one (mu1, mu2) tests each distinct pair once, so a cell's pairs are distinct
     found = np.concatenate(found)
-    _, first, counts = np.unique(found[:, :4], axis=0, return_index=True, return_counts=True)
+    # one integer per cell (mu1, mu2, i, j), ordered as the cells are
+    # lexicographically; bins run from 1, so each bin axis has nbins + 1 slots
+    keys = np.ravel_multi_index(found[:, :4].T, (len(codebook.u_lists), len(codebook.v_lists),
+                                                 bm1.nbins + 1, bm2.nbins + 1))
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     cells = {(m1, m2, i, j): (u, v)
              for m1, m2, i, j, u, v in found[np.sort(first[counts == 1])].tolist()}
     rows = tuple(np.vstack([t.seqs, sentinel_sequence(t)]) for t in (t1, t2))

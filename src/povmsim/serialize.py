@@ -183,8 +183,10 @@ def decomposition_from_json(obj) -> SeparableDecomposition:
         u, v = parse_pair_key(key, povm_a.outcomes, povm_b.outcomes)
         rows[(u, v)] = np.asarray(json_numbers("channel rows", row))
     d = SeparableDecomposition(povm_a, povm_b, z_alphabet, rows)
-    stored = obj.get("deterministic")
-    if stored is not None and bool(stored) != d.deterministic:
+    stored = obj.get("deterministic", d.deterministic)
+    if not isinstance(stored, bool):
+        raise InvariantError(f"deterministic flag must be a boolean, got {stored!r}")
+    if stored != d.deterministic:
         raise InvariantError("stored deterministic flag disagrees with the channel rows")
     return d
 

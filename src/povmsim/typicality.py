@@ -18,9 +18,11 @@ cap.  The bundle decides the conditional typical subspace of every typical
 sequence in one pass, from eigen-group counts, and forms only the typical
 product eigenvectors; no projector is a public result.  Joint typicality of
 codeword pairs is decided from the pair-letter counts of the pairs in use,
-at most SEQ_CAP pairs per call, taken from one one-hot product per block of
-pairs, so no pair string is enumerated.  Every batched pass holds its
-transient count arrays in chunks of at most CHUNK_CAP entries.
+at most SEQ_CAP pairs per call, so no pair string is enumerated: one
+broadcast one-hot product per block of pairs gives every pair letter's
+counts, which are held against integer bounds formed once per call.  Every
+batched pass holds its transient count arrays in chunks of at most
+CHUNK_CAP entries.
 """
 from __future__ import annotations
 
@@ -80,13 +82,17 @@ def _letter_counts(seqs: np.ndarray, alphabet_size: int) -> np.ndarray:
     return np.stack([(seqs == a).sum(axis=1) for a in range(alphabet_size)], axis=1)
 
 
-def _typical_mask(counts: np.ndarray, probs: np.ndarray, n, delta: float) -> np.ndarray:
-    # |c/n - p| <= delta * p per letter (last axis); p = 0 forces c = 0; n is
-    # the length, or an array of block lengths broadcasting against counts
-    lo = n * probs * (1.0 - delta)
-    hi = n * probs * (1.0 + delta)
+def _typical_bounds(probs: np.ndarray, n, delta: float) -> tuple:
+    # |c/n - p| <= delta * p as lo <= c <= hi; p = 0 forces c = 0; n is the
+    # length, or an array of block lengths broadcasting against probs
     slack = 1e-9  # integer counts against real thresholds
-    return np.all((counts >= lo - slack) & (counts <= hi + slack), axis=-1)
+    return n * probs * (1.0 - delta) - slack, n * probs * (1.0 + delta) + slack
+
+
+def _typical_mask(counts: np.ndarray, probs: np.ndarray, n, delta: float) -> np.ndarray:
+    # every letter (last axis) within its bounds
+    lo, hi = _typical_bounds(probs, n, delta)
+    return np.all((counts >= lo) & (counts <= hi), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +132,9 @@ def _validated_probs(probs, n: int, delta: float) -> np.ndarray:
         raise InvariantError("blocklength must be at least 1")
     if not (math.isfinite(delta) and delta > 0):
         raise InvariantError("delta must be a finite positive number")
+    # NaN fails every comparison below, so it is refused first
+    if not np.all(np.isfinite(p)):
+        raise InvariantError("probs must be finite")
     if float(np.min(p)) < -1e-12 or abs(float(np.sum(p)) - 1.0) > 1e-9:
         raise InvariantError("probs is not a probability distribution")
     return np.clip(p, 0.0, None)
@@ -157,32 +166,42 @@ def typical_pairs(us: np.ndarray, vs: np.ndarray, p_uv, delta: float) -> np.ndar
     ``us`` and ``vs`` hold one sequence per row as letter indices into the
     rows and columns of the joint letter law ``p_uv``.  typical_set's
     criterion is applied to the pair-letter counts of zip(u, v).  With
-    one-hot letter tables hot_u[a, x, k] = [u_a[k] = x] and
-    hot_v[k, b, y] = [v_b[k] = y], the counts of a block of pairs are one
-    matrix product hot_u @ hot_v, exact in floating point; blocks of pairs
-    are sized so that no count array holds more than CHUNK_CAP entries (a
-    block has at least one pair).
+    one-hot letter tables hot_u[x, 0, a, k] = [u_a[k] = x] and
+    hot_v[y, k, b] = [v_b[k] = y], the counts of a block of pairs are one
+    broadcast matrix product hot_u @ hot_v, an (|X|, |Y|, rows, cols) array
+    exact in floating point.  Each pair letter's bounds are typical_set's
+    thresholds rounded inward to integers, formed once per call, so the
+    test is exact for integer counts; a pair is typical when its counts
+    pass for every pair letter, an AND over the two leading axes.  Blocks
+    of pairs are sized so that no count array holds more than CHUNK_CAP
+    entries (a block has at least one pair).
     """
     if len(us) * len(vs) > SEQ_CAP:
         raise CapExceededError(
             f"{len(us)} x {len(vs)} sequence pairs exceed the cap {SEQ_CAP}")
     size_A, size_B = np.shape(p_uv)
     n = us.shape[1]
-    p = _validated_probs(p_uv, n, delta)
-    hot_u = (us[:, None, :] == np.arange(size_A)[:, None]) * 1.0
-    hot_v = (vs.T[:, :, None] == np.arange(size_B)) * 1.0
+    p = _validated_probs(p_uv, n, delta).reshape(size_A, size_B, 1, 1)
+    lo, hi = _typical_bounds(p, n, delta)
+    lo, hi = np.ceil(lo), np.floor(hi)
+    hot_u = (us == np.arange(size_A)[:, None, None, None]) * 1.0
+    hot_v = (vs.T == np.arange(size_B)[:, None, None]) * 1.0
     step_v = max(1, CHUNK_CAP // p.size)
-    step_u = max(1, CHUNK_CAP // (p.size * min(len(vs), step_v)))
+    step_u = max(1, CHUNK_CAP // (p.size * max(1, min(len(vs), step_v))))
     mask = np.empty((len(us), len(vs)), dtype=bool)
     for i in range(0, len(us), step_u):
-        rows = hot_u[i:i + step_u]
         for j in range(0, len(vs), step_v):
-            cols = hot_v[:, j:j + step_v]
-            counts = (rows.reshape(-1, n) @ cols.reshape(n, -1)).reshape(
-                len(rows), size_A, cols.shape[1], size_B).transpose(0, 2, 1, 3)
-            mask[i:i + step_u, j:j + step_v] = _typical_mask(
-                counts.reshape(len(rows), cols.shape[1], p.size), p, n, delta)
+            mask[i:i + step_u, j:j + step_v] = _within(
+                hot_u[:, :, i:i + step_u] @ hot_v[:, :, j:j + step_v], lo, hi)
     return mask
+
+
+def _within(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # (letters, letters, rows, cols) counts against per-letter bounds: the
+    # pairs whose every pair letter is in bounds
+    ok = counts >= lo
+    ok &= counts <= hi
+    return ok.all(axis=(0, 1))
 
 
 @dataclass(frozen=True)

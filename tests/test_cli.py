@@ -433,13 +433,17 @@ def _set(*path, value):
     _set("p_uv", value=[[True] + [False] * 3] + [[False] * 4] * 3),
     _set("p_uv", 0, value=["0.25"] * 4),
     _set("delta_obs", "rows", value=8.5),
+    _set("decomposition", "deterministic", value="no"),
+    _set("decomposition", "deterministic", value=1),
 ], ids=["bool-entry", "text-entry", "list-rows", "bool-rows", "text-cols", "bool-dims",
         "text-dims", "bool-povm-entry", "text-channel-row", "bool-channel-row",
         "list-channel-rows", "bool-weights", "text-weights", "bool-ensemble-dims",
-        "bool-p_uv", "text-p_uv-row", "fractional-rows"])
+        "bool-p_uv", "text-p_uv-row", "fractional-rows", "text-deterministic",
+        "number-deterministic"])
 def test_non_number_instance_field_exits_3(mutate, tmp_path, capsys):
     # where an instance file holds a number only a JSON int or float passes:
-    # booleans and numeric strings are refused, not read as 1, 0 or 0.5
+    # booleans and numeric strings are refused, not read as 1, 0 or 0.5; the
+    # deterministic flag takes a JSON boolean only
     payload = _full_example1_instance()
     rc, out, err = _run(capsys, "--command", "region", "--input",
                         _write_config(tmp_path, payload, "input.json"))

@@ -88,6 +88,16 @@ def test_typical_set_validation():
         typical_set((0.3, 0.7), 0, 0.5)
 
 
+@pytest.mark.parametrize("probs", [(np.nan, np.nan), (0.5, np.nan), (np.inf, 0.5)])
+def test_non_finite_probs_refused(probs):
+    # NaN fails every comparison, so it would pass as a law with no typical sequence
+    with pytest.raises(InvariantError, match="finite"):
+        typical_set(probs, 3, 0.5)
+    rows = np.zeros((2, 3), dtype=np.intp)
+    with pytest.raises(InvariantError, match="finite"):
+        typical_pairs(rows, rows, np.array([probs, (0.0, 0.0)]), 0.5)
+
+
 def test_pruned_distribution_is_conditioned_product():
     t = typical_set((0.3, 0.7), 6, 0.5)
     pruned = pruned_distribution(t)
@@ -153,13 +163,13 @@ def test_typical_pairs_chunks_match_row_oracle(name, monkeypatch):
     # some typical pairs: v repeats u's labels
     vs = np.vstack([vs, [[outB.index(outA[k]) for k in u] for u in us[:4]]])
     sizes = []
-    mask = typicality._typical_mask
+    within = typicality._within
 
-    def spy(counts, *rest):
+    def spy(counts, *rest):  # one block's (letters, letters, rows, cols) counts
         sizes.append(counts.size)
-        return mask(counts, *rest)
+        return within(counts, *rest)
 
-    monkeypatch.setattr(typicality, "_typical_mask", spy)
+    monkeypatch.setattr(typicality, "_within", spy)
     for cap in (typicality.CHUNK_CAP, 1, 5 * pairs, 3 * len(vs) * pairs):
         monkeypatch.setattr(typicality, "CHUNK_CAP", cap)
         for delta in (0.3, 0.6, 1.0):
@@ -167,6 +177,43 @@ def test_typical_pairs_chunks_match_row_oracle(name, monkeypatch):
             got = typical_pairs(us, vs, inst.p_uv, delta)
             assert max(sizes) <= max(cap, pairs)
             assert np.array_equal(got, typical_pairs_by_row(us, vs, inst.p_uv, delta))
+
+
+def test_typical_pairs_random_laws_match_row_oracle(monkeypatch):
+    # laws with zero cells, blocks crossing chunk boundaries, and bounds that
+    # land on integers: p = 1/4, n = 8, delta = 0.5 admits counts 1 to 3
+    rng = np.random.default_rng(11)
+    cases = [(np.full((2, 2), 0.25), 8, 0.5)]
+    for _ in range(60):
+        p = rng.random(rng.integers(1, 5, size=2))
+        p[rng.random(p.shape) < 0.25] = 0.0
+        p.flat[rng.integers(p.size)] += 0.5
+        cases.append((p / p.sum(), int(rng.integers(1, 12)),
+                      float(rng.choice([0.1, 0.25, 0.3, 0.5, 1.0, 2.0]))))
+    typical = 0
+    for case, (p, n, delta) in enumerate(cases):
+        us = rng.integers(p.shape[0], size=(int(rng.integers(1, 30)), n))
+        vs = rng.integers(p.shape[1], size=(int(rng.integers(1, 30)), n))
+        want = typical_pairs_by_row(us, vs, p, delta)
+        typical += int(want.sum())
+        for cap in (1, 7 * p.size, typicality.CHUNK_CAP):
+            monkeypatch.setattr(typicality, "CHUNK_CAP", cap)
+            assert np.array_equal(typical_pairs(us, vs, p, delta), want), (case, cap)
+    assert typical > 0
+    # on the integer bounds: pair-letter counts (1, 3, 3, 1) pass, while
+    # (4, 1, 1, 2) and (0, 3, 3, 2) fail by one count each
+    us = all_sequences(2, 8)
+    got = typical_pairs(us, us, cases[0][0], 0.5)
+    assert np.array_equal(got, typical_pairs_by_row(us, us, cases[0][0], 0.5))
+    assert got[0b00001111, 0b01110001]
+    assert not got[0b00000111, 0b00001011] and not got[0b00011111, 0b11100011]
+
+
+def test_typical_pairs_empty_sides():
+    p = np.full((2, 2), 0.25)
+    rows = np.zeros((3, 4), dtype=np.intp)
+    assert typical_pairs(rows, rows[:0], p, 0.5).shape == (3, 0)
+    assert typical_pairs(rows[:0], rows, p, 0.5).shape == (0, 3)
 
 
 def test_pruning_empty_set_raises():
