@@ -89,37 +89,27 @@ class CqState:
     def registers(self) -> tuple:
         return self.cregisters + self.qregisters
 
-    def reduce(self, keep: Sequence[str]) -> "CqState":
-        """Marginalize down to the named registers (classical and/or quantum).
+    def _marginal_blocks(self, keep: Sequence[str]) -> list:
+        """Blocks of the marginal on the named registers, in first-seen order.
 
-        Dropped classical registers are summed out; dropped quantum registers
-        are partial-traced.  Kept registers stay in their original order.
+        Dropped classical registers are summed out (in block order); dropped
+        quantum registers are partial-traced.  The blocks are not validated
+        again: partial traces and sums of this state's validated PSD blocks
+        stay PSD with the same total trace.
         """
         keep = set(keep)
         unknown = keep - set(self.registers())
         if unknown:
             raise InvariantError(f"unknown registers {sorted(unknown)}")
-        ckeep = tuple(c for c in self.cregisters if c in keep)
-        qkeep = tuple(q for q in self.qregisters if q in keep)
-        cidx = [self.cregisters.index(c) for c in ckeep]
-        qdims_all = [self.qdims[q] for q in self.qregisters]
-        qidx = [self.qregisters.index(q) for q in qkeep]
+        cidx = [i for i, c in enumerate(self.cregisters) if c in keep]
+        qidx = [i for i, q in enumerate(self.qregisters) if q in keep]
+        qdims = [self.qdims[q] for q in self.qregisters]
         out: dict = {}
         for key, blk in self.blocks.items():
             newkey = tuple(key[i] for i in cidx)
-            red = partial_trace(blk, qdims_all, qidx) if self.qregisters else blk
-            if newkey in out:
-                out[newkey] = out[newkey] + red
-            else:
-                out[newkey] = red
-        return CqState(
-            cregisters=ckeep,
-            alphabets={c: self.alphabets[c] for c in ckeep},
-            qregisters=qkeep,
-            qdims={q: self.qdims[q] for q in qkeep},
-            blocks=out,
-            tol=max(self.tol, 1e-8),
-        )
+            red = partial_trace(blk, qdims, qidx) if self.qregisters else blk
+            out[newkey] = out[newkey] + red if newkey in out else red
+        return list(out.values())
 
     # -- entropic functionals -------------------------------------------------
 
@@ -128,10 +118,12 @@ class CqState:
 
         Classical registers enter through the block structure: the state is
         block diagonal in them, so S is the sum of blockwise contributions
-        -sum e_i log2 e_i over each unnormalized block's eigenvalues.
+        -sum e_i log2 e_i over each unnormalized block's eigenvalues.  The
+        reduced blocks are read without building or re-validating a reduced
+        CqState.
         """
-        st = self if regs is None else self.reduce(regs)
-        return float(sum(von_neumann_entropy(blk) for blk in st.blocks.values()))
+        blocks = self.blocks.values() if regs is None else self._marginal_blocks(regs)
+        return float(sum(von_neumann_entropy(blk) for blk in blocks))
 
     def mutual_information(self, regs1: Sequence[str], regs2: Sequence[str]) -> float:
         r1, r2 = set(regs1), set(regs2)

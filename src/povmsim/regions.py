@@ -5,14 +5,18 @@ Two layers live here.  The numeric layer computes named information bounds
 for a decomposition by region_for) and packages them as RegionReport values,
 which membership checks rate points against.  The exact layer
 (InequalitySystem, fourier_motzkin, intermediate_system,
-single_letter_system) works over fractions: entropic values are quantized to
-rationals at QUANT_STEP, after which projection and set comparison are exact.
+single_letter_system) is exact: entropic values are quantized to rationals
+at QUANT_STEP, then each row coeffs ‖ rhs is scaled once to a coprime
+integer vector, so projection and set comparison run on Python ints, with
+a row's originating rows held as an int bit mask.  Fraction-valued
+Inequality rows are built only for the output.
 
-The elimination keeps two redundancy filters: pairwise domination between
-proportional rows, and the ancestor-count cutoff (a row combined from more
-than k+1 original rows after k eliminations is implied by the others and can
-be dropped).  The second filter is what makes projections of the intermediate
-rate system come out irredundant rather than merely correct.
+The elimination keeps two redundancy filters: per coefficient part of the
+coprime row only the strongest (rhs, strictness) row, and the ancestor-count
+cutoff (a row combined from more than k+1 original rows after k eliminations
+is implied by the others and is never formed).  The second filter is what
+makes projections of the intermediate rate system come out irredundant
+rather than merely correct.
 """
 from __future__ import annotations
 
@@ -75,46 +79,35 @@ class Inequality:
         return self.rhs <= 0 if self.relation == GE else self.rhs < 0
 
 
-def _canonical(ineq: Inequality) -> Inequality:
-    """Scale by a positive rational so entries are coprime integers."""
-    entries = list(ineq.coeffs) + [ineq.rhs]
-    nonzero = [e for e in entries if e != 0]
-    if not nonzero:
-        return Inequality(ineq.coeffs, ineq.relation, Fraction(0), ineq.ancestors)
-    lcm = 1
-    for e in entries:
-        lcm = math.lcm(lcm, e.denominator)
-    ints = [int(e * lcm) for e in entries]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    scale = Fraction(lcm, g)
-    return Inequality(
-        tuple(c * scale for c in ineq.coeffs),
-        ineq.relation,
-        ineq.rhs * scale,
-        ineq.ancestors,
-    )
+def _coprime(ints) -> tuple:
+    """Integer entries divided by their gcd (a zero vector stays as it is)."""
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
-def _dominated_filter(rows: Iterable[Inequality]) -> list:
-    """Keep, per coefficient direction, only the strongest (rhs, strictness) row.
+def _int_row(ineq: Inequality) -> tuple:
+    """coeffs ‖ rhs scaled by a positive rational to coprime integers."""
+    entries = ineq.coeffs + (ineq.rhs,)
+    lcm = math.lcm(*(e.denominator for e in entries))
+    return _coprime([e.numerator * (lcm // e.denominator) for e in entries])
 
-    Ties between identical rows keep the one with the smallest ancestor set so
-    later ancestor-count pruning stays as permissive as possible.
+
+def _strongest(rows: Iterable[tuple]) -> list:
+    """Keep, per coefficient part, only the strongest (rhs, strictness) row.
+
+    Rows are (coprime ints, strict, ancestor mask).  Ties between identical
+    rows keep the one with the fewest ancestors so later ancestor-count
+    pruning stays as permissive as possible; the kept rows come in the order
+    their coefficient parts were first seen.
     """
     best: dict = {}
-    for r in rows:
-        c = _canonical(r)
-        key = c.coeffs
+    for row in rows:
+        ints, strict, mask = row
+        key = ints[:-1]
         cur = best.get(key)
-        if cur is None:
-            best[key] = c
-            continue
-        rank_new = (c.rhs, c.relation == GT, -len(c.ancestors))
-        rank_old = (cur.rhs, cur.relation == GT, -len(cur.ancestors))
-        if rank_new > rank_old:
-            best[key] = c
+        if cur is None or ((ints[-1], strict, -mask.bit_count())
+                           > (cur[0][-1], cur[1], -cur[2].bit_count())):
+            best[key] = row
     return list(best.values())
 
 
@@ -147,8 +140,10 @@ class InequalitySystem:
 
     def canonical_rows(self) -> frozenset:
         """Irredundant canonical rows as hashable triples, for set comparison."""
-        kept = _dominated_filter(r for r in self.inequalities if not r.vacuous())
-        return frozenset((r.coeffs, r.relation, r.rhs) for r in kept)
+        kept = _strongest((_int_row(r), r.relation == GT, 0)
+                          for r in self.inequalities if not r.vacuous())
+        return frozenset((tuple(Fraction(c) for c in ints[:-1]), GT if strict else GE,
+                          Fraction(ints[-1])) for ints, strict, _ in kept)
 
     def same_region(self, other: "InequalitySystem") -> bool:
         return (self.variables == other.variables
@@ -157,45 +152,40 @@ class InequalitySystem:
 def fourier_motzkin(sys: InequalitySystem, eliminate: Sequence[str]) -> InequalitySystem:
     """Project the feasible set onto the variables not in ``eliminate``.
 
-    Exact over fractions.  Strictness propagates: a combination is strict when
+    Exact over integers.  Strictness propagates: a combination is strict when
     either parent is.  Redundancy control per module docstring.
     """
     eliminate = list(eliminate)
     unknown = [v for v in eliminate if v not in sys.variables]
     if unknown:
         raise InvariantError(f"cannot eliminate unknown variables {unknown}")
-    rows = [Inequality(r.coeffs, r.relation, r.rhs, frozenset({i}))
-            for i, r in enumerate(sys.inequalities)]
-    rows = _dominated_filter(r for r in rows if not r.vacuous())
-    steps = 0
-    for var in eliminate:
+    rows = _strongest((_int_row(r), r.relation == GT, 1 << i)
+                      for i, r in enumerate(sys.inequalities) if not r.vacuous())
+    for steps, var in enumerate(eliminate, start=1):
         j = sys.variables.index(var)
-        pos = [r for r in rows if r.coeffs[j] > 0]
-        neg = [r for r in rows if r.coeffs[j] < 0]
-        zer = [r for r in rows if r.coeffs[j] == 0]
-        combos = []
-        for p in pos:
-            a = p.coeffs[j]
-            for m in neg:
-                b = -m.coeffs[j]
-                coeffs = tuple(b * cp + a * cm for cp, cm in zip(p.coeffs, m.coeffs))
-                rel = GT if GT in (p.relation, m.relation) else GE
-                combos.append(Inequality(coeffs, rel, b * p.rhs + a * m.rhs,
-                                         p.ancestors | m.ancestors))
-        steps += 1
-        merged = zer + [c for c in combos if not c.vacuous()]
-        merged = [r for r in merged if len(r.ancestors) <= steps + 1]
-        rows = _dominated_filter(merged)
-    keep_idx = [i for i, v in enumerate(sys.variables) if v not in eliminate]
+        merged = [r for r in rows if r[0][j] == 0]
+        neg = [r for r in rows if r[0][j] < 0]
+        for p, p_strict, p_mask in (r for r in rows if r[0][j] > 0):
+            a = p[j]
+            for m, m_strict, m_mask in neg:
+                mask = p_mask | m_mask
+                if mask.bit_count() > steps + 1:
+                    continue
+                b = -m[j]
+                ints = [b * cp + a * cm for cp, cm in zip(p, m)]
+                strict = p_strict or m_strict
+                if not any(ints[:-1]) and (ints[-1] < 0 if strict else ints[-1] <= 0):
+                    continue  # vacuous
+                merged.append((_coprime(ints), strict, mask))
+        rows = _strongest(merged)
+    keep = [i for i, v in enumerate(sys.variables) if v not in eliminate]
     out = []
-    for r in rows:
-        dropped = [r.coeffs[i] for i, v in enumerate(sys.variables) if v in eliminate]
-        if any(c != 0 for c in dropped):
+    for ints, strict, mask in rows:
+        if any(ints[i] for i, v in enumerate(sys.variables) if v in eliminate):
             raise InvariantError("eliminated variable survived projection")
-        out.append(Inequality(tuple(r.coeffs[i] for i in keep_idx),
-                              r.relation, r.rhs, r.ancestors))
-    return InequalitySystem(tuple(sys.variables[i] for i in keep_idx),
-                            tuple(_dominated_filter(out)))
+        out.append(Inequality(tuple(ints[i] for i in keep), GT if strict else GE, ints[-1],
+                              frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)))
+    return InequalitySystem(tuple(sys.variables[i] for i in keep), tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +402,8 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
     """Rate-distortion bounds for measure-and-reconstruct compression.
 
     ``povm_pairs`` maps each time-sharing symbol q to a pair (povm_A, povm_B);
-    ``recon`` maps (u, v, q) to a reconstruction DensityOperator; ``delta`` is
+    ``recon`` maps every (u, v, q) to a reconstruction DensityOperator, all
+    of one dimension (checked before any product); ``delta`` is
     a PSD distortion observable on reference x reconstruction.  Bounds are the
     three Q-conditioned rate rows plus the achieved average distortion.
     """
@@ -424,8 +415,14 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
     if lo < -max(tol, 1e-9):
         raise InvariantError("distortion observable must be PSD")
 
-    dR = rho_AB.dim
-    dXhat = next(iter(recon.values())).dim
+    missing = [(u, v, q) for q, (ma, mb) in povm_pairs.items()
+               for u in ma.outcomes for v in mb.outcomes if (u, v, q) not in recon]
+    if missing:
+        raise InvariantError(f"no reconstruction state for {missing}")
+    dims = sorted({s.dim for s in recon.values()})
+    if len(dims) != 1:
+        raise InvariantError(f"reconstruction states must share one dimension, got {dims}")
+    dR, dXhat = rho_AB.dim, dims[0]
     if delta.shape != (dR * dXhat, dR * dXhat):
         raise InvariantError("distortion observable dimension mismatch")
 

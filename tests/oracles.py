@@ -1,13 +1,15 @@
 """Reference computations that only the tests call.
 
 Dense identities, the baseline rate regions of point-to-point measurement
-compression, the distortion of the decoded protocol, and small readers of
-library objects.  Each builds full matrices where the library works in
+compression, the distortion of the decoded protocol, Fourier-Motzkin
+elimination over Fraction rows, validated CqState marginals, and small
+readers of library objects.  Each builds full matrices where the library works in
 factor form or never needs the quantity at all; tests compare the two, or
 check a paper identity with them.
 """
 from __future__ import annotations
 
+import math
 from functools import reduce
 from fractions import Fraction
 
@@ -39,7 +41,7 @@ from povmsim.operators import (
     von_neumann_entropy,
 )
 from povmsim.protocol import _count_for_rate, _sandwich_factors, _sandwich_frame
-from povmsim.regions import GE, GT, RegionReport
+from povmsim.regions import GE, GT, Inequality, InequalitySystem, RegionReport
 from povmsim.typicality import _check_dim_cap, typical_set
 
 #: outcome label appended by complete_sub_povm for the deficit operator
@@ -61,6 +63,37 @@ def prob(cq: CqState, key) -> float:
     key = tuple(key) if isinstance(key, (tuple, list)) else (key,)
     blk = cq.blocks.get(key)
     return 0.0 if blk is None else float(np.real(np.trace(blk)))
+
+
+def reduce_cq(cq: CqState, keep) -> CqState:
+    """The validated marginal CqState on the named registers (classical and/or
+    quantum), kept registers in their original order: dropped classical
+    registers are summed out, dropped quantum registers partial-traced."""
+    keep = set(keep)
+    unknown = keep - set(cq.registers())
+    if unknown:
+        raise InvariantError(f"unknown registers {sorted(unknown)}")
+    ckeep = tuple(c for c in cq.cregisters if c in keep)
+    qkeep = tuple(q for q in cq.qregisters if q in keep)
+    cidx = [cq.cregisters.index(c) for c in ckeep]
+    qdims_all = [cq.qdims[q] for q in cq.qregisters]
+    qidx = [cq.qregisters.index(q) for q in qkeep]
+    out: dict = {}
+    for key, blk in cq.blocks.items():
+        newkey = tuple(key[i] for i in cidx)
+        red = partial_trace(blk, qdims_all, qidx) if cq.qregisters else blk
+        if newkey in out:
+            out[newkey] = out[newkey] + red
+        else:
+            out[newkey] = red
+    return CqState(
+        cregisters=ckeep,
+        alphabets={c: cq.alphabets[c] for c in ckeep},
+        qregisters=qkeep,
+        qdims={q: cq.qdims[q] for q in qkeep},
+        blocks=out,
+        tol=max(cq.tol, 1e-8),
+    )
 
 
 def ensemble_state(ens, outcome) -> DensityOperator:
@@ -100,6 +133,94 @@ def lookup(decoder, mu1: int, mu2: int, i: int, j: int) -> tuple:
     if i == 0 or j == 0:
         return decoder.sentinel
     return decoder.cells.get((mu1, mu2, i, j), decoder.sentinel)
+
+
+# ---------------------------------------------------------------------------
+# exact elimination over fractions
+# ---------------------------------------------------------------------------
+
+def _canonical(ineq: Inequality) -> Inequality:
+    """Scale by a positive rational so entries are coprime integers."""
+    entries = list(ineq.coeffs) + [ineq.rhs]
+    nonzero = [e for e in entries if e != 0]
+    if not nonzero:
+        return Inequality(ineq.coeffs, ineq.relation, Fraction(0), ineq.ancestors)
+    lcm = 1
+    for e in entries:
+        lcm = math.lcm(lcm, e.denominator)
+    ints = [int(e * lcm) for e in entries]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, abs(v))
+    scale = Fraction(lcm, g)
+    return Inequality(
+        tuple(c * scale for c in ineq.coeffs),
+        ineq.relation,
+        ineq.rhs * scale,
+        ineq.ancestors,
+    )
+
+
+def _dominated_filter(rows) -> list:
+    """Keep, per coefficient direction, only the strongest (rhs, strictness) row.
+
+    Ties between identical rows keep the one with the smallest ancestor set.
+    """
+    best: dict = {}
+    for r in rows:
+        c = _canonical(r)
+        key = c.coeffs
+        cur = best.get(key)
+        if cur is None:
+            best[key] = c
+            continue
+        rank_new = (c.rhs, c.relation == GT, -len(c.ancestors))
+        rank_old = (cur.rhs, cur.relation == GT, -len(cur.ancestors))
+        if rank_new > rank_old:
+            best[key] = c
+    return list(best.values())
+
+
+def fourier_motzkin_fractions(sys: InequalitySystem, eliminate) -> InequalitySystem:
+    """fourier_motzkin on Fraction rows with frozenset ancestors: every
+    combined row is a new Inequality, canonicalized by _canonical, and the
+    ancestor cutoff drops rows after they are formed."""
+    eliminate = list(eliminate)
+    unknown = [v for v in eliminate if v not in sys.variables]
+    if unknown:
+        raise InvariantError(f"cannot eliminate unknown variables {unknown}")
+    rows = [Inequality(r.coeffs, r.relation, r.rhs, frozenset({i}))
+            for i, r in enumerate(sys.inequalities)]
+    rows = _dominated_filter(r for r in rows if not r.vacuous())
+    steps = 0
+    for var in eliminate:
+        j = sys.variables.index(var)
+        pos = [r for r in rows if r.coeffs[j] > 0]
+        neg = [r for r in rows if r.coeffs[j] < 0]
+        zer = [r for r in rows if r.coeffs[j] == 0]
+        combos = []
+        for p in pos:
+            a = p.coeffs[j]
+            for m in neg:
+                b = -m.coeffs[j]
+                coeffs = tuple(b * cp + a * cm for cp, cm in zip(p.coeffs, m.coeffs))
+                rel = GT if GT in (p.relation, m.relation) else GE
+                combos.append(Inequality(coeffs, rel, b * p.rhs + a * m.rhs,
+                                         p.ancestors | m.ancestors))
+        steps += 1
+        merged = zer + [c for c in combos if not c.vacuous()]
+        merged = [r for r in merged if len(r.ancestors) <= steps + 1]
+        rows = _dominated_filter(merged)
+    keep_idx = [i for i, v in enumerate(sys.variables) if v not in eliminate]
+    out = []
+    for r in rows:
+        dropped = [r.coeffs[i] for i, v in enumerate(sys.variables) if v in eliminate]
+        if any(c != 0 for c in dropped):
+            raise InvariantError("eliminated variable survived projection")
+        out.append(Inequality(tuple(r.coeffs[i] for i in keep_idx),
+                              r.relation, r.rhs, r.ancestors))
+    return InequalitySystem(tuple(sys.variables[i] for i in keep_idx),
+                            tuple(_dominated_filter(out)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from povmsim import cli, fixtures, protocol, serialize
+from povmsim.operators import DensityOperator
 
 
 def _run(capsys, *argv):
@@ -379,6 +380,40 @@ def _example1_instance(**extra):
             **extra}
 
 
+def _binary_correlated_rd_instance(drop=None, resize=None):
+    """binary-correlated as an rd-eval instance file: its reconstruction
+    states and distortion observable, less the pair ``drop`` and with the
+    pair ``resize`` reconstructed on a qutrit."""
+    inst = fixtures.load_fixture("binary-correlated")
+    recon = {}
+    for (u, v, _), state in inst.recon.items():
+        if (u, v) == resize:
+            state = DensityOperator(np.eye(3) / 3, (3,))
+        if (u, v) != drop:
+            recon[serialize.pair_key(u, v)] = serialize.density_to_json(state)
+    return {"state": serialize.density_to_json(inst.state),
+            "decomposition": serialize.decomposition_to_json(inst.decomposition),
+            "recon": recon, "delta_obs": serialize.matrix_to_json(inst.delta_obs)}
+
+
+@pytest.mark.parametrize("payload, word", [
+    (_binary_correlated_rd_instance(drop=("0", "1")), "no reconstruction"),
+    (_binary_correlated_rd_instance(resize=("1", "0")), "share one dimension"),
+], ids=["missing-recon-pair", "mixed-recon-dims"])
+def test_bad_recon_exits_3(payload, word, tmp_path, capsys):
+    # a reconstruction map that misses an outcome pair or mixes dimensions
+    # is refused before any product, not left to a KeyError or a matmul error
+    good = _binary_correlated_rd_instance()
+    rc, out, err = _run(capsys, "--command", "rd-eval", "--input",
+                        _write_config(tmp_path, good, "input.json"))
+    assert rc == 0, err
+    rc, out, err = _run(capsys, "--command", "rd-eval", "--input",
+                        _write_config(tmp_path, payload, "input.json"))
+    assert rc == 3, err
+    assert err.startswith("invariant violation:") and word in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["simulate", "region", "rd-eval", "packing-sweep"])
 @pytest.mark.parametrize("payload, field", [
     (_example1_instance(p_uv="x"), "p_uv"),
@@ -601,6 +636,8 @@ _VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
 _MALFORMED_INSTANCES = {
     "text-p_uv": _example1_instance(p_uv="x"),
     "list-recon": _example1_instance(recon=[1]),
+    "missing-recon-pair": _binary_correlated_rd_instance(drop=("0", "1")),
+    "mixed-recon-dims": _binary_correlated_rd_instance(resize=("1", "0")),
     "object-name": _example1_instance(name={"a": 1}),
     "text-weight": _example1_instance(ensemble=dict(_ENSEMBLE, weights=["x", 0.5])),
     "list-config": _example1_instance(config=[1]),

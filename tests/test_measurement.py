@@ -1,5 +1,7 @@
 """Classical-quantum states, decompositions, and faithfulness distances."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from oracles import (
     apply_measurement,
     ensemble_weight,
     prob,
+    reduce_cq,
     shannon_entropy,
     verify_purification_identity,
 )
@@ -68,7 +71,7 @@ def test_cq_reduce_to_quantum_is_average():
     states = tuple(random_density(rng, (2,)).mat for _ in probs)
     cq = _cq_from_ensemble(probs, states)
     avg = sum(p * s for p, s in zip(probs, states))
-    red = cq.reduce(("R",))
+    red = reduce_cq(cq, ("R",))
     assert np.allclose(red.blocks[()], avg, atol=1e-12)
 
 
@@ -228,6 +231,22 @@ def test_stochastic_sigma3_consistent_with_deterministic():
     inst = fixtures.load_fixture("example1")
     _, _, sigma3 = auxiliary_states(inst.state, inst.decomposition)
     sigma3z = stochastic_sigma3(sigma3, inst.decomposition)
-    red = sigma3z.reduce(("U", "V", "R"))
+    red = reduce_cq(sigma3z, ("U", "V", "R"))
     for key in red.blocks:
         assert np.allclose(red.blocks[key], sigma3.blocks[key], atol=1e-10)
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_entropy_matches_validated_marginal_oracle(name):
+    # entropy sums the spectra of unvalidated reduced blocks; the validated
+    # oracle marginal gives bit-equal values on every register subset
+    inst = fixtures.load_fixture(name)
+    sigma1, sigma2, sigma3 = auxiliary_states(inst.state, inst.decomposition)
+    sigma3z = stochastic_sigma3(sigma3, inst.decomposition)
+    for cq in (sigma1, sigma2, sigma3, sigma3z):
+        regs = cq.registers()
+        for k in range(len(regs) + 1):
+            for subset in itertools.combinations(regs, k):
+                want = sum(von_neumann_entropy(blk)
+                           for blk in reduce_cq(cq, subset).blocks.values())
+                assert cq.entropy(subset) == float(want), (cq.registers(), subset)

@@ -5,13 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import bounds_of, p2p_stochastic_region, satisfies, winter_region
+from oracles import (
+    bounds_of,
+    fourier_motzkin_fractions,
+    p2p_stochastic_region,
+    satisfies,
+    winter_region,
+)
 from povmsim import fixtures
 from povmsim.errors import InvariantError
 from povmsim.operators import DensityOperator, Povm
 from povmsim.regions import (
     GE,
     GT,
+    QUANT_STEP,
     InequalitySystem,
     RateTriple,
     fourier_motzkin,
@@ -55,6 +62,41 @@ def test_fm_unknown_variable_raises():
     sys = InequalitySystem.from_rows(("x",), [((1,), GE, 0)])
     with pytest.raises(InvariantError):
         fourier_motzkin(sys, ("z",))
+
+
+def _random_system(rng):
+    """3-5 variables, small integer coefficients, rhs on the QUANT_STEP grid,
+    mixed relations, and sometimes an opposing pair of rows and vacuous or
+    infeasible zero rows."""
+    nvars = int(rng.integers(3, 6))
+    rows = []
+    for _ in range(int(rng.integers(2, 10))):
+        coeffs = tuple(int(c) for c in rng.integers(-3, 4, nvars))
+        rhs = int(rng.integers(-6, 7)) * int(rng.integers(1, 10 ** 6)) * QUANT_STEP
+        rows.append((coeffs, GT if rng.random() < 0.3 else GE, rhs))
+    if rng.random() < 0.3:  # an opposing row, so combinations can give 0 >= 0 or 0 > 0
+        coeffs, _, rhs = rows[int(rng.integers(0, len(rows)))]
+        rows.append((tuple(-c for c in coeffs), GE, -rhs))
+    zero = (0,) * nvars
+    for row, chance in (((zero, GE, 0), 0.3), ((zero, GE, -1), 0.2),
+                        ((zero, GT, -1), 0.2), ((zero, GE, 1), 0.15)):
+        if rng.random() < chance:
+            rows.insert(int(rng.integers(0, len(rows) + 1)), row)
+    return InequalitySystem.from_rows(tuple(f"x{i}" for i in range(nvars)), rows)
+
+
+def test_fm_matches_fraction_oracle_on_random_systems():
+    # integer rows with bit-mask ancestors against the Fraction elimination:
+    # Inequality equality covers rows, relations, rhs and ancestor sets, and
+    # system equality their order
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        sys = _random_system(rng)
+        k = int(rng.integers(1, len(sys.variables) + 1))
+        elim = tuple(str(v) for v in rng.permutation(sys.variables)[:k])
+        got = fourier_motzkin(sys, elim)
+        want = fourier_motzkin_fractions(sys, elim)
+        assert got == want, (sys, elim)
 
 
 def test_satisfies_exact():
