@@ -23,13 +23,14 @@ import numpy as np
 
 from . import fixtures, serialize
 from .errors import CapExceededError, InvariantError
-from .measurement import outcome_distribution
-from .operators import SubPovm
+from .measurement import auxiliary_states, outcome_distribution
+from .operators import DEFAULT_TOL, SubPovm
 from .protocol import (ProtocolParams, binning_collision_rate,
                        faithfulness_trial, mutual_covering_check,
                        packing_norm_trial, soft_covering_trial)
-from .regions import (fourier_motzkin, intermediate_system, rd_inner_bound,
-                      region_for, single_letter_system)
+from .regions import (dist_deterministic_region, fourier_motzkin,
+                      intermediate_system, rd_inner_bound, region_for,
+                      single_letter_system)
 from .typicality import SEQ_CAP
 
 COMMANDS = ("region", "simulate", "sweep", "fm-check", "covering-check",
@@ -128,27 +129,6 @@ def _resolve(args):
     return _instance_from_json(inner_payload), merged
 
 
-def _as_int(key: str, value) -> int:
-    """An integral config number as an int: 3.0 passes, 2.7, NaN and true
-    do not."""
-    try:
-        if not isinstance(value, bool) and value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvariantError(f"{key} must be an integer, got {value!r}")
-
-
-def _as_float(key: str, value) -> float:
-    """A config number as a float: null, "abc", lists and true do not pass."""
-    try:
-        if not isinstance(value, bool):
-            return float(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvariantError(f"{key} must be a number, got {value!r}")
-
-
 _KINDS = {str: "a string", list: "a list", dict: "an object"}
 
 
@@ -163,13 +143,13 @@ def _float_pairs(key: str, value) -> list:
     pairs = _typed(key, value, list)
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise InvariantError(f"{key} must be a list of number pairs, got {value!r}")
-    return [(_as_float(key, a), _as_float(key, b)) for a, b in pairs]
+    return [tuple(serialize.json_numbers(key, p)) for p in pairs]
 
 
 def _float_list(config: dict, key: str, default) -> list:
     if key not in config:
         return list(default)
-    return [_as_float(key, x) for x in _typed(key, config[key], list)]
+    return serialize.json_numbers(key, config[key])
 
 
 def _params_for(instance: fixtures.Instance, config: dict,
@@ -183,14 +163,14 @@ def _params_for(instance: fixtures.Instance, config: dict,
         if val is not None:
             merged[key] = val
     for key in list(merged):
-        merged[key] = (_as_int(key, merged[key]) if key in _INT_KEYS
-                       else _as_float(key, merged[key]))
+        merged[key] = serialize.json_number(key, merged[key], integer=key in _INT_KEYS)
     return replace(instance.params, **merged) if merged else instance.params
 
 
 def _seed_list(config: dict, params: ProtocolParams) -> list:
     if "seeds" in config:
-        seeds = [_as_int("seeds", s) for s in _typed("seeds", config["seeds"], list)]
+        seeds = [serialize.json_number("seeds", s, integer=True)
+                 for s in _typed("seeds", config["seeds"], list)]
         if any(s < 0 for s in seeds):
             raise InvariantError(f"seeds must be non-negative, got {config['seeds']!r}")
         return seeds
@@ -199,7 +179,8 @@ def _seed_list(config: dict, params: ProtocolParams) -> list:
 
 def _n_list(config: dict, params: ProtocolParams) -> list:
     if "ns" in config:
-        return [_as_int("ns", n) for n in _typed("ns", config["ns"], list)]
+        return [serialize.json_number("ns", n, integer=True)
+                for n in _typed("ns", config["ns"], list)]
     return [params.n]
 
 
@@ -267,7 +248,7 @@ def _sweep_collision(instance, config, params) -> list:
         for r1, r2 in bin_rates:
             trial = replace(params, R1=r1, R2=r2, seed=seed)
             t0 = time.perf_counter()
-            rate = binning_collision_rate(trial, instance.p_uv, [seed])
+            rate = binning_collision_rate(trial, instance.p_uv)
             ms = (time.perf_counter() - t0) * 1000.0
             rows.append({"n": trial.n, "Rt1": trial.Rt1, "Rt2": trial.Rt2,
                          "R1": trial.R1, "R2": trial.R2, "N1": trial.N1,
@@ -279,9 +260,10 @@ def _sweep_collision(instance, config, params) -> list:
 
 def _sweep_soft_covering(instance, config, params, args) -> list:
     rate_sums = _float_list(config, "rate_sums", (1.0,))
-    delta = args.delta if args.delta is not None else _as_float(
+    delta = args.delta if args.delta is not None else serialize.json_number(
         "delta", config.get("delta", 0.2))
-    eta = args.eta if args.eta is not None else _as_float("eta", config.get("eta", 0.1))
+    eta = args.eta if args.eta is not None else serialize.json_number(
+        "eta", config.get("eta", 0.1))
     rows = []
     for seed in _row_seeds(config, params, rate_sums):
         for rate_sum in rate_sums:
@@ -310,9 +292,10 @@ def cmd_sweep(instance, config, args, kind=None) -> str:
 
 
 def cmd_fm_check(instance, config, args) -> str:
-    report = region_for(instance.state, instance.decomposition,
-                        stochastic=False)
-    s = report.sources
+    # the elimination is stated over the deterministic-integration sources,
+    # for a stochastic decomposition too
+    s = dist_deterministic_region(*auxiliary_states(
+        instance.state, instance.decomposition)).sources
     pre = intermediate_system(s["I(U;RB)"], s["I(V;RA)"], s["I(U;V)"],
                               s["S(U)"], s["S(V)"])
     projected = fourier_motzkin(pre, ("Rt1", "Rt2", "C1", "C2"))
@@ -330,7 +313,7 @@ def cmd_covering_check(instance, config, args) -> str:
         sub_a = serialize.povm_from_json(config["approx_A"])
         sub_b = serialize.povm_from_json(config["approx_B"])
     else:
-        shrink = _as_float("shrink", config.get("shrink", 0.1))
+        shrink = serialize.json_number("shrink", config.get("shrink", 0.1))
         if not 0.0 <= shrink < 1.0:
             raise InvariantError(f"shrink must sit in [0, 1), got {shrink}")
         sub_a = SubPovm(d.povm_A.outcomes,
@@ -347,11 +330,8 @@ def cmd_rd_eval(instance, config, args) -> str:
     pairs, p_q, recon, delta_obs = instance.rd_arguments()
     if not recon:
         raise InvariantError("instance provides no reconstruction data")
-    if args.tol is not None:
-        report = rd_inner_bound(instance.state, pairs, p_q, recon, delta_obs,
-                                tol=args.tol)
-    else:
-        report = rd_inner_bound(instance.state, pairs, p_q, recon, delta_obs)
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
+    report = rd_inner_bound(instance.state, pairs, p_q, recon, delta_obs, tol=tol)
     return serialize.dumps(report.to_json_dict())
 
 

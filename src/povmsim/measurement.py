@@ -224,30 +224,16 @@ class SeparableDecomposition:
         return (self.povm_A.dim, self.povm_B.dim)
 
 
-def deterministic_decomposition(povm_A: Povm, povm_B: Povm, g: Callable | None = None,
-                                z_alphabet=None) -> SeparableDecomposition:
-    """Decomposition with a deterministic integration function g(u, v).
+def deterministic_decomposition(povm_A: Povm, povm_B: Povm) -> SeparableDecomposition:
+    """Decomposition with the identity pairing as integration function.
 
-    Default g is the identity pairing, z = (u, v).
+    The integration alphabet is the outcome pairs z = (u, v) in pair order
+    (u outer, v inner), and each pair's row is the unit vector on its own z.
     """
-    if g is None:
-        g = lambda u, v: (u, v)
     pairs = [(u, v) for u in povm_A.outcomes for v in povm_B.outcomes]
-    if z_alphabet is None:
-        seen = []
-        for u, v in pairs:
-            z = g(u, v)
-            if z not in seen:
-                seen.append(z)
-        z_alphabet = tuple(seen)
-    z_alphabet = tuple(z_alphabet)
-    zindex = {z: i for i, z in enumerate(z_alphabet)}
-    rows = {}
-    for u, v in pairs:
-        p = np.zeros(len(z_alphabet))
-        p[zindex[g(u, v)]] = 1.0
-        rows[(u, v)] = p
-    return SeparableDecomposition(povm_A, povm_B, z_alphabet, rows)
+    eye = np.eye(len(pairs))
+    return SeparableDecomposition(povm_A, povm_B, tuple(pairs),
+                                  {pair: eye[k] for k, pair in enumerate(pairs)})
 
 
 def compose_decomposition(d: SeparableDecomposition) -> Povm:

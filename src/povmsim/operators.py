@@ -120,12 +120,14 @@ def partial_trace(op, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     ----------
     op : array, square, side length ``prod(dims)``
     dims : subsystem dimensions, in tensor order
-    keep : indices (into ``dims``) of the subsystems to retain, in order
+    keep : indices (into ``dims``) of the subsystems to retain, strictly
+        ascending
 
     Returns
     -------
-    The reduced operator on ``prod(dims[k] for k in keep)`` dimensions (a
-    scalar-valued 1x1 matrix when ``keep`` is empty).  Trace is preserved.
+    The reduced operator on ``prod(dims[k] for k in keep)`` dimensions, its
+    subsystems in tensor order (a scalar-valued 1x1 matrix when ``keep`` is
+    empty).  Trace is preserved.
     """
     a = np.asarray(op, dtype=np.complex128)
     dims = tuple(int(d) for d in dims)
@@ -137,22 +139,15 @@ def partial_trace(op, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     keep = tuple(int(k) for k in keep)
     if any(k < 0 or k >= n for k in keep):
         raise InvariantError(f"keep indices {keep} out of range for {n} dims")
+    if any(i >= j for i, j in zip(keep, keep[1:])):
+        raise InvariantError(f"keep indices {keep} must be strictly ascending")
     traced = [i for i in range(n) if i not in keep]
     t = a.reshape(dims + dims)
     # contract each traced subsystem pairwise (row index against column index)
     for i in sorted(traced, reverse=True):
         t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
     kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
-    t = t.reshape(kept_dim, kept_dim)
-    if keep and list(keep) != sorted(keep):
-        # reorder the kept subsystems to the requested order
-        sorted_keep = sorted(keep)
-        perm = [sorted_keep.index(k) for k in keep]
-        kd = [dims[k] for k in sorted_keep]
-        t = t.reshape(kd + kd)
-        t = np.transpose(t, perm + [len(kd) + p for p in perm])
-        t = t.reshape(kept_dim, kept_dim)
-    return t
+    return t.reshape(kept_dim, kept_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ a sweep over seeds builds it once; its arrays are read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping
 
@@ -283,21 +283,14 @@ def build_approx_operators(codebook: Codebook, columns: tuple, bundle,
             np.repeat(counts * scale, widths) * vals[take])
 
 
-def check_sub_povm(ops, tol: float = DEFAULT_TOL):
-    """Whether a family of PSD operators sums below the identity.
+def check_sub_povm(op):
+    """Whether the summed operator of a PSD family lies below the identity.
 
-    Returns (valid, excess) with excess = max(0, lambda_max(sum) - 1); the
-    empty family is vacuously valid.
+    Returns (valid, excess) with excess = max(0, lambda_max(op) - 1) and
+    valid = excess <= DEFAULT_TOL.
     """
-    ops = list(ops)
-    if not ops:
-        return True, 0.0
-    total = ops[0].astype(np.complex128, copy=True)
-    for op in ops[1:]:
-        total += op
-    lmax = float(eigh_desc(hermitize(total))[0][0])
-    excess = max(0.0, lmax - 1.0)
-    return excess <= tol, excess
+    excess = max(0.0, float(eigh_desc(op)[0][0]) - 1.0)
+    return excess <= DEFAULT_TOL, excess
 
 
 def bin_povm(ops: Mapping, assignment: np.ndarray, nbins: int) -> dict:
@@ -727,7 +720,7 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
                                                   params, side="A")
     mu_B, id_B, z_B, w_B = build_approx_operators(codebook, setup.columns[1], bundle_B,
                                                   params, side="B")
-    checks = tuple([check_sub_povm([weighted_gram(z[:, mu == m], w[mu == m])])
+    checks = tuple([check_sub_povm(weighted_gram(z[:, mu == m], w[mu == m]))
                     for m in range(count)]
                    for mu, z, w, count in ((mu_A, z_A, w_A, params.N1),
                                            (mu_B, z_B, w_B, params.N2)))
@@ -977,12 +970,12 @@ def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
     return operator_norm(acc) if joint.any() else 0.0
 
 
-def binning_collision_rate(params: ProtocolParams, p_uv, seeds) -> float:
+def binning_collision_rate(params: ProtocolParams, p_uv) -> float:
     """Fraction of occupied decoder cells holding several typical pairs.
 
-    Runs the classical half of the protocol only: codebooks from the pruned
-    marginals of p_uv, uniform bins, joint-typicality decoding.  Pools the
-    counts over all seeds.
+    Runs the classical half of the protocol only, for the one realization
+    drawn at ``params.seed``: codebooks from the pruned marginals of p_uv,
+    uniform bins, joint-typicality decoding.
     """
     _check_cell_cap(params)
     p = _joint_law(p_uv)
@@ -991,27 +984,20 @@ def binning_collision_rate(params: ProtocolParams, p_uv, seeds) -> float:
     t_u = typical_set(pU, params.n, params.delta)
     t_v = typical_set(pV, params.n, params.delta)
     joint = partial(typical_pairs, p_uv=p, delta=params.delta)
-    pruned_u = pruned_distribution(t_u)
-    pruned_v = pruned_distribution(t_v)
-    collisions = 0
-    occupied = 0
-    for s in seeds:
-        pp = replace(params, seed=int(s))
-        codebook = generate_codebooks(pp, pruned_u, pruned_v)
-        binmaps = generate_bin_maps(pp, t_u, t_v)
-        decoder = build_decoder(codebook, binmaps, joint)
-        collisions += decoder.collisions
-        occupied += decoder.occupied
-    return collisions / occupied if occupied else 0.0
+    codebook = generate_codebooks(params, pruned_distribution(t_u),
+                                  pruned_distribution(t_v))
+    decoder = build_decoder(codebook, generate_bin_maps(params, t_u, t_v), joint)
+    return decoder.collisions / decoder.occupied if decoder.occupied else 0.0
 
 
 def soft_covering_trial(ens, n: int, rate_sum: float, seed: int,
-                        delta: float = 0.2, eta: float = 0.1) -> float:
+                        delta: float, eta: float) -> float:
     """Trace-norm obfuscation error of one random pruned codebook.
 
     Compares the tensor power of the ensemble average against the scaled
     empirical average of roughly 2^{n rate_sum} codeword states drawn from
-    the pruned typical distribution of the weights.  The states of the
+    the pruned typical distribution of the weights, at typicality window
+    ``delta`` and deflated by 1 / (1 + ``eta``).  The states of the
     distinct draws are built by Kronecker-row passes over the letter states,
     a few at a time so that no chunk holds more than CHUNK_CAP entries, and
     added with their draw counts in first-draw order.

@@ -401,12 +401,16 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
                    tol: float = DEFAULT_TOL) -> RegionReport:
     """Rate-distortion bounds for measure-and-reconstruct compression.
 
-    ``povm_pairs`` maps each time-sharing symbol q to a pair (povm_A, povm_B);
-    ``recon`` maps every (u, v, q) to a reconstruction DensityOperator, all
-    of one dimension (checked before any product); ``delta`` is
+    ``povm_pairs`` maps each time-sharing symbol q to a pair (povm_A, povm_B)
+    and ``p_q`` each of those q to its weight; ``recon`` maps every (u, v, q)
+    to a reconstruction DensityOperator, all of one dimension (both checked
+    before any product); ``delta`` is
     a PSD distortion observable on reference x reconstruction.  Bounds are the
     three Q-conditioned rate rows plus the achieved average distortion.
     """
+    unweighted = [q for q in povm_pairs if q not in p_q]
+    if unweighted:
+        raise InvariantError(f"no time-sharing weight for {unweighted}")
     total = float(sum(p_q[q] for q in povm_pairs))
     if abs(total - 1.0) > max(tol, 1e-9):
         raise InvariantError(f"time-sharing weights sum to {total}")
@@ -460,15 +464,13 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
     )
 
 
-def region_for(rho_AB: DensityOperator, d: SeparableDecomposition,
-               stochastic: bool | None = None) -> RegionReport:
+def region_for(rho_AB: DensityOperator, d: SeparableDecomposition) -> RegionReport:
     """Build the distributed region for a decomposition, picking the bound family.
 
-    Deterministic decompositions use the deterministic-integration bounds
-    unless ``stochastic=True`` forces the Z-register form.
+    A deterministic decomposition (``d.deterministic``) gets the
+    deterministic-integration bounds, any other the Z-register form.
     """
-    use_stochastic = (not d.deterministic) if stochastic is None else stochastic
     sigma1, sigma2, sigma3 = auxiliary_states(rho_AB, d)
-    if not use_stochastic:
+    if d.deterministic:
         return dist_deterministic_region(sigma1, sigma2, sigma3)
     return dist_stochastic_region(sigma1, sigma2, stochastic_sigma3(sigma3, d))

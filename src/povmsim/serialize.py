@@ -248,11 +248,12 @@ def trial_row(report) -> dict:
     }
 
 
-def csv_text(rows, columns=CSV_COLUMNS) -> str:
-    """Render dict rows as CSV with stable '\\n' terminators."""
+def csv_text(rows) -> str:
+    """Render dict rows under the CSV_COLUMNS header with stable '\\n'
+    terminators; a column a row lacks stays empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([format_cell(row.get(c)) for c in columns])
+        writer.writerow([format_cell(row.get(c)) for c in CSV_COLUMNS])
     return buf.getvalue()

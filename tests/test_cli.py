@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from povmsim import cli, fixtures, protocol, serialize
+from povmsim.measurement import SeparableDecomposition
 from povmsim.operators import DensityOperator
 
 
@@ -57,6 +58,27 @@ def test_region_from_instance_file_matches_builtin(tmp_path, capsys):
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
 def test_fm_check_projects_onto_single_letter_region(name, capsys):
     rc, out, err = _run(capsys, "--command", "fm-check", "--input", name)
+    assert rc == 0 and err == ""
+    assert out == "EQUAL\n"
+
+
+def test_region_and_fm_check_on_stochastic_decomposition(tmp_path, capsys):
+    # binary-correlated's POVMs with a 3-letter stochastic integration:
+    # region picks the Z-register bounds, fm-check still eliminates over the
+    # deterministic-integration sources
+    inst = fixtures.load_fixture("binary-correlated")
+    m = inst.decomposition.povm_A
+    rows = {("0", "0"): (0.3, 0.6, 0.1), ("0", "1"): (1.0, 0.0, 0.0),
+            ("1", "0"): (0.0, 0.0, 1.0), ("1", "1"): (0.1, 0.3, 0.6)}
+    d = SeparableDecomposition(m, m, ("a", "b", "c"), rows)
+    path = _write_config(tmp_path, {
+        "state": serialize.density_to_json(inst.state),
+        "decomposition": serialize.decomposition_to_json(d)}, "instance.json")
+    rc, out, err = _run(capsys, "--command", "region", "--input", path)
+    assert rc == 0, err
+    labels = {c["label"] for c in json.loads(out)["constraints"]}
+    assert {"nfrate1", "nfrate2", "nfrate3", "nfrate4"} <= labels
+    rc, out, err = _run(capsys, "--command", "fm-check", "--input", path)
     assert rc == 0 and err == ""
     assert out == "EQUAL\n"
 
@@ -308,10 +330,13 @@ def test_non_finite_or_fractional_config_exits_3(extra, word, tmp_path, capsys):
     {"command": "sweep", "kind": "soft-covering", "rate_sums": [None]},
     {"command": "sweep", "kind": "soft-covering", "eta": [0.1]},
     {"command": "covering-check", "shrink": None},
+    {"command": "simulate", "delta": "0.6"},
+    {"command": "sweep", "kind": "soft-covering", "rate_sums": ["1.5"]},
 ], ids=["null-delta", "text-delta", "int-seeds", "int-ns", "null-rate-pair",
         "short-rate-pair", "null-r1", "text-bin-rate", "null-rate-sum",
-        "list-eta", "null-shrink"])
+        "list-eta", "null-shrink", "numeric-text-delta", "numeric-text-rate-sum"])
 def test_malformed_config_number_exits_3(extra, tmp_path, capsys):
+    # a numeric string is no JSON number, in a config as in an instance file
     cfg = _write_config(tmp_path, {"input": "binary-correlated", **extra})
     rc, out, err = _run(capsys, "--input", cfg)
     assert rc == 3, err

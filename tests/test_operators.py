@@ -78,12 +78,14 @@ def test_partial_trace_of_product():
     assert np.allclose(red, a, atol=1e-12)
 
 
-def test_partial_trace_keep_order_reorders():
+def test_partial_trace_keep_out_of_order_raises():
+    # the kept subsystems stay in tensor order, so keep must ascend strictly
     rng = np.random.default_rng(5)
     a = random_density(rng, (2,)).mat
     b = random_density(rng, (3,)).mat
-    red = partial_trace(np.kron(a, b), (2, 3), keep=(1, 0))
-    assert np.allclose(red, np.kron(b, a), atol=1e-12)
+    for keep in ((1, 0), (0, 0)):
+        with pytest.raises(InvariantError, match="strictly ascending"):
+            partial_trace(np.kron(a, b), (2, 3), keep=keep)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from povmsim.measurement import (
     SeparableDecomposition,
     canonical_ensemble,
     compose_decomposition,
-    deterministic_decomposition,
     outcome_distribution,
 )
 from povmsim.operators import (
@@ -161,6 +160,13 @@ def _off_by_tol_binary():
     return SeparableDecomposition(d.povm_A, d.povm_B, d.z_alphabet, rows)
 
 
+def _equality_decomposition(m):
+    """m on both sides, integrated to whether the two outcomes are equal."""
+    rows = {(u, v): (1.0, 0.0) if u == v else (0.0, 1.0)
+            for u in m.outcomes for v in m.outcomes}
+    return SeparableDecomposition(m, m, ("equal", "differ"), rows)
+
+
 def _noisy_binary():
     """binary-correlated's state read by the noisy diagonal POVM
     {diag(0.8, 0.3), diag(0.2, 0.7)} on both sides, integrated to whether
@@ -171,7 +177,7 @@ def _noisy_binary():
     """
     inst = fixtures.load_fixture("binary-correlated")
     m = Povm(("0", "1"), (np.diag([0.8, 0.3]), np.diag([0.2, 0.7])))
-    d = deterministic_decomposition(m, m, lambda u, v: "equal" if u == v else "differ")
+    d = _equality_decomposition(m)
     return dataclasses.replace(inst, params=dataclasses.replace(inst.params, delta=1.0)), d
 
 
@@ -184,7 +190,7 @@ def _zero_outcome_binary():
     """
     m = fixtures.load_fixture("binary-correlated").decomposition.povm_A
     z = Povm(("0", "z", "1"), (m.op("0"), np.zeros((2, 2)), m.op("1")))
-    return deterministic_decomposition(z, z, lambda u, v: "equal" if u == v else "differ")
+    return _equality_decomposition(z)
 
 
 def _instance(name):
@@ -505,12 +511,10 @@ def test_approx_operators_closed_form_binary():
 
 
 def test_check_sub_povm():
-    ok, excess = check_sub_povm([0.6 * np.eye(2)])
+    ok, excess = check_sub_povm(0.6 * np.eye(2))
     assert ok and excess == 0.0
-    ok, excess = check_sub_povm([0.6 * np.eye(2), 0.6 * np.eye(2)])
+    ok, excess = check_sub_povm(0.6 * np.eye(2) + 0.6 * np.eye(2))
     assert not ok and abs(excess - 0.2) < 1e-12
-    ok, excess = check_sub_povm([])
-    assert ok and excess == 0.0
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy",
@@ -528,7 +532,7 @@ def test_trial_validity_matches_dense_families(name):
                                           (fams_B, r.sub_povm_valid_B, r.excess_B)):
                 assert len(fams) == len(flags) == len(excesses)
                 for fam, ok, excess in zip(fams, flags, excesses):
-                    want_ok, want = check_sub_povm(fam.values())
+                    want_ok, want = check_sub_povm(sum(fam.values()))
                     assert ok == want_ok
                     assert abs(excess - want) < 1e-12
 
@@ -542,7 +546,7 @@ def test_trial_family_validity_matches_closed_form():
     scale = (1.0 - eps) / ((1.0 + params.eta) * params.L1)
     for mu, fam in enumerate(fams_A):
         top = max(c * scale * 4.0 for c in Counter(codebook.u_lists[mu]).values())
-        ok, excess = check_sub_povm(fam.values())
+        ok, excess = check_sub_povm(sum(fam.values()))
         assert abs(excess - max(0.0, top - 1.0)) < 1e-9
         assert ok == (max(0.0, top - 1.0) <= 1e-9)
 
@@ -1092,7 +1096,7 @@ def test_packing_rejects_bad_distribution():
     lambda p: packing_norm_trial(fixtures.computational_povm(), fixtures.computational_povm(),
                                  p, 2, 0.5, 0.5, 0.3, seed=0),
     lambda p: binning_collision_rate(
-        ProtocolParams(n=2, Rt1=1.0, Rt2=1.0, R1=0.5, R2=0.5, delta=0.6), p, [0]),
+        ProtocolParams(n=2, Rt1=1.0, Rt2=1.0, R1=0.5, R2=0.5, delta=0.6), p),
 ], ids=["packing", "collision"])
 def test_non_finite_joint_law_rejected(call, fill):
     with pytest.raises(InvariantError, match="p_uv must be a joint distribution matrix"):
@@ -1105,13 +1109,19 @@ def test_packing_union_proxy_hand_count():
     assert abs(packing_union_proxy(PUV_DIAG, 2, 0.5, 0.5, 0.6) - 0.5) < 1e-12
 
 
-def test_binning_collision_rate_pools_seeds():
-    p = ProtocolParams(n=6, Rt1=1.0, Rt2=1.0, R1=0.25, R2=0.25, delta=0.6, seed=0)
-    singles = [binning_collision_rate(p, PUV_DIAG, [s]) for s in (0, 1, 2)]
-    pooled = binning_collision_rate(p, PUV_DIAG, [0, 1, 2])
-    assert max(singles) > 0.0
-    assert min(singles) - 1e-12 <= pooled <= max(singles) + 1e-12
-    assert pooled == binning_collision_rate(p, PUV_DIAG, [0, 1, 2])
+def test_binning_collision_rate_scores_one_decoder():
+    # the rate is the collision share of the one decoder drawn at params.seed
+    rates = []
+    for seed in (0, 1, 2):
+        p = ProtocolParams(n=6, Rt1=1.0, Rt2=1.0, R1=0.25, R2=0.25, delta=0.6, seed=seed)
+        t = typical_set(PUV_DIAG.sum(axis=1), p.n, p.delta)
+        codebook = generate_codebooks(p, pruned_distribution(t), pruned_distribution(t))
+        dec = build_decoder(codebook, generate_bin_maps(p, t, t),
+                            partial(typical_pairs, p_uv=PUV_DIAG, delta=p.delta))
+        rates.append(binning_collision_rate(p, PUV_DIAG))
+        assert dec.occupied > 0
+        assert rates[-1] == dec.collisions / dec.occupied
+    assert max(rates) > 0.0
 
 
 def test_soft_covering_exact_floor_for_constant_ensemble():
@@ -1132,8 +1142,8 @@ def test_soft_covering_reads_no_labels():
     states = tuple(random_density(rng, (2,)) for _ in range(3))
     labelled = Ensemble((0.2, 0.3, 0.5), states, outcomes=("a", "b", "c"))
     plain = Ensemble((0.2, 0.3, 0.5), states)
-    assert (soft_covering_trial(plain, 4, 1.0, 3, delta=1.0)
-            == soft_covering_trial(labelled, 4, 1.0, 3, delta=1.0))
+    assert (soft_covering_trial(plain, 4, 1.0, 3, delta=1.0, eta=0.1)
+            == soft_covering_trial(labelled, 4, 1.0, 3, delta=1.0, eta=0.1))
 
 
 @pytest.mark.parametrize("per_chunk", [None, 4])

@@ -14,6 +14,7 @@ from oracles import (
 )
 from povmsim import fixtures
 from povmsim.errors import InvariantError
+from povmsim.measurement import auxiliary_states, stochastic_sigma3
 from povmsim.operators import DensityOperator, Povm
 from povmsim.regions import (
     GE,
@@ -21,6 +22,7 @@ from povmsim.regions import (
     QUANT_STEP,
     InequalitySystem,
     RateTriple,
+    dist_stochastic_region,
     fourier_motzkin,
     intermediate_system,
     membership,
@@ -159,8 +161,11 @@ def test_example1_deterministic_region_values():
 
 
 def test_stochastic_region_labels():
+    # example1's deterministic decomposition in the Z-register form
     inst = fixtures.load_fixture("example1")
-    rep = region_for(inst.state, inst.decomposition, stochastic=True)
+    d = inst.decomposition
+    sigma1, sigma2, sigma3 = auxiliary_states(inst.state, d)
+    rep = dist_stochastic_region(sigma1, sigma2, stochastic_sigma3(sigma3, d))
     labels = set(bounds_of(rep))
     assert {"nfrate1", "nfrate2", "nfrate3", "nfrate4"} <= labels
     assert "I(U;RZV)" in rep.sources
@@ -204,3 +209,6 @@ def test_rd_inner_bound_validates_weights():
     pairs, _, recon, dobs = inst.rd_arguments()
     with pytest.raises(InvariantError):
         rd_inner_bound(inst.state, pairs, {0: 0.7}, recon, dobs)
+    # a time-sharing symbol without a weight is refused, not left to a KeyError
+    with pytest.raises(InvariantError, match="no time-sharing weight"):
+        rd_inner_bound(inst.state, pairs, {1: 1.0}, recon, dobs)

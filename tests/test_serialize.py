@@ -143,8 +143,12 @@ def test_format_cell_values():
 
 
 def test_csv_text_golden():
-    rows = [{"a": 1, "b": True}, {"a": None, "b": 2.5}]
-    assert csv_text(rows, columns=("a", "b")) == "a,b\n1,true\n,2.5\n"
+    rows = [{"n": 1, "subpovm_valid": True}, {"n": None, "G": 2.5}]
+    assert csv_text(rows) == (
+        "n,Rt1,Rt2,R1,R2,N1,N2,eta,delta,seed,subpovm_valid,G,collision_rate,"
+        "packing_norm,runtime_ms\n"
+        "1,,,,,,,,,,true,,,,\n"
+        ",,,,,,,,,,,2.5,,,\n")
 
 
 def test_csv_columns_contract():
