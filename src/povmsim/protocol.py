@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Mapping
 
 import numpy as np
@@ -70,7 +70,6 @@ from .operators import (
     weighted_gram,
 )
 from .typicality import (
-    CHUNK_CAP,
     SEQ_CAP,
     PrunedDistribution,
     TypicalSet,
@@ -997,10 +996,17 @@ def soft_covering_trial(ens, n: int, rate_sum: float, seed: int,
     Compares the tensor power of the ensemble average against the scaled
     empirical average of roughly 2^{n rate_sum} codeword states drawn from
     the pruned typical distribution of the weights, at typicality window
-    ``delta`` and deflated by 1 / (1 + ``eta``).  The states of the
-    distinct draws are built by Kronecker-row passes over the letter states,
-    a few at a time so that no chunk holds more than CHUNK_CAP entries, and
-    added with their draw counts in first-draw order.
+    ``delta`` and deflated by 1 / (1 + ``eta``).  Both sides are sums of
+    product states over letter strings s, so the scored matrix is
+    sum_s C[s] rho_{s_1} x ... x rho_{s_n} with C[s] = p^n(s) - scale
+    count(s): count is one bincount of the draws' lexicographic ranks over
+    all |X|^n strings.  C is contracted with the (|X|, d, d) letter-state
+    table one position at a time, (d^k, d^k, |X|^{n-k}) to
+    (d^{k+1}, d^{k+1}, |X|^{n-k-1}).  Those sizes are monotone in k, so no
+    array is larger than max(|X|^n, d^{2n}) entries, both held under the
+    caps, and a step holds at most three of them at once: its input (with
+    tensordot's reordered copy of it) and product, then the product and its
+    reordered copy.
     """
     _check_dim_cap(ens.dim, n)
     weights = np.asarray(ens.weights, dtype=float)
@@ -1009,16 +1015,17 @@ def soft_covering_trial(ens, n: int, rate_sum: float, seed: int,
     eps = max(0.0, 1.0 - tset.mass)
     M = _count_for_rate(n, rate_sum)
     draws = pruned.sample(substream(seed, STREAM_SOFT), M)
-    target = tensor(*[ens.average()] * n)
-    acc = np.zeros_like(target)
-    ids, counts = _distinct(draws)
-    idx = tset.seqs[ids]
-    table = np.stack([np.asarray(state.mat, dtype=np.complex128) for state in ens.states])
-    draw_counts = counts.tolist()
-    step = max(1, CHUNK_CAP // target.size)
-    for start in range(0, len(idx), step):
-        states = kron_rows(table, idx[start:start + step])
-        for c, state in zip(draw_counts[start:start + step], states):
-            acc += c * state
+    size = weights.size
+    ranks = tset.seqs @ size ** np.arange(n - 1, -1, -1)
     scale = (1.0 - eps) / ((1.0 + eta) * M)
-    return trace_norm(target - scale * acc)
+    coef = (reduce(np.multiply.outer, [weights] * n).ravel()
+            - scale * np.bincount(ranks[draws], minlength=size ** n))
+    table = np.stack([np.asarray(state.mat, dtype=np.complex128) for state in ens.states])
+    d = ens.dim
+    out = coef.reshape(1, 1, -1)
+    for _ in range(n):
+        rows, cols, rest = out.shape
+        # rebinding out first frees the step's input before the reordering copy
+        out = np.tensordot(out.reshape(rows, cols, size, rest // size), table, axes=(2, 0))
+        out = out.transpose(0, 3, 1, 4, 2).reshape(rows * d, cols * d, rest // size)
+    return trace_norm(out[:, :, 0])

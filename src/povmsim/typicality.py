@@ -59,6 +59,13 @@ def _check_seq_cap(alphabet_size: int, n: int):
     if _exceeds(alphabet_size, n, SEQ_CAP):
         raise CapExceededError(
             f"{alphabet_size}^{n} sequences exceed the enumeration cap {SEQ_CAP}")
+    # a one-letter alphabet has one string of each length, but the arrays
+    # built over it keep one axis per position, so it is refused at the
+    # length where any larger alphabet is
+    if n >= SEQ_CAP.bit_length():
+        raise CapExceededError(
+            f"sequence length {n} exceeds {SEQ_CAP.bit_length() - 1}, the longest "
+            f"under the enumeration cap {SEQ_CAP}")
 
 
 def _check_dim_cap(dim: int, n: int):
@@ -68,14 +75,18 @@ def _check_dim_cap(dim: int, n: int):
 
 
 def all_sequences(alphabet_size: int, n: int) -> np.ndarray:
-    """All length-n index strings as an (size^n, n) array, lexicographic.
+    """All length-n index strings as a C-contiguous (size^n, n) array, in
+    lexicographic order (itertools.product's), so row r is the string whose
+    base-size digits are r.
 
-    The index dtype is the smallest unsigned type holding size - 1.
+    The index dtype is the smallest unsigned type holding size - 1.  The
+    rows are one np.indices grid, transposed.
     """
     _check_seq_cap(alphabet_size, n)
     dtype = np.min_scalar_type(max(alphabet_size - 1, 0))
-    grids = np.meshgrid(*([np.arange(alphabet_size, dtype=dtype)] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1) if n > 0 else np.zeros((1, 0), dtype)
+    if n == 0:
+        return np.zeros((1, 0), dtype)
+    return np.ascontiguousarray(np.indices((alphabet_size,) * n, dtype).reshape(n, -1).T)
 
 
 def _letter_counts(seqs: np.ndarray, alphabet_size: int) -> np.ndarray:

@@ -293,6 +293,23 @@ def test_cap_exceeded_exits_4(capsys):
     assert "cap exceeded" in err
 
 
+@pytest.mark.parametrize("n", [40, 100])
+def test_one_letter_law_long_blocklength_exits_4(n, tmp_path, capsys):
+    # one letter has one string of each length, but its index arrays keep
+    # one axis per position: the length is refused before any is built
+    inst = fixtures.load_fixture("binary-correlated")
+    path = _write_config(tmp_path, {
+        "state": serialize.density_to_json(inst.state),
+        "decomposition": serialize.decomposition_to_json(inst.decomposition),
+        "p_uv": [[1.0]],
+        "config": {"command": "sweep", "kind": "collision", "n": n,
+                   "Rt1": 0.1, "Rt2": 0.1, "R1": 0.05, "R2": 0.05}}, "instance.json")
+    rc, out, err = _run(capsys, "--input", path)
+    assert rc == 4, err
+    assert "cap exceeded" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("extra", [{"Rt1": 1e9}, {"Rt1": 40, "n": 2}],
                          ids=["float-overflow", "huge-count"])
 def test_overflowing_rate_count_exits_4(extra, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from functools import partial, reduce
 
@@ -29,6 +30,7 @@ from povmsim.operators import (
     DensityOperator,
     Ensemble,
     Povm,
+    holevo_information,
     kron_rows,
     matrix_sqrt_and_pinv_sqrt,
     partial_trace,
@@ -1146,32 +1148,79 @@ def test_soft_covering_reads_no_labels():
             == soft_covering_trial(labelled, 4, 1.0, 3, delta=1.0, eta=0.1))
 
 
-@pytest.mark.parametrize("per_chunk", [None, 4])
-def test_soft_covering_accumulator_matches_tensor_loop(per_chunk, monkeypatch):
-    # the scored matrix target - scale * acc equals the one built from a
-    # dense tensor() per distinct draw, added in first-draw order; per_chunk
-    # codeword states per chunk leaves a shorter last chunk
+def _soft_covering_cases() -> dict:
+    # (ensemble, n, rate_sum, seed, delta, eta) per case
     rng = np.random.default_rng(11)
-    ens = Ensemble((0.2, 0.3, 0.5), tuple(random_density(rng, (2,)) for _ in range(3)),
-                   outcomes=("a", "b", "c"))
-    n, rate_sum, delta, eta, seed = 4, 1.5, 1.0, 0.05, 4
-    if per_chunk:
-        monkeypatch.setattr(protocol, "CHUNK_CAP", per_chunk * 4 ** n)
-    scored = []
-    monkeypatch.setattr(protocol, "trace_norm", lambda m: scored.append(m) or 0.0)
-    soft_covering_trial(ens, n, rate_sum, seed, delta=delta, eta=eta)
+    qubits = tuple(random_density(rng, (2,)) for _ in range(3))
+    qutrits = tuple(random_density(rng, (3,)) for _ in range(2))
+    bench = fixtures.soft_covering_ensemble()
+    return {
+        "three-letters-zero-weight": (
+            Ensemble((0.3, 0.0, 0.7), qubits, outcomes=("a", "b", "c")), 4, 1.5, 4, 1.0, 0.05),
+        "qutrit-two-letters": (
+            Ensemble((0.4, 0.6), qutrits, outcomes=("a", "b")), 3, 1.0, 2, 1.0, 0.1),
+        "n-1": (Ensemble((0.2, 0.3, 0.5), qubits, outcomes=("a", "b", "c")), 1, 1.5, 0, 1.0, 0.05),
+        "bench-template": (bench, 6, holevo_information(bench) + 0.6, 0, 0.8, 0.05),
+    }
+
+
+SOFT_COVERING_CASES = _soft_covering_cases()
+
+
+def _soft_covering_oracle(ens, n, rate_sum, seed, delta, eta) -> np.ndarray:
+    # target - scale * acc from a dense tensor() per distinct draw, added in
+    # first-draw order
     tset = typical_set(ens.weights, n, delta, alphabet=ens.outcomes)
     M = protocol._count_for_rate(n, rate_sum)
     draws = pruned_distribution(tset).sample(substream(seed, STREAM_SOFT), M)
     members = tset.members
     counts = Counter(members[i] for i in draws.tolist())
-    assert per_chunk is None or len(counts) % per_chunk
     target = tensor(*[ens.average()] * n)
     acc = np.zeros_like(target)
     for seq, c in counts.items():
         acc += c * tensor(*(ensemble_state(ens, s).mat for s in seq))
     scale = (1.0 - max(0.0, 1.0 - tset.mass)) / ((1.0 + eta) * M)
-    assert np.array_equal(scored[0], target - scale * acc)
+    return target - scale * acc
+
+
+@pytest.mark.parametrize("case", list(SOFT_COVERING_CASES))
+def test_soft_covering_accumulator_matches_tensor_loop(case, monkeypatch):
+    # the scored matrix equals the per-draw tensor() one up to rounding: the
+    # contraction sums in another order, so no bit equality is asked
+    args = SOFT_COVERING_CASES[case]
+    scored = []
+    monkeypatch.setattr(protocol, "trace_norm", lambda m: scored.append(m) or 0.0)
+    soft_covering_trial(*args[:4], delta=args[4], eta=args[5])
+    assert np.max(np.abs(scored[0] - _soft_covering_oracle(*args))) <= 1e-13
+
+
+@pytest.mark.parametrize("case", list(SOFT_COVERING_CASES))
+def test_soft_covering_error_matches_tensor_loop(case):
+    args = SOFT_COVERING_CASES[case]
+    got = soft_covering_trial(*args[:4], delta=args[4], eta=args[5])
+    assert abs(got - trace_norm(_soft_covering_oracle(*args))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_soft_covering_peak_memory_is_two_matrices(n):
+    # The fixture ensemble has d = 2 and two letters; one d^n-square complex
+    # matrix takes S = 16 4^n bytes.  Contraction step k holds
+    # 4^k 2^{n-k} entries, so only the last steps count: the last step's
+    # input (S / 2) is freed when its tensordot product (S) is bound, and
+    # the product's reordered copy (S) is then the scored matrix.  That is
+    # 2 S at most; the coefficients, ranks and typical set take 2^n-entry
+    # arrays, and the svd's LAPACK work space is not traced.  Building one
+    # Kronecker state per draw held the target, the accumulator, a chunk of
+    # states and the difference, about 5 S.
+    ens = fixtures.soft_covering_ensemble()
+    soft_covering_trial(ens, n, 1.0, 0, delta=0.8, eta=0.05)
+    tracemalloc.start()
+    try:
+        soft_covering_trial(ens, n, 1.0, 0, delta=0.8, eta=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * 4 ** n
 
 
 def test_soft_covering_error_drops_above_holevo_rate():

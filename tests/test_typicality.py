@@ -358,6 +358,25 @@ def test_all_sequences_index_dtype_holds_large_alphabets():
     assert abs(wide.mass - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("size,n", [(1, 20), (2, 8), (3, 5), (144, 1)])
+def test_all_sequences_in_product_order(size, n):
+    seqs = all_sequences(size, n)
+    want = np.array(list(itertools.product(range(size), repeat=n)),
+                    dtype=np.min_scalar_type(size - 1))
+    assert seqs.dtype == want.dtype
+    assert np.array_equal(seqs, want)
+    assert seqs.flags.c_contiguous
+
+
+def test_seq_cap_bounds_the_length_of_one_letter_strings():
+    # 1^n never exceeds the count cap, but an n-position index array is
+    # refused at the length where two letters already reach it
+    typicality._check_seq_cap(1, 20)
+    for n in (21, 10 ** 12):
+        with pytest.raises(CapExceededError):
+            typicality._check_seq_cap(1, n)
+
+
 def test_caps_exact_at_boundary_and_bounded_in_n():
     # 4^6 = 4096 and 2^20 sit on the caps; an n of 10^12 is refused without
     # forming the power, and a one-letter alphabet never exceeds a cap
