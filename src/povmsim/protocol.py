@@ -8,9 +8,10 @@ pairs through the integration channel.  The resulting joint family is scored
 against the tensor-power target measurement.
 
 Codewords, bin assignments and decoded pairs are member ids of the typical
-sets (rows of TypicalSet.seqs); the decoder turns decoded ids back into
-letter rows, the sentinel's included, and the letters index the canonical
-ensembles' outcomes, which one index array per side maps to POVM outcomes.
+sets (rows of TypicalSet.seqs), held in arrays from bundle to decoder: one
+(N, L) codebook and one column array per side, one row per decoded cell.
+Decoded ids index the setup's letter rows, the sentinel's included, whose
+letters are POVM outcomes.
 
 Scoring never materializes the simulated operators in full: every trace norm
 is evaluated inside the support of the input state, where a codeword-pair
@@ -30,9 +31,9 @@ its codeword pairs' columns.
 Everything is deterministic given (params, seed); randomness flows through
 counter-based substreams, one per random object.  Only the codebooks, the
 bins and the decoder are random; what they are built on (the bundles, the
-letter maps and p(u, v), the sandwich frame, each side's column array
-pinv_sqrt(rho^{(x)n}) pi_hat [every bundle factor] and the target's
-letters) depends on (rho_AB, d, n, delta) alone.
+letter maps, letter rows and p(u, v), the sandwich frame, each side's column
+array pinv_sqrt(rho^{(x)n}) pi_hat [the bundle's factors] and the target
+letters' support factors) depends on (rho_AB, d, n, delta) alone.
 It is built once and kept in one slot, keyed by those values' content, so
 a sweep over seeds builds it once; its arrays are read-only.
 """
@@ -100,8 +101,8 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 def _count_for_rate(n: int, rate: float) -> int:
-    if not math.isfinite(rate):
-        raise InvariantError(f"rate {rate} is not finite")
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise InvariantError(f"rate must be a finite nonnegative number, got {rate}")
     if n * rate > math.log2(SEQ_CAP):
         raise CapExceededError(
             f"2^({n} x {rate}) codewords exceed the enumeration cap {SEQ_CAP}")
@@ -172,20 +173,20 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Per-mu codewords for both senders: one array of member ids per mu,
-    in draw order, duplicates kept."""
-    u_lists: tuple
-    v_lists: tuple
+    """Codewords of both senders as member ids, one (N, L) array per side:
+    row mu holds that mu's draws in draw order, duplicates kept."""
+    u_lists: np.ndarray
+    v_lists: np.ndarray
 
 
 def generate_codebooks(params: ProtocolParams, pruned_U: PrunedDistribution,
                        pruned_V: PrunedDistribution) -> Codebook:
     """Draw the per-mu codeword lists from the pruned typical distributions."""
-    u_lists = tuple(pruned_U.sample(substream(params.seed, STREAM_CODEBOOK_A, mu), params.L1)
-                    for mu in range(params.N1))
-    v_lists = tuple(pruned_V.sample(substream(params.seed, STREAM_CODEBOOK_B, mu), params.L2)
-                    for mu in range(params.N2))
-    return Codebook(u_lists, v_lists)
+    u_lists = [pruned_U.sample(substream(params.seed, STREAM_CODEBOOK_A, mu), params.L1)
+               for mu in range(params.N1)]
+    v_lists = [pruned_V.sample(substream(params.seed, STREAM_CODEBOOK_B, mu), params.L2)
+               for mu in range(params.N2)]
+    return Codebook(np.stack(u_lists), np.stack(v_lists))
 
 
 def _first_appearance(codes: np.ndarray) -> tuple:
@@ -243,43 +244,41 @@ def generate_bin_maps(params: ProtocolParams, typical_A: TypicalSet,
 # ---------------------------------------------------------------------------
 
 def _approx_columns(rho: DensityOperator, bundle, n: int) -> tuple:
-    """(z, vals, offsets): pinv_sqrt(rho^{(x)n}) pi_hat times the factors of
-    the bundle's lam_seq side by side, and their eigenvalues; member s owns
-    columns offsets[s]:offsets[s + 1]."""
+    """(z, vals, offsets): pinv_sqrt(rho^{(x)n}) pi_hat times the bundle's
+    factors, with the bundle's vals and offsets."""
     _, pinv1 = matrix_sqrt_and_pinv_sqrt(rho.mat)
-    factors, vals = zip(*bundle.lam_seq)
-    return (tensor(*[pinv1] * n) @ (bundle.pi_hat @ np.concatenate(factors, axis=1)),
-            np.concatenate(vals), np.cumsum([0] + [v.size for v in vals]))
+    return (tensor(*[pinv1] * n) @ (bundle.pi_hat @ bundle.factors), bundle.vals,
+            bundle.offsets)
 
 
-def build_approx_operators(codebook: Codebook, columns: tuple, bundle,
-                           params: ProtocolParams, side: str = "A") -> tuple:
+def build_approx_operators(draws: np.ndarray, columns: tuple, eps: float,
+                           eta: float) -> tuple:
     """Approximating sub-POVM candidates of one sender, for every
     common-randomness index at once.
 
-    Each drawn codeword value s receives
+    ``draws`` is one side's (N, L) codeword array.  Each drawn codeword
+    value s receives
         gamma * pinv_sqrt(rho^{(x)n}) pi_hat Lambda'_s pi_hat pinv_sqrt(rho^{(x)n})
     with gamma = count * (1 - eps) / ((1 + eta) * L), in eigen-form: its
     columns of _approx_columns' (z, vals, offsets), given as ``columns``,
-    weighted gamma * vals.  Returns (mu, ids, z, w), one entry per column:
-    its common-randomness index and member id, the column and its weight,
-    so the operator of (mu, s) is the weighted_gram of its columns.  Columns
-    go mu by mu, codewords in order of first draw; values never drawn get
-    the zero operator and have no columns.
+    weighted gamma * vals.  Returns (mu, ids, z, w, gamma): per column its
+    common-randomness index and member id, the column and its weight, so
+    the operator of (mu, s) is the weighted_gram of its columns, and the
+    gamma of each drawn (mu, s).  Columns and gammas go mu by mu, codewords
+    in order of first draw; values never drawn get the zero operator and
+    have no columns.
     """
-    if side not in ("A", "B"):
-        raise InvariantError("side must be 'A' or 'B'")
-    draws = np.stack(codebook.u_lists if side == "A" else codebook.v_lists)  # (mu, L)
     z, vals, offsets = columns
     members = len(offsets) - 1
-    scale = (1.0 - bundle.params["eps"]) / ((1.0 + params.eta) * draws.shape[1])
+    scale = (1.0 - eps) / ((1.0 + eta) * draws.shape[1])
     keys, counts = _distinct((draws + members * np.arange(len(draws))[:, None]).ravel())
     mu, ids = np.divmod(keys, members)
+    gamma = counts * scale
     widths = offsets[ids + 1] - offsets[ids]
     take = (np.repeat(offsets[ids] - (np.cumsum(widths) - widths), widths)
             + np.arange(widths.sum()))
     return (np.repeat(mu, widths), np.repeat(ids, widths), z[:, take],
-            np.repeat(counts * scale, widths) * vals[take])
+            np.repeat(gamma, widths) * vals[take], gamma)
 
 
 def check_sub_povm(op):
@@ -341,26 +340,19 @@ def sentinel_sequence(tset: TypicalSet) -> np.ndarray:
 class DecoderTable:
     """Bin-pair decoding tables, one per (mu1, mu2).
 
-    ``cells`` maps only the uniquely decodable cells, keyed
-    (mu1, mu2, i, j), to their pair of member ids; every other cell, and
-    any cell with a zero bin index, decodes to the sentinel pair, id |T_A|
-    and |T_B|.  ``rows`` holds per side the letter rows of the typical
-    members followed by the sentinel's, so rows[0][u] and rows[1][v] are the
-    letters of a decoded id pair (u, v), as indices into ``alphabets``, the
-    void letter being the index one past the end.
+    ``cells`` holds one row (mu1, mu2, i, j, u, v) per uniquely decodable
+    cell, in lexicographic cell order: the cell's indices and its pair of
+    member ids.  Every other cell, and any cell with a zero bin index,
+    decodes to ``sentinel``, the id pair (|T_A|, |T_B|) one past each
+    side's members.
     """
-    cells: Mapping
-    rows: tuple
-    alphabets: tuple
+    cells: np.ndarray
+    sentinel: tuple
     bins1: int
     bins2: int
     n_mu: tuple
     collisions: int
     occupied: int
-
-    @property
-    def sentinel(self) -> tuple:
-        return (len(self.rows[0]) - 1, len(self.rows[1]) - 1)
 
 
 def build_decoder(codebook: Codebook, binmaps, joint_typical) -> DecoderTable:
@@ -390,11 +382,8 @@ def build_decoder(codebook: Codebook, binmaps, joint_typical) -> DecoderTable:
     keys = np.ravel_multi_index(found[:, :4].T, (len(codebook.u_lists), len(codebook.v_lists),
                                                  bm1.nbins + 1, bm2.nbins + 1))
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    cells = {(m1, m2, i, j): (u, v)
-             for m1, m2, i, j, u, v in found[np.sort(first[counts == 1])].tolist()}
-    rows = tuple(np.vstack([t.seqs, sentinel_sequence(t)]) for t in (t1, t2))
-    return DecoderTable(cells, rows, (t1.alphabet, t2.alphabet), bm1.nbins, bm2.nbins,
-                        (len(codebook.u_lists), len(codebook.v_lists)),
+    return DecoderTable(found[first[counts == 1]], (len(t1), len(t2)),
+                        bm1.nbins, bm2.nbins, (len(codebook.u_lists), len(codebook.v_lists)),
                         int(np.sum(counts > 1)), len(counts))
 
 
@@ -525,19 +514,22 @@ def _trace_norm_sum(pool: np.ndarray, block: np.ndarray, col: np.ndarray,
     return float(total)
 
 
-def _gap_norms(c1: np.ndarray, letter_ops, idx: np.ndarray, pool: np.ndarray,
+def _letter_factors(c1: np.ndarray, letter_ops) -> np.ndarray:
+    """The support factor of c1^dag op c1 for each letter's PSD operator,
+    stacked and zero-padded to one width; a zero letter has no columns."""
+    return _support_factor(c1.conj().T @ np.stack(letter_ops) @ c1)
+
+
+def _gap_norms(table: np.ndarray, idx: np.ndarray, pool: np.ndarray,
                block: np.ndarray, col: np.ndarray, weight: np.ndarray) -> tuple:
     """(sum_x ||T_x - P_x||_1, sum_x tr T_x) over the blocks x = 0, 1, ...
     of idx's rows, P_x being block x of the entries (block, col, weight).
 
-    T_x is the product target block (x)_k c1^dag op(idx[x, k]) c1, letter_ops
-    giving op per letter index.  Letter blocks are PSD, so T_x is the Gram
-    matrix of the Kronecker row of its letters' support factors, padded with
-    zero columns to one width; a zero letter has no columns.  The target
-    columns join the pool, and their entries go in front of P_x's, whose
-    weights are negated.
+    T_x is the product target block (x)_k c1^dag op(idx[x, k]) c1, ``table``
+    holding _letter_factors per letter index, so T_x is the Gram matrix of
+    the Kronecker row of its letters' factors.  The target columns join the
+    pool, and their entries go in front of P_x's, whose weights are negated.
     """
-    table = _support_factor(c1.conj().T @ np.stack(letter_ops) @ c1)
     targets = kron_rows(table, idx)
     count, side, width = targets.shape
     pool = np.concatenate([pool, targets.transpose(0, 2, 1).reshape(-1, side)])
@@ -596,16 +588,10 @@ class TrialReport:
         return self.collisions / self.occupied if self.occupied else 0.0
 
 
-def _gamma_values(lists, eps: float, eta: float, L: int):
-    scale = (1.0 - eps) / ((1.0 + eta) * L)
-    return [c * scale for lst in lists for c in _distinct(lst)[1].tolist()]
-
-
-def _stats(prefix: str, vals) -> dict:
-    arr = np.asarray(vals, dtype=float)
-    return {f"{prefix}_mean": float(arr.mean()),
-            f"{prefix}_min": float(arr.min()),
-            f"{prefix}_max": float(arr.max())}
+def _stats(prefix: str, vals: np.ndarray) -> dict:
+    return {f"{prefix}_mean": float(vals.mean()),
+            f"{prefix}_min": float(vals.min()),
+            f"{prefix}_max": float(vals.max())}
 
 
 @dataclass(frozen=True)
@@ -613,20 +599,24 @@ class _Setup:
     """The objects of a trial that depend on (rho_AB, d, n, delta) only.
 
     ``bundles`` holds each side's projector bundle, ``letter_maps`` each
-    side's _letter_map from ensemble letters to POVM outcomes, ``p_uv`` the
-    joint outcome law, (``c1``, ``cperm3``) the sandwich frame, ``columns``
-    each side's _approx_columns (z, vals, offsets), the one array every
-    codeword's approximating operator is cut from, ``target_ops`` the
-    composed target's letter operators followed by the void letter's zero
-    block, and ``law`` _integration_laws' table.  Every array is read-only.
+    side's _letter_map from ensemble letters to POVM outcomes, ``rows`` per
+    side the members' letter rows and then the sentinel_sequence, mapped to
+    POVM outcomes (the void letter one past them) and indexed by decoded
+    id, ``p_uv`` the joint outcome law, (``c1``, ``cperm3``) the sandwich
+    frame, ``columns`` each side's _approx_columns (z, vals, offsets), the
+    one array every codeword's approximating operator is cut from,
+    ``target_factors`` the _letter_factors of the composed target's letters
+    and then of the void letter's zero block, and ``law`` _integration_laws'
+    table.  Every array is read-only.
     """
     bundles: tuple
     letter_maps: tuple
+    rows: tuple
     p_uv: np.ndarray
     c1: np.ndarray
     cperm3: np.ndarray
     columns: tuple
-    target_ops: tuple
+    target_factors: np.ndarray
     law: np.ndarray
 
 
@@ -655,12 +645,14 @@ def _build_setup(rho_AB: DensityOperator, d: SeparableDecomposition, n: int,
     # integration are indexed by POVM outcome
     letter_maps = (_letter_map(ens_A.outcomes, d.povm_A.outcomes),
                    _letter_map(ens_B.outcomes, d.povm_B.outcomes))
+    rows = tuple(to[np.vstack([b.typical.seqs, sentinel_sequence(b.typical)])]
+                 for to, b in zip(letter_maps, bundles))
     c1, cperm3 = _sandwich_frame(rho_AB, n)
     ops = compose_decomposition(d).operators
     return read_only(_Setup(
-        bundles, letter_maps, outcome_distribution(rho_AB, d.povm_A, d.povm_B), c1, cperm3,
-        (_approx_columns(rho_A, bundles[0], n), _approx_columns(rho_B, bundles[1], n)),
-        ops + (np.zeros_like(ops[0]),), _integration_laws(d)))
+        bundles, letter_maps, rows, outcome_distribution(rho_AB, d.povm_A, d.povm_B), c1,
+        cperm3, (_approx_columns(rho_A, bundles[0], n), _approx_columns(rho_B, bundles[1], n)),
+        _letter_factors(c1, ops + (np.zeros_like(ops[0]),)), _integration_laws(d)))
 
 
 _last_setup = (None, None)  # (key, setup) of the most recent build
@@ -685,16 +677,15 @@ class _Realization:
     ``pool`` holds every codeword pair's sandwich factor columns, one row
     each, at the weights ``weight``; ``pair_code`` and ``decoded_code`` tag
     each column with the code u (|T_B| + 1) + v of its member-id pair and of
-    the pair its cell decodes to.  ``rows`` holds per side the POVM-outcome
-    letter rows of the decoded ids, and ``leakage`` the trace the unbinned
-    blocks leave short of 1.
+    the pair its cell decodes to.  ``gammas`` holds each side's gamma per
+    drawn (mu, codeword), and ``leakage`` the trace the unbinned blocks
+    leave short of 1.
     """
     setup: _Setup
-    codebook: Codebook
+    gammas: tuple
     checks: tuple
     binmaps: tuple
     decoder: DecoderTable
-    rows: tuple
     pool: np.ndarray
     weight: np.ndarray
     pair_code: np.ndarray
@@ -715,10 +706,10 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
     bundle_A, bundle_B = setup.bundles
 
     codebook = generate_codebooks(params, bundle_A.pruned, bundle_B.pruned)
-    mu_A, id_A, z_A, w_A = build_approx_operators(codebook, setup.columns[0], bundle_A,
-                                                  params, side="A")
-    mu_B, id_B, z_B, w_B = build_approx_operators(codebook, setup.columns[1], bundle_B,
-                                                  params, side="B")
+    mu_A, id_A, z_A, w_A, gamma_A = build_approx_operators(
+        codebook.u_lists, setup.columns[0], bundle_A.eps, params.eta)
+    mu_B, id_B, z_B, w_B, gamma_B = build_approx_operators(
+        codebook.v_lists, setup.columns[1], bundle_B.eps, params.eta)
     checks = tuple([check_sub_povm(weighted_gram(z[:, mu == m], w[mu == m]))
                     for m in range(count)]
                    for mu, z, w, count in ((mu_A, z_A, w_A, params.N1),
@@ -728,7 +719,6 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
     to_A, to_B = setup.letter_maps
     decoder = build_decoder(codebook, binmaps, lambda us, vs: typical_pairs(
         to_A[us], to_B[vs], setup.p_uv, params.delta))
-    rows_A, rows_B = to_A[decoder.rows[0]], to_B[decoder.rows[1]]
 
     # one sandwich pass over the two column arrays pools the factor column
     # of every column pair, each tagged with the code u (|T_B| + 1) + v of
@@ -736,18 +726,18 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
     # included, read from one decoded-code table indexed by (mu1, mu2) and
     # bins.  By linearity a decoded block is the sum of its pairs' columns;
     # cells without codewords hold zero blocks and are never visited
-    nv = len(rows_B)
+    cells = decoder.cells
+    nv = len(setup.rows[1])
     tables = np.full((params.N1, params.N2, params.bins1 + 1, params.bins2 + 1),
                      decoder.sentinel[0] * nv + decoder.sentinel[1])
-    tables[tuple(np.array(list(decoder.cells), dtype=np.intp).reshape(-1, 4).T)] = [
-        u * nv + v for u, v in decoder.cells.values()]
+    tables[tuple(cells[:, :4].T)] = cells[:, 4] * nv + cells[:, 5]
     bin_A = binmaps[0].assignments[mu_A, id_A]
     bin_B = binmaps[1].assignments[mu_B, id_B]
     pool = _sandwich_factors(z_A, z_B, setup.cperm3)
     weight = (w_A[:, None] * w_B).ravel() * (1.0 / (params.N1 * params.N2))
     covered = float(np.sum(np.sum(np.abs(pool) ** 2, axis=1) * weight))
-    return _Realization(setup, codebook, checks, binmaps, decoder, (rows_A, rows_B),
-                        pool, weight, (id_A[:, None] * nv + id_B).ravel(),
+    return _Realization(setup, (gamma_A, gamma_B), checks, binmaps, decoder, pool, weight,
+                        (id_A[:, None] * nv + id_B).ravel(),
                         tables[mu_A[:, None], mu_B, bin_A[:, None], bin_B].ravel(),
                         max(0.0, 1.0 - covered))
 
@@ -773,18 +763,20 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     target columns and gathers the blocks of each width m a chunk at a
     time, the r^n x m factors of a chunk holding at most GATHER_CAP entries
     in all (one block, if that alone is wider) and giving min(r^n, m)^2
-    blocks to diagonalize.  No Python object is kept per codeword or
-    codeword pair, no matrix per codeword is formed, and no
+    blocks to diagonalize.  No Python object is kept per codeword,
+    codeword pair or decoded cell, no matrix per codeword is formed, and no
     (dA dB)^n-sided operator; sub-POVM validity takes one d^n-sided matrix
     per family.  The pool and the entry index arrays are held under no cap:
     a stochastic integration fans each decoded pair into many image blocks,
     each taking all its pairs' columns, so image entries can far outnumber
     the pool's columns.  Between calls the process retains one _Setup, the
-    most recent: both d^n-sided bundles, each side's d^n-row column array,
-    the (dA^n, dB^n, r^n) frame and the target's (dA dB)-sided letters.
+    most recent: both d^n-sided bundles, each side's d^n-row column array
+    and (|T| + 1, n) letter rows, the (dA^n, dB^n, r^n) frame and the
+    target letters' (r, r) support factors.
     """
     real = _realize(params, rho_AB, d)
-    rows_A, rows_B = real.rows
+    setup = real.setup
+    rows_A, rows_B = setup.rows
     nv = len(rows_B)
     w = real.weight
     decoded_id, decoded_keys = _first_appearance(real.decoded_code)
@@ -793,7 +785,6 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     # takes each of its decoded pairs' columns, pair by pair, at the image
     # weight, and is scored against its letterwise target; the void
     # letter's target is zero, so a void string is scored against nothing
-    setup = real.setup
     source, zs, image_w = _z_images(rows_A[decoded_keys // nv], rows_B[decoded_keys % nv],
                                     setup.law)
     image, image_rows = _first_appearance(zs)
@@ -804,8 +795,8 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     image_col = np.argsort(decoded_id, kind="stable")[
         np.repeat(offsets, lengths) + np.arange(lengths.sum())]
     g_gaps, support_mass = _gap_norms(
-        setup.c1, setup.target_ops, image_rows,
-        real.pool, np.repeat(image, lengths), image_col, np.repeat(image_w, lengths) * w[image_col])
+        setup.target_factors, image_rows, real.pool, np.repeat(image, lengths), image_col,
+        np.repeat(image_w, lengths) * w[image_col])
     leakage = real.leakage
     missed = max(0.0, 1.0 - support_mass)
     g_val = g_gaps + missed + leakage
@@ -813,18 +804,16 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     bundle_A, bundle_B = setup.bundles
     binmaps = real.binmaps
     diagnostics = {
-        "eps_A": float(bundle_A.params["eps"]),
-        "eps_B": float(bundle_B.params["eps"]),
+        "eps_A": bundle_A.eps,
+        "eps_B": bundle_B.eps,
         "bin_spread_A": binmaps[0].spread(),
         "bin_spread_B": binmaps[1].spread(),
         "leakage": leakage,
         "missed_mass": missed,
         "support_mass": support_mass,
     }
-    diagnostics.update(_stats("gamma", _gamma_values(
-        real.codebook.u_lists, bundle_A.params["eps"], params.eta, params.L1)))
-    diagnostics.update(_stats("zeta", _gamma_values(
-        real.codebook.v_lists, bundle_B.params["eps"], params.eta, params.L2)))
+    diagnostics.update(_stats("gamma", real.gammas[0]))
+    diagnostics.update(_stats("zeta", real.gammas[1]))
 
     # only cells whose bins both hold codewords have nonzero blocks, and they
     # decode to decoded_keys; TrialReport states the residual bound
@@ -856,7 +845,7 @@ def error_split(params: ProtocolParams, rho_AB: DensityOperator,
     pair code.  The achievability proof bounds G by s1 + s2.
     """
     real = _realize(params, rho_AB, d)
-    rows_A, rows_B = real.rows
+    rows_A, rows_B = real.setup.rows
     nv = len(rows_B)
     pool, w = real.pool, real.weight
     cols = np.arange(w.size)
@@ -865,9 +854,10 @@ def error_split(params: ProtocolParams, rho_AB: DensityOperator,
     # those masses sum to at most 1, so only codeword pairs (all typical) are
     # scored.  The sentinel is the one decoded pair that is no codeword pair
     n_B = len(d.povm_B.outcomes)
+    table = _letter_factors(real.setup.c1, [tensor(a, b) for a in d.povm_A.operators
+                                            for b in d.povm_B.operators])
     s1_gaps, hit_mass = _gap_norms(
-        real.setup.c1, [tensor(a, b) for a in d.povm_A.operators for b in d.povm_B.operators],
-        rows_A[pair_keys // nv] * n_B + rows_B[pair_keys % nv],
+        table, rows_A[pair_keys // nv] * n_B + rows_B[pair_keys % nv],
         pool, pair_id, cols, w)
     s2_id, _ = _first_appearance(np.concatenate([real.pair_code, real.decoded_code]))
     s2 = _trace_norm_sum(pool, s2_id, np.concatenate([cols, cols]), np.concatenate([w, -w]))

@@ -97,10 +97,21 @@ def density_from_json(obj) -> DensityOperator:
 # measurement families
 # ---------------------------------------------------------------------------
 
-def _freeze_label(label):
+def _freeze_label(what: str, label):
+    """An outcome label: a JSON string or number, or a list of labels, read
+    as a tuple."""
     if isinstance(label, list):
-        return tuple(_freeze_label(x) for x in label)
-    return label
+        return tuple(_freeze_label(what, x) for x in label)
+    if isinstance(label, (str, int, float)) and not isinstance(label, bool):
+        return label
+    raise InvariantError(f"{what} must be strings, numbers or lists of them, got {label!r}")
+
+
+def _labels(what: str, value) -> tuple:
+    """A JSON list of outcome labels as a tuple."""
+    if not isinstance(value, list):
+        raise InvariantError(f"{what} must be a list of labels, got {value!r}")
+    return tuple(_freeze_label(what, x) for x in value)
 
 
 def povm_to_json(m: SubPovm) -> dict:
@@ -111,7 +122,7 @@ def povm_to_json(m: SubPovm) -> dict:
 def povm_from_json(obj) -> SubPovm:
     if not isinstance(obj, dict) or "outcomes" not in obj or "operators" not in obj:
         raise InvariantError("measurement payload needs outcomes and operators")
-    outcomes = tuple(_freeze_label(o) for o in obj["outcomes"])
+    outcomes = _labels("measurement outcomes", obj["outcomes"])
     operators = tuple(matrix_from_json(o) for o in obj["operators"])
     if len(outcomes) != len(operators):
         raise InvariantError("outcomes and operators must be parallel")
@@ -172,7 +183,7 @@ def decomposition_from_json(obj) -> SeparableDecomposition:
         povm_a = povm_from_json(obj["povm_A"])
         povm_b = povm_from_json(obj["povm_B"])
         channel = obj["channel"]
-        z_alphabet = tuple(_freeze_label(z) for z in channel["z_alphabet"])
+        z_alphabet = _labels("channel z_alphabet", channel["z_alphabet"])
         raw_rows = channel["rows"]
     except (KeyError, TypeError) as exc:
         raise InvariantError(f"malformed decomposition payload: {exc}")
@@ -204,7 +215,7 @@ def ensemble_to_json(ens: Ensemble) -> dict:
 def ensemble_from_json(obj) -> Ensemble:
     try:
         weights = json_numbers("ensemble weights", obj["weights"])
-        outcomes = tuple(_freeze_label(o) for o in obj["outcomes"])
+        outcomes = _labels("ensemble outcomes", obj["outcomes"])
         states = tuple(density_from_json(s) for s in obj["states"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantError(f"malformed ensemble payload: {exc}")

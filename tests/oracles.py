@@ -40,7 +40,8 @@ from povmsim.operators import (
     trace_norm,
     von_neumann_entropy,
 )
-from povmsim.protocol import _count_for_rate, _sandwich_factors, _sandwich_frame
+from povmsim.protocol import (_count_for_rate, _sandwich_factors, _sandwich_frame,
+                               sentinel_sequence)
 from povmsim.regions import GE, GT, Inequality, InequalitySystem, RegionReport
 from povmsim.typicality import _check_dim_cap, typical_set
 
@@ -132,7 +133,14 @@ def lookup(decoder, mu1: int, mu2: int, i: int, j: int) -> tuple:
     cells without a unique pair give the sentinel."""
     if i == 0 or j == 0:
         return decoder.sentinel
-    return decoder.cells.get((mu1, mu2, i, j), decoder.sentinel)
+    hit = np.flatnonzero((decoder.cells[:, :4] == (mu1, mu2, i, j)).all(axis=1))
+    return tuple(decoder.cells[hit[0], 4:].tolist()) if hit.size else decoder.sentinel
+
+
+def letter_rows(tset) -> np.ndarray:
+    """The letter rows of a typical set's member ids, then the sentinel's,
+    so a decoded id indexes them."""
+    return np.vstack([tset.seqs, sentinel_sequence(tset)])
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +428,7 @@ def p2p_stochastic_region(rho: DensityOperator, mbar: Povm, x_alphabet,
 # distortion of the decoded protocol
 # ---------------------------------------------------------------------------
 
-def distortion_of_protocol(binned_A, binned_B, decoder, recon,
+def distortion_of_protocol(binned_A, binned_B, decoder, typicals, recon,
                            delta_obs, rho_AB: DensityOperator) -> float:
     """Average per-letter distortion of the measure-and-reconstruct channel.
 
@@ -431,11 +439,13 @@ def distortion_of_protocol(binned_A, binned_B, decoder, recon,
     letter positions.  The reference block of a cell is the transpose of
     the cell sandwich in the eigenbasis of the input state, padded back to
     the full reference dimension.  Letters carrying the void letter of the
-    sentinel reconstruct to the maximally mixed state.
+    sentinel reconstruct to the maximally mixed state.  ``typicals`` holds
+    the two senders' typical sets, whose letter_rows the decoded ids index.
     """
     dA, dB = rho_AB.dims
     dim_ref = dA * dB
-    n = decoder.rows[0].shape[1]
+    rows_A, rows_B = (letter_rows(t) for t in typicals)
+    n = rows_A.shape[1]
     _check_dim_cap(dA * dB, n)
     states = {}
     for key, value in recon.items():
@@ -455,7 +465,7 @@ def distortion_of_protocol(binned_A, binned_B, decoder, recon,
 
     # the state of each letter pair, void letters last; a pair without one
     # is refused only when a decoded pair carries it
-    alpha_A, alpha_B = decoder.alphabets
+    alpha_A, alpha_B = (t.alphabet for t in typicals)
     table = [[states.get((a, b)) for b in alpha_B] + [mixed] for a in alpha_A]
     table.append([mixed] * (len(alpha_B) + 1))
 
@@ -499,7 +509,7 @@ def distortion_of_protocol(binned_A, binned_B, decoder, recon,
                 for b, j in enumerate(fam_b):
                     rblock = cells[a, b].T
                     u, v = lookup(decoder, mu1, mu2, i, j)
-                    useq, vseq = decoder.rows[0][u].tolist(), decoder.rows[1][v].tolist()
+                    useq, vseq = rows_A[u].tolist(), rows_B[v].tolist()
                     for pos in range(n):
                         f = partial_trace(rblock, [r] * n, (pos,)) if n > 1 else rblock
                         ref = np.zeros((dim_ref, dim_ref), dtype=np.complex128)

@@ -512,15 +512,21 @@ def _set(*path, value):
     _set("delta_obs", "rows", value=8.5),
     _set("decomposition", "deterministic", value="no"),
     _set("decomposition", "deterministic", value=1),
+    _set("decomposition", "channel", "z_alphabet", 0, value={"a": 1}),
+    _set("ensemble", "outcomes", 0, value={"a": 1}),
+    _set("decomposition", "povm_A", "outcomes", value="01+-"),
 ], ids=["bool-entry", "text-entry", "list-rows", "bool-rows", "text-cols", "bool-dims",
         "text-dims", "bool-povm-entry", "text-channel-row", "bool-channel-row",
         "list-channel-rows", "bool-weights", "text-weights", "bool-ensemble-dims",
         "bool-p_uv", "text-p_uv-row", "fractional-rows", "text-deterministic",
-        "number-deterministic"])
+        "number-deterministic", "object-z-label", "object-ensemble-outcome",
+        "string-outcomes"])
 def test_non_number_instance_field_exits_3(mutate, tmp_path, capsys):
     # where an instance file holds a number only a JSON int or float passes:
     # booleans and numeric strings are refused, not read as 1, 0 or 0.5; the
-    # deterministic flag takes a JSON boolean only
+    # deterministic flag takes a JSON boolean only; an outcome label is a
+    # string, a number or a list of labels, and outcome lists are JSON lists,
+    # so a string of one-letter labels is not split into them
     payload = _full_example1_instance()
     rc, out, err = _run(capsys, "--command", "region", "--input",
                         _write_config(tmp_path, payload, "input.json"))
@@ -649,6 +655,10 @@ def test_huge_blocklength_exits_4(extra, tmp_path, capsys):
     assert time.perf_counter() - t0 < 5.0
 
 
+_POVM = serialize.povm_to_json(fixtures.computational_povm())
+_OBJECT_OUTCOME_POVM = dict(_POVM, outcomes=[{"a": 1}] + _POVM["outcomes"][1:])
+
+
 @pytest.mark.parametrize("payload", [
     {"input": "binary-correlated", "command": ["x"]},
     {"input": "binary-correlated", "command": {"a": 1}},
@@ -659,8 +669,15 @@ def test_huge_blocklength_exits_4(extra, tmp_path, capsys):
     {"input": "binary-correlated", "command": "packing-sweep", "seeds": [-1]},
     {"input": "binary-correlated", "command": "sweep", "kind": "soft-covering",
      "seeds": [-1]},
+    {"input": "binary-correlated", "command": "packing-sweep", "rate_pairs": [[-1, 0.5]]},
+    {"input": "binary-correlated", "command": "sweep", "kind": "soft-covering",
+     "rate_sums": [-3]},
+    {"input": "binary-correlated", "command": "packing-sweep", "r1": [-0.5]},
+    {"input": "binary-correlated", "command": "covering-check", "approx_A": _OBJECT_OUTCOME_POVM,
+     "approx_B": _POVM},
 ], ids=["list-command", "object-command", "float-output", "list-output", "true-output",
-        "list-input", "negative-seed-packing", "negative-seed-soft-covering"])
+        "list-input", "negative-seed-packing", "negative-seed-soft-covering",
+        "negative-rate-pair", "negative-rate-sum", "negative-r1", "object-approx-outcome"])
 def test_non_string_or_negative_config_value_exits_3(payload, tmp_path, capsys):
     cfg = _write_config(tmp_path, payload)
     rc, out, err = _run(capsys, "--input", cfg)
@@ -675,6 +692,13 @@ _SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=3))
 _VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
                     st.lists(st.lists(_SCALARS, max_size=2), max_size=2),
                     st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2))
+def _object_label_decomposition():
+    """example1's decomposition with a JSON object as its first z letter."""
+    payload = serialize.decomposition_to_json(fixtures.load_fixture("example1").decomposition)
+    payload["channel"]["z_alphabet"][0] = {"a": 1}
+    return payload
+
+
 _MALFORMED_INSTANCES = {
     "text-p_uv": _example1_instance(p_uv="x"),
     "list-recon": _example1_instance(recon=[1]),
@@ -684,6 +708,7 @@ _MALFORMED_INSTANCES = {
     "text-weight": _example1_instance(ensemble=dict(_ENSEMBLE, weights=["x", 0.5])),
     "list-config": _example1_instance(config=[1]),
     "null-state": _example1_instance(state=None),
+    "object-label": _example1_instance(decomposition=_object_label_decomposition()),
 }
 
 

@@ -14,6 +14,7 @@ from conftest import random_density, random_povm, random_sub_povm
 from oracles import (
     distortion_of_protocol,
     ensemble_state,
+    letter_rows,
     lookup,
     packing_union_proxy,
     separate_check,
@@ -24,6 +25,7 @@ from povmsim.measurement import (
     SeparableDecomposition,
     canonical_ensemble,
     compose_decomposition,
+    deterministic_decomposition,
     outcome_distribution,
 )
 from povmsim.operators import (
@@ -88,9 +90,9 @@ PUV_DIAG = np.array([[0.5, 0.0], [0.0, 0.5]])
 
 def _pieces(inst=None, seed=0, n=None, d=None):
     """The protocol objects of one trial, built stepwise as the trial does;
-    the approximating families as matrices.  ``inst`` defaults to the
-    binary-correlated fixture.  Codewords and family keys are returned as
-    label tuples."""
+    the approximating families as matrices, and last the two typical sets.
+    ``inst`` defaults to the binary-correlated fixture.  Codewords and
+    family keys are returned as label tuples."""
     inst = inst or fixtures.load_fixture("binary-correlated")
     params = dataclasses.replace(inst.params, seed=seed, n=n or inst.params.n)
     d = d or inst.decomposition
@@ -111,17 +113,17 @@ def _pieces(inst=None, seed=0, n=None, d=None):
 
     def dense(cols, count):
         # one matrix per (mu, member id), from the columns the pair owns
-        mu, ids, z, w = cols
+        mu, ids, z, w, _ = cols
         fams = [{} for _ in range(count)]
         for m, s in dict.fromkeys(zip(mu.tolist(), ids.tolist())):
             own = (mu == m) & (ids == s)
             fams[m][s] = weighted_gram(z[:, own], w[own])
         return fams
 
-    fams_A = dense(build_approx_operators(codebook, columns(rho_A, bundle_A), bundle_A, params,
-                                          side="A"), params.N1)
-    fams_B = dense(build_approx_operators(codebook, columns(rho_B, bundle_B), bundle_B, params,
-                                          side="B"), params.N2)
+    fams_A = dense(build_approx_operators(codebook.u_lists, columns(rho_A, bundle_A),
+                                          bundle_A.eps, params.eta), params.N1)
+    fams_B = dense(build_approx_operators(codebook.v_lists, columns(rho_B, bundle_B),
+                                          bundle_B.eps, params.eta), params.N2)
     binmaps = generate_bin_maps(params, bundle_A.typical, bundle_B.typical)
     binned_A = [bin_povm(f, binmaps[0].assignments[mu], params.bins1)
                 for mu, f in enumerate(fams_A)]
@@ -138,7 +140,7 @@ def _pieces(inst=None, seed=0, n=None, d=None):
     members_A, members_B = t_A.members, t_B.members
     fams_A = [{members_A[s]: op for s, op in fam.items()} for fam in fams_A]
     fams_B = [{members_B[s]: op for s, op in fam.items()} for fam in fams_B]
-    return inst, params, labels, fams_A, fams_B, binned_A, binned_B, decoder
+    return inst, params, labels, fams_A, fams_B, binned_A, binned_B, decoder, (t_A, t_B)
 
 
 def _stochastic_binary():
@@ -195,10 +197,28 @@ def _zero_outcome_binary():
     return _equality_decomposition(z)
 
 
+def _unequal_dims(dims, seed):
+    """A random state on ``dims`` read by a random two-outcome POVM on each
+    side, integrated by the identity pairing, with binary-correlated's rates
+    at delta = 1.5."""
+    rng = np.random.default_rng(seed)
+    state = random_density(rng, dims)
+    d = deterministic_decomposition(random_povm(rng, dims[0], 2), random_povm(rng, dims[1], 2))
+    inst = fixtures.load_fixture("binary-correlated")
+    return dataclasses.replace(inst, state=state, decomposition=d,
+                               p_uv=outcome_distribution(state, d.povm_A, d.povm_B),
+                               params=dataclasses.replace(inst.params, delta=1.5)), d
+
+
 def _instance(name):
     """A fixture and its decomposition; "stochastic" is _stochastic_binary,
-    "off-by-tol" is _off_by_tol_binary, "noisy" is _noisy_binary and
-    "zero-outcome" is _zero_outcome_binary."""
+    "off-by-tol" is _off_by_tol_binary, "noisy" is _noisy_binary,
+    "zero-outcome" is _zero_outcome_binary, and "qubit-qutrit" and
+    "qutrit-qubit" are _unequal_dims instances."""
+    if name == "qubit-qutrit":
+        return _unequal_dims((2, 3), 21)
+    if name == "qutrit-qubit":
+        return _unequal_dims((3, 2), 22)
     if name == "stochastic":
         return fixtures.load_fixture("binary-correlated"), _stochastic_binary()
     if name == "off-by-tol":
@@ -234,7 +254,7 @@ def test_permute_subsystems_on_kron():
     assert np.allclose(got, tensor(c, a, b), atol=1e-12)
 
 
-def decoded_family(binned_A, binned_B, decoder):
+def decoded_family(binned_A, binned_B, decoder, typicals):
     """The simulated family before the integration, keyed by decoded pair.
 
     Every cell (i, j >= 1) adds w_mu Gamma_i x Gamma_j to its decoded pair.
@@ -246,18 +266,18 @@ def decoded_family(binned_A, binned_B, decoder):
         for mu2 in range(N2):
             for i in range(1, decoder.bins1 + 1):
                 for j in range(1, decoder.bins2 + 1):
-                    pair = decoded_labels(decoder, mu1, mu2, i, j)
+                    pair = decoded_labels(decoder, typicals, mu1, mu2, i, j)
                     cell = w_mu * np.kron(binned_A[mu1][i], binned_B[mu2][j])
                     acc[pair] = acc.get(pair, 0.0) + cell
     return acc
 
 
-def overall_povm(binned_A, binned_B, decoder, integration):
+def overall_povm(binned_A, binned_B, decoder, typicals, integration):
     """The simulated joint family as full matrices, one per output string:
     each decoded pair's operator, times each image weight, goes to the
     strings the integration assigns to that pair."""
     acc = {}
-    for (u, v), op in decoded_family(binned_A, binned_B, decoder).items():
+    for (u, v), op in decoded_family(binned_A, binned_B, decoder, typicals).items():
         for z, w in _images(u, v, integration):
             acc[z] = acc.get(z, 0.0) + w * op
     return acc
@@ -351,11 +371,11 @@ class _Oracle:
         return s1, s2
 
 
-def _dense_distortion(binned_A, binned_B, decoder, recon, obs, state):
+def _dense_distortion(binned_A, binned_B, decoder, typicals, recon, obs, state):
     """Average per-letter distortion with every cell block, completion bins
     included, formed as the dense w_mu c^dag (Gamma_i x Gamma_j) c on the
     side-major rho^{(x)n} = c c^dag."""
-    n = decoder.rows[0].shape[1]
+    n = typicals[0].n
     c1, cperm3 = _sandwich_frame(state, n)
     c = cperm3.reshape(-1, cperm3.shape[2])
     r = c1.shape[1]
@@ -372,7 +392,7 @@ def _dense_distortion(binned_A, binned_B, decoder, recon, obs, state):
             for i, op_a in completed(fam_a):
                 for j, op_b in completed(fam_b):
                     block = c.conj().T @ np.kron(op_a, op_b) @ c / (N1 * N2)
-                    u, v = decoded_labels(decoder, mu1, mu2, i, j)
+                    u, v = decoded_labels(decoder, typicals, mu1, mu2, i, j)
                     for pos in range(n):
                         ref = np.zeros((state.dim, state.dim), dtype=np.complex128)
                         ref[:r, :r] = partial_trace(block.T, [r] * n, (pos,))
@@ -382,7 +402,7 @@ def _dense_distortion(binned_A, binned_B, decoder, recon, obs, state):
     return total / n
 
 
-def _dense_resummation_error(binned_A, binned_B, decoder, integration):
+def _dense_resummation_error(binned_A, binned_B, decoder, typicals, integration):
     """Simulated total minus the product of averaged totals, cell by cell."""
     N1, N2 = decoder.n_mu
     w_mu = 1.0 / (N1 * N2)
@@ -393,7 +413,7 @@ def _dense_resummation_error(binned_A, binned_B, decoder, integration):
         for mu2 in range(N2):
             for i in range(1, decoder.bins1 + 1):
                 for j in range(1, decoder.bins2 + 1):
-                    u, v = decoded_labels(decoder, mu1, mu2, i, j)
+                    u, v = decoded_labels(decoder, typicals, mu1, mu2, i, j)
                     w = sum(wz for _, wz in _images(u, v, integration))
                     acc = acc + (w_mu * w) * np.kron(binned_A[mu1][i], binned_B[mu2][j])
     return float(np.max(np.abs(acc - np.kron(sum_A, sum_B))))
@@ -499,7 +519,7 @@ def test_bin_povm_merges_and_pads():
 def test_approx_operators_closed_form_binary():
     # with rho_A = I/2 everything is diagonal: the sandwich inflates each
     # drawn codeword projector by 2^n and gamma = count (1 - eps) / ((1+eta) L)
-    inst, params, codebook, fams_A, _, _, _, _ = _pieces()
+    inst, params, codebook, fams_A, _, _, _, _, _ = _pieces()
     eps = 0.5
     scale = (1.0 - eps) / ((1.0 + params.eta) * params.L1)
     fam = fams_A[0]
@@ -510,6 +530,11 @@ def test_approx_operators_closed_form_binary():
         want = np.zeros((4, 4))
         want[idx, idx] = c * scale * 4.0
         assert np.allclose(fam[seq], want, atol=1e-12)
+    # the trial's gamma statistics come from the same per-codeword gammas
+    gammas = np.array([c * scale for c in counts.values()])
+    got = faithfulness_trial(params, inst.state, inst.decomposition).diagnostics
+    for stat in ("mean", "min", "max"):
+        assert abs(got[f"gamma_{stat}"] - getattr(gammas, stat)()) < 1e-15
 
 
 def test_check_sub_povm():
@@ -528,7 +553,7 @@ def test_trial_validity_matches_dense_families(name):
     for N1, N2 in ((1, 1), (2, 3)):
         inst_mu = dataclasses.replace(inst, params=dataclasses.replace(inst.params, N1=N1, N2=N2))
         for n in (2, 3):
-            _, params, _, fams_A, fams_B, _, _, _ = _pieces(inst_mu, n=n, d=d)
+            _, params, _, fams_A, fams_B, _, _, _, _ = _pieces(inst_mu, n=n, d=d)
             r = faithfulness_trial(params, inst.state, d)
             for fams, flags, excesses in ((fams_A, r.sub_povm_valid_A, r.excess_A),
                                           (fams_B, r.sub_povm_valid_B, r.excess_B)):
@@ -543,7 +568,7 @@ def test_trial_family_validity_matches_closed_form():
     # at tiny blocklengths the draw can pile many repeats onto one codeword,
     # pushing the diagonal family sum past the identity; the validity check
     # must report exactly the closed-form excess rather than pretend success
-    inst, params, codebook, fams_A, _, _, _, _ = _pieces()
+    inst, params, codebook, fams_A, _, _, _, _, _ = _pieces()
     eps = 0.5
     scale = (1.0 - eps) / ((1.0 + params.eta) * params.L1)
     for mu, fam in enumerate(fams_A):
@@ -565,37 +590,37 @@ def test_sentinel_smallest_atypical():
 
 
 def _decoder_fixture(v_list, nbins):
+    """(decoder, typical set): both senders draw from one typical set."""
     t = typical_set((0.5, 0.5), 2, 0.6, alphabet=("0", "1"))
     joint = partial(typical_pairs, p_uv=PUV_DIAG, delta=0.6)
     ids = {m: k for k, m in enumerate(t.members)}
     assign = np.array([[1, nbins]])  # ("0", "1") and ("1", "0")
     bm = BinMap(t, assign, nbins)
-    codebook = Codebook((np.array([ids[("0", "1")], ids[("1", "0")]]),),
-                        (np.array([ids[v] for v in v_list]),))
-    return build_decoder(codebook, (bm, bm), joint)
+    codebook = Codebook(np.array([[ids[("0", "1")], ids[("1", "0")]]]),
+                        np.array([[ids[v] for v in v_list]]))
+    return build_decoder(codebook, (bm, bm), joint), t
 
 
 def test_decoder_unique_cell_and_sentinel():
-    dec = _decoder_fixture(v_list=(("0", "1"),), nbins=2)
-    assert decoded_labels(dec, 0, 0, 1, 1) == (("0", "1"), ("0", "1"))
+    dec, t = _decoder_fixture(v_list=(("0", "1"),), nbins=2)
+    assert decoded_labels(dec, (t, t), 0, 0, 1, 1) == (("0", "1"), ("0", "1"))
     assert dec.collisions == 0 and dec.occupied == 1
     sent = (("0", "0"), ("0", "0"))
-    assert (label_rows(dec.alphabets[0], dec.rows[0][[dec.sentinel[0]]])[0],
-            label_rows(dec.alphabets[1], dec.rows[1][[dec.sentinel[1]]])[0]) == sent
-    assert decoded_labels(dec, 0, 0, 2, 1) == sent   # cell never populated
-    assert decoded_labels(dec, 0, 0, 0, 1) == sent   # completion bin index
+    assert (label_rows(t.alphabet, letter_rows(t)[[dec.sentinel[0]]])[0],
+            label_rows(t.alphabet, letter_rows(t)[[dec.sentinel[1]]])[0]) == sent
+    assert decoded_labels(dec, (t, t), 0, 0, 2, 1) == sent   # cell never populated
+    assert decoded_labels(dec, (t, t), 0, 0, 0, 1) == sent   # completion bin index
 
 
 def test_decoder_collision_goes_to_sentinel():
-    dec = _decoder_fixture(v_list=(("0", "1"), ("1", "0")), nbins=1)
+    dec, _ = _decoder_fixture(v_list=(("0", "1"), ("1", "0")), nbins=1)
     assert dec.collisions == 1 and dec.occupied == 1
     assert lookup(dec, 0, 0, 1, 1) == dec.sentinel
 
 
-@pytest.mark.parametrize("name", ["binary-correlated", "example1", "zero-outcome"])
-def test_decoder_matches_label_oracle(name):
-    # the member-id decoder, read back as labels, against bin-pair decoding
-    # over label tuples with tuple-keyed bin maps and an enumerated sentinel
+def _decoders_and_label_oracle(name):
+    """Per (N1, N2), n in 2..4 and seed: (decoder, typical sets, the label
+    oracle's (cells, collisions, occupied))."""
     inst, d = _instance(name)
     p_uv = outcome_distribution(inst.state, d.povm_A, d.povm_B)
     for N1, N2 in ((1, 1), (2, 3)):
@@ -610,17 +635,39 @@ def test_decoder_matches_label_oracle(name):
                 dec = build_decoder(codebook, generate_bin_maps(params, t_A, t_B),
                                     lambda us, vs: typical_pairs(to_A[us], to_B[vs], p_uv,
                                                                  params.delta))
-                cells, collisions, occupied = decoder_by_label(
+                yield dec, (t_A, t_B), decoder_by_label(
                     [label_rows(t_A.alphabet, t_A.seqs[lst]) for lst in codebook.u_lists],
                     [label_rows(t_B.alphabet, t_B.seqs[lst]) for lst in codebook.v_lists],
                     bin_maps_by_label(params, t_A, t_B),
                     lambda us, vs: typical_pairs_by_row(
                         _letter_indices(us, d.povm_A.outcomes),
                         _letter_indices(vs, d.povm_B.outcomes), p_uv, params.delta))
-                assert {key: decoded_labels(dec, *key) for key in dec.cells} == cells
-                assert (dec.collisions, dec.occupied) == (collisions, occupied)
-                assert decoded_labels(dec, 0, 0, 0, 0) == (sentinel_by_enumeration(t_A),
-                                                           sentinel_by_enumeration(t_B))
+
+
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "zero-outcome"])
+def test_decoder_matches_label_oracle(name):
+    # the member-id decoder, read back as labels, against bin-pair decoding
+    # over label tuples with tuple-keyed bin maps and an enumerated sentinel
+    for dec, typicals, (cells, collisions, occupied) in _decoders_and_label_oracle(name):
+        assert {tuple(key): decoded_labels(dec, typicals, *key)
+                for key in dec.cells[:, :4].tolist()} == cells
+        assert (dec.collisions, dec.occupied) == (collisions, occupied)
+        assert decoded_labels(dec, typicals, 0, 0, 0, 0) == tuple(
+            sentinel_by_enumeration(t) for t in typicals)
+
+
+@pytest.mark.parametrize("name", ["binary-correlated", "zero-outcome"])
+def test_decoder_cells_are_label_oracle_cells_in_order(name):
+    # one (mu1, mu2, i, j, u, v) row per decoded cell, in lexicographic cell
+    # order, the label oracle's pairs read back as member ids
+    decoded = 0
+    for dec, (t_A, t_B), (cells, _, _) in _decoders_and_label_oracle(name):
+        ids_A, ids_B = ({m: k for k, m in enumerate(t.members)} for t in (t_A, t_B))
+        want = [list(key) + [ids_A[u], ids_B[v]] for key, (u, v) in sorted(cells.items())]
+        assert dec.cells.shape == (len(want), 6)
+        assert dec.cells.tolist() == want
+        decoded += len(want)
+    assert decoded > 0
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +675,8 @@ def test_decoder_matches_label_oracle(name):
 # ---------------------------------------------------------------------------
 
 def test_overall_povm_resums_to_product_of_totals():
-    inst, params, _, _, _, binned_A, binned_B, decoder = _pieces()
-    acc = overall_povm(binned_A, binned_B, decoder, inst.decomposition)
+    inst, params, _, _, _, binned_A, binned_B, decoder, typicals = _pieces()
+    acc = overall_povm(binned_A, binned_B, decoder, typicals, inst.decomposition)
     got = sum(acc.values())
     sum_A = sum(op for fam in binned_A for op in fam.values()) / params.N1
     sum_B = sum(op for fam in binned_B for op in fam.values()) / params.N2
@@ -728,19 +775,31 @@ def test_trace_norm_sum_matches_dense():
     assert abs(got - want) < 1e-12
 
 
+# dA != dB: scored at n = 2 only, where each oracle takes a tenth of a second
+UNEQUAL_DIMS = ("qubit-qutrit", "qutrit-qubit")
+
+
+def _oracle_lengths(name):
+    return (2,) if name in UNEQUAL_DIMS else (2, 3)
+
+
 @pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy",
-                                  "zero-outcome"])
+                                  "zero-outcome", *UNEQUAL_DIMS])
 def test_trial_G_matches_full_matrix_oracle(name):
     inst, d = _instance(name)
-    for n in (2, 3):
+    decoded = 0
+    for n in _oracle_lengths(name):
         oracle = _Oracle(inst.state, d, n)
         for seed in (0, 1, 2):
-            _, params, _, _, _, binned_A, binned_B, decoder = _pieces(
+            _, params, _, _, _, binned_A, binned_B, decoder, typicals = _pieces(
                 inst, seed=seed, n=n, d=d)
             r = faithfulness_trial(params, inst.state, d)
             assert (r.collisions, r.occupied) == (decoder.collisions, decoder.occupied)
-            family = overall_povm(binned_A, binned_B, decoder, d)
+            family = overall_povm(binned_A, binned_B, decoder, typicals, d)
             assert abs(r.faithfulness_G - oracle.G(family)) < 1e-12
+            decoded += len(decoder.cells)
+    if name in UNEQUAL_DIMS:
+        assert decoded > 0
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "stochastic"])
@@ -784,9 +843,10 @@ def test_factored_resummation_matches_dense(name):
     for N1, N2 in ((1, 1), (2, 3)):
         inst_mu = dataclasses.replace(inst, params=dataclasses.replace(inst.params, N1=N1, N2=N2))
         for n in (2, 3, 4):
-            _, params, _, _, _, binned_A, binned_B, decoder = _pieces(inst_mu, n=n, d=d)
+            _, params, _, _, _, binned_A, binned_B, decoder, typicals = _pieces(
+                inst_mu, n=n, d=d)
             r = faithfulness_trial(params, inst.state, d)
-            dense = _dense_resummation_error(binned_A, binned_B, decoder, d)
+            dense = _dense_resummation_error(binned_A, binned_B, decoder, typicals, d)
             assert dense <= r.resummation_error + 1e-14
             if name == "off-by-tol":
                 assert r.resummation_error > 1e-10
@@ -799,20 +859,24 @@ def test_factored_resummation_matches_dense(name):
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy",
-                                  "zero-outcome"])
+                                  "zero-outcome", *UNEQUAL_DIMS])
 def test_error_split_matches_full_matrix_oracle(name):
     inst, d = _instance(name)
-    for n in (2, 3):
+    decoded = 0
+    for n in _oracle_lengths(name):
         oracle = _Oracle(inst.state, d, n)
         for seed in (0, 1, 2):
-            _, params, _, fams_A, fams_B, binned_A, binned_B, decoder = _pieces(
+            _, params, _, fams_A, fams_B, binned_A, binned_B, decoder, typicals = _pieces(
                 inst, seed=seed, n=n, d=d)
             got_s1, got_s2 = error_split(params, inst.state, d)
             s1, s2 = oracle.split(*_typical_sets(inst.state, d, params),
                                   unbinned_family(fams_A, fams_B),
-                                  decoded_family(binned_A, binned_B, decoder))
+                                  decoded_family(binned_A, binned_B, decoder, typicals))
             assert abs(got_s1 - s1) < 1e-12
             assert abs(got_s2 - s2) < 1e-12
+            decoded += len(decoder.cells)
+    if name in UNEQUAL_DIMS:
+        assert decoded > 0
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic", "noisy",
@@ -827,16 +891,16 @@ def test_multi_mu_trial_matches_full_matrix_oracle(name):
         for n in (2, 3):
             oracle = _Oracle(inst.state, d, n)
             for seed in (0, 1):
-                _, params, _, fams_A, fams_B, binned_A, binned_B, decoder = _pieces(
+                _, params, _, fams_A, fams_B, binned_A, binned_B, decoder, typicals = _pieces(
                     inst_mu, seed=seed, n=n, d=d)
                 assert decoder.n_mu == (N1, N2)
                 r = faithfulness_trial(params, inst.state, d)
-                family = overall_povm(binned_A, binned_B, decoder, d)
+                family = overall_povm(binned_A, binned_B, decoder, typicals, d)
                 assert abs(r.faithfulness_G - oracle.G(family)) < 1e-12
                 got_s1, got_s2 = error_split(params, inst.state, d)
                 s1, s2 = oracle.split(*_typical_sets(inst.state, d, params),
                                       unbinned_family(fams_A, fams_B),
-                                      decoded_family(binned_A, binned_B, decoder))
+                                      decoded_family(binned_A, binned_B, decoder, typicals))
                 assert abs(got_s1 - s1) < 1e-12
                 assert abs(got_s2 - s2) < 1e-12
 
@@ -947,8 +1011,8 @@ def test_setup_and_fixture_arrays_are_read_only():
     setup = protocol._last_setup[1]
     bundle = setup.bundles[0]
     arrays = [setup.p_uv, setup.c1, setup.cperm3, setup.law, *setup.columns[0], *setup.columns[1],
-              *setup.target_ops, *setup.letter_maps, bundle.pi_rho, bundle.pi_hat,
-              bundle.lam_seq[0][0], bundle.lam_seq[0][1], bundle.typical.seqs,
+              setup.target_factors, *setup.rows, *setup.letter_maps, bundle.pi_rho,
+              bundle.pi_hat, bundle.factors, bundle.vals, bundle.offsets, bundle.typical.seqs,
               bundle.typical.probs, bundle.pruned.probs,
               inst.state.mat, inst.decomposition.povm_A.operators[0],
               inst.decomposition.row("0", "0"), inst.p_uv, inst.delta_obs,
@@ -1238,9 +1302,9 @@ def test_soft_covering_error_drops_above_holevo_rate():
 # ---------------------------------------------------------------------------
 
 def test_distortion_identity_observable_is_one():
-    inst, _, _, _, _, binned_A, binned_B, decoder = _pieces()
+    inst, _, _, _, _, binned_A, binned_B, decoder, typicals = _pieces()
     recon = {(u, v): st for (u, v, _), st in inst.recon.items()}
-    got = distortion_of_protocol(binned_A, binned_B, decoder, recon,
+    got = distortion_of_protocol(binned_A, binned_B, decoder, typicals, recon,
                                  np.eye(8), inst.state)
     assert abs(got - 1.0) < 1e-9
 
@@ -1253,21 +1317,21 @@ def test_distortion_matches_full_matrix_oracle(name):
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     for n in (2, 3):
         for seed in (0, 1):
-            _, _, _, _, _, binned_A, binned_B, decoder = _pieces(inst, seed=seed, n=n)
+            _, _, _, _, _, binned_A, binned_B, decoder, typicals = _pieces(inst, seed=seed, n=n)
             for obs in (inst.delta_obs, a + a.conj().T):
-                got = distortion_of_protocol(binned_A, binned_B, decoder, recon,
+                got = distortion_of_protocol(binned_A, binned_B, decoder, typicals, recon,
                                              obs, inst.state)
-                want = _dense_distortion(binned_A, binned_B, decoder, recon,
+                want = _dense_distortion(binned_A, binned_B, decoder, typicals, recon,
                                          obs, inst.state)
                 assert abs(got - want) < 1e-12
 
 
 def test_distortion_complementary_observables_sum_to_one():
-    inst, _, _, _, _, binned_A, binned_B, decoder = _pieces()
+    inst, _, _, _, _, binned_A, binned_B, decoder, typicals = _pieces()
     recon = {(u, v): st for (u, v, _), st in inst.recon.items()}
     p1 = np.kron(np.eye(4), np.diag([0.0, 1.0]))
     p0 = np.kron(np.eye(4), np.diag([1.0, 0.0]))
-    d1 = distortion_of_protocol(binned_A, binned_B, decoder, recon, p1, inst.state)
-    d0 = distortion_of_protocol(binned_A, binned_B, decoder, recon, p0, inst.state)
+    d1 = distortion_of_protocol(binned_A, binned_B, decoder, typicals, recon, p1, inst.state)
+    d0 = distortion_of_protocol(binned_A, binned_B, decoder, typicals, recon, p0, inst.state)
     assert abs((d0 + d1) - 1.0) < 1e-9
     assert d0 >= -1e-12 and d1 >= -1e-12

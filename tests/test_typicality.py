@@ -267,7 +267,8 @@ def test_conditional_projector_pure_states():
     ("binary-correlated", 2), ("binary-correlated", 3), ("binary-correlated", 5),
     ("example1", 2), ("example1", 3), ("example1", 4)])
 def test_bundle_lam_seq_matches_projector_sandwich(name, n):
-    # lam_seq[s] against pi_rho Pi_s (rho_s1 x ... x rho_sn) Pi_s pi_rho
+    # member s's factor columns offsets[s]:offsets[s + 1] against
+    # pi_rho Pi_s (rho_s1 x ... x rho_sn) Pi_s pi_rho
     inst = fixtures.load_fixture(name)
     delta = inst.params.delta
     d = inst.decomposition
@@ -276,18 +277,24 @@ def test_bundle_lam_seq_matches_projector_sandwich(name, n):
         ens = canonical_ensemble(rho, povm)
         bundle = build_projector_bundle(rho, ens, n, delta)
         pi_rho = typical_projector(rho, n, delta)
-        assert len(bundle.lam_seq) == len(bundle.typical)
-        for seq, factor in zip(bundle.typical.members, bundle.lam_seq):
-            got = weighted_gram(*factor)
+        assert len(bundle.offsets) == len(bundle.typical) + 1
+        assert bundle.offsets[-1] == bundle.factors.shape[1] == bundle.vals.size
+        for s, seq in enumerate(bundle.typical.members):
+            got = weighted_gram(*_member(bundle, s))
             pc = conditional_typical_projector(ens, seq, delta)
             rho_s = reduce(np.kron, [ensemble_state(ens, s).mat for s in seq])
             want = pi_rho @ pc @ rho_s @ pc @ pi_rho
             assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _member(bundle, s):
+    """Member s's factor columns and their eigenvalues."""
+    lo, hi = bundle.offsets[s], bundle.offsets[s + 1]
+    return bundle.factors[:, lo:hi], bundle.vals[lo:hi]
+
+
 def _bundle_arrays(bundle):
-    factors = [a for z, v in bundle.lam_seq for a in (z, v)]
-    return [bundle.pi_rho, bundle.pi_hat] + factors
+    return [bundle.pi_rho, bundle.pi_hat, bundle.factors, bundle.vals, bundle.offsets]
 
 
 @pytest.mark.parametrize("name, n", [("binary-correlated", 5), ("example1", 3)])
@@ -314,7 +321,7 @@ def test_bundle_chunks_leave_every_array_bit_equal(name, n, monkeypatch):
         chunk_rows.clear()
         got = build_projector_bundle(rho, ens, n, inst.params.delta)
         assert max(chunk_rows) == rows
-        assert len(got.lam_seq) == len(want.lam_seq)
+        assert len(got.offsets) == len(want.offsets)
         for a, b in zip(_bundle_arrays(got), _bundle_arrays(want), strict=True):
             assert np.array_equal(a, b)
 
@@ -327,8 +334,8 @@ def test_projector_bundle_binary_fixture_diagonal_oracle():
     # degenerate spectrum of I/2 makes every eigen-string typical
     assert np.allclose(bundle.pi_rho, np.eye(4), atol=1e-12)
     assert set(bundle.typical.members) == {("0", "1"), ("1", "0")}
-    assert abs(bundle.params["eps"] - 0.5) < 1e-12
-    assert np.allclose(weighted_gram(*bundle.lam_seq[bundle.typical.members.index(("0", "1"))]),
+    assert abs(bundle.eps - 0.5) < 1e-12
+    assert np.allclose(weighted_gram(*_member(bundle, bundle.typical.members.index(("0", "1")))),
                        np.diag([0, 1, 0, 0]),
                        atol=1e-12)
     # pruned average is diag(0, 1/2, 1/2, 0); both nonzero modes clear the cutoff

@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from oracles import ensemble_state, lookup
+from oracles import ensemble_state, letter_rows, lookup
 from povmsim.errors import InvariantError
 from povmsim.protocol import STREAM_BINS_A, STREAM_BINS_B, substream
 from povmsim.typicality import (
@@ -42,11 +42,11 @@ def label_rows(alphabet, rows) -> list:
     return [tuple(letters[x] for x in row) for row in np.asarray(rows).tolist()]
 
 
-def decoded_labels(decoder, mu1, mu2, i, j) -> tuple:
-    """The label tuples of the pair decoded in one cell, the sentinel's too."""
-    u, v = lookup(decoder, mu1, mu2, i, j)
-    return (label_rows(decoder.alphabets[0], decoder.rows[0][[u]])[0],
-            label_rows(decoder.alphabets[1], decoder.rows[1][[v]])[0])
+def decoded_labels(decoder, typicals, mu1, mu2, i, j) -> tuple:
+    """The label tuples of the pair decoded in one cell, the sentinel's too;
+    ``typicals`` holds the two senders' typical sets."""
+    return tuple(label_rows(t.alphabet, letter_rows(t)[[x]])[0]
+                 for t, x in zip(typicals, lookup(decoder, mu1, mu2, i, j)))
 
 
 def sequence_prob(t, seq):
