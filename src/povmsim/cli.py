@@ -18,6 +18,7 @@ import math
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -32,9 +33,6 @@ from .regions import (dist_deterministic_region, fourier_motzkin,
                       intermediate_system, rd_inner_bound, region_for,
                       single_letter_system)
 from .typicality import SEQ_CAP
-
-COMMANDS = ("region", "simulate", "sweep", "fm-check", "covering-check",
-            "packing-sweep", "rd-eval")
 
 PARAM_KEYS = ("n", "Rt1", "Rt2", "R1", "R2", "N1", "N2", "eta", "delta", "seed")
 _INT_KEYS = frozenset({"n", "N1", "N2", "seed"})
@@ -341,8 +339,10 @@ _DISPATCH = {
     "sweep": cmd_sweep,
     "fm-check": cmd_fm_check,
     "covering-check": cmd_covering_check,
+    "packing-sweep": partial(cmd_sweep, kind="packing"),
     "rd-eval": cmd_rd_eval,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def _run(args) -> int:
@@ -359,12 +359,9 @@ def _run(args) -> int:
     command = args.command or config.get("command")
     if command is None:
         raise InvariantError("no command given by flag or config")
-    if command == "packing-sweep":
-        text = cmd_sweep(instance, config, args, kind="packing")
-    elif command in _DISPATCH:
-        text = _DISPATCH[command](instance, config, args)
-    else:
+    if command not in _DISPATCH:
         raise InvariantError(f"unknown command {command!r}")
+    text = _DISPATCH[command](instance, config, args)
     output = args.output or config.get("output")
     if output:
         with open(output, "w", encoding="utf-8") as fh:

@@ -15,6 +15,7 @@ the (much larger) fully embedded density matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -293,6 +294,27 @@ def outcome_distribution(rho_AB: DensityOperator, povm_A: SubPovm,
     return np.clip(p, 0.0, None)
 
 
+def _measured_state(proj: np.ndarray, dims: tuple, povms: tuple) -> CqState:
+    """The purification's projector with each side whose POVM is given
+    measured (None leaves that side quantum): classical registers U, V for
+    the measured sides, quantum R and the unmeasured sides.  dims are
+    (dR, dA, dB), and each block is Tr_measured((1_R x a x b) proj) with the
+    identity standing in for an unmeasured side's element."""
+    classical, quantum, keep, branches = {}, {"R": dims[0]}, [0], []
+    for pos, (c, q), povm in zip((1, 2), (("U", "A"), ("V", "B")), povms):
+        if povm is None:
+            quantum[q] = dims[pos]
+            keep.append(pos)
+            branches.append([((), np.eye(dims[pos]))])
+        else:
+            classical[c] = povm.outcomes
+            branches.append([((x,), op) for x, op in povm.items()])
+    eyeR = np.eye(dims[0])
+    blocks = {ka + kb: hermitize(partial_trace(tensor(eyeR, a, b) @ proj, dims, keep))
+              for (ka, a), (kb, b) in product(*branches)}
+    return CqState(tuple(classical), classical, tuple(quantum), quantum, blocks, tol=1e-8)
+
+
 def auxiliary_states(rho_AB: DensityOperator, d: SeparableDecomposition):
     """The three post-measurement states behind the distributed rate bounds.
 
@@ -305,34 +327,10 @@ def auxiliary_states(rho_AB: DensityOperator, d: SeparableDecomposition):
     if tuple(rho_AB.dims) != d.dims:
         raise InvariantError(f"state dims {rho_AB.dims} do not match decomposition {d.dims}")
     dA, dB = d.dims
-    dR = dA * dB
-    psi = purify(rho_AB)
-    proj = psi.projector()
-    dims3 = (dR, dA, dB)
-    eyeA, eyeB, eyeR = np.eye(dA), np.eye(dB), np.eye(dR)
-
-    blocks1 = {}
-    for u, lu in d.povm_A.items():
-        blk = partial_trace(tensor(eyeR, lu, eyeB) @ proj, dims3, (0, 2))
-        blocks1[(u,)] = hermitize(blk)
-    sigma1 = CqState(("U",), {"U": d.povm_A.outcomes}, ("R", "B"),
-                     {"R": dR, "B": dB}, blocks1, tol=1e-8)
-
-    blocks2 = {}
-    for v, lv in d.povm_B.items():
-        blk = partial_trace(tensor(eyeR, eyeA, lv) @ proj, dims3, (0, 1))
-        blocks2[(v,)] = hermitize(blk)
-    sigma2 = CqState(("V",), {"V": d.povm_B.outcomes}, ("R", "A"),
-                     {"R": dR, "A": dA}, blocks2, tol=1e-8)
-
-    blocks3 = {}
-    for u, lu in d.povm_A.items():
-        for v, lv in d.povm_B.items():
-            blk = partial_trace(tensor(eyeR, lu, lv) @ proj, dims3, (0,))
-            blocks3[(u, v)] = hermitize(blk)
-    sigma3 = CqState(("U", "V"), {"U": d.povm_A.outcomes, "V": d.povm_B.outcomes},
-                     ("R",), {"R": dR}, blocks3, tol=1e-8)
-    return sigma1, sigma2, sigma3
+    proj = purify(rho_AB).projector()
+    dims3 = (dA * dB, dA, dB)
+    return tuple(_measured_state(proj, dims3, povms)
+                 for povms in ((d.povm_A, None), (None, d.povm_B), (d.povm_A, d.povm_B)))
 
 
 def stochastic_sigma3(sigma3: CqState, d: SeparableDecomposition) -> CqState:

@@ -248,6 +248,8 @@ class DensityOperator:
         object.__setattr__(self, "dims", dims)
         if int(np.prod(dims)) != m.shape[0]:
             raise InvariantError(f"dims {dims} do not factor side {m.shape[0]}")
+        if not m.size:
+            raise InvariantError("density operator must have positive dimension")
         if not is_hermitian(m, self.tol):
             raise InvariantError("density operator is not Hermitian within tol")
         vals = np.linalg.eigvalsh(hermitize(m))

@@ -916,19 +916,21 @@ def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
 
     Codewords are drawn i.i.d. from the unpruned marginals of p_uv; each
     distinct sequence contributes its draw count times the tensor-power POVM
-    element, and only jointly typical pairs enter the sum.  All-diagonal
-    POVM pairs take a vector fast path, so larger blocklengths stay inside
-    the caps: the diagonals of all distinct codewords' elements come from
-    one Kronecker-row pass over the letters' diagonals, and the slab's
-    diagonal is one weighted product of them.
+    element, and only jointly typical pairs enter the sum.  The slab is one
+    contraction: the elements of all distinct codewords come from one
+    Kronecker-row pass per side, U (a, DA, cA) and V (b, DB, cB), and
+    sum_{u,v} W[u,v] U_u x V_v is U^T (W V) with the block axes interleaved.
+    The letter tables are the (k, d, d) elements, or, when both POVMs are
+    diagonal, their diagonals as (k, d, 1) columns; the slab is then the
+    column of its diagonal, so larger blocklengths stay inside the caps.
     """
     p = _joint_law(p_uv)
     if p.shape != (len(povm_A.outcomes), len(povm_B.outcomes)):
         raise InvariantError("p_uv shape must match the POVM outcome counts")
     dA = povm_A.dim
     dB = povm_B.dim
-    # the diagonal path holds vectors of (dA dB)^n entries, the dense path
-    # is held under the smaller dimension cap, so neither runs above 2^20
+    # the diagonal slab holds (dA dB)^n entries, the dense one is held under
+    # the smaller dimension cap, so neither runs above 2^20
     if _exceeds(dA * dB, n, 2 ** 20):
         raise CapExceededError(f"packing dimension {dA * dB}^{n} exceeds the cap {2 ** 20}")
     pU = np.clip(p.sum(axis=1), 0.0, None)
@@ -943,20 +945,21 @@ def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
 
     vecsA = _diagonal_vectors(povm_A)
     vecsB = _diagonal_vectors(povm_B)
-    if vecsA is not None and vecsB is not None:
-        du = kron_rows(vecsA[:, :, None], us)[:, :, 0]
-        dv = kron_rows(vecsB[:, :, None], vs)[:, :, 0]
-        w = np.where(joint, np.outer(countsU, countsV), 0.0)
-        acc = du.T @ w @ dv
-        return max(0.0, float(acc.max()))
-
-    _check_dim_cap(dA * dB, n)
-    acc = np.zeros(((dA * dB) ** n,) * 2, dtype=np.complex128)
-    opsU = [tensor(*(povm_A.operators[k] for k in u)) for u in us.tolist()]
-    opsV = [tensor(*(povm_B.operators[k] for k in v)) for v in vs.tolist()]
-    for a, b in zip(*np.nonzero(joint)):
-        acc += (countsU[a] * countsV[b]) * np.kron(opsU[a], opsV[b])
-    return operator_norm(acc) if joint.any() else 0.0
+    diagonal = vecsA is not None and vecsB is not None
+    if diagonal:
+        tA, tB = vecsA[:, :, None], vecsB[:, :, None]
+    else:
+        _check_dim_cap(dA * dB, n)
+        tA, tB = np.stack(povm_A.operators), np.stack(povm_B.operators)
+    U = kron_rows(tA, us)
+    V = kron_rows(tB, vs)
+    (a, DA, cA), (b, DB, cB) = U.shape, V.shape
+    w = np.where(joint, np.outer(countsU, countsV), 0.0)
+    slab = (U.reshape(a, -1).T @ (w @ V.reshape(b, -1))).reshape(
+        DA, cA, DB, cB).transpose(0, 2, 1, 3).reshape(DA * DB, cA * cB)
+    if diagonal:
+        return max(0.0, float(slab.max()))
+    return operator_norm(slab) if joint.any() else 0.0
 
 
 def binning_collision_rate(params: ProtocolParams, p_uv) -> float:

@@ -217,7 +217,7 @@ def ensemble_from_json(obj) -> Ensemble:
         weights = json_numbers("ensemble weights", obj["weights"])
         outcomes = _labels("ensemble outcomes", obj["outcomes"])
         states = tuple(density_from_json(s) for s in obj["states"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvariantError(f"malformed ensemble payload: {exc}")
     return Ensemble(np.asarray(weights), states, outcomes)
 

@@ -255,18 +255,10 @@ def _grouped_spectrum(mat: np.ndarray):
     and ``group_probs[g]`` the total eigenvalue mass of group g.
     """
     vals, vecs = eigh_desc(mat)
-    top = max(float(vals[0]), 0.0) if vals.size else 0.0
-    gap = GROUP_RTOL * max(top, 1e-300)
-    ids = np.zeros(vals.size, dtype=int)
-    g = 0
-    for i in range(1, vals.size):
-        if vals[i - 1] - vals[i] > gap:
-            g += 1
-        ids[i] = g
-    probs = np.zeros(g + 1)
-    for i, gi in enumerate(ids):
-        probs[gi] += max(float(vals[i]), 0.0)
-    return vals, vecs, ids, probs
+    gap = GROUP_RTOL * max(float(vals[0]), 1e-300)
+    # a group ends where the next value drops more than gap below it
+    ids = np.concatenate(([0], np.cumsum(vals[:-1] - vals[1:] > gap)))
+    return vals, vecs, ids, np.bincount(ids, np.maximum(vals, 0.0))
 
 
 def _typical_columns(spectra, seqs: np.ndarray, strings: np.ndarray, delta: float):

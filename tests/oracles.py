@@ -34,16 +34,18 @@ from povmsim.operators import (
     hermitize,
     kron_rows,
     matrix_sqrt_and_pinv_sqrt,
+    operator_norm,
     partial_trace,
     purify,
     tensor,
     trace_norm,
     von_neumann_entropy,
 )
-from povmsim.protocol import (_count_for_rate, _sandwich_factors, _sandwich_frame,
-                               sentinel_sequence)
+from povmsim.protocol import (STREAM_PACKING_A, STREAM_PACKING_B, _count_for_rate,
+                               _distinct, _sandwich_factors, _sandwich_frame,
+                               sentinel_sequence, substream)
 from povmsim.regions import GE, GT, Inequality, InequalitySystem, RegionReport
-from povmsim.typicality import _check_dim_cap, typical_set
+from povmsim.typicality import _check_dim_cap, typical_pairs, typical_set
 
 #: outcome label appended by complete_sub_povm for the deficit operator
 COMPLETION_OUTCOME = "__rest__"
@@ -372,6 +374,29 @@ def packing_union_proxy(p_uv, n: int, r1: float, r2: float, delta: float) -> flo
     masses = kron_rows(q_pair, typical_set(p.ravel(), n, delta).seqs).ravel()
     mass = np.cumsum(masses)[-1] if masses.size else 0.0
     return _count_for_rate(n, r1) * _count_for_rate(n, r2) * mass
+
+
+def packing_norm_dense(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
+                       r1: float, r2: float, delta: float, seed: int) -> float:
+    """packing_norm_trial's slab summed pair by pair: the same codeword
+    draws, one tensor-power element per distinct codeword and one np.kron
+    per jointly typical pair, whatever the POVMs' form."""
+    p = np.asarray(p_uv, dtype=float)
+    pU = np.clip(p.sum(axis=1), 0.0, None)
+    pV = np.clip(p.sum(axis=0), 0.0, None)
+    us, countsU = _distinct(substream(seed, STREAM_PACKING_A).choice(
+        p.shape[0], size=(_count_for_rate(n, r1), n), p=pU / pU.sum()))
+    vs, countsV = _distinct(substream(seed, STREAM_PACKING_B).choice(
+        p.shape[1], size=(_count_for_rate(n, r2), n), p=pV / pV.sum()))
+    joint = typical_pairs(us, vs, p, delta)
+    dA, dB = povm_A.dim, povm_B.dim
+    _check_dim_cap(dA * dB, n)
+    acc = np.zeros(((dA * dB) ** n,) * 2, dtype=np.complex128)
+    opsU = [tensor(*(povm_A.operators[k] for k in u)) for u in us.tolist()]
+    opsV = [tensor(*(povm_B.operators[k] for k in v)) for v in vs.tolist()]
+    for a, b in zip(*np.nonzero(joint)):
+        acc += (countsU[a] * countsV[b]) * np.kron(opsU[a], opsV[b])
+    return operator_norm(acc) if joint.any() else 0.0
 
 
 # ---------------------------------------------------------------------------

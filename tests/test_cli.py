@@ -536,6 +536,7 @@ def test_non_number_instance_field_exits_3(mutate, tmp_path, capsys):
                         _write_config(tmp_path, payload, "input.json"))
     assert rc == 3, err
     assert err.startswith("invariant violation:") and "must be" in err
+    assert "malformed ensemble payload" not in err
     assert out == ""
 
 
@@ -586,6 +587,7 @@ def test_non_string_instance_name_exits_3(command, tmp_path, capsys):
 _ENSEMBLE = serialize.ensemble_to_json(fixtures.soft_covering_ensemble())
 _STATE = _example1_instance()["state"]
 _BAD_ENTRIES = [["q", 0]] + _STATE["entries"][1:]
+_EMPTY_STATE = {"rows": 0, "cols": 0, "entries": [], "dims": [0]}
 
 
 @pytest.mark.parametrize("extra", [
@@ -596,14 +598,19 @@ _BAD_ENTRIES = [["q", 0]] + _STATE["entries"][1:]
     {"state": dict(_STATE, entries=_BAD_ENTRIES)},
     {"delta_obs": {"rows": 1, "cols": 1, "entries": 7}},
     {"state": dict(_STATE, dims=["x"])},
+    {"state": _EMPTY_STATE},
+    {"ensemble": dict(_ENSEMBLE, states=[_EMPTY_STATE, _ENSEMBLE["states"][1]])},
 ], ids=["text-weight", "text-ensemble-entry", "text-delta_obs-entry", "text-state-entry",
-        "int-entries", "text-dims"])
+        "int-entries", "text-dims", "empty-state", "empty-ensemble-state"])
 def test_malformed_matrix_or_ensemble_payload_exits_3(extra, tmp_path, capsys):
+    # an empty matrix with dims [0] factors its side but has no spectrum; a
+    # field's own refusal is not rewrapped as a malformed ensemble payload
     payload = _example1_instance(config={"kind": "soft-covering", "n": 2}, **extra)
     path = _write_config(tmp_path, payload, "input.json")
     rc, out, err = _run(capsys, "--command", "sweep", "--input", path)
     assert rc == 3, err
     assert err.startswith("invariant violation:")
+    assert "malformed ensemble payload" not in err
     assert out == ""
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
 from collections import Counter
 from functools import partial, reduce
@@ -16,6 +17,7 @@ from oracles import (
     ensemble_state,
     letter_rows,
     lookup,
+    packing_norm_dense,
     packing_union_proxy,
     separate_check,
 )
@@ -1118,6 +1120,34 @@ def test_packing_paths_agree_under_local_rotation():
     fast = packing_norm_trial(comp, comp, PUV_DIAG, 4, 0.5, 0.5, 0.3, seed=7)
     dense = packing_norm_trial(rot, rot, PUV_DIAG, 4, 0.5, 0.5, 0.3, seed=7)
     assert abs(fast - dense) < 1e-9
+
+
+def _packing_povm_pairs():
+    """Seeded random POVM pairs of equal and unequal dimensions, a
+    diagonal/non-diagonal mix and the rotated computational POVM."""
+    rng = np.random.default_rng(5)
+    pairs = [(random_povm(rng, dA, 2), random_povm(rng, dB, 2))
+             for dA, dB in ((2, 2), (2, 3), (3, 2))]
+    comp = fixtures.computational_povm()
+    c, s = np.cos(0.6), np.sin(0.6)
+    u = np.array([[c, -s], [s, c]])
+    rot = Povm(comp.outcomes, tuple(u @ op @ u.T for op in comp.operators))
+    return pairs + [(comp, rot), (rot, rot)]
+
+
+def test_packing_norm_matches_pairwise_kron_oracle():
+    # the one-contraction slab against the pair-by-pair Kronecker sum, on
+    # dense, unequal-dimension and mixed POVM pairs
+    p_uv = np.array([[0.4, 0.1], [0.1, 0.4]])
+    norms = []
+    for povm_A, povm_B in _packing_povm_pairs():
+        for n in (1, 2, 3):
+            for seed in range(3):
+                args = (povm_A, povm_B, p_uv, n, 0.75, 0.75, 1.5, seed)
+                got, want = packing_norm_trial(*args), packing_norm_dense(*args)
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (n, seed)
+                norms.append(want)
+    assert sum(norm > 0.0 for norm in norms) > len(norms) // 2
 
 
 def test_packing_diagonal_rows_equal_kron_chains(monkeypatch):

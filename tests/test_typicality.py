@@ -21,6 +21,7 @@ from povmsim.typicality import (
 from typical_oracle import (
     _letter_indices,
     conditional_typical_projector,
+    groups_by_loop,
     sequence_prob,
     typical_pairs_by_row,
     typical_projector,
@@ -227,6 +228,27 @@ def test_pruning_empty_set_raises():
 # ---------------------------------------------------------------------------
 # quantum projectors
 # ---------------------------------------------------------------------------
+
+def test_grouped_spectrum_matches_loop_oracle():
+    # random, exactly degenerate and nearly degenerate spectra, some with
+    # eigenvalues just below zero; ids and masses must equal the loop's
+    rng = np.random.default_rng(3)
+    merged = split = 0
+    for t in range(60):
+        d = int(rng.integers(1, 9))
+        spectrum = [rng.uniform(size=d),
+                    rng.choice([0.0, 0.25, 0.5, 1e-17, -1e-17], size=d),
+                    np.repeat(rng.uniform(size=d), 2)[:d]
+                    + rng.choice([0.0, 1e-16, 1e-9], size=d)][t % 3]
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        vals, _, ids, probs = typicality._grouped_spectrum((q * spectrum) @ q.conj().T)
+        want_ids, want_probs = groups_by_loop(vals)
+        assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+        assert np.array_equal(probs, want_probs)
+        merged += probs.size < vals.size
+        split += probs.size > 1
+    assert merged and split
+
 
 def test_typical_projector_diagonal_indicator():
     probs = (0.6, 0.4)

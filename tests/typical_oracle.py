@@ -19,6 +19,7 @@ from oracles import ensemble_state, letter_rows, lookup
 from povmsim.errors import InvariantError
 from povmsim.protocol import STREAM_BINS_A, STREAM_BINS_B, substream
 from povmsim.typicality import (
+    GROUP_RTOL,
     _check_dim_cap,
     _grouped_spectrum,
     _letter_counts,
@@ -34,6 +35,24 @@ VOID = "__void__"
 def _letter_indices(strings, alphabet) -> np.ndarray:
     pos = {a: i for i, a in enumerate(alphabet)}
     return np.array([[pos[a] for a in x] for x in strings], dtype=np.intp)
+
+
+def groups_by_loop(vals) -> tuple:
+    """(ids, probs) of descending eigenvalues grouped one value at a time: a
+    new group wherever the drop from the previous value exceeds GROUP_RTOL
+    times the top value, and each group's mass its clipped values added in
+    order."""
+    gap = GROUP_RTOL * max(float(vals[0]), 1e-300)
+    ids = np.zeros(vals.size, dtype=int)
+    g = 0
+    for i in range(1, vals.size):
+        if vals[i - 1] - vals[i] > gap:
+            g += 1
+        ids[i] = g
+    probs = np.zeros(g + 1)
+    for i, gi in enumerate(ids):
+        probs[gi] += max(float(vals[i]), 0.0)
+    return ids, probs
 
 
 def label_rows(alphabet, rows) -> list:
