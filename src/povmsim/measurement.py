@@ -15,7 +15,6 @@ the (much larger) fully embedded density matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +28,7 @@ from .operators import (
     Povm,
     SubPovm,
     hermitize,
+    kron_pairs,
     matrix_sqrt_and_pinv_sqrt,
     partial_trace,
     purify,
@@ -48,7 +48,9 @@ class CqState:
     ``blocks`` maps a tuple of classical outcomes (one per register, in
     ``cregisters`` order) to an unnormalized PSD operator on the tensor
     product of the quantum registers (in ``qregisters`` order).  Block traces
-    are the outcome probabilities and must sum to 1.
+    are the outcome probabilities and must sum to 1.  The blocks are held as
+    one (k, q, q) array ``stack`` in key order, which ``blocks`` views; one
+    ``eigvalsh`` call validates it, naming the first failing block.
     """
     cregisters: tuple
     alphabets: dict
@@ -56,6 +58,7 @@ class CqState:
     qdims: dict
     blocks: dict
     tol: float = DEFAULT_TOL
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cregisters", tuple(self.cregisters))
@@ -67,36 +70,49 @@ class CqState:
             if name not in self.qdims:
                 raise InvariantError(f"quantum register {name!r} has no dimension")
         qdim = int(np.prod([self.qdims[q] for q in self.qregisters])) if self.qregisters else 1
-        total = 0.0
-        fixed = {}
+        keys, mats, malformed = [], [], None
         for key, blk in self.blocks.items():
             key = tuple(key) if isinstance(key, (tuple, list)) else (key,)
             if len(key) != len(self.cregisters):
-                raise InvariantError(f"block key {key} does not match registers {self.cregisters}")
+                malformed = f"block key {key} does not match registers {self.cregisters}"
+                break
             b = np.asarray(blk, dtype=np.complex128)
             if b.shape != (qdim, qdim):
-                raise InvariantError(f"block {key} has shape {b.shape}, expected {(qdim, qdim)}")
-            lo = float(np.min(np.linalg.eigvalsh(hermitize(b)))) if qdim else 0.0
-            if lo < -self.tol:
-                raise InvariantError(f"block {key} not PSD: min eigenvalue {lo:.3e}")
-            total += float(np.real(np.trace(b)))
-            fixed[key] = b
+                malformed = f"block {key} has shape {b.shape}, expected {(qdim, qdim)}"
+                break
+            keys.append(key)
+            mats.append(b)
+        stack = np.array(mats, dtype=np.complex128).reshape(len(mats), qdim, qdim)
+        # the blocks before a malformed one are checked first, as in key order
+        lo = np.linalg.eigvalsh(hermitize(stack)).min(axis=1, initial=0.0)
+        for key, low in zip(keys, lo):
+            if low < -self.tol:
+                raise InvariantError(f"block {key} not PSD: min eigenvalue {low:.3e}")
+        if malformed is not None:
+            raise InvariantError(malformed)
+        if len(set(keys)) < len(keys):
+            raise InvariantError("two blocks name the same tuple of outcomes")
+        total = 0.0
+        for t in np.real(np.trace(stack, axis1=1, axis2=2)).tolist():
+            total += t
         if abs(total - 1.0) > max(self.tol, 1e-8):
             raise InvariantError(f"block traces sum to {total}, expected 1")
-        object.__setattr__(self, "blocks", fixed)
+        object.__setattr__(self, "blocks", dict(zip(keys, stack)))
+        object.__setattr__(self, "stack", stack)
 
     # -- register bookkeeping ------------------------------------------------
 
     def registers(self) -> tuple:
         return self.cregisters + self.qregisters
 
-    def _marginal_blocks(self, keep: Sequence[str]) -> list:
-        """Blocks of the marginal on the named registers, in first-seen order.
+    def _marginal_blocks(self, keep: Sequence[str]) -> np.ndarray:
+        """Stack of the marginal's blocks on the named registers, in
+        first-seen key order.
 
-        Dropped classical registers are summed out (in block order); dropped
-        quantum registers are partial-traced.  The blocks are not validated
-        again: partial traces and sums of this state's validated PSD blocks
-        stay PSD with the same total trace.
+        Dropped quantum registers are partial-traced over the whole stack,
+        then dropped classical registers summed out in block order.  The
+        blocks are not validated again: partial traces and sums of this
+        state's validated PSD blocks stay PSD with the same total trace.
         """
         keep = set(keep)
         unknown = keep - set(self.registers())
@@ -104,13 +120,14 @@ class CqState:
             raise InvariantError(f"unknown registers {sorted(unknown)}")
         cidx = [i for i, c in enumerate(self.cregisters) if c in keep]
         qidx = [i for i, q in enumerate(self.qregisters) if q in keep]
-        qdims = [self.qdims[q] for q in self.qregisters]
+        red = partial_trace(self.stack, [self.qdims[q] for q in self.qregisters], qidx)
+        if len(cidx) == len(self.cregisters):
+            return red
         out: dict = {}
-        for key, blk in self.blocks.items():
+        for key, blk in zip(self.blocks, red):
             newkey = tuple(key[i] for i in cidx)
-            red = partial_trace(blk, qdims, qidx) if self.qregisters else blk
-            out[newkey] = out[newkey] + red if newkey in out else red
-        return list(out.values())
+            out[newkey] = out[newkey] + blk if newkey in out else blk
+        return np.array(list(out.values()))
 
     # -- entropic functionals -------------------------------------------------
 
@@ -119,12 +136,11 @@ class CqState:
 
         Classical registers enter through the block structure: the state is
         block diagonal in them, so S is the sum of blockwise contributions
-        -sum e_i log2 e_i over each unnormalized block's eigenvalues.  The
-        reduced blocks are read without building or re-validating a reduced
-        CqState.
+        -sum e_i log2 e_i over each unnormalized block's eigenvalues, one
+        ``von_neumann_entropy`` call on the reduced stack, which is read
+        without building or re-validating a reduced CqState.
         """
-        blocks = self.blocks.values() if regs is None else self._marginal_blocks(regs)
-        return float(sum(von_neumann_entropy(blk) for blk in blocks))
+        return von_neumann_entropy(self.stack if regs is None else self._marginal_blocks(regs))
 
     def mutual_information(self, regs1: Sequence[str], regs2: Sequence[str]) -> float:
         r1, r2 = set(regs1), set(regs2)
@@ -299,20 +315,23 @@ def _measured_state(proj: np.ndarray, dims: tuple, povms: tuple) -> CqState:
     measured (None leaves that side quantum): classical registers U, V for
     the measured sides, quantum R and the unmeasured sides.  dims are
     (dR, dA, dB), and each block is Tr_measured((1_R x a x b) proj) with the
-    identity standing in for an unmeasured side's element."""
-    classical, quantum, keep, branches = {}, {"R": dims[0]}, [0], []
+    identity standing in for an unmeasured side's element.  The (1_R x a x
+    b) stack, with ``np.kron``'s products, is multiplied by proj,
+    partial-traced and symmetrized as one array."""
+    classical, quantum, keep = {}, {"R": dims[0]}, [0]
+    keys, ops = [()], np.eye(dims[0], dtype=np.complex128)[None]
     for pos, (c, q), povm in zip((1, 2), (("U", "A"), ("V", "B")), povms):
         if povm is None:
             quantum[q] = dims[pos]
             keep.append(pos)
-            branches.append([((), np.eye(dims[pos]))])
+            ops = kron_pairs(ops, np.eye(dims[pos], dtype=np.complex128)[None])
         else:
             classical[c] = povm.outcomes
-            branches.append([((x,), op) for x, op in povm.items()])
-    eyeR = np.eye(dims[0])
-    blocks = {ka + kb: hermitize(partial_trace(tensor(eyeR, a, b) @ proj, dims, keep))
-              for (ka, a), (kb, b) in product(*branches)}
-    return CqState(tuple(classical), classical, tuple(quantum), quantum, blocks, tol=1e-8)
+            keys = [k + (x,) for k in keys for x in povm.outcomes]
+            ops = kron_pairs(ops, np.array(povm.operators))
+    blocks = hermitize(partial_trace(ops @ proj, dims, keep))
+    return CqState(tuple(classical), classical, tuple(quantum), quantum,
+                   dict(zip(keys, blocks)), tol=1e-8)
 
 
 def auxiliary_states(rho_AB: DensityOperator, d: SeparableDecomposition):
@@ -371,9 +390,10 @@ def faithfulness_distance(rho: DensityOperator, m: SubPovm, mtilde: SubPovm) -> 
     if m.dim != mtilde.dim or m.dim != rho.dim:
         raise InvariantError("faithfulness comparison needs a common dimension")
     sq, _ = matrix_sqrt_and_pinv_sqrt(rho.mat)
+    diffs = np.array([_op_or_zero(m, x, m.dim) - _op_or_zero(mtilde, x, m.dim)
+                      for x in _union_alphabet(m, mtilde)])
     total = 0.0
-    for x in _union_alphabet(m, mtilde):
-        diff = _op_or_zero(m, x, m.dim) - _op_or_zero(mtilde, x, m.dim)
-        total += trace_norm(sq @ diff @ sq)
+    for norm in trace_norm(sq @ diffs @ sq).tolist():
+        total += norm
     leak = float(np.real(np.trace((np.eye(m.dim) - mtilde.total()) @ rho.mat)))
     return total + max(leak, 0.0)

@@ -42,10 +42,12 @@ EIG_CUTOFF = 1e-12  # relative to the largest eigenvalue
 # ---------------------------------------------------------------------------
 
 def as_operator(entries) -> np.ndarray:
-    """Coerce input to a square complex128 matrix."""
+    """Coerce input to a square complex128 matrix of finite entries."""
     a = np.asarray(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvariantError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvariantError("matrix has a non-finite entry")
     return a
 
 
@@ -98,6 +100,16 @@ def tensor(*ops) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
+def kron_pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_i x y_j for every pair of blocks of two stacks, i outer, j inner.
+
+    (k, p, q) and (m, r, s) stacks give a new (k m, p r, q s) stack whose
+    entries are ``np.kron(x[i], y[j])``'s products, bit for bit.
+    """
+    out = x[:, None, :, None, :, None] * y[None, :, None, :, None, :]
+    return out.reshape(len(x) * len(y), x.shape[1] * y.shape[1], x.shape[2] * y.shape[2])
+
+
 def kron_rows(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """table[i_1] x ... x table[i_n] for each row of a (k, n) index array.
 
@@ -114,11 +126,12 @@ def kron_rows(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(op, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Reduced operator over the kept subsystems.
+    """Reduced operator over the kept subsystems, of one operator or a stack.
 
     Parameters
     ----------
-    op : array, square, side length ``prod(dims)``
+    op : array, square, side length ``prod(dims)``, or a stack of such
+        operators along leading axes
     dims : subsystem dimensions, in tensor order
     keep : indices (into ``dims``) of the subsystems to retain, strictly
         ascending
@@ -127,13 +140,15 @@ def partial_trace(op, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     -------
     The reduced operator on ``prod(dims[k] for k in keep)`` dimensions, its
     subsystems in tensor order (a scalar-valued 1x1 matrix when ``keep`` is
-    empty).  Trace is preserved.
+    empty), with any stack axes kept.  Trace is preserved, and each block
+    gets the ``np.trace`` contractions it would get alone.
     """
     a = np.asarray(op, dtype=np.complex128)
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     total = int(np.prod(dims))
-    if a.shape != (total, total):
+    lead = a.shape[:-2]
+    if a.ndim < 2 or a.shape[-2:] != (total, total):
         raise InvariantError(
             f"operator side {a.shape} does not match dims product {total}")
     keep = tuple(int(k) for k in keep)
@@ -142,12 +157,13 @@ def partial_trace(op, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     if any(i >= j for i, j in zip(keep, keep[1:])):
         raise InvariantError(f"keep indices {keep} must be strictly ascending")
     traced = [i for i in range(n) if i not in keep]
-    t = a.reshape(dims + dims)
+    t = a.reshape(lead + dims + dims)
     # contract each traced subsystem pairwise (row index against column index)
     for i in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
+        i += len(lead)
+        t = np.trace(t, axis1=i, axis2=i + (t.ndim - len(lead)) // 2)
     kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(kept_dim, kept_dim)
+    return t.reshape(lead + (kept_dim, kept_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +177,14 @@ def eigh_desc(op: np.ndarray):
     return vals[idx], vecs[:, idx]
 
 
-def trace_norm(op) -> float:
-    """Sum of singular values, ||A||_1 = Tr |A|."""
+def trace_norm(op):
+    """Sum of singular values, ||A||_1 = Tr |A|: a float for one square
+    matrix, an array of norms for a stack of them along leading axes."""
     a = np.asarray(op, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise InvariantError("trace_norm expects a square matrix")
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    norms = np.sum(np.linalg.svd(a, compute_uv=False), axis=-1)
+    return float(norms) if a.ndim == 2 else norms
 
 
 def operator_norm(op) -> float:
@@ -210,17 +228,18 @@ def matrix_sqrt_and_pinv_sqrt(op):
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum lambda_i log2 lambda_i over eigenvalues above the cutoff.
 
-    Accepts a raw PSD array or a :class:`DensityOperator`.  Unnormalized
-    inputs are allowed (the formula is applied to the eigenvalues as given);
-    callers that need S of a conditional block normalize first.
+    Accepts a raw PSD array, a (k, d, d) stack of them, or a
+    :class:`DensityOperator`.  A stack's value is the sum of its blocks'
+    entropies in stack order, from one ``eigvalsh`` call; each block keeps
+    its own cutoff and its own ``np.sum``.  Unnormalized inputs are allowed
+    (the formula is applied to the eigenvalues as given); callers that need
+    S of a conditional block normalize first.
     """
     a = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
-    vals = np.linalg.eigvalsh(hermitize(a))
-    top = float(np.max(vals)) if vals.size else 0.0
-    pos = vals[vals > EIG_CUTOFF * max(top, 0.0)]
-    if pos.size == 0:
-        return 0.0
-    return float(-np.sum(pos * np.log2(pos)))
+    vals = np.atleast_2d(np.linalg.eigvalsh(hermitize(a)))
+    pos = vals > EIG_CUTOFF * np.max(vals, axis=-1, initial=0.0)[:, None]
+    terms = vals * np.log2(np.where(pos, vals, 1.0))
+    return float(sum(float(-np.sum(t[p])) for t, p in zip(terms, pos)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +339,11 @@ def purify(rho: DensityOperator) -> PureBipartiteState:
 
 @dataclass(frozen=True)
 class SubPovm:
-    """Indexed family of PSD operators summing to at most the identity."""
+    """Indexed family of PSD operators summing to at most the identity.
+
+    The elements are validated as one stack (one Hermiticity gap, one
+    ``eigvalsh`` call); a failure names the first failing outcome.
+    """
     outcomes: tuple
     operators: tuple
     tol: float = DEFAULT_TOL
@@ -338,14 +361,20 @@ class SubPovm:
         if not ops:
             raise InvariantError("a measurement needs at least one outcome")
         d = ops[0].shape[0]
-        for x, op in zip(outs, ops):
-            if op.shape[0] != d:
-                raise InvariantError("operators act on inconsistent dimensions")
-            if not is_hermitian(op, self.tol):
+        if not d:
+            raise InvariantError("a measurement needs positive dimension")
+        k = next((i for i, op in enumerate(ops) if op.shape[0] != d), len(ops))
+        stack = np.array(ops[:k])
+        skew = ~(np.max(np.abs(stack - np.swapaxes(stack.conj(), 1, 2)), axis=(1, 2)) <= self.tol)
+        negative = np.linalg.eigvalsh(hermitize(stack)).min(axis=1) < -self.tol
+        for x, not_hermitian, not_psd in zip(outs, skew, negative):
+            if not_hermitian:
                 raise InvariantError(f"operator for outcome {x!r} is not Hermitian")
-            if float(np.min(np.linalg.eigvalsh(hermitize(op)))) < -self.tol:
+            if not_psd:
                 raise InvariantError(f"operator for outcome {x!r} is not PSD within tol")
-        gap = np.eye(d) - self.total()
+        if k < len(ops):
+            raise InvariantError("operators act on inconsistent dimensions")
+        gap = np.eye(d) - stack.sum(axis=0)
         lo = float(np.min(np.linalg.eigvalsh(hermitize(gap))))
         if lo < -self.tol:
             raise InvariantError(f"operator sum exceeds identity by {-lo:.3e}")
@@ -376,7 +405,7 @@ class Povm(SubPovm):
 def tensor_povm(a: SubPovm, b: SubPovm) -> SubPovm:
     """Product measurement with paired outcome labels (x, y)."""
     outs = tuple((x, y) for x in a.outcomes for y in b.outcomes)
-    ops = tuple(tensor(a.op(x), b.op(y)) for x in a.outcomes for y in b.outcomes)
+    ops = tuple(kron_pairs(np.array(a.operators), np.array(b.operators)))
     cls = Povm if (isinstance(a, Povm) and isinstance(b, Povm)) else SubPovm
     tol = max(a.tol, b.tol, 1e-8)
     if cls is Povm:

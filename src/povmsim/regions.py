@@ -35,7 +35,7 @@ from .measurement import (
     deterministic_decomposition,
     stochastic_sigma3,
 )
-from .operators import DEFAULT_TOL, DensityOperator, hermitize, tensor
+from .operators import DEFAULT_TOL, DensityOperator, as_operator, hermitize, tensor
 
 QUANT_STEP = Fraction(1, 10 ** 9)
 
@@ -139,11 +139,19 @@ class InequalitySystem:
         return cls(tuple(variables), tuple(ineqs))
 
     def canonical_rows(self) -> frozenset:
-        """Irredundant canonical rows as hashable triples, for set comparison."""
-        kept = _strongest((_int_row(r), r.relation == GT, 0)
-                          for r in self.inequalities if not r.vacuous())
-        return frozenset((tuple(Fraction(c) for c in ints[:-1]), GT if strict else GE,
-                          Fraction(ints[-1])) for ints, strict, _ in kept)
+        """Canonical rows as hashable triples, for set comparison: each row
+        scaled so that its coefficients alone are coprime integers, and only
+        the strongest (rhs, strictness) row kept per direction, so a row
+        implied by a stronger parallel one does not count."""
+        rows = []
+        for r in self.inequalities:
+            if not r.vacuous():
+                ints = _int_row(r)
+                g = math.gcd(*ints[:-1]) or 1
+                rows.append((tuple(c // g for c in ints[:-1]) + (Fraction(ints[-1], g),),
+                             r.relation == GT, 0))
+        return frozenset((tuple(Fraction(c) for c in ints[:-1]), GT if strict else GE, ints[-1])
+                         for ints, strict, _ in _strongest(rows))
 
     def same_region(self, other: "InequalitySystem") -> bool:
         return (self.variables == other.variables
@@ -414,7 +422,7 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
     total = float(sum(p_q[q] for q in povm_pairs))
     if abs(total - 1.0) > max(tol, 1e-9):
         raise InvariantError(f"time-sharing weights sum to {total}")
-    delta = np.asarray(delta, dtype=np.complex128)
+    delta = as_operator(delta)
     lo = float(np.min(np.linalg.eigvalsh(hermitize(delta)))) if delta.size else 0.0
     if lo < -max(tol, 1e-9):
         raise InvariantError("distortion observable must be PSD")

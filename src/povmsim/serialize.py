@@ -128,10 +128,11 @@ def povm_from_json(obj) -> SubPovm:
         raise InvariantError("outcomes and operators must be parallel")
     if not operators:
         raise InvariantError("measurement payload has no operators")
-    total = np.sum(operators, axis=0)
-    if close(total, np.eye(total.shape[0]), 1e-8):
+    # validated before the sum, which needs square, finite, equal-sized elements
+    sub = SubPovm(outcomes, operators)
+    if close(sub.total(), np.eye(sub.dim), 1e-8):
         return Povm(outcomes, operators)
-    return SubPovm(outcomes, operators)
+    return sub
 
 
 def pair_key(u, v) -> str:

@@ -1,7 +1,13 @@
-"""Shared random-instance builders for the test suite."""
+"""Shared instance builders and helpers for the test suite."""
+
+import dataclasses
 
 import numpy as np
 
+from povmsim import fixtures
+from povmsim.errors import InvariantError
+from povmsim.measurement import (SeparableDecomposition, deterministic_decomposition,
+                                 outcome_distribution)
 from povmsim.operators import DensityOperator, Povm, SubPovm, matrix_sqrt_and_pinv_sqrt
 
 
@@ -39,3 +45,41 @@ def random_sub_povm(rng, povm, floor=0.5):
     scales = rng.uniform(floor, 1.0, size=len(povm.outcomes))
     ops = tuple(s * op for s, op in zip(scales, povm.operators))
     return SubPovm(povm.outcomes, ops, tol=povm.tol)
+
+
+# ---------------------------------------------------------------------------
+# instances beside the fixtures
+# ---------------------------------------------------------------------------
+
+def stochastic_binary():
+    """binary-correlated's POVMs with a 3-letter stochastic integration.
+
+    The float sum of (0.3, 0.6, 0.1) is 0.9999999999999999, so decoded
+    pairs carry total image weights that are not exactly 1.
+    """
+    m = fixtures.load_fixture("binary-correlated").decomposition.povm_A
+    rows = {("0", "0"): (0.3, 0.6, 0.1), ("0", "1"): (1.0, 0.0, 0.0),
+            ("1", "0"): (0.0, 0.0, 1.0), ("1", "1"): (0.1, 0.3, 0.6)}
+    return SeparableDecomposition(m, m, ("a", "b", "c"), rows)
+
+
+def unequal_dims(dims, seed):
+    """A random state on ``dims`` read by a random two-outcome POVM on each
+    side, integrated by the identity pairing, with binary-correlated's rates
+    at delta = 1.5."""
+    rng = np.random.default_rng(seed)
+    state = random_density(rng, dims)
+    d = deterministic_decomposition(random_povm(rng, dims[0], 2), random_povm(rng, dims[1], 2))
+    inst = fixtures.load_fixture("binary-correlated")
+    return dataclasses.replace(inst, state=state, decomposition=d,
+                               p_uv=outcome_distribution(state, d.povm_A, d.povm_B),
+                               params=dataclasses.replace(inst.params, delta=1.5)), d
+
+
+def invariant_message(build, *args):
+    """The message of the InvariantError that build(*args) raises, or None."""
+    try:
+        build(*args)
+    except InvariantError as exc:
+        return str(exc)
+    return None

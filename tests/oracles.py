@@ -2,13 +2,15 @@
 
 Dense identities, the baseline rate regions of point-to-point measurement
 compression, the distortion of the decoded protocol, Fourier-Motzkin
-elimination over Fraction rows, validated CqState marginals, and small
-readers of library objects.  Each builds full matrices where the library works in
+elimination over Fraction rows, validated CqState marginals, the
+block-by-block measured states, validations and entropies that the library
+now takes over whole stacks, and small readers of library objects.  Each builds full matrices where the library works in
 factor form or never needs the quantity at all; tests compare the two, or
 check a paper identity with them.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from functools import reduce
 from fractions import Fraction
@@ -309,6 +311,98 @@ def apply_measurement(psi, m: SubPovm, measured: int = 1,
         blocks=blocks,
         tol=max(m.tol, 1e-8),
     )
+
+
+# ---------------------------------------------------------------------------
+# block-by-block routes of the stacked analysis states
+# ---------------------------------------------------------------------------
+
+def measured_blocks_by_loop(rho: DensityOperator, povms) -> dict:
+    """The blocks of measurement._measured_state on rho's purification, one
+    outcome pair at a time: Tr_measured((1_R x a x b) proj) through a
+    ``tensor`` chain and one partial trace per block, the identity standing
+    in for the element of a side whose POVM is None."""
+    proj = purify(rho).projector()
+    dA, dB = rho.dims
+    dims, keep, branches = (dA * dB, dA, dB), [0], []
+    for pos, povm in zip((1, 2), povms):
+        if povm is None:
+            keep.append(pos)
+            branches.append([((), np.eye(dims[pos]))])
+        else:
+            branches.append([((x,), op) for x, op in povm.items()])
+    eye_r = np.eye(dims[0])
+    return {ka + kb: hermitize(partial_trace(tensor(eye_r, a, b) @ proj, dims, keep))
+            for (ka, a), (kb, b) in itertools.product(*branches)}
+
+
+def check_blocks_by_loop(cregisters, qregisters, qdims, blocks, tol=DEFAULT_TOL):
+    """CqState's block checks one block at a time, in key order: key
+    length, shape, then one eigvalsh per block; then the trace sum.  Raises
+    the InvariantError the state must raise, or returns None."""
+    qdim = int(np.prod([qdims[q] for q in qregisters])) if qregisters else 1
+    total = 0.0
+    for key, blk in blocks.items():
+        key = tuple(key) if isinstance(key, (tuple, list)) else (key,)
+        if len(key) != len(cregisters):
+            raise InvariantError(f"block key {key} does not match registers {tuple(cregisters)}")
+        b = np.asarray(blk, dtype=np.complex128)
+        if b.shape != (qdim, qdim):
+            raise InvariantError(f"block {key} has shape {b.shape}, expected {(qdim, qdim)}")
+        lo = float(np.min(np.linalg.eigvalsh(hermitize(b)))) if qdim else 0.0
+        if lo < -tol:
+            raise InvariantError(f"block {key} not PSD: min eigenvalue {lo:.3e}")
+        total += float(np.real(np.trace(b)))
+    if abs(total - 1.0) > max(tol, 1e-8):
+        raise InvariantError(f"block traces sum to {total}, expected 1")
+
+
+def check_povm_by_loop(outcomes, operators, tol=DEFAULT_TOL, complete=False):
+    """SubPovm's element checks one outcome at a time: common dimension,
+    Hermitian, PSD by its own eigvalsh; then the sum against the identity.
+    Raises the InvariantError the measurement must raise, or returns None."""
+    ops = [np.asarray(o, dtype=np.complex128) for o in operators]
+    d = ops[0].shape[0]
+    for x, op in zip(outcomes, ops):
+        if op.shape[0] != d:
+            raise InvariantError("operators act on inconsistent dimensions")
+        if not np.max(np.abs(op - op.conj().T)) <= tol:
+            raise InvariantError(f"operator for outcome {x!r} is not Hermitian")
+        if float(np.min(np.linalg.eigvalsh(hermitize(op)))) < -tol:
+            raise InvariantError(f"operator for outcome {x!r} is not PSD within tol")
+    gap = np.eye(d) - np.sum(ops, axis=0)
+    lo = float(np.min(np.linalg.eigvalsh(hermitize(gap))))
+    if lo < -tol:
+        raise InvariantError(f"operator sum exceeds identity by {-lo:.3e}")
+    if complete and float(np.max(np.abs(gap))) > tol:
+        raise InvariantError("operators do not resolve the identity within tol")
+
+
+def entropy_of_block(blk) -> float:
+    """One block's -sum e log2 e over eigenvalues above the cutoff, by its
+    own eigvalsh call."""
+    vals = np.linalg.eigvalsh(hermitize(np.asarray(blk, dtype=np.complex128)))
+    top = float(np.max(vals)) if vals.size else 0.0
+    pos = vals[vals > EIG_CUTOFF * max(top, 0.0)]
+    if pos.size == 0:
+        return 0.0
+    return float(-np.sum(pos * np.log2(pos)))
+
+
+class BlockwiseEntropies:
+    """A CqState read block by block: each entropy partial-traces and sums
+    the blocks one at a time (reduce_cq) and takes one eigvalsh per reduced
+    block.  It offers the entropic methods the region builders call."""
+
+    mutual_information = CqState.mutual_information
+    conditional_mutual_information = CqState.conditional_mutual_information
+
+    def __init__(self, cq: CqState):
+        self.cq = cq
+
+    def entropy(self, regs=None) -> float:
+        cq = self.cq if regs is None else reduce_cq(self.cq, regs)
+        return float(sum(entropy_of_block(blk) for blk in cq.blocks.values()))
 
 
 # ---------------------------------------------------------------------------

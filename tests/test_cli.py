@@ -2,15 +2,21 @@
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import unequal_dims
+from oracles import BlockwiseEntropies, measured_blocks_by_loop
 from povmsim import cli, fixtures, protocol, serialize
-from povmsim.measurement import SeparableDecomposition
+from povmsim.measurement import CqState, SeparableDecomposition
 from povmsim.operators import DensityOperator
+from povmsim.regions import dist_deterministic_region
+
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
 def _run(capsys, *argv):
@@ -81,6 +87,49 @@ def test_region_and_fm_check_on_stochastic_decomposition(tmp_path, capsys):
     rc, out, err = _run(capsys, "--command", "fm-check", "--input", path)
     assert rc == 0 and err == ""
     assert out == "EQUAL\n"
+
+
+@pytest.mark.parametrize("label", ["region", "fm-check", "covering-check", "rd-eval"])
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_analysis_stdout_matches_bench_reference(name, label, capsys):
+    # the bench compares every field but F_A, F_B and F_joint exactly, so a
+    # last-bit drift in an entropy must fail here before it fails there
+    want = json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))["workloads"]["analysis"]
+    rc, out, err = _run(capsys, "--command", label, "--input", name)
+    assert rc == 0 and err == ""
+    assert out == want[f"{label}/{name}"]
+
+
+def _blockwise_region(state, d):
+    """dist_deterministic_region over per-pair blocks and per-block entropies."""
+    dA, dB = state.dims
+    dims3 = {"R": dA * dB, "A": dA, "B": dB}
+    sigmas = []
+    for povms, regs in (((d.povm_A, None), ("B",)), ((None, d.povm_B), ("A",)),
+                        ((d.povm_A, d.povm_B), ())):
+        classical = {c: m.outcomes for c, m in zip("UV", povms) if m is not None}
+        quantum = {q: dims3[q] for q in ("R",) + regs}
+        sigmas.append(BlockwiseEntropies(CqState(
+            tuple(classical), classical, tuple(quantum), quantum,
+            measured_blocks_by_loop(state, povms), tol=1e-8)))
+    return dist_deterministic_region(*sigmas)
+
+
+@pytest.mark.parametrize("dims,seed", [((2, 3), 21), ((3, 2), 22)],
+                         ids=["qubit-qutrit", "qutrit-qubit"])
+def test_unequal_dimension_instance_file(dims, seed, tmp_path, capsys):
+    # dA != dB moves the partial trace's axis offsets on the stack; the
+    # region's constants must be the per-block route's, and the elimination
+    # must land on the single-letter region
+    inst, d = unequal_dims(dims, seed)
+    path = _write_config(tmp_path, {"state": serialize.density_to_json(inst.state),
+                                    "decomposition": serialize.decomposition_to_json(d)},
+                         "instance.json")
+    rc, out, err = _run(capsys, "--command", "fm-check", "--input", path)
+    assert (rc, out, err) == (0, "EQUAL\n", "")
+    rc, out, err = _run(capsys, "--command", "region", "--input", path)
+    assert rc == 0 and err == ""
+    assert out == serialize.dumps(_blockwise_region(inst.state, d).to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +661,38 @@ def test_malformed_matrix_or_ensemble_payload_exits_3(extra, tmp_path, capsys):
     assert err.startswith("invariant violation:")
     assert "malformed ensemble payload" not in err
     assert out == ""
+
+
+_QUTRIT_ELEMENT = {"rows": 3, "cols": 3,
+                   "entries": [[0.5, 0.0] if i % 4 == 0 else [0.0, 0.0] for i in range(9)]}
+_WIDE_DELTA = {"rows": 2, "cols": 32, "entries": [[0.0, 0.0]] * 64}
+
+
+@pytest.mark.parametrize("mutate,word", [
+    (_set("state", "entries", 0, value=[float("inf"), 0.0]), "non-finite entry"),
+    (_set("decomposition", "povm_A", "operators", 0, "entries", 1, value=[float("nan"), 0.0]),
+     "non-finite entry"),
+    (_set("delta_obs", "entries", 0, value=[float("-inf"), 0.0]), "non-finite entry"),
+    (_set("decomposition", "povm_A", "operators", 1, value=_QUTRIT_ELEMENT),
+     "inconsistent dimensions"),
+    (_set("decomposition", "povm_A", "operators", value=[{"rows": 0, "cols": 0, "entries": []}]
+          * 2), "positive dimension"),
+    (_set("delta_obs", value=_WIDE_DELTA), "square matrix"),
+], ids=["inf-state-entry", "nan-povm-entry", "inf-delta_obs-entry", "mixed-povm-dims",
+        "empty-povm-elements", "wide-delta_obs"])
+def test_non_finite_or_misshapen_matrix_exits_3(mutate, word, tmp_path, capsys, recwarn):
+    # an infinite or NaN entry is refused by name before any arithmetic can
+    # warn (or print a NaN distortion), a measurement is validated before
+    # its elements are summed, and the distortion observable must be square
+    payload = _binary_correlated_rd_instance()
+    mutate(payload)
+    rc, out, err = _run(capsys, "--command", "rd-eval", "--input",
+                        _write_config(tmp_path, payload, "input.json"))
+    assert rc == 3, err
+    assert err.startswith("invariant violation:") and word in err
+    assert out == ""
+    assert "Warning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_non_finite_ensemble_weight_exits_3(tmp_path, capsys):

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_density, random_povm, random_sub_povm
+from conftest import (invariant_message, random_density, random_povm, random_sub_povm,
+                      stochastic_binary, unequal_dims)
 from oracles import (
+    BlockwiseEntropies,
     apply_measurement,
+    check_blocks_by_loop,
     ensemble_weight,
+    measured_blocks_by_loop,
     prob,
     reduce_cq,
     shannon_entropy,
@@ -79,6 +83,14 @@ def test_cq_rejects_bad_total_mass():
     blocks = {(0,): 0.5 * np.eye(2) / 2, (1,): 0.4 * np.eye(2) / 2}
     with pytest.raises(InvariantError):
         CqState(("X",), {"X": (0, 1)}, ("R",), {"R": 2}, blocks)
+
+
+def test_cq_rejects_two_blocks_with_one_key():
+    # a bare outcome and its 1-tuple name one block; the stack would hold
+    # both while the dict kept one, so the pair is refused
+    blocks = {0: 0.25 * np.eye(2), (0,): 0.25 * np.eye(2)}
+    with pytest.raises(InvariantError, match="same tuple of outcomes"):
+        CqState(("X",), {"X": (0,)}, ("R",), {"R": 2}, blocks)
 
 
 def test_attach_classical_chain_rule():
@@ -236,17 +248,77 @@ def test_stochastic_sigma3_consistent_with_deterministic():
         assert np.allclose(red.blocks[key], sigma3.blocks[key], atol=1e-10)
 
 
-@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
-def test_entropy_matches_validated_marginal_oracle(name):
-    # entropy sums the spectra of unvalidated reduced blocks; the validated
-    # oracle marginal gives bit-equal values on every register subset
+ANALYSIS_INSTANCES = (*fixtures.FIXTURE_NAMES, "stochastic", "qubit-qutrit", "qutrit-qubit",
+                      "rank-one")
+
+
+def _analysis_instance(name):
+    """(state, decomposition): a fixture; binary-correlated with the
+    stochastic rows of conftest.stochastic_binary; a conftest.unequal_dims
+    instance; or example1's measurements on a random pure state."""
+    if name == "stochastic":
+        return fixtures.load_fixture("binary-correlated").state, stochastic_binary()
+    if name in ("qubit-qutrit", "qutrit-qubit"):
+        inst, d = unequal_dims((2, 3), 21) if name == "qubit-qutrit" else unequal_dims((3, 2), 22)
+        return inst.state, d
+    if name == "rank-one":
+        rng = np.random.default_rng(31)
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        v /= np.linalg.norm(v)
+        return (DensityOperator(np.outer(v, v.conj()), (2, 2)),
+                fixtures.load_fixture("example1").decomposition)
     inst = fixtures.load_fixture(name)
-    sigma1, sigma2, sigma3 = auxiliary_states(inst.state, inst.decomposition)
-    sigma3z = stochastic_sigma3(sigma3, inst.decomposition)
-    for cq in (sigma1, sigma2, sigma3, sigma3z):
+    return inst.state, inst.decomposition
+
+
+@pytest.mark.parametrize("name", ANALYSIS_INSTANCES)
+def test_stacked_blocks_match_per_pair_oracle(name):
+    # the stacked pass builds every block bit for bit as the per-pair
+    # tensor and partial trace did, in the same key order
+    rho, d = _analysis_instance(name)
+    sigmas = auxiliary_states(rho, d)
+    for cq, povms in zip(sigmas, ((d.povm_A, None), (None, d.povm_B), (d.povm_A, d.povm_B))):
+        want = measured_blocks_by_loop(rho, povms)
+        assert list(cq.blocks) == list(want)
+        assert all(np.array_equal(cq.blocks[key], blk) for key, blk in want.items())
+
+
+@pytest.mark.parametrize("name", ANALYSIS_INSTANCES)
+def test_entropy_matches_validated_marginal_oracle(name):
+    # entropy reduces the block stack in one pass and takes one eigvalsh
+    # over the reduced stack; the validated oracle marginal, reduced and
+    # diagonalized block by block, gives bit-equal values on every register
+    # subset
+    rho, d = _analysis_instance(name)
+    sigma1, sigma2, sigma3 = auxiliary_states(rho, d)
+    for cq in (sigma1, sigma2, sigma3, stochastic_sigma3(sigma3, d)):
+        oracle = BlockwiseEntropies(cq)
         regs = cq.registers()
+        assert cq.entropy() == oracle.entropy()
         for k in range(len(regs) + 1):
             for subset in itertools.combinations(regs, k):
-                want = sum(von_neumann_entropy(blk)
-                           for blk in reduce_cq(cq, subset).blocks.values())
-                assert cq.entropy(subset) == float(want), (cq.registers(), subset)
+                assert cq.entropy(subset) == oracle.entropy(subset), (regs, subset)
+
+
+_PSD = np.diag([0.5, 0.0])
+_BENT = np.diag([0.5, -0.1])
+
+
+@pytest.mark.parametrize("blocks", [
+    {("a",): _PSD, ("b",): _PSD},
+    {("a",): _PSD, ("b",): _BENT, ("c",): _BENT},
+    {("a",): _BENT, ("b",): np.eye(3)},
+    {("a",): _PSD, ("b",): np.eye(3) / 3, ("c",): _BENT},
+    {("a",): _BENT, ("b", "c"): _PSD},
+    {("a", "b"): _PSD, ("b",): _BENT},
+    {"a": _PSD, ("b",): 0.4 * np.eye(2)},
+    {("a",): _PSD},
+    {},
+], ids=["valid", "second-not-psd", "psd-before-shape", "shape-before-psd",
+        "psd-before-key", "key-before-psd", "bare-key-trace", "short-trace", "empty"])
+def test_stacked_block_checks_match_blockwise_oracle(blocks):
+    # one eigvalsh over the stack reports the first failing block in key
+    # order, and a malformed block stops the checks where the loop stopped
+    args = (("X",), {"X": ("a", "b", "c")}, ("R",), {"R": 2}, blocks)
+    want = invariant_message(check_blocks_by_loop, ("X",), ("R",), {"R": 2}, blocks)
+    assert invariant_message(CqState, *args) == want

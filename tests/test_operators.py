@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_density, random_povm
+from conftest import invariant_message, random_density, random_povm
 from oracles import (
     COMPLETION_OUTCOME,
+    check_povm_by_loop,
     complete_sub_povm,
+    entropy_of_block,
     power,
     quantum_mutual_information,
     shannon_entropy,
@@ -23,6 +25,7 @@ from povmsim.operators import (
     eigh_desc,
     hermitize,
     holevo_information,
+    kron_pairs,
     kron_rows,
     matrix_sqrt_and_pinv_sqrt,
     operator_norm,
@@ -86,6 +89,70 @@ def test_partial_trace_keep_out_of_order_raises():
     for keep in ((1, 0), (0, 0)):
         with pytest.raises(InvariantError, match="strictly ascending"):
             partial_trace(np.kron(a, b), (2, 3), keep=keep)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (6, 2, 3), (6, 3, 2), (4, 2, 2)])
+def test_partial_trace_of_stack_matches_each_block(dims):
+    # the stack axis shifts every contraction's axes; each block must still
+    # get the contractions it gets alone, bit for bit, on unequal dims too
+    rng = np.random.default_rng(sum(dims))
+    d = int(np.prod(dims))
+    stack = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    for keep in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)):
+        got = partial_trace(stack, dims, keep)
+        assert got.shape[0] == 5
+        for blk, red in zip(stack, got):
+            assert np.array_equal(red, partial_trace(blk, dims, keep)), keep
+
+
+def test_kron_pairs_equals_kron_of_each_pair():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    y = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    got = kron_pairs(x, y)
+    want = [np.kron(a, b) for a in x for b in y]
+    assert got.shape == (6, 6, 6)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_entropy_and_trace_norm_of_stack_match_each_block():
+    # one eigvalsh (svd) call over the stack, one cutoff and one sum per
+    # block: pure, rank-deficient, unnormalized and full-rank blocks
+    rng = np.random.default_rng(8)
+    blocks = [0.3 * _proj(BELL), 0.2 * np.diag([1.0, 0.0, 0.0, 0.0]), np.zeros((4, 4)),
+              0.5 * random_density(rng, (2, 2)).mat, np.diag([1.0, 0.0, 0.0, 0.0])]
+    stack = np.array(blocks, dtype=np.complex128)
+    assert von_neumann_entropy(stack) == float(sum(entropy_of_block(b) for b in blocks))
+    for blk in blocks:
+        assert von_neumann_entropy(blk) == entropy_of_block(blk)
+    norms = trace_norm(stack)
+    assert [float(v) for v in norms] == [trace_norm(b) for b in blocks]
+
+
+_HALF = 0.5 * np.eye(2)
+_SKEW = np.array([[0.5, 0.2], [0.0, 0.5]])
+_BENT = np.diag([0.5, -0.1])
+
+
+@pytest.mark.parametrize("ops,complete", [
+    ((_HALF, _HALF), True),
+    ((_HALF, 0.25 * np.eye(2)), False),
+    ((_HALF, _HALF), False),
+    ((_HALF, _SKEW, _BENT), False),
+    ((_BENT, _SKEW), False),
+    ((_HALF, _BENT, np.eye(3)), False),
+    ((_HALF, np.eye(3), _BENT), False),
+    ((_HALF, 0.8 * np.eye(2)), False),
+    ((_HALF, 0.25 * np.eye(2)), True),
+], ids=["povm", "sub-povm", "sub-povm-full", "first-skew", "psd-before-skew",
+        "psd-before-dims", "dims-before-psd", "oversum", "incomplete"])
+def test_stacked_povm_checks_match_per_outcome_oracle(ops, complete):
+    # one Hermiticity gap and one eigvalsh over the stack name the first
+    # failing outcome, with its first failing check, as the per-outcome loop
+    outcomes = tuple("abc"[:len(ops)])
+    build = Povm if complete else SubPovm
+    want = invariant_message(check_povm_by_loop, outcomes, ops, 1e-9, complete)
+    assert invariant_message(build, outcomes, ops) == want
 
 
 # ---------------------------------------------------------------------------

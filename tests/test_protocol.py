@@ -11,7 +11,8 @@ from functools import partial, reduce
 import numpy as np
 import pytest
 
-from conftest import random_density, random_povm, random_sub_povm
+from conftest import (random_density, random_povm, random_sub_povm, stochastic_binary,
+                      unequal_dims)
 from oracles import (
     distortion_of_protocol,
     ensemble_state,
@@ -27,7 +28,6 @@ from povmsim.measurement import (
     SeparableDecomposition,
     canonical_ensemble,
     compose_decomposition,
-    deterministic_decomposition,
     outcome_distribution,
 )
 from povmsim.operators import (
@@ -145,22 +145,10 @@ def _pieces(inst=None, seed=0, n=None, d=None):
     return inst, params, labels, fams_A, fams_B, binned_A, binned_B, decoder, (t_A, t_B)
 
 
-def _stochastic_binary():
-    """binary-correlated's POVMs with a 3-letter stochastic integration.
-
-    The float sum of (0.3, 0.6, 0.1) is 0.9999999999999999, so decoded
-    pairs carry total image weights that are not exactly 1.
-    """
-    m = fixtures.load_fixture("binary-correlated").decomposition.povm_A
-    rows = {("0", "0"): (0.3, 0.6, 0.1), ("0", "1"): (1.0, 0.0, 0.0),
-            ("1", "0"): (0.0, 0.0, 1.0), ("1", "1"): (0.1, 0.3, 0.6)}
-    return SeparableDecomposition(m, m, ("a", "b", "c"), rows)
-
-
 def _off_by_tol_binary():
-    """_stochastic_binary with rows (0, 0) and (1, 1) that miss a sum of 1
+    """stochastic_binary with rows (0, 0) and (1, 1) that miss a sum of 1
     by -5e-10 and +4e-10, inside the decomposition's 1e-9 tolerance."""
-    d = _stochastic_binary()
+    d = stochastic_binary()
     rows = {**d.rows, ("0", "0"): (0.3, 0.6, 0.1 - 5e-10),
             ("1", "1"): (0.1, 0.3, 0.6 + 4e-10)}
     return SeparableDecomposition(d.povm_A, d.povm_B, d.z_alphabet, rows)
@@ -199,30 +187,17 @@ def _zero_outcome_binary():
     return _equality_decomposition(z)
 
 
-def _unequal_dims(dims, seed):
-    """A random state on ``dims`` read by a random two-outcome POVM on each
-    side, integrated by the identity pairing, with binary-correlated's rates
-    at delta = 1.5."""
-    rng = np.random.default_rng(seed)
-    state = random_density(rng, dims)
-    d = deterministic_decomposition(random_povm(rng, dims[0], 2), random_povm(rng, dims[1], 2))
-    inst = fixtures.load_fixture("binary-correlated")
-    return dataclasses.replace(inst, state=state, decomposition=d,
-                               p_uv=outcome_distribution(state, d.povm_A, d.povm_B),
-                               params=dataclasses.replace(inst.params, delta=1.5)), d
-
-
 def _instance(name):
-    """A fixture and its decomposition; "stochastic" is _stochastic_binary,
+    """A fixture and its decomposition; "stochastic" is stochastic_binary,
     "off-by-tol" is _off_by_tol_binary, "noisy" is _noisy_binary,
     "zero-outcome" is _zero_outcome_binary, and "qubit-qutrit" and
-    "qutrit-qubit" are _unequal_dims instances."""
+    "qutrit-qubit" are unequal_dims instances."""
     if name == "qubit-qutrit":
-        return _unequal_dims((2, 3), 21)
+        return unequal_dims((2, 3), 21)
     if name == "qutrit-qubit":
-        return _unequal_dims((3, 2), 22)
+        return unequal_dims((3, 2), 22)
     if name == "stochastic":
-        return fixtures.load_fixture("binary-correlated"), _stochastic_binary()
+        return fixtures.load_fixture("binary-correlated"), stochastic_binary()
     if name == "off-by-tol":
         return fixtures.load_fixture("binary-correlated"), _off_by_tol_binary()
     if name == "noisy":
