@@ -7,16 +7,18 @@ which membership checks rate points against.  The exact layer
 (InequalitySystem, fourier_motzkin, intermediate_system,
 single_letter_system) is exact: entropic values are quantized to rationals
 at QUANT_STEP, then each row coeffs ‖ rhs is scaled once to a coprime
-integer vector, so projection and set comparison run on Python ints, with
-a row's originating rows held as an int bit mask.  Fraction-valued
-Inequality rows are built only for the output.
+integer vector.  That one row form, with the row's strictness and its
+originating rows as an int bit mask, is what a system holds, what the
+elimination combines over Python ints and returns, and what same_region
+compares.
 
-The elimination keeps two redundancy filters: per coefficient part of the
-coprime row only the strongest (rhs, strictness) row, and the ancestor-count
+The elimination keeps two redundancy filters: per coprime (coeffs ‖ rhs)
+vector only the strongest (rhs, strictness) row, and the ancestor-count
 cutoff (a row combined from more than k+1 original rows after k eliminations
-is implied by the others and is never formed).  The second filter is what
-makes projections of the intermediate rate system come out irredundant
-rather than merely correct.
+is implied by the others and is never formed).  Neither makes a projection
+irredundant: a weaker row parallel to a stronger one survives whenever the
+two rows' rhs scale differently, and same_region, which keeps only the
+strongest row per coefficient direction, is what discounts it.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from .measurement import (
     deterministic_decomposition,
     stochastic_sigma3,
 )
-from .operators import DEFAULT_TOL, DensityOperator, as_operator, hermitize, tensor
+from .operators import DEFAULT_TOL, DensityOperator, as_operator, hermitize
 
 QUANT_STEP = Fraction(1, 10 ** 9)
 
@@ -56,38 +58,14 @@ def rationalize(x) -> Fraction:
 # exact inequality systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Inequality:
-    """coeffs . vars  (>= or >)  rhs, with the originating row ids attached."""
-    coeffs: tuple
-    relation: str
-    rhs: Fraction
-    ancestors: frozenset = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
-        if self.relation not in (GE, GT):
-            raise InvariantError(f"relation must be {GE!r} or {GT!r}")
-
-    def is_zero_row(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def vacuous(self) -> bool:
-        if not self.is_zero_row():
-            return False
-        return self.rhs <= 0 if self.relation == GE else self.rhs < 0
-
-
 def _coprime(ints) -> tuple:
     """Integer entries divided by their gcd (a zero vector stays as it is)."""
     g = math.gcd(*ints)
     return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
-def _int_row(ineq: Inequality) -> tuple:
-    """coeffs ‖ rhs scaled by a positive rational to coprime integers."""
-    entries = ineq.coeffs + (ineq.rhs,)
+def _int_row(entries: Sequence[Fraction]) -> tuple:
+    """Rational entries scaled by a positive rational to coprime integers."""
     lcm = math.lcm(*(e.denominator for e in entries))
     return _coprime([e.numerator * (lcm // e.denominator) for e in entries])
 
@@ -113,49 +91,43 @@ def _strongest(rows: Iterable[tuple]) -> list:
 
 @dataclass(frozen=True)
 class InequalitySystem:
+    """Rows ``coeffs . variables (> if strict else >=) rhs``, each held as
+    (ints, strict, mask): ints the coprime integer vector coeffs ‖ rhs, and
+    bit i of mask set when input row i is among the row's ancestors."""
     variables: tuple
-    inequalities: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        n = len(self.variables)
-        rows = tuple(self.inequalities)
-        for r in rows:
-            if len(r.coeffs) != n:
-                raise InvariantError("coefficient vector length mismatch")
-        object.__setattr__(self, "inequalities", rows)
+    rows: tuple
 
     @classmethod
     def from_rows(cls, variables: Sequence[str], rows):
-        """rows: iterables of (coeffs, relation, rhs); reals are quantized."""
-        ineqs = []
+        """rows: iterables of (coeffs, relation, rhs); reals are quantized.
+        A row with zero coefficients that every point satisfies is dropped."""
+        variables = tuple(variables)
+        out = []
         for i, (coeffs, rel, rhs) in enumerate(rows):
-            ineqs.append(Inequality(
-                tuple(rationalize(c) for c in coeffs),
-                rel,
-                rationalize(rhs),
-                frozenset({i}),
-            ))
-        return cls(tuple(variables), tuple(ineqs))
-
-    def canonical_rows(self) -> frozenset:
-        """Canonical rows as hashable triples, for set comparison: each row
-        scaled so that its coefficients alone are coprime integers, and only
-        the strongest (rhs, strictness) row kept per direction, so a row
-        implied by a stronger parallel one does not count."""
-        rows = []
-        for r in self.inequalities:
-            if not r.vacuous():
-                ints = _int_row(r)
-                g = math.gcd(*ints[:-1]) or 1
-                rows.append((tuple(c // g for c in ints[:-1]) + (Fraction(ints[-1], g),),
-                             r.relation == GT, 0))
-        return frozenset((tuple(Fraction(c) for c in ints[:-1]), GT if strict else GE, ints[-1])
-                         for ints, strict, _ in _strongest(rows))
+            if rel not in (GE, GT):
+                raise InvariantError(f"relation must be {GE!r} or {GT!r}")
+            if len(coeffs) != len(variables):
+                raise InvariantError("coefficient vector length mismatch")
+            ints = _int_row([rationalize(c) for c in coeffs] + [rationalize(rhs)])
+            strict = rel == GT
+            if any(ints[:-1]) or (ints[-1] >= 0 if strict else ints[-1] > 0):
+                out.append((ints, strict, 1 << i))
+        return cls(variables, tuple(out))
 
     def same_region(self, other: "InequalitySystem") -> bool:
-        return (self.variables == other.variables
-                and self.canonical_rows() == other.canonical_rows())
+        """Whether both systems hold the same rows once each row is scaled so
+        that its coefficients alone are coprime and only the strongest (rhs,
+        strictness) row is kept per direction, so a row implied by a
+        stronger parallel one does not count."""
+        def by_direction(system):
+            rows = []
+            for ints, strict, _ in system.rows:
+                g = math.gcd(*ints[:-1]) or 1
+                rows.append((tuple(c // g for c in ints[:-1]) + (Fraction(ints[-1], g),),
+                             strict, 0))
+            return frozenset((ints, strict) for ints, strict, _ in _strongest(rows))
+        return self.variables == other.variables and by_direction(self) == by_direction(other)
+
 
 def fourier_motzkin(sys: InequalitySystem, eliminate: Sequence[str]) -> InequalitySystem:
     """Project the feasible set onto the variables not in ``eliminate``.
@@ -167,8 +139,7 @@ def fourier_motzkin(sys: InequalitySystem, eliminate: Sequence[str]) -> Inequali
     unknown = [v for v in eliminate if v not in sys.variables]
     if unknown:
         raise InvariantError(f"cannot eliminate unknown variables {unknown}")
-    rows = _strongest((_int_row(r), r.relation == GT, 1 << i)
-                      for i, r in enumerate(sys.inequalities) if not r.vacuous())
+    rows = _strongest(sys.rows)
     for steps, var in enumerate(eliminate, start=1):
         j = sys.variables.index(var)
         merged = [r for r in rows if r[0][j] == 0]
@@ -186,14 +157,14 @@ def fourier_motzkin(sys: InequalitySystem, eliminate: Sequence[str]) -> Inequali
                     continue  # vacuous
                 merged.append((_coprime(ints), strict, mask))
         rows = _strongest(merged)
+    dropped = [i for i, v in enumerate(sys.variables) if v in eliminate]
+    if any(ints[i] for ints, _, _ in rows for i in dropped):
+        raise InvariantError("eliminated variable survived projection")
+    # the dropped entries are zero, so each kept vector stays coprime
     keep = [i for i, v in enumerate(sys.variables) if v not in eliminate]
-    out = []
-    for ints, strict, mask in rows:
-        if any(ints[i] for i, v in enumerate(sys.variables) if v in eliminate):
-            raise InvariantError("eliminated variable survived projection")
-        out.append(Inequality(tuple(ints[i] for i in keep), GT if strict else GE, ints[-1],
-                              frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)))
-    return InequalitySystem(tuple(sys.variables[i] for i in keep), tuple(out))
+    return InequalitySystem(tuple(sys.variables[i] for i in keep),
+                            tuple((tuple(ints[i] for i in keep) + (ints[-1],), strict, mask)
+                                  for ints, strict, mask in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +421,11 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
     i2 = sigma2.conditional_mutual_information(("V",), ("R", "A"), ("Q",))
     iuv = sigma3.conditional_mutual_information(("U",), ("V",), ("Q",))
 
-    # average distortion: blocks of sigma3 are p(q) Tr_AB{(I x L_u x L_v) Psi}
-    dval = 0.0
-    for (u, v, q), blk in sigma3.blocks.items():
-        s = recon[(u, v, q)]
-        joint = tensor(blk, s.mat)
-        dval += float(np.real(np.trace(delta @ joint)))
+    # average distortion Tr(Delta sum_uvq blk_uvq x recon_uvq): the blocks of
+    # sigma3 are p(q) Tr_AB{(I x L_u x L_v) Psi}
+    recon_stack = np.array([recon[key].mat for key in sigma3.blocks])
+    dval = float(np.real(np.einsum("aibj,kba,kji->", delta.reshape(dR, dXhat, dR, dXhat),
+                                   sigma3.stack, recon_stack)))
 
     return RegionReport(
         variables=("R1", "R2", "D"),

@@ -1,8 +1,9 @@
 """Reference computations that only the tests call.
 
 Dense identities, the baseline rate regions of point-to-point measurement
-compression, the distortion of the decoded protocol, Fourier-Motzkin
-elimination over Fraction rows, validated CqState marginals, the
+compression, the distortion of the decoded protocol and of the
+rate-distortion inner bound block by block, Fourier-Motzkin elimination over
+Fraction rows, validated CqState marginals, the
 block-by-block measured states, validations and entropies that the library
 now takes over whole stacks, and small readers of library objects.  Each builds full matrices where the library works in
 factor form or never needs the quantity at all; tests compare the two, or
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
 
@@ -23,6 +25,8 @@ from povmsim.measurement import (
     _op_or_zero,
     _union_alphabet,
     attach_classical,
+    auxiliary_states,
+    deterministic_decomposition,
     faithfulness_distance,
 )
 from povmsim.operators import (
@@ -46,7 +50,7 @@ from povmsim.operators import (
 from povmsim.protocol import (STREAM_PACKING_A, STREAM_PACKING_B, _count_for_rate,
                                _distinct, _sandwich_factors, _sandwich_frame,
                                sentinel_sequence, substream)
-from povmsim.regions import GE, GT, Inequality, InequalitySystem, RegionReport
+from povmsim.regions import GE, GT, RegionReport
 from povmsim.typicality import _check_dim_cap, typical_pairs, typical_set
 
 #: outcome label appended by complete_sub_povm for the deficit operator
@@ -123,11 +127,9 @@ def bounds_of(report: RegionReport) -> dict:
 def satisfies(system, point) -> bool:
     """Exact membership of a rational point in an InequalitySystem."""
     vec = [Fraction(point[v]) for v in system.variables]
-    for r in system.inequalities:
-        lhs = sum(c * x for c, x in zip(r.coeffs, vec))
-        if r.relation == GE and not lhs >= r.rhs:
-            return False
-        if r.relation == GT and not lhs > r.rhs:
+    for ints, strict, _ in system.rows:
+        lhs = sum(c * x for c, x in zip(ints, vec))
+        if not (lhs > ints[-1] if strict else lhs >= ints[-1]):
             return False
     return True
 
@@ -151,12 +153,34 @@ def letter_rows(tset) -> np.ndarray:
 # exact elimination over fractions
 # ---------------------------------------------------------------------------
 
-def _canonical(ineq: Inequality) -> Inequality:
+@dataclass(frozen=True)
+class FractionRow:
+    """coeffs . vars  (>= or >)  rhs over Fractions, with the originating row ids."""
+    coeffs: tuple
+    relation: str
+    rhs: Fraction
+    ancestors: frozenset = frozenset()
+
+    def vacuous(self) -> bool:
+        if any(c != 0 for c in self.coeffs):
+            return False
+        return self.rhs <= 0 if self.relation == GE else self.rhs < 0
+
+
+def fraction_rows(system) -> list:
+    """An InequalitySystem's (ints, strict, mask) rows as FractionRows."""
+    return [FractionRow(tuple(Fraction(c) for c in ints[:-1]), GT if strict else GE,
+                        Fraction(ints[-1]),
+                        frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
+            for ints, strict, mask in system.rows]
+
+
+def _canonical(ineq: FractionRow) -> FractionRow:
     """Scale by a positive rational so entries are coprime integers."""
     entries = list(ineq.coeffs) + [ineq.rhs]
     nonzero = [e for e in entries if e != 0]
     if not nonzero:
-        return Inequality(ineq.coeffs, ineq.relation, Fraction(0), ineq.ancestors)
+        return FractionRow(ineq.coeffs, ineq.relation, Fraction(0), ineq.ancestors)
     lcm = 1
     for e in entries:
         lcm = math.lcm(lcm, e.denominator)
@@ -165,7 +189,7 @@ def _canonical(ineq: Inequality) -> Inequality:
     for v in ints:
         g = math.gcd(g, abs(v))
     scale = Fraction(lcm, g)
-    return Inequality(
+    return FractionRow(
         tuple(c * scale for c in ineq.coeffs),
         ineq.relation,
         ineq.rhs * scale,
@@ -174,7 +198,8 @@ def _canonical(ineq: Inequality) -> Inequality:
 
 
 def _dominated_filter(rows) -> list:
-    """Keep, per coefficient direction, only the strongest (rhs, strictness) row.
+    """Keep, per coprime (coeffs ‖ rhs) vector, only the strongest (rhs,
+    strictness) row.
 
     Ties between identical rows keep the one with the smallest ancestor set.
     """
@@ -193,20 +218,23 @@ def _dominated_filter(rows) -> list:
     return list(best.values())
 
 
-def fourier_motzkin_fractions(sys: InequalitySystem, eliminate) -> InequalitySystem:
-    """fourier_motzkin on Fraction rows with frozenset ancestors: every
-    combined row is a new Inequality, canonicalized by _canonical, and the
-    ancestor cutoff drops rows after they are formed."""
+def fourier_motzkin_fractions(variables, rows, eliminate) -> tuple:
+    """fourier_motzkin on Fraction rows with frozenset ancestors, from exact
+    (coeffs, relation, rhs) rows, row i the ancestor {i}: every combined row
+    is a new FractionRow, canonicalized by _canonical, and the ancestor
+    cutoff drops rows after they are formed.  Returns the kept variables and
+    the projected rows."""
+    variables = tuple(variables)
     eliminate = list(eliminate)
-    unknown = [v for v in eliminate if v not in sys.variables]
+    unknown = [v for v in eliminate if v not in variables]
     if unknown:
         raise InvariantError(f"cannot eliminate unknown variables {unknown}")
-    rows = [Inequality(r.coeffs, r.relation, r.rhs, frozenset({i}))
-            for i, r in enumerate(sys.inequalities)]
+    rows = [FractionRow(tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs), frozenset({i}))
+            for i, (coeffs, rel, rhs) in enumerate(rows)]
     rows = _dominated_filter(r for r in rows if not r.vacuous())
     steps = 0
     for var in eliminate:
-        j = sys.variables.index(var)
+        j = variables.index(var)
         pos = [r for r in rows if r.coeffs[j] > 0]
         neg = [r for r in rows if r.coeffs[j] < 0]
         zer = [r for r in rows if r.coeffs[j] == 0]
@@ -217,22 +245,21 @@ def fourier_motzkin_fractions(sys: InequalitySystem, eliminate) -> InequalitySys
                 b = -m.coeffs[j]
                 coeffs = tuple(b * cp + a * cm for cp, cm in zip(p.coeffs, m.coeffs))
                 rel = GT if GT in (p.relation, m.relation) else GE
-                combos.append(Inequality(coeffs, rel, b * p.rhs + a * m.rhs,
-                                         p.ancestors | m.ancestors))
+                combos.append(FractionRow(coeffs, rel, b * p.rhs + a * m.rhs,
+                                          p.ancestors | m.ancestors))
         steps += 1
         merged = zer + [c for c in combos if not c.vacuous()]
         merged = [r for r in merged if len(r.ancestors) <= steps + 1]
         rows = _dominated_filter(merged)
-    keep_idx = [i for i, v in enumerate(sys.variables) if v not in eliminate]
+    keep_idx = [i for i, v in enumerate(variables) if v not in eliminate]
     out = []
     for r in rows:
-        dropped = [r.coeffs[i] for i, v in enumerate(sys.variables) if v in eliminate]
+        dropped = [r.coeffs[i] for i, v in enumerate(variables) if v in eliminate]
         if any(c != 0 for c in dropped):
             raise InvariantError("eliminated variable survived projection")
-        out.append(Inequality(tuple(r.coeffs[i] for i in keep_idx),
-                              r.relation, r.rhs, r.ancestors))
-    return InequalitySystem(tuple(sys.variables[i] for i in keep_idx),
-                            tuple(_dominated_filter(out)))
+        out.append(FractionRow(tuple(r.coeffs[i] for i in keep_idx),
+                               r.relation, r.rhs, r.ancestors))
+    return tuple(variables[i] for i in keep_idx), _dominated_filter(out)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +573,23 @@ def p2p_stochastic_region(rho: DensityOperator, mbar: Povm, x_alphabet,
 # ---------------------------------------------------------------------------
 # distortion of the decoded protocol
 # ---------------------------------------------------------------------------
+
+def rd_distortion_by_blocks(rho_AB: DensityOperator, povm_pairs, p_q, recon,
+                            delta) -> float:
+    """rd_inner_bound's average distortion block by block: sum over (u, v, q)
+    of Tr(delta (p(q) sigma3_q[u, v] x recon[u, v, q])), each product dense."""
+    delta = np.asarray(delta, dtype=np.complex128)
+    dval = 0.0
+    for q, (ma, mb) in povm_pairs.items():
+        w = float(p_q[q])
+        if w == 0.0:
+            continue
+        sigma3 = auxiliary_states(rho_AB, deterministic_decomposition(ma, mb))[2]
+        for (u, v), blk in sigma3.blocks.items():
+            joint = tensor(w * blk, recon[(u, v, q)].mat)
+            dval += float(np.real(np.trace(delta @ joint)))
+    return dval
+
 
 def distortion_of_protocol(binned_A, binned_B, decoder, typicals, recon,
                            delta_obs, rho_AB: DensityOperator) -> float:

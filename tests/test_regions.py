@@ -1,20 +1,24 @@
 """Exact rate-region algebra and entropic region builders."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import random_density, random_povm
 from oracles import (
     bounds_of,
     fourier_motzkin_fractions,
+    fraction_rows,
     p2p_stochastic_region,
+    rd_distortion_by_blocks,
     satisfies,
     winter_region,
 )
 from povmsim import fixtures
 from povmsim.errors import InvariantError
-from povmsim.measurement import auxiliary_states, stochastic_sigma3
+from povmsim.measurement import auxiliary_states, deterministic_decomposition, stochastic_sigma3
 from povmsim.operators import DensityOperator, Povm
 from povmsim.regions import (
     GE,
@@ -22,6 +26,7 @@ from povmsim.regions import (
     QUANT_STEP,
     InequalitySystem,
     RateTriple,
+    dist_deterministic_region,
     dist_stochastic_region,
     fourier_motzkin,
     intermediate_system,
@@ -56,8 +61,7 @@ def test_fm_propagates_strictness():
         ((0, 1), GT, 2),
     ])
     got = fourier_motzkin(sys, ("y",))
-    rows = {(r.coeffs, r.relation, r.rhs) for r in got.inequalities if not r.vacuous()}
-    assert ((Fraction(1),), GT, Fraction(2)) in rows
+    assert ((1, 2), True) in {(ints, strict) for ints, strict, _ in got.rows}
 
 
 def test_fm_unknown_variable_raises():
@@ -66,9 +70,17 @@ def test_fm_unknown_variable_raises():
         fourier_motzkin(sys, ("z",))
 
 
+def test_from_rows_refuses_bad_relation_and_arity():
+    with pytest.raises(InvariantError, match="relation must be"):
+        InequalitySystem.from_rows(("x",), [((1,), "<=", 0)])
+    with pytest.raises(InvariantError, match="coefficient vector length mismatch"):
+        InequalitySystem.from_rows(("x",), [((1, 0), GE, 0)])
+
+
 def _random_system(rng):
-    """3-5 variables, small integer coefficients, rhs on the QUANT_STEP grid,
-    mixed relations, and sometimes an opposing pair of rows and vacuous or
+    """Variables and (coeffs, relation, rhs) rows of a random system: 3-5
+    variables, small integer coefficients, rhs on the QUANT_STEP grid, mixed
+    relations, and sometimes an opposing pair of rows and vacuous or
     infeasible zero rows."""
     nvars = int(rng.integers(3, 6))
     rows = []
@@ -84,21 +96,70 @@ def _random_system(rng):
                         ((zero, GT, -1), 0.2), ((zero, GE, 1), 0.15)):
         if rng.random() < chance:
             rows.insert(int(rng.integers(0, len(rows) + 1)), row)
-    return InequalitySystem.from_rows(tuple(f"x{i}" for i in range(nvars)), rows)
+    return tuple(f"x{i}" for i in range(nvars)), rows
 
 
 def test_fm_matches_fraction_oracle_on_random_systems():
     # integer rows with bit-mask ancestors against the Fraction elimination:
-    # Inequality equality covers rows, relations, rhs and ancestor sets, and
-    # system equality their order
+    # FractionRow equality covers rows, relations, rhs and ancestor sets, and
+    # list equality their order
     rng = np.random.default_rng(17)
     for _ in range(200):
-        sys = _random_system(rng)
-        k = int(rng.integers(1, len(sys.variables) + 1))
-        elim = tuple(str(v) for v in rng.permutation(sys.variables)[:k])
-        got = fourier_motzkin(sys, elim)
-        want = fourier_motzkin_fractions(sys, elim)
-        assert got == want, (sys, elim)
+        variables, rows = _random_system(rng)
+        k = int(rng.integers(1, len(variables) + 1))
+        elim = tuple(str(v) for v in rng.permutation(variables)[:k])
+        got = fourier_motzkin(InequalitySystem.from_rows(variables, rows), elim)
+        want = fourier_motzkin_fractions(variables, rows, elim)
+        assert (got.variables, fraction_rows(got)) == want, (variables, rows, elim)
+
+
+def _direction(coeffs):
+    g = math.gcd(*coeffs)
+    return tuple(c // g for c in coeffs), g
+
+
+def test_same_region_against_exact_comparison():
+    # the second system of a pair holds the first one's rows, each scaled by a
+    # positive rational, with weaker parallel copies and vacuous rows added,
+    # shuffled; raising a strongest row of a direction by one QUANT_STEP, or
+    # making it strict, gives a different region
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        nvars = int(rng.integers(2, 5))
+        variables = tuple(f"x{i}" for i in range(nvars))
+        rows = []
+        while len(rows) < int(rng.integers(2, 9)):
+            coeffs = tuple(int(c) for c in rng.integers(-3, 4, nvars))
+            if any(coeffs):
+                rhs = int(rng.integers(-6, 7)) * int(rng.integers(1, 10 ** 6)) * QUANT_STEP
+                rows.append((coeffs, GT if rng.random() < 0.3 else GE, rhs))
+        other = []
+        for coeffs, rel, rhs in rows:
+            k = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 20)))
+            other.append((tuple(k * c for c in coeffs), rel, k * rhs))
+            if rng.random() < 0.5:
+                lower = int(rng.integers(0, 4))
+                weak_rel = GE if lower == 0 else (GT if rng.random() < 0.5 else GE)
+                other.append((tuple(2 * k * c for c in coeffs), weak_rel,
+                              2 * k * (rhs - lower * QUANT_STEP)))
+        zero = (0,) * nvars
+        other += [(zero, GE, 0), (zero, GE, -QUANT_STEP), (zero, GT, -1)]
+        other = [other[i] for i in rng.permutation(len(other))]
+        base = InequalitySystem.from_rows(variables, rows)
+        copy = InequalitySystem.from_rows(variables, other)
+        assert base.same_region(copy) and copy.same_region(base)
+
+        def rank(i):
+            coeffs, rel, rhs = rows[i]
+            return rhs / _direction(coeffs)[1], rel == GT
+        pick = _direction(rows[int(rng.integers(0, len(rows)))][0])[0]
+        top = max((i for i in range(len(rows)) if _direction(rows[i][0])[0] == pick), key=rank)
+        coeffs, rel, rhs = rows[top]
+        raised = rows[:top] + [(coeffs, rel, rhs + QUANT_STEP)] + rows[top + 1:]
+        assert not InequalitySystem.from_rows(variables, raised).same_region(copy)
+        if rel == GE:
+            strict = rows[:top] + [(coeffs, GT, rhs)] + rows[top + 1:]
+            assert not InequalitySystem.from_rows(variables, strict).same_region(copy)
 
 
 def test_satisfies_exact():
@@ -116,6 +177,27 @@ def test_fm_elimination_reaches_single_letter_region(tup):
     got = fourier_motzkin(inter, ("Rt1", "Rt2", "C1", "C2"))
     assert got.variables == ("R1", "R2", "C")
     assert got.same_region(single_letter_system(*tup))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_fm_check_on_generated_instances(dims):
+    # fm-check's projection on random states read by random 2-3 outcome
+    # POVMs under the identity pairing: equal to the single-letter region,
+    # and to the Fraction elimination row for row
+    elim = ("Rt1", "Rt2", "C1", "C2")
+    for seed in range(10):
+        rng = np.random.default_rng([seed, *dims])
+        state = random_density(rng, dims)
+        d = deterministic_decomposition(random_povm(rng, dims[0], int(rng.integers(2, 4))),
+                                        random_povm(rng, dims[1], int(rng.integers(2, 4))))
+        s = dist_deterministic_region(*auxiliary_states(state, d)).sources
+        tup = (s["I(U;RB)"], s["I(V;RA)"], s["I(U;V)"], s["S(U)"], s["S(V)"])
+        inter = intermediate_system(*tup)
+        got = fourier_motzkin(inter, elim)
+        assert got.same_region(single_letter_system(*tup)), (dims, seed)
+        want = fourier_motzkin_fractions(
+            inter.variables, [(r.coeffs, r.relation, r.rhs) for r in fraction_rows(inter)], elim)
+        assert (got.variables, fraction_rows(got)) == want, (dims, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +284,31 @@ def test_rd_inner_bound_fixture_values():
     assert abs(b["rdrate2"] - 0.0) < 1e-9
     assert abs(b["rdrate3"] - 1.0) < 1e-9
     assert abs(b["rddist"] - 0.5) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["example1", "binary-correlated"])
+def test_rd_distortion_bit_equal_to_block_oracle_on_fixtures(name):
+    inst = fixtures.load_fixture(name)
+    args = inst.rd_arguments()
+    got = bounds_of(rd_inner_bound(inst.state, *args))["rddist"]
+    assert got == rd_distortion_by_blocks(inst.state, *args)
+
+
+def test_rd_distortion_matches_block_oracle_on_random_instances():
+    # qubit-qubit states, two time-sharing symbols, random reconstruction
+    # states and a random PSD observable on reference x reconstruction
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, (2, 2))
+        pairs = {q: (random_povm(rng, 2, 2), random_povm(rng, 2, 2)) for q in (0, 1)}
+        p_q = {0: 0.25, 1: 0.75}
+        recon = {(u, v, q): random_density(rng, (2,)) for q, (ma, mb) in pairs.items()
+                 for u in ma.outcomes for v in mb.outcomes}
+        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        delta = g @ g.conj().T
+        got = bounds_of(rd_inner_bound(rho, pairs, p_q, recon, delta))["rddist"]
+        want = rd_distortion_by_blocks(rho, pairs, p_q, recon, delta)
+        assert abs(got - want) <= 1e-14 * abs(want), seed
 
 
 def test_rd_inner_bound_validates_weights():
