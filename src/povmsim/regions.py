@@ -70,6 +70,11 @@ def _int_row(entries: Sequence[Fraction]) -> tuple:
     return _coprime([e.numerator * (lcm // e.denominator) for e in entries])
 
 
+def _vacuous(ints, strict) -> bool:
+    """Whether the row has zero coefficients and every point satisfies it."""
+    return not any(ints[:-1]) and (ints[-1] < 0 if strict else ints[-1] <= 0)
+
+
 def _strongest(rows: Iterable[tuple]) -> list:
     """Keep, per coefficient part, only the strongest (rhs, strictness) row.
 
@@ -93,14 +98,14 @@ def _strongest(rows: Iterable[tuple]) -> list:
 class InequalitySystem:
     """Rows ``coeffs . variables (> if strict else >=) rhs``, each held as
     (ints, strict, mask): ints the coprime integer vector coeffs ‖ rhs, and
-    bit i of mask set when input row i is among the row's ancestors."""
+    mask the row's ancestors, bit i for row i of the system fourier_motzkin
+    was given (it numbers them afresh, so a projection can be projected again)."""
     variables: tuple
     rows: tuple
 
     @classmethod
     def from_rows(cls, variables: Sequence[str], rows):
-        """rows: iterables of (coeffs, relation, rhs); reals are quantized.
-        A row with zero coefficients that every point satisfies is dropped."""
+        """rows: iterables of (coeffs, relation, rhs); reals are quantized."""
         variables = tuple(variables)
         out = []
         for i, (coeffs, rel, rhs) in enumerate(rows):
@@ -109,9 +114,7 @@ class InequalitySystem:
             if len(coeffs) != len(variables):
                 raise InvariantError("coefficient vector length mismatch")
             ints = _int_row([rationalize(c) for c in coeffs] + [rationalize(rhs)])
-            strict = rel == GT
-            if any(ints[:-1]) or (ints[-1] >= 0 if strict else ints[-1] > 0):
-                out.append((ints, strict, 1 << i))
+            out.append((ints, rel == GT, 1 << i))
         return cls(variables, tuple(out))
 
     def same_region(self, other: "InequalitySystem") -> bool:
@@ -122,6 +125,8 @@ class InequalitySystem:
         def by_direction(system):
             rows = []
             for ints, strict, _ in system.rows:
+                if _vacuous(ints, strict):
+                    continue
                 g = math.gcd(*ints[:-1]) or 1
                 rows.append((tuple(c // g for c in ints[:-1]) + (Fraction(ints[-1], g),),
                              strict, 0))
@@ -139,7 +144,8 @@ def fourier_motzkin(sys: InequalitySystem, eliminate: Sequence[str]) -> Inequali
     unknown = [v for v in eliminate if v not in sys.variables]
     if unknown:
         raise InvariantError(f"cannot eliminate unknown variables {unknown}")
-    rows = _strongest(sys.rows)
+    rows = _strongest((ints, strict, 1 << i) for i, (ints, strict, _) in enumerate(sys.rows)
+                      if not _vacuous(ints, strict))
     for steps, var in enumerate(eliminate, start=1):
         j = sys.variables.index(var)
         merged = [r for r in rows if r[0][j] == 0]
@@ -153,9 +159,8 @@ def fourier_motzkin(sys: InequalitySystem, eliminate: Sequence[str]) -> Inequali
                 b = -m[j]
                 ints = [b * cp + a * cm for cp, cm in zip(p, m)]
                 strict = p_strict or m_strict
-                if not any(ints[:-1]) and (ints[-1] < 0 if strict else ints[-1] <= 0):
-                    continue  # vacuous
-                merged.append((_coprime(ints), strict, mask))
+                if not _vacuous(ints, strict):
+                    merged.append((_coprime(ints), strict, mask))
         rows = _strongest(merged)
     dropped = [i for i, v in enumerate(sys.variables) if v in eliminate]
     if any(ints[i] for ints, _, _ in rows for i in dropped):
