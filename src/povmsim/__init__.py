@@ -9,8 +9,8 @@ from .errors import CapExceededError, InvariantError
 from .measurement import (CqState, SeparableDecomposition,
                           compose_decomposition, deterministic_decomposition,
                           faithfulness_distance)
-from .operators import (DensityOperator, Ensemble, Povm, PureBipartiteState,
-                        SubPovm, partial_trace, purify)
+from .operators import (DensityOperator, Ensemble, Povm, SubPovm, partial_trace,
+                        purify)
 from .protocol import (ProtocolParams, TrialReport, binning_collision_rate,
                        error_split, faithfulness_trial, mutual_covering_check,
                        packing_norm_trial, soft_covering_trial)
@@ -24,8 +24,7 @@ __all__ = [
     "CapExceededError", "InvariantError",
     "CqState", "SeparableDecomposition", "compose_decomposition",
     "deterministic_decomposition", "faithfulness_distance",
-    "DensityOperator", "Ensemble", "Povm", "PureBipartiteState", "SubPovm",
-    "partial_trace", "purify",
+    "DensityOperator", "Ensemble", "Povm", "SubPovm", "partial_trace", "purify",
     "ProtocolParams", "TrialReport", "binning_collision_rate", "error_split",
     "faithfulness_trial", "mutual_covering_check", "packing_norm_trial",
     "soft_covering_trial",

@@ -292,8 +292,8 @@ def cmd_sweep(instance, config, args, kind=None) -> str:
 def cmd_fm_check(instance, config, args) -> str:
     # the elimination is stated over the deterministic-integration sources,
     # for a stochastic decomposition too
-    s = dist_deterministic_region(*auxiliary_states(
-        instance.state, instance.decomposition)).sources
+    d = instance.decomposition
+    s = dist_deterministic_region(*auxiliary_states(instance.state, d.povm_A, d.povm_B)).sources
     pre = intermediate_system(s["I(U;RB)"], s["I(V;RA)"], s["I(U;V)"],
                               s["S(U)"], s["S(V)"])
     projected = fourier_motzkin(pre, ("Rt1", "Rt2", "C1", "C2"))

@@ -47,13 +47,14 @@ class CqState:
 
     ``blocks`` maps a tuple of classical outcomes (one per register, in
     ``cregisters`` order) to an unnormalized PSD operator on the tensor
-    product of the quantum registers (in ``qregisters`` order).  Block traces
-    are the outcome probabilities and must sum to 1.  The blocks are held as
-    one (k, q, q) array ``stack`` in key order, which ``blocks`` views; one
-    ``eigvalsh`` call validates it, naming the first failing block.
+    product of the quantum registers (in ``qregisters`` order, each of
+    dimension ``qdims[name]``).  A classical register's outcomes are the ones
+    its block keys hold.  Block traces are the outcome probabilities and must
+    sum to 1.  The blocks are held as one (k, q, q) array ``stack`` in key
+    order, which ``blocks`` views; one ``eigvalsh`` call validates it, naming
+    the first failing block.
     """
     cregisters: tuple
-    alphabets: dict
     qregisters: tuple
     qdims: dict
     blocks: dict
@@ -63,9 +64,6 @@ class CqState:
     def __post_init__(self):
         object.__setattr__(self, "cregisters", tuple(self.cregisters))
         object.__setattr__(self, "qregisters", tuple(self.qregisters))
-        for name in self.cregisters:
-            if name not in self.alphabets:
-                raise InvariantError(f"classical register {name!r} has no alphabet")
         for name in self.qregisters:
             if name not in self.qdims:
                 raise InvariantError(f"quantum register {name!r} has no dimension")
@@ -177,11 +175,8 @@ def attach_classical(cq: CqState, name: str, alphabet, kernel: Callable) -> CqSt
         for z, pz in zip(alphabet, p):
             if pz > 0.0:
                 blocks[key + (z,)] = pz * blk
-    alphabets = dict(cq.alphabets)
-    alphabets[name] = alphabet
     return CqState(
         cregisters=cq.cregisters + (name,),
-        alphabets=alphabets,
         qregisters=cq.qregisters,
         qdims=dict(cq.qdims),
         blocks=blocks,
@@ -318,7 +313,7 @@ def _measured_state(proj: np.ndarray, dims: tuple, povms: tuple) -> CqState:
     identity standing in for an unmeasured side's element.  The (1_R x a x
     b) stack, with ``np.kron``'s products, is multiplied by proj,
     partial-traced and symmetrized as one array."""
-    classical, quantum, keep = {}, {"R": dims[0]}, [0]
+    classical, quantum, keep = (), {"R": dims[0]}, [0]
     keys, ops = [()], np.eye(dims[0], dtype=np.complex128)[None]
     for pos, (c, q), povm in zip((1, 2), (("U", "A"), ("V", "B")), povms):
         if povm is None:
@@ -326,30 +321,30 @@ def _measured_state(proj: np.ndarray, dims: tuple, povms: tuple) -> CqState:
             keep.append(pos)
             ops = kron_pairs(ops, np.eye(dims[pos], dtype=np.complex128)[None])
         else:
-            classical[c] = povm.outcomes
+            classical += (c,)
             keys = [k + (x,) for k in keys for x in povm.outcomes]
             ops = kron_pairs(ops, np.array(povm.operators))
     blocks = hermitize(partial_trace(ops @ proj, dims, keep))
-    return CqState(tuple(classical), classical, tuple(quantum), quantum,
-                   dict(zip(keys, blocks)), tol=1e-8)
+    return CqState(classical, tuple(quantum), quantum, dict(zip(keys, blocks)), tol=1e-8)
 
 
-def auxiliary_states(rho_AB: DensityOperator, d: SeparableDecomposition):
+def auxiliary_states(rho_AB: DensityOperator, povm_A: Povm, povm_B: Povm):
     """The three post-measurement states behind the distributed rate bounds.
 
-    With Psi the canonical purification of rho_AB (reference R first):
+    With Psi the canonical purification of rho_AB (reference R first, of
+    dimension dA·dB), measured by povm_A on side A and povm_B on side B:
 
     * sigma1: measure side A only, registers (U; R, B),
     * sigma2: measure side B only, registers (V; R, A),
     * sigma3: measure both sides, registers (U, V; R).
     """
-    if tuple(rho_AB.dims) != d.dims:
-        raise InvariantError(f"state dims {rho_AB.dims} do not match decomposition {d.dims}")
-    dA, dB = d.dims
-    proj = purify(rho_AB).projector()
-    dims3 = (dA * dB, dA, dB)
-    return tuple(_measured_state(proj, dims3, povms)
-                 for povms in ((d.povm_A, None), (None, d.povm_B), (d.povm_A, d.povm_B)))
+    dims = (povm_A.dim, povm_B.dim)
+    if tuple(rho_AB.dims) != dims:
+        raise InvariantError(f"state dims {rho_AB.dims} do not match decomposition {dims}")
+    psi = purify(rho_AB)
+    proj = np.outer(psi, psi.conj())
+    return tuple(_measured_state(proj, (rho_AB.dim,) + dims, povms)
+                 for povms in ((povm_A, None), (None, povm_B), (povm_A, povm_B)))
 
 
 def stochastic_sigma3(sigma3: CqState, d: SeparableDecomposition) -> CqState:

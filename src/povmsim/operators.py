@@ -287,39 +287,13 @@ class DensityOperator:
         return DensityOperator(hermitize(red), tuple(self.dims[k] for k in keep), tol=self.tol)
 
 
-@dataclass(frozen=True)
-class PureBipartiteState:
-    """Unit vector on reference x system, remembering which state it purifies."""
-    vector: np.ndarray
-    dims: tuple  # (reference dim, system dim)
-    target: DensityOperator | None = None
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=np.complex128).ravel()
-        object.__setattr__(self, "vector", v)
-        dims = (int(self.dims[0]), int(self.dims[1]))
-        object.__setattr__(self, "dims", dims)
-        if v.size != dims[0] * dims[1]:
-            raise InvariantError("vector length does not match dims")
-        if abs(np.linalg.norm(v) - 1.0) > self.tol:
-            raise InvariantError("purification vector is not unit norm within tol")
-        if self.target is not None:
-            red = partial_trace(np.outer(v, v.conj()), dims, keep=(1,))
-            if not close(red, self.target.mat, max(self.tol, 1e-10)):
-                raise InvariantError("purification does not reduce to its target state")
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.vector, self.vector.conj())
-
-
-def purify(rho: DensityOperator) -> PureBipartiteState:
-    """Canonical eigen-purification.
+def purify(rho: DensityOperator) -> np.ndarray:
+    """Canonical eigen-purification, as a unit vector on reference x system.
 
     Writes rho = sum_i lambda_i |v_i><v_i| (eigenvalues descending) and returns
     |Psi> = sum_i sqrt(lambda_i) |i>_R |v_i>, with the reference first.  The
     reference dimension is the rank padded up to the system dimension, so the
-    reference and system sides always have equal size.
+    vector has rho.dim ** 2 entries.
     """
     vals, vecs = eigh_desc(rho.mat)
     vals = np.clip(vals, 0.0, None)
@@ -329,8 +303,7 @@ def purify(rho: DensityOperator) -> PureBipartiteState:
         if vals[i] <= 0.0:
             continue
         vec[i * d:(i + 1) * d] = math.sqrt(float(vals[i])) * vecs[:, i]
-    vec /= np.linalg.norm(vec)
-    return PureBipartiteState(vec, (d, d), target=rho)
+    return vec / np.linalg.norm(vec)
 
 
 # ---------------------------------------------------------------------------

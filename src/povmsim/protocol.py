@@ -59,7 +59,6 @@ from .operators import (
     EIG_CUTOFF,
     DensityOperator,
     SubPovm,
-    eigh_desc,
     hermitize,
     kron_rows,
     matrix_sqrt_and_pinv_sqrt,
@@ -287,7 +286,7 @@ def check_sub_povm(op):
     Returns (valid, excess) with excess = max(0, lambda_max(op) - 1) and
     valid = excess <= DEFAULT_TOL.
     """
-    excess = max(0.0, float(eigh_desc(op)[0][0]) - 1.0)
+    excess = max(0.0, float(np.linalg.eigvalsh(hermitize(op))[-1]) - 1.0)
     return excess <= DEFAULT_TOL, excess
 
 

@@ -34,7 +34,6 @@ from .measurement import (
     CqState,
     SeparableDecomposition,
     auxiliary_states,
-    deterministic_decomposition,
     stochastic_sigma3,
 )
 from .operators import DEFAULT_TOL, DensityOperator, as_operator, hermitize
@@ -354,30 +353,13 @@ def dist_stochastic_region(sigma1: CqState, sigma2: CqState,
 
 
 def _merge_with_q(per_q: Mapping, p_q: Mapping) -> CqState:
-    """Attach a time-sharing register Q to a family of identically shaped states."""
-    qs = list(per_q)
-    first = per_q[qs[0]]
-    blocks = {}
-    for q in qs:
-        st = per_q[q]
-        if st.cregisters != first.cregisters or st.qregisters != first.qregisters:
-            raise InvariantError("per-q states disagree on register layout")
-        w = float(p_q[q])
-        if w < 0:
-            raise InvariantError("negative time-sharing probability")
-        for key, blk in st.blocks.items():
-            if w > 0.0:
-                blocks[key + (q,)] = w * blk
-    alphabets = dict(first.alphabets)
-    alphabets["Q"] = tuple(qs)
-    return CqState(
-        cregisters=first.cregisters + ("Q",),
-        alphabets=alphabets,
-        qregisters=first.qregisters,
-        qdims=dict(first.qdims),
-        blocks=blocks,
-        tol=max(first.tol, 1e-8),
-    )
+    """Attach a time-sharing register Q, weighted by p_q, to states that share
+    one register layout (each comes from the same auxiliary_states slot)."""
+    first = next(iter(per_q.values()))
+    blocks = {key + (q,): float(p_q[q]) * blk for q, st in per_q.items()
+              if float(p_q[q]) > 0.0 for key, blk in st.blocks.items()}
+    return CqState(first.cregisters + ("Q",), first.qregisters, dict(first.qdims),
+                   blocks, tol=max(first.tol, 1e-8))
 
 
 def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
@@ -386,7 +368,8 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
     """Rate-distortion bounds for measure-and-reconstruct compression.
 
     ``povm_pairs`` maps each time-sharing symbol q to a pair (povm_A, povm_B)
-    and ``p_q`` each of those q to its weight; ``recon`` maps every (u, v, q)
+    and ``p_q`` each of those q to its weight (finite, non-negative, summing
+    to 1; checked before any state is built); ``recon`` maps every (u, v, q)
     to a reconstruction DensityOperator, all of one dimension (both checked
     before any product); ``delta`` is
     a PSD distortion observable on reference x reconstruction.  Bounds are the
@@ -395,6 +378,12 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
     unweighted = [q for q in povm_pairs if q not in p_q]
     if unweighted:
         raise InvariantError(f"no time-sharing weight for {unweighted}")
+    for q in povm_pairs:
+        w = float(p_q[q])
+        if not math.isfinite(w):
+            raise InvariantError(f"non-finite time-sharing weight {w} for {q!r}")
+        if w < 0:
+            raise InvariantError("negative time-sharing probability")
     total = float(sum(p_q[q] for q in povm_pairs))
     if abs(total - 1.0) > max(tol, 1e-9):
         raise InvariantError(f"time-sharing weights sum to {total}")
@@ -416,8 +405,7 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
 
     s1q, s2q, s3q = {}, {}, {}
     for q, (ma, mb) in povm_pairs.items():
-        d = deterministic_decomposition(ma, mb)
-        s1q[q], s2q[q], s3q[q] = auxiliary_states(rho_AB, d)
+        s1q[q], s2q[q], s3q[q] = auxiliary_states(rho_AB, ma, mb)
     sigma1 = _merge_with_q(s1q, p_q)
     sigma2 = _merge_with_q(s2q, p_q)
     sigma3 = _merge_with_q(s3q, p_q)
@@ -453,7 +441,7 @@ def region_for(rho_AB: DensityOperator, d: SeparableDecomposition) -> RegionRepo
     A deterministic decomposition (``d.deterministic``) gets the
     deterministic-integration bounds, any other the Z-register form.
     """
-    sigma1, sigma2, sigma3 = auxiliary_states(rho_AB, d)
+    sigma1, sigma2, sigma3 = auxiliary_states(rho_AB, d.povm_A, d.povm_B)
     if d.deterministic:
         return dist_deterministic_region(sigma1, sigma2, sigma3)
     return dist_stochastic_region(sigma1, sigma2, stochastic_sigma3(sigma3, d))

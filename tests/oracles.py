@@ -26,7 +26,6 @@ from povmsim.measurement import (
     _union_alphabet,
     attach_classical,
     auxiliary_states,
-    deterministic_decomposition,
     faithfulness_distance,
 )
 from povmsim.operators import (
@@ -97,7 +96,6 @@ def reduce_cq(cq: CqState, keep) -> CqState:
             out[newkey] = red
     return CqState(
         cregisters=ckeep,
-        alphabets={c: cq.alphabets[c] for c in ckeep},
         qregisters=qkeep,
         qdims={q: cq.qdims[q] for q in qkeep},
         blocks=out,
@@ -313,18 +311,20 @@ def apply_measurement(psi, m: SubPovm, measured: int = 1,
                       clabel: str = "X", qlabel: str = "R") -> CqState:
     """Measure one side of a pure bipartite state, keep the other as quantum.
 
-    Returns the classical-quantum state with blocks
+    ``psi`` is a unit vector on two sides of equal dimension, as ``purify``
+    returns it (reference first).  Returns the classical-quantum state with blocks
     Tr_measured{(I (x) Lambda_x) |psi><psi|}; block traces are the outcome
     probabilities.  For a sub-POVM the traces sum to at most 1, which is
     rejected by CqState, so pass complete POVMs here.
     """
     if measured not in (0, 1):
         raise InvariantError("measured must select one of the two subsystems")
-    dims = psi.dims
+    side = math.isqrt(psi.size)
+    dims = (side, side)
     if m.dim != dims[measured]:
         raise InvariantError(f"POVM dim {m.dim} does not match subsystem dim {dims[measured]}")
     keep = 1 - measured
-    proj = psi.projector()
+    proj = np.outer(psi, psi.conj())
     blocks = {}
     eye_keep = np.eye(dims[keep])
     for x, op in m.items():
@@ -332,7 +332,6 @@ def apply_measurement(psi, m: SubPovm, measured: int = 1,
         blocks[(x,)] = hermitize(partial_trace(full @ proj, dims, (keep,)))
     return CqState(
         cregisters=(clabel,),
-        alphabets={clabel: m.outcomes},
         qregisters=(qlabel,),
         qdims={qlabel: dims[keep]},
         blocks=blocks,
@@ -349,7 +348,8 @@ def measured_blocks_by_loop(rho: DensityOperator, povms) -> dict:
     outcome pair at a time: Tr_measured((1_R x a x b) proj) through a
     ``tensor`` chain and one partial trace per block, the identity standing
     in for the element of a side whose POVM is None."""
-    proj = purify(rho).projector()
+    psi = purify(rho)
+    proj = np.outer(psi, psi.conj())
     dA, dB = rho.dims
     dims, keep, branches = (dA * dB, dA, dB), [0], []
     for pos, povm in zip((1, 2), povms):
@@ -432,6 +432,21 @@ class BlockwiseEntropies:
         return float(sum(entropy_of_block(blk) for blk in cq.blocks.values()))
 
 
+def blockwise_auxiliary_states(rho: DensityOperator, povm_A: Povm, povm_B: Povm) -> tuple:
+    """auxiliary_states' sigma1, sigma2, sigma3 built by measured_blocks_by_loop
+    and read by BlockwiseEntropies."""
+    dA, dB = rho.dims
+    qdims = {"R": dA * dB, "A": dA, "B": dB}
+    sigmas = []
+    for povms, regs in (((povm_A, None), ("B",)), ((None, povm_B), ("A",)),
+                        ((povm_A, povm_B), ())):
+        classical = tuple(c for c, m in zip("UV", povms) if m is not None)
+        quantum = {q: qdims[q] for q in ("R",) + regs}
+        sigmas.append(BlockwiseEntropies(CqState(
+            classical, tuple(quantum), quantum, measured_blocks_by_loop(rho, povms), tol=1e-8)))
+    return tuple(sigmas)
+
+
 # ---------------------------------------------------------------------------
 # identities of the paper
 # ---------------------------------------------------------------------------
@@ -447,8 +462,8 @@ def verify_purification_identity(rho: DensityOperator, m: SubPovm, mtilde: SubPo
     lhs = faithfulness_distance(rho, m, mtilde)
 
     psi = purify(rho)
-    proj = psi.projector()
-    dims = psi.dims
+    proj = np.outer(psi, psi.conj())
+    dims = (rho.dim, rho.dim)
     eye_ref = np.eye(dims[0])
     union = _union_alphabet(m, mtilde)
     dR = dims[0]
@@ -584,7 +599,7 @@ def rd_distortion_by_blocks(rho_AB: DensityOperator, povm_pairs, p_q, recon,
         w = float(p_q[q])
         if w == 0.0:
             continue
-        sigma3 = auxiliary_states(rho_AB, deterministic_decomposition(ma, mb))[2]
+        sigma3 = auxiliary_states(rho_AB, ma, mb)[2]
         for (u, v), blk in sigma3.blocks.items():
             joint = tensor(w * blk, recon[(u, v, q)].mat)
             dval += float(np.real(np.trace(delta @ joint)))

@@ -10,9 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import unequal_dims
-from oracles import BlockwiseEntropies, measured_blocks_by_loop
+from oracles import blockwise_auxiliary_states
 from povmsim import cli, fixtures, protocol, serialize
-from povmsim.measurement import CqState, SeparableDecomposition
+from povmsim.measurement import SeparableDecomposition
 from povmsim.operators import DensityOperator
 from povmsim.regions import dist_deterministic_region
 
@@ -102,17 +102,7 @@ def test_analysis_stdout_matches_bench_reference(name, label, capsys):
 
 def _blockwise_region(state, d):
     """dist_deterministic_region over per-pair blocks and per-block entropies."""
-    dA, dB = state.dims
-    dims3 = {"R": dA * dB, "A": dA, "B": dB}
-    sigmas = []
-    for povms, regs in (((d.povm_A, None), ("B",)), ((None, d.povm_B), ("A",)),
-                        ((d.povm_A, d.povm_B), ())):
-        classical = {c: m.outcomes for c, m in zip("UV", povms) if m is not None}
-        quantum = {q: dims3[q] for q in ("R",) + regs}
-        sigmas.append(BlockwiseEntropies(CqState(
-            tuple(classical), classical, tuple(quantum), quantum,
-            measured_blocks_by_loop(state, povms), tol=1e-8)))
-    return dist_deterministic_region(*sigmas)
+    return dist_deterministic_region(*blockwise_auxiliary_states(state, d.povm_A, d.povm_B))
 
 
 @pytest.mark.parametrize("dims,seed", [((2, 3), 21), ((3, 2), 22)],

@@ -51,7 +51,7 @@ def _proj(v):
 def _cq_from_ensemble(probs, states):
     """One classical register X against one qubit register R."""
     blocks = {(i,): p * s for i, (p, s) in enumerate(zip(probs, states))}
-    return CqState(("X",), {"X": tuple(range(len(probs)))}, ("R",), {"R": 2}, blocks)
+    return CqState(("X",), ("R",), {"R": 2}, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ def test_cq_reduce_to_quantum_is_average():
 def test_cq_rejects_bad_total_mass():
     blocks = {(0,): 0.5 * np.eye(2) / 2, (1,): 0.4 * np.eye(2) / 2}
     with pytest.raises(InvariantError):
-        CqState(("X",), {"X": (0, 1)}, ("R",), {"R": 2}, blocks)
+        CqState(("X",), ("R",), {"R": 2}, blocks)
 
 
 def test_cq_rejects_two_blocks_with_one_key():
@@ -90,7 +90,7 @@ def test_cq_rejects_two_blocks_with_one_key():
     # both while the dict kept one, so the pair is refused
     blocks = {0: 0.25 * np.eye(2), (0,): 0.25 * np.eye(2)}
     with pytest.raises(InvariantError, match="same tuple of outcomes"):
-        CqState(("X",), {"X": (0,)}, ("R",), {"R": 2}, blocks)
+        CqState(("X",), ("R",), {"R": 2}, blocks)
 
 
 def test_attach_classical_chain_rule():
@@ -233,7 +233,8 @@ def test_purification_identity_qutrit():
 
 def test_auxiliary_states_example1_entropies():
     inst = fixtures.load_fixture("example1")
-    sigma1, sigma2, sigma3 = auxiliary_states(inst.state, inst.decomposition)
+    d = inst.decomposition
+    sigma1, sigma2, sigma3 = auxiliary_states(inst.state, d.povm_A, d.povm_B)
     assert abs(sigma1.mutual_information(("U",), ("R", "B")) - 1.0) < 1e-9
     assert abs(sigma2.mutual_information(("V",), ("R", "A")) - 1.0) < 1e-9
     assert abs(sigma3.entropy(("U", "V")) - 3.5) < 1e-9
@@ -241,7 +242,8 @@ def test_auxiliary_states_example1_entropies():
 
 def test_stochastic_sigma3_consistent_with_deterministic():
     inst = fixtures.load_fixture("example1")
-    _, _, sigma3 = auxiliary_states(inst.state, inst.decomposition)
+    d = inst.decomposition
+    _, _, sigma3 = auxiliary_states(inst.state, d.povm_A, d.povm_B)
     sigma3z = stochastic_sigma3(sigma3, inst.decomposition)
     red = reduce_cq(sigma3z, ("U", "V", "R"))
     for key in red.blocks:
@@ -276,7 +278,7 @@ def test_stacked_blocks_match_per_pair_oracle(name):
     # the stacked pass builds every block bit for bit as the per-pair
     # tensor and partial trace did, in the same key order
     rho, d = _analysis_instance(name)
-    sigmas = auxiliary_states(rho, d)
+    sigmas = auxiliary_states(rho, d.povm_A, d.povm_B)
     for cq, povms in zip(sigmas, ((d.povm_A, None), (None, d.povm_B), (d.povm_A, d.povm_B))):
         want = measured_blocks_by_loop(rho, povms)
         assert list(cq.blocks) == list(want)
@@ -290,7 +292,7 @@ def test_entropy_matches_validated_marginal_oracle(name):
     # diagonalized block by block, gives bit-equal values on every register
     # subset
     rho, d = _analysis_instance(name)
-    sigma1, sigma2, sigma3 = auxiliary_states(rho, d)
+    sigma1, sigma2, sigma3 = auxiliary_states(rho, d.povm_A, d.povm_B)
     for cq in (sigma1, sigma2, sigma3, stochastic_sigma3(sigma3, d)):
         oracle = BlockwiseEntropies(cq)
         regs = cq.registers()
@@ -319,6 +321,6 @@ _BENT = np.diag([0.5, -0.1])
 def test_stacked_block_checks_match_blockwise_oracle(blocks):
     # one eigvalsh over the stack reports the first failing block in key
     # order, and a malformed block stops the checks where the loop stopped
-    args = (("X",), {"X": ("a", "b", "c")}, ("R",), {"R": 2}, blocks)
+    args = (("X",), ("R",), {"R": 2}, blocks)
     want = invariant_message(check_blocks_by_loop, ("X",), ("R",), {"R": 2}, blocks)
     assert invariant_message(CqState, *args) == want

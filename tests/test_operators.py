@@ -1,8 +1,11 @@
-"""Linear-algebra layer: traces, norms, purification, POVM containers."""
+"""Linear-algebra layer: traces, norms, purification, POVM containers; the
+package's export list."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import povmsim
 
 from conftest import invariant_message, random_density, random_povm
 from oracles import (
@@ -19,7 +22,6 @@ from povmsim.operators import (
     DensityOperator,
     Ensemble,
     Povm,
-    PureBipartiteState,
     SubPovm,
     close,
     eigh_desc,
@@ -275,19 +277,23 @@ def test_purify_reduces_to_target_and_reference(seed):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, (3,))
     psi = purify(rho)
-    full = psi.projector()
-    # reference subsystem comes first and has the system dimension
-    assert psi.dims == (3, 3)
-    sys_marg = partial_trace(full, psi.dims, keep=(1,))
+    # a unit vector; the reference subsystem comes first and has the system
+    # dimension
+    assert psi.shape == (9,)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+    full = np.outer(psi, psi.conj())
+    sys_marg = partial_trace(full, (3, 3), keep=(1,))
     assert np.allclose(sys_marg, rho.mat, atol=1e-10)
-    ref_marg = partial_trace(full, psi.dims, keep=(0,))
+    ref_marg = partial_trace(full, (3, 3), keep=(0,))
     vals, _ = eigh_desc(rho.mat)
     assert np.allclose(ref_marg, np.diag(vals), atol=1e-10)
 
 
-def test_pure_bipartite_validation():
-    with pytest.raises(InvariantError):
-        PureBipartiteState(np.array([1.0, 1.0, 0.0, 0.0]), (2, 2), target=1)
+def test_every_exported_name_resolves():
+    # a name dropped from the package but left in __all__ breaks
+    # ``from povmsim import *``
+    assert [name for name in povmsim.__all__ if not hasattr(povmsim, name)] == []
+    assert len(set(povmsim.__all__)) == len(povmsim.__all__)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_density, random_povm
 from oracles import (
+    blockwise_auxiliary_states,
     bounds_of,
     fourier_motzkin_fractions,
     fraction_rows,
@@ -18,7 +19,7 @@ from oracles import (
 )
 from povmsim import fixtures
 from povmsim.errors import InvariantError
-from povmsim.measurement import auxiliary_states, deterministic_decomposition, stochastic_sigma3
+from povmsim.measurement import auxiliary_states, stochastic_sigma3
 from povmsim.operators import DensityOperator, Povm
 from povmsim.regions import (
     GE,
@@ -232,9 +233,9 @@ def test_fm_check_on_generated_instances(dims):
     for seed in range(10):
         rng = np.random.default_rng([seed, *dims])
         state = random_density(rng, dims)
-        d = deterministic_decomposition(random_povm(rng, dims[0], int(rng.integers(2, 4))),
-                                        random_povm(rng, dims[1], int(rng.integers(2, 4))))
-        s = dist_deterministic_region(*auxiliary_states(state, d)).sources
+        povm_A = random_povm(rng, dims[0], int(rng.integers(2, 4)))
+        povm_B = random_povm(rng, dims[1], int(rng.integers(2, 4)))
+        s = dist_deterministic_region(*auxiliary_states(state, povm_A, povm_B)).sources
         tup = (s["I(U;RB)"], s["I(V;RA)"], s["I(U;V)"], s["S(U)"], s["S(V)"])
         inter = intermediate_system(*tup)
         got = fourier_motzkin(inter, elim)
@@ -290,7 +291,7 @@ def test_stochastic_region_labels():
     # example1's deterministic decomposition in the Z-register form
     inst = fixtures.load_fixture("example1")
     d = inst.decomposition
-    sigma1, sigma2, sigma3 = auxiliary_states(inst.state, d)
+    sigma1, sigma2, sigma3 = auxiliary_states(inst.state, d.povm_A, d.povm_B)
     rep = dist_stochastic_region(sigma1, sigma2, stochastic_sigma3(sigma3, d))
     labels = set(bounds_of(rep))
     assert {"nfrate1", "nfrate2", "nfrate3", "nfrate4"} <= labels
@@ -347,6 +348,48 @@ def test_rd_distortion_matches_block_oracle_on_random_instances():
         got = bounds_of(rd_inner_bound(rho, pairs, p_q, recon, delta))["rddist"]
         want = rd_distortion_by_blocks(rho, pairs, p_q, recon, delta)
         assert abs(got - want) <= 1e-14 * abs(want), seed
+
+
+def test_rd_rate_rows_are_time_sharing_averages():
+    # Q is classical, so I(U;RB|Q) = sum_q p(q) I(U;RB)_q, and likewise for
+    # I(V;RA|Q) and I(U;V|Q); the per-symbol terms come block by block
+    for seed in range(20):
+        dims = ((2, 2), (2, 3), (3, 2))[seed % 3]
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, dims)
+        pairs = {q: (random_povm(rng, dims[0], int(rng.integers(2, 4))),
+                     random_povm(rng, dims[1], int(rng.integers(2, 4)))) for q in (0, 1)}
+        w = float(rng.uniform(0.1, 0.9))
+        p_q = {0: w, 1: 1.0 - w}
+        recon = {(u, v, q): random_density(rng, (2,)) for q, (ma, mb) in pairs.items()
+                 for u in ma.outcomes for v in mb.outcomes}
+        got = bounds_of(rd_inner_bound(rho, pairs, p_q, recon, np.eye(2 * rho.dim)))
+        i1 = i2 = iuv = 0.0
+        for q, (ma, mb) in pairs.items():
+            s1, s2, s3 = blockwise_auxiliary_states(rho, ma, mb)
+            i1 += p_q[q] * s1.mutual_information(("U",), ("R", "B"))
+            i2 += p_q[q] * s2.mutual_information(("V",), ("R", "A"))
+            iuv += p_q[q] * s3.mutual_information(("U",), ("V",))
+        assert abs(got["rdrate1"] - (i1 - iuv)) <= 1e-12, seed
+        assert abs(got["rdrate2"] - (i2 - iuv)) <= 1e-12, seed
+        assert abs(got["rdrate3"] - (i1 + i2 - iuv)) <= 1e-12, seed
+
+
+@pytest.mark.parametrize("weights,message", [
+    ((1.0, math.nan), "non-finite time-sharing weight nan for 1"),
+    ((1.0, math.inf), "non-finite time-sharing weight inf for 1"),
+    ((1.0, -math.inf), "non-finite time-sharing weight -inf for 1"),
+    ((1.5, -0.5), "negative time-sharing probability"),
+])
+def test_rd_inner_bound_refuses_bad_weight(weights, message):
+    # binary-correlated's pair as symbols 0 and 1; a NaN weight passes the
+    # sum check (it compares false), so each bad weight is refused by name
+    inst = fixtures.load_fixture("binary-correlated")
+    pairs, _, recon, dobs = inst.rd_arguments()
+    pairs = {0: pairs[0], 1: pairs[0]}
+    recon = {**recon, **{(u, v, 1): st for (u, v, _), st in recon.items()}}
+    with pytest.raises(InvariantError, match=message):
+        rd_inner_bound(inst.state, pairs, dict(enumerate(weights)), recon, dobs)
 
 
 def test_rd_inner_bound_validates_weights():
