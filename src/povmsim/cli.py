@@ -4,7 +4,8 @@
 JSON file.  An input file either holds an instance ({"state", "decomposition",
 ...}) with an optional embedded "config" object, or is a bare config object
 whose "input" key names the real instance; config keys stand in for flags,
-and explicit flags win over config values.
+and explicit flags win over config values.  Every config value is read by
+its key's JSON kind before any command runs, whichever command that is.
 
 stdout carries only data (JSON or CSV), stderr only diagnostics.  Exit codes:
 0 success, 2 unreadable or unparseable input, 3 invariant violation, 4
@@ -35,12 +36,6 @@ from .regions import (dist_deterministic_region, fourier_motzkin,
 from .typicality import SEQ_CAP
 
 PARAM_KEYS = ("n", "Rt1", "Rt2", "R1", "R2", "N1", "N2", "eta", "delta", "seed")
-_INT_KEYS = frozenset({"n", "N1", "N2", "seed"})
-# every config key a command reads; "input" and "config" are read only at the
-# top of a bare config file and never reach the merged config
-CONFIG_KEYS = frozenset(PARAM_KEYS) | {
-    "command", "output", "kind", "seeds", "ns", "rate_pairs", "r1", "r2",
-    "bin_rates", "rate_sums", "approx_A", "approx_B", "shrink"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise json.JSONDecodeError("arrays or objects nest too deeply", text, 0) from None
 
 
 def _instance_from_json(payload: dict) -> fixtures.Instance:
@@ -137,55 +136,49 @@ def _typed(key: str, value, kind: type):
     return value
 
 
-def _float_pairs(key: str, value) -> list:
+def _integers(key: str, value) -> list:
+    """A list of non-negative integers: seeds or block lengths."""
+    ints = [serialize.json_number(key, x, integer=True) for x in _typed(key, value, list)]
+    if any(i < 0 for i in ints):
+        raise InvariantError(f"{key} must be non-negative, got {value!r}")
+    return ints
+
+
+def _number_pairs(key: str, value) -> list:
     pairs = _typed(key, value, list)
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise InvariantError(f"{key} must be a list of number pairs, got {value!r}")
     return [tuple(serialize.json_numbers(key, p)) for p in pairs]
 
 
-def _float_list(config: dict, key: str, default) -> list:
-    if key not in config:
-        return list(default)
-    return serialize.json_numbers(key, config[key])
+# every config key a command reads, by the reader of its JSON kind; "input"
+# and "config" are read only at the top of a bare config file and never
+# reach the merged config
+_READERS = {
+    **dict.fromkeys(("n", "N1", "N2", "seed"), partial(serialize.json_number, integer=True)),
+    **dict.fromkeys(("Rt1", "Rt2", "R1", "R2", "eta", "delta", "shrink"), serialize.json_number),
+    **dict.fromkeys(("seeds", "ns"), _integers),
+    **dict.fromkeys(("r1", "r2", "rate_sums"), serialize.json_numbers),
+    **dict.fromkeys(("rate_pairs", "bin_rates"), _number_pairs),
+    **dict.fromkeys(("command", "output", "kind"), partial(_typed, kind=str)),
+    **dict.fromkeys(("approx_A", "approx_B"), lambda key, value: serialize.povm_from_json(value)),
+}
+CONFIG_KEYS = frozenset(_READERS)
 
 
 def _params_for(instance: fixtures.Instance, config: dict,
                 args) -> ProtocolParams:
-    merged = {}
-    for key in PARAM_KEYS:
-        if key in config:
-            merged[key] = config[key]
+    merged = {key: config[key] for key in PARAM_KEYS if key in config}
     for key in ("seed", "n", "eta", "delta"):
-        val = getattr(args, key)
-        if val is not None:
-            merged[key] = val
-    for key in list(merged):
-        merged[key] = serialize.json_number(key, merged[key], integer=key in _INT_KEYS)
-    return replace(instance.params, **merged) if merged else instance.params
-
-
-def _seed_list(config: dict, params: ProtocolParams) -> list:
-    if "seeds" in config:
-        seeds = [serialize.json_number("seeds", s, integer=True)
-                 for s in _typed("seeds", config["seeds"], list)]
-        if any(s < 0 for s in seeds):
-            raise InvariantError(f"seeds must be non-negative, got {config['seeds']!r}")
-        return seeds
-    return [params.seed]
-
-
-def _n_list(config: dict, params: ProtocolParams) -> list:
-    if "ns" in config:
-        return [serialize.json_number("ns", n, integer=True)
-                for n in _typed("ns", config["ns"], list)]
-    return [params.n]
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
+    return replace(instance.params, **merged)
 
 
 def _row_seeds(config: dict, params: ProtocolParams, inner: list) -> list:
     """The seed list of a command that loops over seeds x inner, refused
     before any row is computed when those rows exceed the enumeration cap."""
-    seeds = _seed_list(config, params)
+    seeds = config.get("seeds", [params.seed])
     if len(seeds) * len(inner) > SEQ_CAP:
         raise CapExceededError(
             f"{len(seeds)} x {len(inner)} result rows exceed the cap {SEQ_CAP}")
@@ -203,7 +196,7 @@ def cmd_region(instance, config, args) -> str:
 
 def cmd_simulate(instance, config, args) -> str:
     params = _params_for(instance, config, args)
-    ns = _n_list(config, params)
+    ns = config.get("ns", [params.n])
     seeds = _row_seeds(config, params, ns)
     # rows go seed by seed, trials n by n: the trials of one n share the
     # protocol's seed-independent setup
@@ -213,79 +206,55 @@ def cmd_simulate(instance, config, args) -> str:
     return serialize.csv_text([row for seed_rows in zip(*rows) for row in seed_rows])
 
 
-def _packing_pairs(config: dict):
-    if "rate_pairs" in config:
-        return _float_pairs("rate_pairs", config["rate_pairs"])
-    if "r1" in config or "r2" in config:
-        r1s = _float_list(config, "r1", (0.25,))
-        r2s = _float_list(config, "r2", (0.25,))
-        return [(a, b) for a in r1s for b in r2s]
-    return [(0.25, 0.25), (0.75, 0.75)]
-
-
-def _sweep_packing(instance, config, params) -> list:
+def _packing(instance, config, params, args):
     d = instance.decomposition
-    pairs = _packing_pairs(config)
-    rows = []
-    for seed in _row_seeds(config, params, pairs):
-        for r1, r2 in pairs:
-            t0 = time.perf_counter()
-            norm = packing_norm_trial(d.povm_A, d.povm_B, instance.p_uv,
-                                      params.n, r1, r2, params.delta, seed)
-            ms = (time.perf_counter() - t0) * 1000.0
-            rows.append({"n": params.n, "Rt1": r1, "Rt2": r2,
-                         "delta": params.delta, "seed": seed,
-                         "packing_norm": norm, "runtime_ms": ms})
-    return rows
+    if "rate_pairs" in config:
+        pairs = config["rate_pairs"]
+    elif "r1" in config or "r2" in config:
+        pairs = [(a, b) for a in config.get("r1", [0.25]) for b in config.get("r2", [0.25])]
+    else:
+        pairs = [(0.25, 0.25), (0.75, 0.75)]
+    return pairs, lambda seed, rates: {
+        "n": params.n, "Rt1": rates[0], "Rt2": rates[1], "delta": params.delta,
+        "seed": seed, "packing_norm": packing_norm_trial(
+            d.povm_A, d.povm_B, instance.p_uv, params.n, *rates, params.delta, seed)}
 
 
-def _sweep_collision(instance, config, params) -> list:
-    bin_rates = _float_pairs("bin_rates", config.get("bin_rates", [[params.R1, params.R2]]))
-    rows = []
-    for seed in _row_seeds(config, params, bin_rates):
-        for r1, r2 in bin_rates:
-            trial = replace(params, R1=r1, R2=r2, seed=seed)
-            t0 = time.perf_counter()
-            rate = binning_collision_rate(trial, instance.p_uv)
-            ms = (time.perf_counter() - t0) * 1000.0
-            rows.append({"n": trial.n, "Rt1": trial.Rt1, "Rt2": trial.Rt2,
-                         "R1": trial.R1, "R2": trial.R2, "N1": trial.N1,
-                         "N2": trial.N2, "eta": trial.eta,
-                         "delta": trial.delta, "seed": seed,
-                         "collision_rate": rate, "runtime_ms": ms})
-    return rows
+def _collision(instance, config, params, args):
+    def row(seed, rates):
+        trial = replace(params, R1=rates[0], R2=rates[1], seed=seed)
+        return {"n": trial.n, "Rt1": trial.Rt1, "Rt2": trial.Rt2, "R1": trial.R1,
+                "R2": trial.R2, "N1": trial.N1, "N2": trial.N2, "eta": trial.eta,
+                "delta": trial.delta, "seed": seed,
+                "collision_rate": binning_collision_rate(trial, instance.p_uv)}
+    return config.get("bin_rates", [(params.R1, params.R2)]), row
 
 
-def _sweep_soft_covering(instance, config, params, args) -> list:
-    rate_sums = _float_list(config, "rate_sums", (1.0,))
-    delta = args.delta if args.delta is not None else serialize.json_number(
-        "delta", config.get("delta", 0.2))
-    eta = args.eta if args.eta is not None else serialize.json_number(
-        "eta", config.get("eta", 0.1))
-    rows = []
-    for seed in _row_seeds(config, params, rate_sums):
-        for rate_sum in rate_sums:
-            t0 = time.perf_counter()
-            err = soft_covering_trial(instance.ensemble, params.n, rate_sum,
-                                      seed, delta=delta, eta=eta)
-            ms = (time.perf_counter() - t0) * 1000.0
-            rows.append({"n": params.n, "Rt1": rate_sum, "eta": eta,
-                         "delta": delta, "seed": seed, "G": err,
-                         "runtime_ms": ms})
-    return rows
+def _soft_covering(instance, config, params, args):
+    delta = args.delta if args.delta is not None else config.get("delta", 0.2)
+    eta = args.eta if args.eta is not None else config.get("eta", 0.1)
+    return config.get("rate_sums", [1.0]), lambda seed, rate_sum: {
+        "n": params.n, "Rt1": rate_sum, "eta": eta, "delta": delta, "seed": seed,
+        "G": soft_covering_trial(instance.ensemble, params.n, rate_sum, seed,
+                                 delta=delta, eta=eta)}
+
+
+# each sweep kind gives its points and a CSV row function of (seed, point)
+_SWEEPS = {"packing": _packing, "collision": _collision, "soft-covering": _soft_covering}
 
 
 def cmd_sweep(instance, config, args, kind=None) -> str:
     kind = kind or config.get("kind", "packing")
-    params = _params_for(instance, config, args)
-    if kind == "packing":
-        rows = _sweep_packing(instance, config, params)
-    elif kind == "collision":
-        rows = _sweep_collision(instance, config, params)
-    elif kind == "soft-covering":
-        rows = _sweep_soft_covering(instance, config, params, args)
-    else:
+    if kind not in _SWEEPS:
         raise InvariantError(f"unknown sweep kind {kind!r}")
+    params = _params_for(instance, config, args)
+    points, row = _SWEEPS[kind](instance, config, params, args)
+    rows = []
+    for seed in _row_seeds(config, params, points):
+        for point in points:
+            t0 = time.perf_counter()
+            rows.append(row(seed, point))
+            rows[-1]["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
     return serialize.csv_text(rows)
 
 
@@ -308,10 +277,9 @@ def cmd_covering_check(instance, config, args) -> str:
     if "approx_A" in config or "approx_B" in config:
         if not ("approx_A" in config and "approx_B" in config):
             raise InvariantError("covering-check needs both approx_A and approx_B")
-        sub_a = serialize.povm_from_json(config["approx_A"])
-        sub_b = serialize.povm_from_json(config["approx_B"])
+        sub_a, sub_b = config["approx_A"], config["approx_B"]
     else:
-        shrink = serialize.json_number("shrink", config.get("shrink", 0.1))
+        shrink = config.get("shrink", 0.1)
         if not 0.0 <= shrink < 1.0:
             raise InvariantError(f"shrink must sit in [0, 1), got {shrink}")
         sub_a = SubPovm(d.povm_A.outcomes,
@@ -353,9 +321,7 @@ def _run(args) -> int:
     unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:
         raise InvariantError(f"unknown config key {unknown[0]!r}")
-    for key in ("command", "output"):
-        if key in config:
-            _typed(key, config[key], str)
+    config = {key: _READERS[key](key, value) for key, value in config.items()}
     command = args.command or config.get("command")
     if command is None:
         raise InvariantError("no command given by flag or config")

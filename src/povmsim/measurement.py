@@ -14,6 +14,7 @@ the (much larger) fully embedded density matrix.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -65,9 +66,9 @@ class CqState:
         object.__setattr__(self, "cregisters", tuple(self.cregisters))
         object.__setattr__(self, "qregisters", tuple(self.qregisters))
         for name in self.qregisters:
-            if name not in self.qdims:
-                raise InvariantError(f"quantum register {name!r} has no dimension")
-        qdim = int(np.prod([self.qdims[q] for q in self.qregisters])) if self.qregisters else 1
+            if int(self.qdims.get(name, 0)) < 1:
+                raise InvariantError(f"quantum register {name!r} has no positive dimension")
+        qdim = math.prod(int(self.qdims[q]) for q in self.qregisters)
         keys, mats, malformed = [], [], None
         for key, blk in self.blocks.items():
             key = tuple(key) if isinstance(key, (tuple, list)) else (key,)
@@ -340,7 +341,7 @@ def auxiliary_states(rho_AB: DensityOperator, povm_A: Povm, povm_B: Povm):
     """
     dims = (povm_A.dim, povm_B.dim)
     if tuple(rho_AB.dims) != dims:
-        raise InvariantError(f"state dims {rho_AB.dims} do not match decomposition {dims}")
+        raise InvariantError(f"state dims {rho_AB.dims} do not match the POVM pair's {dims}")
     psi = purify(rho_AB)
     proj = np.outer(psi, psi.conj())
     return tuple(_measured_state(proj, (rho_AB.dim,) + dims, povms)

@@ -146,11 +146,11 @@ def partial_trace(op, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     a = np.asarray(op, dtype=np.complex128)
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     lead = a.shape[:-2]
-    if a.ndim < 2 or a.shape[-2:] != (total, total):
+    if a.ndim < 2 or a.shape[-2:] != (total, total) or any(d < 1 for d in dims):
         raise InvariantError(
-            f"operator side {a.shape} does not match dims product {total}")
+            f"operator side {a.shape} needs positive dims of that product, got {dims}")
     keep = tuple(int(k) for k in keep)
     if any(k < 0 or k >= n for k in keep):
         raise InvariantError(f"keep indices {keep} out of range for {n} dims")
@@ -162,7 +162,7 @@ def partial_trace(op, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     for i in sorted(traced, reverse=True):
         i += len(lead)
         t = np.trace(t, axis1=i, axis2=i + (t.ndim - len(lead)) // 2)
-    kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
+    kept_dim = math.prod(dims[k] for k in keep)
     return t.reshape(lead + (kept_dim, kept_dim))
 
 
@@ -265,10 +265,9 @@ class DensityOperator:
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dims", dims)
-        if int(np.prod(dims)) != m.shape[0]:
-            raise InvariantError(f"dims {dims} do not factor side {m.shape[0]}")
-        if not m.size:
-            raise InvariantError("density operator must have positive dimension")
+        # a product of Python ints: a huge label cannot wrap round to the side
+        if any(d < 1 for d in dims) or math.prod(dims) != m.shape[0]:
+            raise InvariantError(f"dims {dims} must be positive integers with product {m.shape[0]}")
         if not is_hermitian(m, self.tol):
             raise InvariantError("density operator is not Hermitian within tol")
         vals = np.linalg.eigvalsh(hermitize(m))

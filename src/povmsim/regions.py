@@ -378,6 +378,9 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
     unweighted = [q for q in povm_pairs if q not in p_q]
     if unweighted:
         raise InvariantError(f"no time-sharing weight for {unweighted}")
+    unpaired = [q for q in p_q if q not in povm_pairs]
+    if unpaired:
+        raise InvariantError(f"time-sharing weight for {unpaired} has no POVM pair")
     for q in povm_pairs:
         w = float(p_q[q])
         if not math.isfinite(w):

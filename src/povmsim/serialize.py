@@ -97,11 +97,16 @@ def density_from_json(obj) -> DensityOperator:
 # measurement families
 # ---------------------------------------------------------------------------
 
-def _freeze_label(what: str, label):
-    """An outcome label: a JSON string or number, or a list of labels, read
-    as a tuple."""
+LABEL_DEPTH = 32  # lists an outcome label may nest
+
+
+def _freeze_label(what: str, label, depth: int):
+    """An outcome label: a JSON string or number, or a list of labels nested
+    at most ``depth`` lists deep, read as a tuple."""
     if isinstance(label, list):
-        return tuple(_freeze_label(what, x) for x in label)
+        if depth == 0:
+            raise InvariantError(f"{what} must nest at most {LABEL_DEPTH} lists deep")
+        return tuple(_freeze_label(what, x, depth - 1) for x in label)
     if isinstance(label, (str, int, float)) and not isinstance(label, bool):
         return label
     raise InvariantError(f"{what} must be strings, numbers or lists of them, got {label!r}")
@@ -111,7 +116,7 @@ def _labels(what: str, value) -> tuple:
     """A JSON list of outcome labels as a tuple."""
     if not isinstance(value, list):
         raise InvariantError(f"{what} must be a list of labels, got {value!r}")
-    return tuple(_freeze_label(what, x) for x in value)
+    return tuple(_freeze_label(what, x, LABEL_DEPTH) for x in value)
 
 
 def povm_to_json(m: SubPovm) -> dict:

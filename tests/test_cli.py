@@ -770,11 +770,80 @@ _SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=3))
 _VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
                     st.lists(st.lists(_SCALARS, max_size=2), max_size=2),
                     st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2))
-def _object_label_decomposition():
-    """example1's decomposition with a JSON object as its first z letter."""
+
+
+# one value of the wrong JSON kind per config key
+_MALFORMED_CONFIG_VALUES = {
+    "n": 2.5, "N1": True, "N2": "2", "seed": None, "Rt1": "1.0", "Rt2": [1.0], "R1": None,
+    "R2": False, "eta": "x", "delta": {}, "shrink": "abc", "seeds": "x", "ns": [-1],
+    "r1": 0.25, "r2": [None], "rate_sums": ["1"], "rate_pairs": 7, "bin_rates": [[0.5]],
+    "command": ["region"], "output": 1.5, "kind": 3, "approx_A": {"outcomes": ["0"]},
+    "approx_B": _OBJECT_OUTCOME_POVM,
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli.CONFIG_KEYS))
+def test_malformed_config_value_exits_3_whichever_command_runs(key, tmp_path, capsys):
+    # region reads no config value, yet each is checked by its kind
+    cfg = _write_config(tmp_path, {"input": "example1", key: _MALFORMED_CONFIG_VALUES[key]})
+    rc, out, err = _run(capsys, "--command", "region", "--input", cfg)
+    assert rc == 3, err
+    assert err.startswith("invariant violation:")
+    assert out == ""
+
+
+def test_deeply_nested_config_value_exits_2(tmp_path, capsys):
+    # the JSON decoder recurses once per nested list
+    path = tmp_path / "deep.json"
+    path.write_text('{"input": "example1", "seeds": ' + "[" * 990 + "]" * 990 + "}",
+                    encoding="utf-8")
+    rc, out, err = _run(capsys, "--command", "region", "--input", str(path))
+    assert rc == 2, err
+    assert err.startswith("parse error:") and "nest too deeply" in err
+    assert out == ""
+
+
+def _nested(depth, leaf):
+    """leaf inside depth nested lists."""
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+def _z_label_decomposition(label):
+    """example1's decomposition with label as its first z letter."""
     payload = serialize.decomposition_to_json(fixtures.load_fixture("example1").decomposition)
-    payload["channel"]["z_alphabet"][0] = {"a": 1}
+    payload["channel"]["z_alphabet"][0] = label
     return payload
+
+
+@pytest.mark.parametrize("depth,rc", [(serialize.LABEL_DEPTH, 0),
+                                      (serialize.LABEL_DEPTH + 1, 3), (700, 3)])
+def test_outcome_label_depth(depth, rc, tmp_path, capsys):
+    # freezing a label recursed once per nested list, so 700 lists overflowed
+    payload = _example1_instance(decomposition=_z_label_decomposition(_nested(depth, "a")))
+    got, out, err = _run(capsys, "--command", "region", "--input",
+                         _write_config(tmp_path, payload, "input.json"))
+    assert got == rc, err
+    if rc:
+        assert err == (f"invariant violation: channel z_alphabet must nest at most "
+                       f"{serialize.LABEL_DEPTH} lists deep\n")
+        assert out == ""
+
+
+# 4611686018427387905 * 4 wraps round to 4 in int64
+_BAD_DIMS = {"wrapped-dims": [2 ** 62 + 1, 4], "negative-dims": [-2, -2]}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("dims", list(_BAD_DIMS.values()), ids=list(_BAD_DIMS))
+def test_state_dims_not_positive_factors_exit_3(dims, command, tmp_path, capsys):
+    payload = _example1_instance(state=dict(_STATE, dims=dims))
+    rc, out, err = _run(capsys, "--command", command, "--input",
+                        _write_config(tmp_path, payload, "input.json"))
+    assert rc == 3, err
+    assert err.startswith(f"invariant violation: dims {tuple(dims)} must be positive integers")
+    assert out == ""
 
 
 _MALFORMED_INSTANCES = {
@@ -786,7 +855,9 @@ _MALFORMED_INSTANCES = {
     "text-weight": _example1_instance(ensemble=dict(_ENSEMBLE, weights=["x", 0.5])),
     "list-config": _example1_instance(config=[1]),
     "null-state": _example1_instance(state=None),
-    "object-label": _example1_instance(decomposition=_object_label_decomposition()),
+    "object-label": _example1_instance(decomposition=_z_label_decomposition({"a": 1})),
+    "deep-label": _example1_instance(decomposition=_z_label_decomposition(_nested(700, "a"))),
+    **{name: _example1_instance(state=dict(_STATE, dims=dims)) for name, dims in _BAD_DIMS.items()},
 }
 
 

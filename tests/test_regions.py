@@ -400,3 +400,12 @@ def test_rd_inner_bound_validates_weights():
     # a time-sharing symbol without a weight is refused, not left to a KeyError
     with pytest.raises(InvariantError, match="no time-sharing weight"):
         rd_inner_bound(inst.state, pairs, {1: 1.0}, recon, dobs)
+
+
+def test_rd_inner_bound_refuses_weight_without_pair():
+    # a weight on a symbol with no POVM pair was left out of the sum unread,
+    # and the one-symbol bound came back
+    inst = fixtures.load_fixture("binary-correlated")
+    pairs, _, recon, dobs = inst.rd_arguments()
+    with pytest.raises(InvariantError, match=r"time-sharing weight for \[7\] has no POVM pair"):
+        rd_inner_bound(inst.state, pairs, {0: 1.0, 7: 0.4}, recon, dobs)
