@@ -64,13 +64,12 @@ def _load_json(path: str):
 
 
 def _instance_from_json(payload: dict) -> fixtures.Instance:
-    if "decomposition" not in payload:
-        raise InvariantError("instance file needs a decomposition")
-    rho = serialize.density_from_json(payload["state"])
-    d = serialize.decomposition_from_json(payload["decomposition"])
+    rho = serialize.density_from_json("state", payload["state"])
+    d = serialize.decomposition_from_json(
+        "decomposition", serialize.json_field("instance", payload, "decomposition"))
     if "p_uv" in payload:
         rows = [serialize.json_numbers("p_uv", row)
-                for row in _typed("p_uv", payload["p_uv"], list)]
+                for row in serialize.json_kind("p_uv", payload["p_uv"], list)]
         p_uv = np.array(rows) if len({len(row) for row in rows}) == 1 else None
         if p_uv is None or not np.all(np.isfinite(p_uv)):
             raise InvariantError(
@@ -78,20 +77,18 @@ def _instance_from_json(payload: dict) -> fixtures.Instance:
     else:
         p_uv = outcome_distribution(rho, d.povm_A, d.povm_B)
     if "ensemble" in payload:
-        ens = serialize.ensemble_from_json(payload["ensemble"])
+        ens = serialize.ensemble_from_json("ensemble", payload["ensemble"])
     else:
         ens = fixtures.soft_covering_ensemble()
     recon = {}
-    for key, obj in _typed("recon", payload.get("recon", {}), dict).items():
+    for key, obj in serialize.json_kind("recon", payload.get("recon", {}), dict).items():
         u, v = serialize.parse_pair_key(key, d.povm_A.outcomes, d.povm_B.outcomes)
-        recon[(u, v, 0)] = serialize.density_from_json(obj)
+        recon[(u, v, 0)] = serialize.density_from_json(f"recon {key}", obj)
     if "delta_obs" in payload:
-        delta_obs = serialize.matrix_from_json(payload["delta_obs"])
+        delta_obs = serialize.matrix_from_json("delta_obs", payload["delta_obs"])
     else:
         delta_obs = np.zeros((0, 0), dtype=np.complex128)
-    name = payload.get("name", "instance")
-    if not isinstance(name, str):
-        raise InvariantError(f"name must be a string, got {name!r}")
+    name = serialize.json_kind("name", payload.get("name", "instance"), str)
     params = ProtocolParams(n=2, Rt1=1.0, Rt2=1.0, R1=1.0, R2=1.0)
     return fixtures.Instance(
         name=name, state=rho, decomposition=d,
@@ -108,44 +105,35 @@ def _resolve(args):
     payload = _load_json(args.input)
     if not isinstance(payload, dict):
         raise InvariantError("input JSON must be an object")
-    own = _typed("config", payload.get("config", {}), dict)
+    own = serialize.json_kind("config", payload.get("config", {}), dict)
     if "state" in payload:
         return _instance_from_json(payload), dict(own)
     config = {k: v for k, v in payload.items() if k not in ("input", "config")}
     config.update(own)
     if "input" not in payload:
         raise InvariantError("config file must name its input fixture or file")
-    inner = _typed("input", payload["input"], str)
+    inner = serialize.json_kind("input", payload["input"], str)
     if inner in fixtures.FIXTURE_NAMES:
         return fixtures.load_fixture(inner), config
     inner_payload = _load_json(inner)
     if not isinstance(inner_payload, dict) or "state" not in inner_payload:
         raise InvariantError("nested input file must hold a state and decomposition")
-    merged = dict(_typed("config", inner_payload.get("config", {}), dict))
+    merged = dict(serialize.json_kind("config", inner_payload.get("config", {}), dict))
     merged.update(config)
     return _instance_from_json(inner_payload), merged
 
 
-_KINDS = {str: "a string", list: "a list", dict: "an object"}
-
-
-def _typed(key: str, value, kind: type):
-    """A config or instance value of JSON kind str, list or dict."""
-    if not isinstance(value, kind):
-        raise InvariantError(f"{key} must be {_KINDS[kind]}, got {value!r}")
-    return value
-
-
 def _integers(key: str, value) -> list:
     """A list of non-negative integers: seeds or block lengths."""
-    ints = [serialize.json_number(key, x, integer=True) for x in _typed(key, value, list)]
+    ints = [serialize.json_number(key, x, integer=True)
+            for x in serialize.json_kind(key, value, list)]
     if any(i < 0 for i in ints):
         raise InvariantError(f"{key} must be non-negative, got {value!r}")
     return ints
 
 
 def _number_pairs(key: str, value) -> list:
-    pairs = _typed(key, value, list)
+    pairs = serialize.json_kind(key, value, list)
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise InvariantError(f"{key} must be a list of number pairs, got {value!r}")
     return [tuple(serialize.json_numbers(key, p)) for p in pairs]
@@ -160,8 +148,8 @@ _READERS = {
     **dict.fromkeys(("seeds", "ns"), _integers),
     **dict.fromkeys(("r1", "r2", "rate_sums"), serialize.json_numbers),
     **dict.fromkeys(("rate_pairs", "bin_rates"), _number_pairs),
-    **dict.fromkeys(("command", "output", "kind"), partial(_typed, kind=str)),
-    **dict.fromkeys(("approx_A", "approx_B"), lambda key, value: serialize.povm_from_json(value)),
+    **dict.fromkeys(("command", "output", "kind"), partial(serialize.json_kind, kind=str)),
+    **dict.fromkeys(("approx_A", "approx_B"), serialize.povm_from_json),
 }
 CONFIG_KEYS = frozenset(_READERS)
 

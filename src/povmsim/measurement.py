@@ -201,7 +201,6 @@ class SeparableDecomposition:
     povm_B: Povm
     z_alphabet: tuple
     rows: Mapping
-    tol: float = DEFAULT_TOL
     deterministic: bool = field(init=False)
 
     def __post_init__(self):
@@ -220,11 +219,11 @@ class SeparableDecomposition:
                 # NaN passes both tests below
                 if not np.all(np.isfinite(p)):
                     raise InvariantError(f"non-finite channel probability at {(u, v)}")
-                if float(np.min(p)) < -self.tol:
+                if float(np.min(p)) < -DEFAULT_TOL:
                     raise InvariantError(f"negative channel probability at {(u, v)}")
-                if abs(float(np.sum(p)) - 1.0) > self.tol:
+                if abs(float(np.sum(p)) - 1.0) > DEFAULT_TOL:
                     raise InvariantError(f"row for {(u, v)} sums to {np.sum(p)}")
-                det = det and bool(np.max(p) > 1.0 - self.tol)
+                det = det and bool(np.max(p) > 1.0 - DEFAULT_TOL)
                 fixed[(u, v)] = p
         object.__setattr__(self, "rows", fixed)
         object.__setattr__(self, "deterministic", det)
@@ -260,7 +259,7 @@ def compose_decomposition(d: SeparableDecomposition) -> Povm:
             for k, pz in enumerate(p):
                 if pz > 0.0:
                     ops[k] += pz * joint
-    return Povm(d.z_alphabet, tuple(ops), tol=max(d.tol, 1e-8))
+    return Povm(d.z_alphabet, tuple(ops), tol=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
@@ -319,7 +319,6 @@ class SubPovm:
     outcomes: tuple
     operators: tuple
     tol: float = DEFAULT_TOL
-    _complete: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         outs = tuple(self.outcomes)
@@ -350,8 +349,12 @@ class SubPovm:
         lo = float(np.min(np.linalg.eigvalsh(hermitize(gap))))
         if lo < -self.tol:
             raise InvariantError(f"operator sum exceeds identity by {-lo:.3e}")
-        if self._complete and float(np.max(np.abs(gap))) > self.tol:
-            raise InvariantError("operators do not resolve the identity within tol")
+
+    @property
+    def complete(self) -> bool:
+        """Whether the elements resolve the identity: every entry of the gap
+        within ``tol``."""
+        return float(np.max(np.abs(np.eye(self.dim) - self.total()))) <= self.tol
 
     @property
     def dim(self) -> int:
@@ -370,8 +373,10 @@ class SubPovm:
 class Povm(SubPovm):
     """SubPovm whose operators resolve the identity."""
 
-    def __init__(self, outcomes, operators, tol: float = DEFAULT_TOL):
-        super().__init__(tuple(outcomes), tuple(operators), tol, _complete=True)
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.complete:
+            raise InvariantError("operators do not resolve the identity within tol")
 
 
 def tensor_povm(a: SubPovm, b: SubPovm) -> SubPovm:
@@ -379,10 +384,7 @@ def tensor_povm(a: SubPovm, b: SubPovm) -> SubPovm:
     outs = tuple((x, y) for x in a.outcomes for y in b.outcomes)
     ops = tuple(kron_pairs(np.array(a.operators), np.array(b.operators)))
     cls = Povm if (isinstance(a, Povm) and isinstance(b, Povm)) else SubPovm
-    tol = max(a.tol, b.tol, 1e-8)
-    if cls is Povm:
-        return Povm(outs, ops, tol=tol)
-    return SubPovm(outs, ops, tol=tol)
+    return cls(outs, ops, tol=max(a.tol, b.tol, 1e-8))
 
 
 # ---------------------------------------------------------------------------

@@ -628,7 +628,7 @@ def _setup_key(rho_AB: DensityOperator, d: SeparableDecomposition, n: int,
 
     rows = tuple(d.row(u, v).tobytes() for u in d.povm_A.outcomes for v in d.povm_B.outcomes)
     return (rho_AB.mat.tobytes(), rho_AB.dims, rho_AB.tol, povm(d.povm_A), povm(d.povm_B),
-            d.z_alphabet, rows, d.tol, n, delta)
+            d.z_alphabet, rows, n, delta)
 
 
 def _build_setup(rho_AB: DensityOperator, d: SeparableDecomposition, n: int,

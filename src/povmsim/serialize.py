@@ -3,7 +3,9 @@
 Matrix payloads are {"rows", "cols", "entries"} with entries as [re, im]
 pairs in row-major order; density operators add "dims", measurement families
 add "outcomes" parallel to "operators".  Decompositions carry both marginal
-families and the integration channel keyed "(u,v)".  All floats round-trip
+families and the integration channel keyed "(u,v)".  Each reader takes the
+key path of the payload it reads first and refuses a value of the wrong JSON
+kind, or an object without a key it needs, by that path.  All floats round-trip
 exactly (repr-shortest), CSV rows use plain '\\n' terminators so identical
 runs produce identical bytes.
 """
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .measurement import SeparableDecomposition
-from .operators import DensityOperator, Ensemble, Povm, SubPovm, close
+from .operators import DensityOperator, Ensemble, Povm, SubPovm
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +32,24 @@ def matrix_to_json(mat) -> dict:
         raise InvariantError("matrix payload must be two-dimensional")
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]),
             "entries": [[float(x.real), float(x.imag)] for x in a.ravel()]}
+
+
+_KINDS = {str: "a string", list: "a list", dict: "an object", bool: "a boolean"}
+
+
+def json_kind(what: str, value, kind: type):
+    """A payload value of JSON kind str, list, dict or bool, refused by its
+    key path ``what`` otherwise."""
+    if not isinstance(value, kind):
+        raise InvariantError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def json_field(what: str, obj, key: str):
+    """The value at ``key`` of the payload object at key path ``what``."""
+    if key not in json_kind(what, obj, dict):
+        raise InvariantError(f"{what} needs {key!r}")
+    return obj[key]
 
 
 def json_number(what: str, value, integer: bool = False):
@@ -50,30 +70,19 @@ def json_number(what: str, value, integer: bool = False):
 
 def json_numbers(what: str, value) -> list:
     """A JSON list of numbers as a list of floats."""
-    if not isinstance(value, list):
-        raise InvariantError(f"{what} must be a list of numbers, got {value!r}")
-    return [json_number(what, x) for x in value]
+    return [json_number(what, x) for x in json_kind(what, value, list)]
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise InvariantError("matrix payload must be an object")
-    try:
-        rows = json_number("matrix rows", obj["rows"], integer=True)
-        cols = json_number("matrix cols", obj["cols"], integer=True)
-        entries = obj["entries"]
-    except KeyError as exc:
-        raise InvariantError(f"malformed matrix payload: missing {exc}")
-    if not isinstance(entries, list):
-        raise InvariantError(f"matrix entries must be a list, got {entries!r}")
+def matrix_from_json(what: str, obj) -> np.ndarray:
+    rows = json_number(f"{what} rows", json_field(what, obj, "rows"), integer=True)
+    cols = json_number(f"{what} cols", json_field(what, obj, "cols"), integer=True)
+    entries = json_kind(f"{what} entries", json_field(what, obj, "entries"), list)
     if rows < 0 or cols < 0 or rows * cols != len(entries):
-        raise InvariantError("rows*cols must equal the entry count")
-    flat = []
-    for e in entries:
-        if not isinstance(e, list) or len(e) != 2:
-            raise InvariantError("matrix entries must be [re, im] pairs")
-        flat.append(complex(*json_numbers("matrix entries", e)))
-    return np.array(flat, dtype=np.complex128).reshape(rows, cols)
+        raise InvariantError(f"{what} rows*cols must equal the entry count")
+    flat = [json_numbers(f"{what} entries", e) for e in entries]
+    if any(len(e) != 2 for e in flat):
+        raise InvariantError(f"{what} entries must be [re, im] pairs")
+    return np.array([complex(*e) for e in flat], dtype=np.complex128).reshape(rows, cols)
 
 
 def density_to_json(rho: DensityOperator) -> dict:
@@ -82,14 +91,10 @@ def density_to_json(rho: DensityOperator) -> dict:
     return out
 
 
-def density_from_json(obj) -> DensityOperator:
-    mat = matrix_from_json(obj)
-    dims = obj.get("dims")
-    if dims is None:
-        raise InvariantError("density payload needs a dims field")
-    if not isinstance(dims, list):
-        raise InvariantError(f"density dims must be a list of integers, got {dims!r}")
-    return DensityOperator(mat, tuple(json_number("density dims", d, integer=True)
+def density_from_json(what: str, obj) -> DensityOperator:
+    mat = matrix_from_json(what, obj)
+    dims = json_kind(f"{what} dims", json_field(what, obj, "dims"), list)
+    return DensityOperator(mat, tuple(json_number(f"{what} dims", d, integer=True)
                                       for d in dims))
 
 
@@ -114,9 +119,7 @@ def _freeze_label(what: str, label, depth: int):
 
 def _labels(what: str, value) -> tuple:
     """A JSON list of outcome labels as a tuple."""
-    if not isinstance(value, list):
-        raise InvariantError(f"{what} must be a list of labels, got {value!r}")
-    return tuple(_freeze_label(what, x, LABEL_DEPTH) for x in value)
+    return tuple(_freeze_label(what, x, LABEL_DEPTH) for x in json_kind(what, value, list))
 
 
 def povm_to_json(m: SubPovm) -> dict:
@@ -124,20 +127,12 @@ def povm_to_json(m: SubPovm) -> dict:
             "operators": [matrix_to_json(op) for op in m.operators]}
 
 
-def povm_from_json(obj) -> SubPovm:
-    if not isinstance(obj, dict) or "outcomes" not in obj or "operators" not in obj:
-        raise InvariantError("measurement payload needs outcomes and operators")
-    outcomes = _labels("measurement outcomes", obj["outcomes"])
-    operators = tuple(matrix_from_json(o) for o in obj["operators"])
-    if len(outcomes) != len(operators):
-        raise InvariantError("outcomes and operators must be parallel")
-    if not operators:
-        raise InvariantError("measurement payload has no operators")
-    # validated before the sum, which needs square, finite, equal-sized elements
-    sub = SubPovm(outcomes, operators)
-    if close(sub.total(), np.eye(sub.dim), 1e-8):
-        return Povm(outcomes, operators)
-    return sub
+def povm_from_json(what: str, obj) -> SubPovm:
+    """A measurement family, read as a Povm exactly when it is complete."""
+    outcomes = _labels(f"{what} outcomes", json_field(what, obj, "outcomes"))
+    operators = json_kind(f"{what} operators", json_field(what, obj, "operators"), list)
+    sub = SubPovm(outcomes, tuple(matrix_from_json(f"{what} operators", o) for o in operators))
+    return Povm(sub.outcomes, sub.operators) if sub.complete else sub
 
 
 def pair_key(u, v) -> str:
@@ -182,27 +177,20 @@ def decomposition_to_json(d: SeparableDecomposition) -> dict:
     }
 
 
-def decomposition_from_json(obj) -> SeparableDecomposition:
-    if not isinstance(obj, dict):
-        raise InvariantError("decomposition payload must be an object")
-    try:
-        povm_a = povm_from_json(obj["povm_A"])
-        povm_b = povm_from_json(obj["povm_B"])
-        channel = obj["channel"]
-        z_alphabet = _labels("channel z_alphabet", channel["z_alphabet"])
-        raw_rows = channel["rows"]
-    except (KeyError, TypeError) as exc:
-        raise InvariantError(f"malformed decomposition payload: {exc}")
-    if not isinstance(raw_rows, dict):
-        raise InvariantError(f"channel rows must be an object, got {raw_rows!r}")
+def decomposition_from_json(what: str, obj) -> SeparableDecomposition:
+    povm_a = povm_from_json(f"{what} povm_A", json_field(what, obj, "povm_A"))
+    povm_b = povm_from_json(f"{what} povm_B", json_field(what, obj, "povm_B"))
+    channel = json_field(what, obj, "channel")
+    z_alphabet = _labels("channel z_alphabet",
+                         json_field(f"{what} channel", channel, "z_alphabet"))
+    raw_rows = json_kind(f"{what} channel rows",
+                         json_field(f"{what} channel", channel, "rows"), dict)
     rows = {}
     for key, row in raw_rows.items():
         u, v = parse_pair_key(key, povm_a.outcomes, povm_b.outcomes)
-        rows[(u, v)] = np.asarray(json_numbers("channel rows", row))
+        rows[(u, v)] = np.asarray(json_numbers(f"{what} channel rows", row))
     d = SeparableDecomposition(povm_a, povm_b, z_alphabet, rows)
-    stored = obj.get("deterministic", d.deterministic)
-    if not isinstance(stored, bool):
-        raise InvariantError(f"deterministic flag must be a boolean, got {stored!r}")
+    stored = json_kind(f"{what} deterministic", obj.get("deterministic", d.deterministic), bool)
     if stored != d.deterministic:
         raise InvariantError("stored deterministic flag disagrees with the channel rows")
     return d
@@ -218,14 +206,12 @@ def ensemble_to_json(ens: Ensemble) -> dict:
     }
 
 
-def ensemble_from_json(obj) -> Ensemble:
-    try:
-        weights = json_numbers("ensemble weights", obj["weights"])
-        outcomes = _labels("ensemble outcomes", obj["outcomes"])
-        states = tuple(density_from_json(s) for s in obj["states"])
-    except (KeyError, TypeError) as exc:
-        raise InvariantError(f"malformed ensemble payload: {exc}")
-    return Ensemble(np.asarray(weights), states, outcomes)
+def ensemble_from_json(what: str, obj) -> Ensemble:
+    weights = json_numbers(f"{what} weights", json_field(what, obj, "weights"))
+    outcomes = _labels(f"{what} outcomes", json_field(what, obj, "outcomes"))
+    states = json_kind(f"{what} states", json_field(what, obj, "states"), list)
+    return Ensemble(np.asarray(weights), tuple(density_from_json(f"{what} states", s)
+                                               for s in states), outcomes)
 
 
 def dumps(payload) -> str:

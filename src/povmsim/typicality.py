@@ -95,9 +95,11 @@ def _letter_counts(seqs: np.ndarray, alphabet_size: int) -> np.ndarray:
 
 def _typical_bounds(probs: np.ndarray, n, delta: float) -> tuple:
     # |c/n - p| <= delta * p as lo <= c <= hi; p = 0 forces c = 0; n is the
-    # length, or an array of block lengths broadcasting against probs
+    # length, or an array of block lengths broadcasting against probs; a huge
+    # delta overflows the bounds to their limit +-inf, which compares right
     slack = 1e-9  # integer counts against real thresholds
-    return n * probs * (1.0 - delta) - slack, n * probs * (1.0 + delta) + slack
+    with np.errstate(over="ignore"):
+        return n * probs * (1.0 - delta) - slack, n * probs * (1.0 + delta) + slack
 
 
 def _typical_mask(counts: np.ndarray, probs: np.ndarray, n, delta: float) -> np.ndarray:

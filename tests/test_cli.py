@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import unequal_dims
 from oracles import blockwise_auxiliary_states
 from povmsim import cli, fixtures, protocol, serialize
 from povmsim.measurement import SeparableDecomposition
-from povmsim.operators import DensityOperator
+from povmsim.operators import DensityOperator, SubPovm
 from povmsim.regions import dist_deterministic_region
 
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
@@ -579,6 +580,60 @@ def test_non_number_instance_field_exits_3(mutate, tmp_path, capsys):
     assert out == ""
 
 
+def _covering_instance(scale=0.9):
+    """_full_example1_instance with example1's reconstructions and a config
+    whose approx_A is povm_A scaled by scale and approx_B is povm_B."""
+    inst = fixtures.load_fixture("example1")
+    d = inst.decomposition
+    payload = _full_example1_instance()
+    payload["recon"] = {serialize.pair_key(u, v): serialize.density_to_json(state)
+                        for (u, v, _), state in inst.recon.items()}
+    approx_a = SubPovm(d.povm_A.outcomes, tuple(scale * op for op in d.povm_A.operators))
+    payload["config"] = {"approx_A": serialize.povm_to_json(approx_a),
+                         "approx_B": serialize.povm_to_json(d.povm_B)}
+    return json.loads(json.dumps(payload))
+
+
+def _payload_paths(node, path=()):
+    """The key path of every node below a JSON payload, taking the first two
+    items of each list."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node[:2]) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _payload_paths(child, path + (key,))
+
+
+def test_every_payload_node_of_a_wrong_kind_is_refused_by_its_key_path(tmp_path, capsys):
+    # each node of an instance file, its config's measurement families
+    # included, set to a number, a string and null: the CLI exits by its
+    # contract, and a kind refusal names a key on the mutated path
+    base = _covering_instance()
+    path = _write_config(tmp_path, base, "input.json")
+    assert _run(capsys, "--command", "covering-check", "--input", path)[0] == 0
+    broken = []
+    for keys in _payload_paths(base):
+        for value in (5, "x", None):
+            payload = json.loads(json.dumps(base))
+            _set(*keys, value=value)(payload)
+            _write_config(tmp_path, payload, "input.json")
+            rc, out, err = _run(capsys, "--command", "covering-check", "--input", path)
+            named = any(isinstance(k, str) and k in err for k in keys)
+            if (rc not in (0, 2, 3, 4) or (rc and out)
+                    or (("must be " in err or "needs " in err) and not named)):
+                broken.append((keys, value, rc, err))
+    assert broken == []
+
+
+def test_covering_check_reads_a_nearly_complete_approximation_as_a_sub_povm(tmp_path, capsys):
+    # elements summing to (1 - 5e-9) I are no Povm at tol 1e-9, so the
+    # family is read as the sub-POVM it is
+    path = _write_config(tmp_path, _covering_instance(scale=1.0 - 5e-9), "input.json")
+    rc, out, err = _run(capsys, "--command", "covering-check", "--input", path)
+    assert rc == 0, err
+    assert json.loads(out)["subadditive"] is True
+
+
 @pytest.mark.parametrize("extra", [
     {"command": "simulate", "seeds": [0, 1], "ns": [2, 3]},
     {"command": "packing-sweep", "seeds": [0, 1], "rate_pairs": [[0.25, 0.25], [0.5, 0.5]]},
@@ -733,6 +788,17 @@ def test_huge_blocklength_exits_4(extra, tmp_path, capsys):
     assert time.perf_counter() - t0 < 5.0
 
 
+@pytest.mark.parametrize("command, n", [("simulate", 3), ("packing-sweep", 4), ("sweep", 4)])
+def test_huge_finite_delta_warns_nothing(command, n, capsys):
+    # the typicality bounds overflow to their limit +-inf without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run(capsys, "--input", "binary-correlated", "--command", command,
+                            "--n", str(n), "--delta", "1e308")
+    assert rc == 0 and err == "", err
+    assert out.startswith("n,Rt1,")
+
+
 _POVM = serialize.povm_to_json(fixtures.computational_povm())
 _OBJECT_OUTCOME_POVM = dict(_POVM, outcomes=[{"a": 1}] + _POVM["outcomes"][1:])
 
@@ -788,7 +854,7 @@ def test_malformed_config_value_exits_3_whichever_command_runs(key, tmp_path, ca
     cfg = _write_config(tmp_path, {"input": "example1", key: _MALFORMED_CONFIG_VALUES[key]})
     rc, out, err = _run(capsys, "--command", "region", "--input", cfg)
     assert rc == 3, err
-    assert err.startswith("invariant violation:")
+    assert err.startswith(f"invariant violation: {key} ")
     assert out == ""
 
 

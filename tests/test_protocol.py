@@ -295,8 +295,9 @@ def _images(u, v, integration):
 class _Oracle:
     """Full-matrix faithfulness distance on side-major rho^{(x)n}.
 
-    The trace norm of each target string's sandwich is taken once, so the
-    oracle can score several families at the same (state, d, n).
+    Each target string's norm is taken once, so the oracle can score several
+    families at the same (state, d, n): its sandwich is PSD, so the norm is
+    its trace Tr(T_z rho^{(x)n}) = prod_k Tr(T_{z_k} rho).
     """
 
     def __init__(self, state, d, n):
@@ -307,7 +308,8 @@ class _Oracle:
         self.rho_n = self._side_major(tensor(*[state.mat] * n))
         self.sq, _ = matrix_sqrt_and_pinv_sqrt(self.rho_n)
         self.target = compose_decomposition(d)
-        self.norms = {z: trace_norm(self.sq @ self.target_op(z) @ self.sq)
+        letter = {z: float(np.real(np.trace(op @ state.mat))) for z, op in self.target.items()}
+        self.norms = {z: math.prod(letter[s] for s in z)
                       for z in itertools.product(self.target.outcomes, repeat=n)}
 
     def _side_major(self, op):
@@ -339,8 +341,10 @@ class _Oracle:
             for v in typical_B.members:
                 t_op = tensor(*(self.d.povm_A.op(a) for a in u),
                               *(self.d.povm_B.op(b) for b in v))
-                s1 += self.norm(t_op - unbinned.get((u, v), 0.0))
-                joint += self.mass(t_op)
+                # an uncovered pair's sandwich is PSD: its norm is its mass
+                mass = self.mass(t_op)
+                s1 += self.norm(t_op - unbinned[(u, v)]) if (u, v) in unbinned else mass
+                joint += mass
         covered = self.mass(sum(unbinned.values()))
         s1 += max(0.0, 1.0 - joint) + max(0.0, 1.0 - covered)
         s2 = sum(self.norm(unbinned.get(p, 0.0) - decoded.get(p, 0.0))
@@ -957,9 +961,9 @@ def test_equal_inputs_as_new_objects_hit_the_setup():
     params = dataclasses.replace(inst.params, n=3)
     want = _report_bits(faithfulness_trial(params, inst.state, inst.decomposition))
     slot = protocol._last_setup
-    state = serialize.density_from_json(json.loads(json.dumps(
+    state = serialize.density_from_json("state", json.loads(json.dumps(
         serialize.density_to_json(inst.state))))
-    d = serialize.decomposition_from_json(json.loads(json.dumps(
+    d = serialize.decomposition_from_json("decomposition", json.loads(json.dumps(
         serialize.decomposition_to_json(inst.decomposition))))
     assert state.mat is not inst.state.mat and d is not inst.decomposition
     assert _report_bits(faithfulness_trial(params, state, d)) == want

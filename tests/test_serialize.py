@@ -38,7 +38,7 @@ from povmsim.serialize import (
 def test_matrix_round_trip():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-    back = matrix_from_json(matrix_to_json(m))
+    back = matrix_from_json("m", matrix_to_json(m))
     assert back.shape == (2, 3)
     assert np.allclose(back, m, atol=1e-15)
 
@@ -47,13 +47,13 @@ def test_matrix_entry_count_mismatch_raises():
     obj = matrix_to_json(np.eye(2))
     obj["entries"] = obj["entries"][:-1]
     with pytest.raises(InvariantError):
-        matrix_from_json(obj)
+        matrix_from_json("m", obj)
 
 
 def test_density_round_trip_keeps_dims():
     rng = np.random.default_rng(1)
     rho = random_density(rng, (2, 3))
-    back = density_from_json(density_to_json(rho))
+    back = density_from_json("rho", density_to_json(rho))
     assert back.dims == (2, 3)
     assert np.allclose(back.mat, rho.mat, atol=1e-12)
 
@@ -61,20 +61,36 @@ def test_density_round_trip_keeps_dims():
 def test_povm_round_trip_detects_completeness():
     rng = np.random.default_rng(2)
     p = random_povm(rng, 2, 3)
-    back = povm_from_json(povm_to_json(p))
+    back = povm_from_json("p", povm_to_json(p))
     assert isinstance(back, Povm)
     assert back.outcomes == p.outcomes
     sub = random_sub_povm(rng, p, floor=0.4)
-    back = povm_from_json(povm_to_json(sub))
+    back = povm_from_json("sub", povm_to_json(sub))
     assert isinstance(back, SubPovm) and not isinstance(back, Povm)
     for u in sub.outcomes:
         assert np.allclose(back.op(u), sub.op(u), atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.0 - 5e-10, 1.0 - 5e-9, 0.5])
+def test_povm_from_json_reads_a_povm_exactly_when_povm_accepts(scale):
+    # one completeness rule: every gap entry within the family's tol, 1e-9
+    p = fixtures.load_fixture("example1").decomposition.povm_A
+    ops = tuple(scale * op for op in p.operators)
+    back = povm_from_json("p", povm_to_json(SubPovm(p.outcomes, ops)))
+    try:
+        Povm(p.outcomes, ops)
+    except InvariantError as exc:
+        assert str(exc) == "operators do not resolve the identity within tol"
+        assert type(back) is SubPovm
+    else:
+        assert type(back) is Povm
+    assert isinstance(back, Povm) == (scale > 1.0 - 1e-9)
+
+
 def test_decomposition_round_trip():
     inst = fixtures.load_fixture("example1")
     d = inst.decomposition
-    back = decomposition_from_json(decomposition_to_json(d))
+    back = decomposition_from_json("d", decomposition_to_json(d))
     assert back.z_alphabet == d.z_alphabet
     assert back.deterministic == d.deterministic
     for key, row in d.rows.items():
@@ -87,12 +103,12 @@ def test_decomposition_tampered_flag_raises():
     obj = decomposition_to_json(d)
     obj["deterministic"] = False
     with pytest.raises(InvariantError):
-        decomposition_from_json(obj)
+        decomposition_from_json("d", obj)
 
 
 def test_ensemble_round_trip():
     ens = fixtures.soft_covering_ensemble()
-    back = ensemble_from_json(ensemble_to_json(ens))
+    back = ensemble_from_json("ens", ensemble_to_json(ens))
     assert back.outcomes == ens.outcomes
     assert np.allclose(back.weights, ens.weights, atol=1e-15)
     for u in ens.outcomes:
