@@ -31,7 +31,8 @@ its codeword pairs' columns.
 Everything is deterministic given (params, seed); randomness flows through
 counter-based substreams, one per random object.  Only the codebooks, the
 bins and the decoder are random; what they are built on (the bundles, the
-letter maps, letter rows and p(u, v), the sandwich frame, each side's column
+letter maps, letter rows and p(u, v), the frame C held conjugated in the
+layout its one product reads, so no trial copies it, each side's column
 array pinv_sqrt(rho^{(x)n}) pi_hat [the bundle's factors] and the target
 letters' support factors) depends on (rho_AB, d, n, delta) alone.
 It is built once and kept in one slot, keyed by those values' content, so
@@ -443,39 +444,32 @@ def _support_factor(mats: np.ndarray) -> np.ndarray:
     return scaled[..., :keep.sum(axis=-1).max()]
 
 
-def _side_major_rows(c_copy: np.ndarray, dA: int, dB: int, n: int) -> np.ndarray:
-    """Reorder kron-power rows from copy-major (A1 B1 A2 B2 ...) to side-major."""
-    rn = c_copy.shape[1]
-    t = c_copy.reshape([dA, dB] * n + [rn])
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)) + [2 * n]
-    return np.ascontiguousarray(np.transpose(t, order)).reshape(
-        (dA ** n) * (dB ** n), rn)
-
-
 def _sandwich_frame(rho_AB: DensityOperator, n: int):
-    """(c1, cperm3): the support factor of rho_AB and its n-th Kronecker power
-    with side-major rows, shaped (dA^n, dB^n, r^n)."""
+    """(c1, frame): the support factor c1 of rho_AB, and C = c1^{(x)n} with
+    side-major rows held conjugated in the layout _sandwich_factors reads,
+    the contiguous (dB^n r^n, dA^n) frame[(y, p), x] = conj(C[(x, y), p])."""
     dA, dB = rho_AB.dims
     c1 = _support_factor(rho_AB.mat)
-    c_perm = _side_major_rows(tensor(*[c1] * n), dA, dB, n)
-    return c1, c_perm.reshape(dA ** n, dB ** n, c_perm.shape[1])
+    # the Kronecker power's rows run copy-major, A1 B1 A2 B2 ...
+    c_copy = tensor(*[c1] * n).reshape([dA, dB] * n + [-1])
+    order = list(range(1, 2 * n, 2)) + [2 * n] + list(range(0, 2 * n, 2))
+    return c1, np.conjugate(c_copy.transpose(order), order="C").reshape(-1, dA ** n)
 
 
-def _sandwich_factors(zx: np.ndarray, zy: np.ndarray, cperm3: np.ndarray) -> np.ndarray:
-    """C^dag (x_i x y_j) for every column x_i of zx and y_j of zy: the rows
-    of a (K_x K_y, r^n) array, row i K_y + j.
+def _sandwich_factors(zx: np.ndarray, zy: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """C^dag (x_i x y_j) for every column x_i of zx and y_j of zy, C given by
+    _sandwich_frame's frame: the rows of a (K_x K_y, r^n) array, row i K_y + j.
 
     For X = zx diag(s) zx^dag and Y = zy diag(t) zy^dag with real weights,
     C^dag (X x Y) C = H diag(s x t) H^dag with these rows as H's columns, so
     no operator on the full space is formed; a factor with no columns gives
     no rows.
     """
-    dA, dB, rn = cperm3.shape
     # half[y, p, i] = sum_x conj(C[x, y, p]) zx[x, i]
-    half = cperm3.reshape(dA, dB * rn).conj().T @ zx
+    half = frame @ zx
     # h[p, i, j] = sum_y half[y, p, i] zy[y, j]
-    h = half.reshape(dB, -1).T @ zy
-    return np.ascontiguousarray(h.reshape(rn, -1).T)
+    h = half.reshape(len(zy), -1).T @ zy
+    return np.ascontiguousarray(h.reshape(len(frame) // len(zy), -1).T)
 
 
 def _trace_norm_sum(pool: np.ndarray, block: np.ndarray, col: np.ndarray,
@@ -509,7 +503,8 @@ def _trace_norm_sum(pool: np.ndarray, block: np.ndarray, col: np.ndarray,
             f = pool[cols[take]].transpose(0, 2, 1)
             r = f if m >= side else np.linalg.qr(f, mode="r")
             rs = r * weights[take][:, None, :]
-            total += np.abs(np.linalg.eigvalsh(rs @ r.conj().transpose(0, 2, 1))).sum()
+            r = np.conj(r, out=r).transpose(0, 2, 1)  # r is this chunk's own array
+            total += np.abs(np.linalg.eigvalsh(rs @ r)).sum()
     return float(total)
 
 
@@ -601,19 +596,20 @@ class _Setup:
     side's _letter_map from ensemble letters to POVM outcomes, ``rows`` per
     side the members' letter rows and then the sentinel_sequence, mapped to
     POVM outcomes (the void letter one past them) and indexed by decoded
-    id, ``p_uv`` the joint outcome law, (``c1``, ``cperm3``) the sandwich
-    frame, ``columns`` each side's _approx_columns (z, vals, offsets), the
-    one array every codeword's approximating operator is cut from,
-    ``target_factors`` the _letter_factors of the composed target's letters
-    and then of the void letter's zero block, and ``law`` _integration_laws'
-    table.  Every array is read-only.
+    id, ``p_uv`` the joint outcome law, (``c1``, ``frame``) _sandwich_frame,
+    C conjugated once in the layout its product reads, ``columns`` each
+    side's _approx_columns (z, vals, offsets), the one array every
+    codeword's approximating operator is cut from, ``target_factors`` the
+    _letter_factors of the composed target's letters and then of the void
+    letter's zero block, and ``law`` _integration_laws' table.  Every array
+    is read-only.
     """
     bundles: tuple
     letter_maps: tuple
     rows: tuple
     p_uv: np.ndarray
     c1: np.ndarray
-    cperm3: np.ndarray
+    frame: np.ndarray
     columns: tuple
     target_factors: np.ndarray
     law: np.ndarray
@@ -646,11 +642,11 @@ def _build_setup(rho_AB: DensityOperator, d: SeparableDecomposition, n: int,
                    _letter_map(ens_B.outcomes, d.povm_B.outcomes))
     rows = tuple(to[np.vstack([b.typical.seqs, sentinel_sequence(b.typical)])]
                  for to, b in zip(letter_maps, bundles))
-    c1, cperm3 = _sandwich_frame(rho_AB, n)
+    c1, frame = _sandwich_frame(rho_AB, n)
     ops = compose_decomposition(d).operators
     return read_only(_Setup(
         bundles, letter_maps, rows, outcome_distribution(rho_AB, d.povm_A, d.povm_B), c1,
-        cperm3, (_approx_columns(rho_A, bundles[0], n), _approx_columns(rho_B, bundles[1], n)),
+        frame, (_approx_columns(rho_A, bundles[0], n), _approx_columns(rho_B, bundles[1], n)),
         _letter_factors(c1, ops + (np.zeros_like(ops[0]),)), _integration_laws(d)))
 
 
@@ -732,9 +728,10 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
     tables[tuple(cells[:, :4].T)] = cells[:, 4] * nv + cells[:, 5]
     bin_A = binmaps[0].assignments[mu_A, id_A]
     bin_B = binmaps[1].assignments[mu_B, id_B]
-    pool = _sandwich_factors(z_A, z_B, setup.cperm3)
+    pool = _sandwich_factors(z_A, z_B, setup.frame)
     weight = (w_A[:, None] * w_B).ravel() * (1.0 / (params.N1 * params.N2))
-    covered = float(np.sum(np.sum(np.abs(pool) ** 2, axis=1) * weight))
+    mass = np.abs(pool)
+    covered = float(np.sum(np.sum(np.square(mass, out=mass), axis=1) * weight))
     return _Realization(setup, (gamma_A, gamma_B), checks, binmaps, decoder, pool, weight,
                         (id_A[:, None] * nv + id_B).ravel(),
                         tables[mu_A[:, None], mu_B, bin_A[:, None], bin_B].ravel(),
@@ -770,8 +767,8 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     each taking all its pairs' columns, so image entries can far outnumber
     the pool's columns.  Between calls the process retains one _Setup, the
     most recent: both d^n-sided bundles, each side's d^n-row column array
-    and (|T| + 1, n) letter rows, the (dA^n, dB^n, r^n) frame and the
-    target letters' (r, r) support factors.
+    and (|T| + 1, n) letter rows, the (dB^n r^n, dA^n) frame conj(C), read
+    without a copy, and the target letters' (r, r) support factors.
     """
     real = _realize(params, rho_AB, d)
     setup = real.setup

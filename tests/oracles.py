@@ -653,7 +653,7 @@ def distortion_of_protocol(binned_A, binned_B, decoder, typicals, recon,
                 f"no reconstruction state for pair {(alpha_A[x], alpha_B[y])}")
         return table[x][y]
 
-    c1, cperm3 = _sandwich_frame(rho_AB, n)
+    c1, frame = _sandwich_frame(rho_AB, n)
     r = c1.shape[1]
 
     def completed(fams, dim):
@@ -679,7 +679,7 @@ def distortion_of_protocol(binned_A, binned_B, decoder, typicals, recon,
             a, b = len(wa), len(wb)
             # rows (a, i, b, j) of the sandwich, regrouped as H[a, b] with
             # columns (i, j), so cell (a, b) is H[a, b] diag(w[a, b]) H[a, b]^dag
-            h = _sandwich_factors(za, zb, cperm3).reshape(a, dA ** n, b, dB ** n, -1)
+            h = _sandwich_factors(za, zb, frame).reshape(a, dA ** n, b, dB ** n, -1)
             h = h.transpose(0, 2, 4, 1, 3).reshape(a, b, h.shape[-1], -1)
             w = (wa[:, None, :, None] * wb[None, :, None, :]).reshape(a, b, -1)
             cells = (h * (w_mu * w)[:, :, None, :]) @ h.conj().swapaxes(2, 3)

@@ -34,6 +34,7 @@ from povmsim.operators import (
     DensityOperator,
     Ensemble,
     Povm,
+    hermitize,
     holevo_information,
     kron_rows,
     matrix_sqrt_and_pinv_sqrt,
@@ -319,7 +320,8 @@ class _Oracle:
         return self._side_major(tensor(*(self.target.op(s) for s in z)))
 
     def norm(self, op):
-        return trace_norm(self.sq @ op @ self.sq)
+        # every scored op is a Hermitian difference, and so is its sandwich
+        return float(np.abs(np.linalg.eigvalsh(hermitize(self.sq @ op @ self.sq))).sum())
 
     def mass(self, op):
         return float(np.real(np.trace(op @ self.rho_n)))
@@ -357,8 +359,8 @@ def _dense_distortion(binned_A, binned_B, decoder, typicals, recon, obs, state):
     included, formed as the dense w_mu c^dag (Gamma_i x Gamma_j) c on the
     side-major rho^{(x)n} = c c^dag."""
     n = typicals[0].n
-    c1, cperm3 = _sandwich_frame(state, n)
-    c = cperm3.reshape(-1, cperm3.shape[2])
+    c1, frame = _sandwich_frame(state, n)
+    c = frame.conj().T.reshape(state.dim ** n, -1)
     r = c1.shape[1]
     xdim = next(iter(recon.values())).dim
     N1, N2 = decoder.n_mu
@@ -701,9 +703,11 @@ def test_sandwich_blocks_match_full_conjugation():
     vals, vecs = np.linalg.eigh(full)
     vals[:2] = 0.0
     rho = DensityOperator(vecs @ np.diag(vals / vals.sum()) @ vecs.conj().T, (dA, dB))
-    c1, cperm3 = _sandwich_frame(rho, n)
+    c1, frame = _sandwich_frame(rho, n)
     assert c1.shape == (dA * dB, 4)
-    c = cperm3.reshape(-1, cperm3.shape[2])
+    # the frame is conj(C), stored as the (dB^n r^n, dA^n) matrix its product reads
+    assert frame.shape == (dB ** n * 16, dA ** n) and frame.flags.c_contiguous
+    c = frame.conj().T.reshape((dA * dB) ** n, -1)
     order = [0, 2, 1, 3]
     rho_n = permute_subsystems(np.kron(rho.mat, rho.mat), [dA, dB] * n, order)
     assert np.allclose(c @ c.conj().T, rho_n, atol=1e-12)
@@ -715,7 +719,7 @@ def test_sandwich_blocks_match_full_conjugation():
     xs = [factor(dA ** n, k) for k in (0, 1, 2, dA ** n)]
     ys = [factor(dB ** n, k) for k in (2, 0, dB ** n, 1)]
     zx, zy = (np.concatenate([z for z, _ in fs], axis=1) for fs in (xs, ys))
-    h = _sandwich_factors(zx, zy, cperm3)
+    h = _sandwich_factors(zx, zy, frame)
     assert h.shape == (zx.shape[1] * zy.shape[1], 16)
     rows = h.reshape(zx.shape[1], zy.shape[1], 16)
     ax, ay = (np.cumsum([0] + [w.size for _, w in fs]) for fs in (xs, ys))
@@ -907,6 +911,8 @@ def test_error_split_bounds_total():
      "0x1.9ee580535c3abp-1", "0x1.9ee580535c3abp-1", "0x1.0894262bf8313p-55"),
     ("binary-correlated", 5, 1,
      "0x1.e20d2b75d199bp-1", "0x1.a20d2b75d1999p-1", "0x1.c4422acf19242p-3"),
+    ("binary-correlated", 6, 0,
+     "0x1.ea256281cf11bp-1", "0x1.d49bd931b498fp-1", "0x1.bafae90845b68p-5"),
     ("example1", 3, 0,
      "0x1.ff00000000000p+0", "0x1.fae0000000000p+0", "0x1.88ea8a6d697aap-3"),
     ("example1", 3, 1,
@@ -991,7 +997,7 @@ def test_setup_and_fixture_arrays_are_read_only():
     faithfulness_trial(inst.params, inst.state, inst.decomposition)
     setup = protocol._last_setup[1]
     bundle = setup.bundles[0]
-    arrays = [setup.p_uv, setup.c1, setup.cperm3, setup.law, *setup.columns[0], *setup.columns[1],
+    arrays = [setup.p_uv, setup.c1, setup.frame, setup.law, *setup.columns[0], *setup.columns[1],
               setup.target_factors, *setup.rows, *setup.letter_maps, bundle.pi_rho,
               bundle.pi_hat, bundle.factors, bundle.vals, bundle.offsets, bundle.typical.seqs,
               bundle.typical.probs, bundle.pruned.probs,
