@@ -26,7 +26,7 @@ import numpy as np
 from . import fixtures, serialize
 from .errors import CapExceededError, InvariantError
 from .measurement import auxiliary_states, outcome_distribution
-from .operators import DEFAULT_TOL, SubPovm
+from .operators import DEFAULT_TOL, SubPovm, probability_rows
 from .protocol import (ProtocolParams, binning_collision_rate,
                        faithfulness_trial, mutual_covering_check,
                        packing_norm_trial, soft_covering_trial)
@@ -70,10 +70,9 @@ def _instance_from_json(payload: dict) -> fixtures.Instance:
     if "p_uv" in payload:
         rows = [serialize.json_numbers("p_uv", row)
                 for row in serialize.json_kind("p_uv", payload["p_uv"], list)]
-        p_uv = np.array(rows) if len({len(row) for row in rows}) == 1 else None
-        if p_uv is None or not np.all(np.isfinite(p_uv)):
-            raise InvariantError(
-                f"p_uv must be a matrix of finite numbers, got {payload['p_uv']!r}")
+        if len({len(row) for row in rows}) != 1:
+            raise InvariantError(f"p_uv must be a matrix of numbers, got {payload['p_uv']!r}")
+        p_uv = probability_rows("p_uv", np.ravel(rows)).reshape(len(rows), -1)
     else:
         p_uv = outcome_distribution(rho, d.povm_A, d.povm_B)
     if "ensemble" in payload:
@@ -154,13 +153,8 @@ _READERS = {
 CONFIG_KEYS = frozenset(_READERS)
 
 
-def _params_for(instance: fixtures.Instance, config: dict,
-                args) -> ProtocolParams:
-    merged = {key: config[key] for key in PARAM_KEYS if key in config}
-    for key in ("seed", "n", "eta", "delta"):
-        if getattr(args, key) is not None:
-            merged[key] = getattr(args, key)
-    return replace(instance.params, **merged)
+def _params_for(instance: fixtures.Instance, config: dict) -> ProtocolParams:
+    return replace(instance.params, **{key: config[key] for key in PARAM_KEYS if key in config})
 
 
 def _row_seeds(config: dict, params: ProtocolParams, inner: list) -> list:
@@ -183,7 +177,7 @@ def cmd_region(instance, config, args) -> str:
 
 
 def cmd_simulate(instance, config, args) -> str:
-    params = _params_for(instance, config, args)
+    params = _params_for(instance, config)
     ns = config.get("ns", [params.n])
     seeds = _row_seeds(config, params, ns)
     # rows go seed by seed, trials n by n: the trials of one n share the
@@ -194,7 +188,7 @@ def cmd_simulate(instance, config, args) -> str:
     return serialize.csv_text([row for seed_rows in zip(*rows) for row in seed_rows])
 
 
-def _packing(instance, config, params, args):
+def _packing(instance, config, params):
     d = instance.decomposition
     if "rate_pairs" in config:
         pairs = config["rate_pairs"]
@@ -208,7 +202,7 @@ def _packing(instance, config, params, args):
             d.povm_A, d.povm_B, instance.p_uv, params.n, *rates, params.delta, seed)}
 
 
-def _collision(instance, config, params, args):
+def _collision(instance, config, params):
     def row(seed, rates):
         trial = replace(params, R1=rates[0], R2=rates[1], seed=seed)
         return {"n": trial.n, "Rt1": trial.Rt1, "Rt2": trial.Rt2, "R1": trial.R1,
@@ -218,9 +212,8 @@ def _collision(instance, config, params, args):
     return config.get("bin_rates", [(params.R1, params.R2)]), row
 
 
-def _soft_covering(instance, config, params, args):
-    delta = args.delta if args.delta is not None else config.get("delta", 0.2)
-    eta = args.eta if args.eta is not None else config.get("eta", 0.1)
+def _soft_covering(instance, config, params):
+    delta, eta = config.get("delta", 0.2), config.get("eta", 0.1)
     return config.get("rate_sums", [1.0]), lambda seed, rate_sum: {
         "n": params.n, "Rt1": rate_sum, "eta": eta, "delta": delta, "seed": seed,
         "G": soft_covering_trial(instance.ensemble, params.n, rate_sum, seed,
@@ -235,8 +228,8 @@ def cmd_sweep(instance, config, args, kind=None) -> str:
     kind = kind or config.get("kind", "packing")
     if kind not in _SWEEPS:
         raise InvariantError(f"unknown sweep kind {kind!r}")
-    params = _params_for(instance, config, args)
-    points, row = _SWEEPS[kind](instance, config, params, args)
+    params = _params_for(instance, config)
+    points, row = _SWEEPS[kind](instance, config, params)
     rows = []
     for seed in _row_seeds(config, params, points):
         for point in points:
@@ -310,6 +303,8 @@ def _run(args) -> int:
     if unknown:
         raise InvariantError(f"unknown config key {unknown[0]!r}")
     config = {key: _READERS[key](key, value) for key, value in config.items()}
+    config.update({key: getattr(args, key) for key in ("seed", "n", "eta", "delta")
+                   if getattr(args, key) is not None})
     command = args.command or config.get("command")
     if command is None:
         raise InvariantError("no command given by flag or config")

@@ -32,8 +32,8 @@ from .operators import (
     kron_pairs,
     matrix_sqrt_and_pinv_sqrt,
     partial_trace,
+    probability_rows,
     purify,
-    tensor,
     trace_norm,
     von_neumann_entropy,
 )
@@ -161,21 +161,22 @@ def attach_classical(cq: CqState, name: str, alphabet, kernel: Callable) -> CqSt
     """Adjoin a classical register distributed as kernel(existing outcomes).
 
     ``kernel`` maps a block key (tuple of classical outcomes) to a probability
-    vector over ``alphabet``.  Zero-probability branches are not materialized.
+    vector over ``alphabet``; the rows are held to probability_rows at
+    max(cq.tol, 1e-9), a refusal naming the block key.  Zero-probability
+    branches are not materialized.
     """
     if name in cq.registers():
         raise InvariantError(f"register {name!r} already present")
     alphabet = tuple(alphabet)
-    blocks = {}
-    for key, blk in cq.blocks.items():
-        p = np.asarray(kernel(key), dtype=float).ravel()
+    keys = list(cq.blocks)
+    rows = [np.asarray(kernel(key), dtype=float).ravel() for key in keys]
+    for key, p in zip(keys, rows):
         if p.size != len(alphabet):
             raise InvariantError(f"kernel row for {key} has wrong length")
-        if float(np.min(p)) < -cq.tol or abs(float(np.sum(p)) - 1.0) > max(cq.tol, 1e-9):
-            raise InvariantError(f"kernel row for {key} is not a distribution")
-        for z, pz in zip(alphabet, p):
-            if pz > 0.0:
-                blocks[key + (z,)] = pz * blk
+    table = probability_rows("kernel row", np.reshape(rows, (len(keys), len(alphabet))),
+                             max(cq.tol, 1e-9), names=keys)
+    blocks = {key + (z,): pz * blk for key, blk, p in zip(keys, cq.stack, table)
+              for z, pz in zip(alphabet, p) if pz > 0.0}
     return CqState(
         cregisters=cq.cregisters + (name,),
         qregisters=cq.qregisters,
@@ -194,39 +195,36 @@ class SeparableDecomposition:
     """Joint measurement expressed as marginal POVMs plus a classical channel.
 
     ``rows`` maps every outcome pair (u, v) to a probability vector over
-    ``z_alphabet``.  The decomposition is deterministic exactly when every
-    row is a 0/1 unit vector; the flag is derived, never trusted from input.
+    ``z_alphabet``.  The rows are validated once, as one stack, by
+    probability_rows at DEFAULT_TOL (a refusal names the pair), and kept as
+    the (|U|, |V|, |Z|) array ``table`` with the entries in [-tol, 0) set to
+    0; ``rows`` then maps each pair to its row of ``table``.  The
+    decomposition is deterministic exactly when every row is a 0/1 unit
+    vector; the flag is read from ``table``, never trusted from input.
     """
     povm_A: Povm
     povm_B: Povm
     z_alphabet: tuple
     rows: Mapping
     deterministic: bool = field(init=False)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "z_alphabet", tuple(self.z_alphabet))
         if len(set(self.z_alphabet)) != len(self.z_alphabet):
             raise InvariantError("duplicate labels in z alphabet")
-        fixed = {}
-        det = True
-        for u in self.povm_A.outcomes:
-            for v in self.povm_B.outcomes:
-                if (u, v) not in self.rows:
-                    raise InvariantError(f"channel row missing for pair {(u, v)}")
-                p = np.asarray(self.rows[(u, v)], dtype=float).ravel()
-                if p.size != len(self.z_alphabet):
-                    raise InvariantError(f"row for {(u, v)} has length {p.size}")
-                # NaN passes both tests below
-                if not np.all(np.isfinite(p)):
-                    raise InvariantError(f"non-finite channel probability at {(u, v)}")
-                if float(np.min(p)) < -DEFAULT_TOL:
-                    raise InvariantError(f"negative channel probability at {(u, v)}")
-                if abs(float(np.sum(p)) - 1.0) > DEFAULT_TOL:
-                    raise InvariantError(f"row for {(u, v)} sums to {np.sum(p)}")
-                det = det and bool(np.max(p) > 1.0 - DEFAULT_TOL)
-                fixed[(u, v)] = p
-        object.__setattr__(self, "rows", fixed)
-        object.__setattr__(self, "deterministic", det)
+        outs_A, outs_B, nz = self.povm_A.outcomes, self.povm_B.outcomes, len(self.z_alphabet)
+        pairs = [(u, v) for u in outs_A for v in outs_B]
+        for pair in pairs:
+            if pair not in self.rows:
+                raise InvariantError(f"channel row missing for pair {pair}")
+            if np.size(self.rows[pair]) != nz:
+                raise InvariantError(f"row for {pair} has length {np.size(self.rows[pair])}")
+        table = probability_rows("channel row", [np.ravel(self.rows[pair]) for pair in pairs],
+                                 names=pairs).reshape(len(outs_A), len(outs_B), nz)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "rows", dict(zip(pairs, table.reshape(len(pairs), nz))))
+        object.__setattr__(self, "deterministic", bool(table.max(-1).min() > 1.0 - DEFAULT_TOL))
 
     def row(self, u, v) -> np.ndarray:
         return self.rows[(u, v)]
@@ -250,15 +248,11 @@ def deterministic_decomposition(povm_A: Povm, povm_B: Povm) -> SeparableDecompos
 
 def compose_decomposition(d: SeparableDecomposition) -> Povm:
     """Joint POVM realized by the decomposition: Lambda_z = sum P(z|u,v) L_u x L_v."""
-    dA, dB = d.dims
-    ops = [np.zeros((dA * dB, dA * dB), dtype=np.complex128) for _ in d.z_alphabet]
-    for u, lu in d.povm_A.items():
-        for v, lv in d.povm_B.items():
-            joint = tensor(lu, lv)
-            p = d.row(u, v)
-            for k, pz in enumerate(p):
-                if pz > 0.0:
-                    ops[k] += pz * joint
+    joint = kron_pairs(np.array(d.povm_A.operators), np.array(d.povm_B.operators))
+    ops = np.zeros((len(d.z_alphabet),) + joint.shape[1:], dtype=np.complex128)
+    # pair by pair, so that every entry sums its terms in pair order
+    for p, pair_op in zip(d.table.reshape(len(joint), -1), joint):
+        ops += p[:, None, None] * pair_op
     return Povm(d.z_alphabet, tuple(ops), tol=1e-8)
 
 
@@ -299,10 +293,7 @@ def outcome_distribution(rho_AB: DensityOperator, povm_A: SubPovm,
         for j, v in enumerate(povm_B.outcomes):
             p[i, j] = float(np.real(np.trace(
                 np.kron(povm_A.op(u), povm_B.op(v)) @ mat)))
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise InvariantError(f"outcome distribution sums to {total}")
-    return np.clip(p, 0.0, None)
+    return probability_rows("outcome distribution", p.ravel()).reshape(p.shape)
 
 
 def _measured_state(proj: np.ndarray, dims: tuple, povms: tuple) -> CqState:

@@ -83,11 +83,30 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
-def close(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Entrywise equality within an explicit absolute tolerance."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= tol)
+def probability_rows(what: str, rows, tol: float = DEFAULT_TOL, names=None) -> np.ndarray:
+    """``rows`` as probability laws along its last axis, by the one rule
+    every law of the package is held to.
+
+    Every entry must be finite and at least -tol, and every row must sum to
+    1 within tol.  A refusal names the law ``what`` and, for a stack, the
+    failing row ``names[i]`` (rows counted in C order over the leading
+    axes), and shows that row's values.  Returns a new float array of the
+    same shape, its entries in [-tol, 0) set to 0.
+    """
+    p = np.array(rows, dtype=float, ndmin=1)
+    flat = p.reshape(math.prod(p.shape[:-1]), p.shape[-1])
+    # NaN and -inf fail the floor, so only rows that pass it are summed
+    ok = (flat >= -tol).all(axis=1)
+    ok &= np.abs(flat.sum(axis=1, where=ok[:, None]) - 1.0) <= tol
+    if not ok.all():
+        i = int(np.argmin(ok))
+        row, law = flat[i], what if names is None else f"{what} at {names[i]!r}"
+        if not np.isfinite(row).all():
+            raise InvariantError(f"{law} must be finite, got {row.tolist()}")
+        if (row < -tol).any():
+            raise InvariantError(f"{law} must be at least -{tol:g}, got {row.tolist()}")
+        raise InvariantError(f"{law} must sum to 1 within {tol:g}, got {row.tolist()}")
+    return np.maximum(p, 0.0, out=p)
 
 
 def tensor(*ops) -> np.ndarray:
@@ -395,9 +414,10 @@ def tensor_povm(a: SubPovm, b: SubPovm) -> SubPovm:
 class Ensemble:
     """Weighted family of density operators on a common dimension.
 
-    ``outcomes`` optionally labels the members (canonical ensembles keep the
-    POVM outcome labels); ``dropped`` records labels removed for having weight
-    below the cutoff.
+    The weights are a probability law within ``tol`` (probability_rows),
+    stored with the entries in [-tol, 0) set to 0.  ``outcomes`` optionally
+    labels the members (canonical ensembles keep the POVM outcome labels);
+    ``dropped`` records labels removed for having weight below the cutoff.
     """
     weights: np.ndarray
     states: tuple
@@ -407,7 +427,6 @@ class Ensemble:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).ravel()
-        object.__setattr__(self, "weights", w)
         sts = tuple(self.states)
         object.__setattr__(self, "states", sts)
         if len(sts) != w.size:
@@ -416,14 +435,7 @@ class Ensemble:
             object.__setattr__(self, "outcomes", tuple(self.outcomes))
             if len(self.outcomes) != w.size:
                 raise InvariantError("outcomes and weights must be parallel")
-        if w.size == 0:
-            raise InvariantError("empty ensemble")
-        if not np.all(np.isfinite(w)):
-            raise InvariantError(f"ensemble weights must be finite, got {w.tolist()}")
-        if float(np.min(w)) < -self.tol:
-            raise InvariantError("negative ensemble weight")
-        if abs(float(np.sum(w)) - 1.0) > self.tol:
-            raise InvariantError(f"ensemble weights sum to {np.sum(w)} != 1")
+        object.__setattr__(self, "weights", probability_rows("ensemble weights", w, self.tol))
         d = sts[0].dim
         for s in sts:
             if not isinstance(s, DensityOperator) or s.dim != d:

@@ -64,6 +64,7 @@ from .operators import (
     kron_rows,
     matrix_sqrt_and_pinv_sqrt,
     operator_norm,
+    probability_rows,
     read_only,
     tensor,
     tensor_povm,
@@ -402,10 +403,9 @@ def _integration_laws(d: SeparableDecomposition) -> np.ndarray:
     over z_alphabet and then the void output letter, the void letter being
     index |outcomes| on each side; a pair with a void letter emits the void
     letter."""
-    outs_A, outs_B = d.povm_A.outcomes, d.povm_B.outcomes
-    nx, ny, nz = len(outs_A), len(outs_B), len(d.z_alphabet)
+    nx, ny, nz = d.table.shape
     law = np.zeros((nx + 1, ny + 1, nz + 1))
-    law[:nx, :ny, :nz] = [[d.row(u, v) for v in outs_B] for u in outs_A]
+    law[:nx, :ny, :nz] = d.table
     law[nx, :, nz] = law[:, ny, nz] = 1.0
     return law
 
@@ -622,9 +622,8 @@ def _setup_key(rho_AB: DensityOperator, d: SeparableDecomposition, n: int,
     def povm(m):
         return m.outcomes, tuple(op.tobytes() for op in m.operators), m.tol
 
-    rows = tuple(d.row(u, v).tobytes() for u in d.povm_A.outcomes for v in d.povm_B.outcomes)
     return (rho_AB.mat.tobytes(), rho_AB.dims, rho_AB.tol, povm(d.povm_A), povm(d.povm_B),
-            d.z_alphabet, rows, n, delta)
+            d.z_alphabet, d.table.tobytes(), n, delta)
 
 
 def _build_setup(rho_AB: DensityOperator, d: SeparableDecomposition, n: int,
@@ -898,12 +897,11 @@ def _diagonal_vectors(povm: SubPovm):
 
 
 def _joint_law(p_uv) -> np.ndarray:
-    """p_uv as a float matrix of finite, nonnegative entries summing to 1."""
+    """p_uv as a float matrix holding one law, by probability_rows."""
     p = np.asarray(p_uv, dtype=float)
-    if (p.ndim != 2 or not np.all(np.isfinite(p)) or np.any(p < -1e-12)
-            or abs(p.sum() - 1.0) > 1e-9):
-        raise InvariantError("p_uv must be a joint distribution matrix")
-    return p
+    if p.ndim != 2:
+        raise InvariantError(f"p_uv must be a matrix, got shape {p.shape}")
+    return probability_rows("p_uv", p.ravel()).reshape(p.shape)
 
 
 def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,

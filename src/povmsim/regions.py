@@ -36,7 +36,7 @@ from .measurement import (
     auxiliary_states,
     stochastic_sigma3,
 )
-from .operators import DEFAULT_TOL, DensityOperator, as_operator, hermitize
+from .operators import DEFAULT_TOL, DensityOperator, as_operator, hermitize, probability_rows
 
 QUANT_STEP = Fraction(1, 10 ** 9)
 
@@ -368,12 +368,12 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
     """Rate-distortion bounds for measure-and-reconstruct compression.
 
     ``povm_pairs`` maps each time-sharing symbol q to a pair (povm_A, povm_B)
-    and ``p_q`` each of those q to its weight (finite, non-negative, summing
-    to 1; checked before any state is built); ``recon`` maps every (u, v, q)
-    to a reconstruction DensityOperator, all of one dimension (both checked
-    before any product); ``delta`` is
-    a PSD distortion observable on reference x reconstruction.  Bounds are the
-    three Q-conditioned rate rows plus the achieved average distortion.
+    and ``p_q`` each of those q to its weight (probability_rows at
+    t = max(tol, 1e-9), before any state is built; a weight in [-t, 0) is
+    read as 0); ``recon`` maps every (u, v, q) to a reconstruction
+    DensityOperator, all of one dimension (both checked before any product);
+    ``delta`` is a PSD distortion observable on reference x reconstruction.
+    Bounds are the three Q-conditioned rate rows and the average distortion.
     """
     unweighted = [q for q in povm_pairs if q not in p_q]
     if unweighted:
@@ -381,15 +381,8 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
     unpaired = [q for q in p_q if q not in povm_pairs]
     if unpaired:
         raise InvariantError(f"time-sharing weight for {unpaired} has no POVM pair")
-    for q in povm_pairs:
-        w = float(p_q[q])
-        if not math.isfinite(w):
-            raise InvariantError(f"non-finite time-sharing weight {w} for {q!r}")
-        if w < 0:
-            raise InvariantError("negative time-sharing probability")
-    total = float(sum(p_q[q] for q in povm_pairs))
-    if abs(total - 1.0) > max(tol, 1e-9):
-        raise InvariantError(f"time-sharing weights sum to {total}")
+    p_q = dict(zip(povm_pairs, probability_rows(
+        "time-sharing weights", [p_q[q] for q in povm_pairs], max(tol, 1e-9)).tolist()))
     delta = as_operator(delta)
     lo = float(np.min(np.linalg.eigvalsh(hermitize(delta)))) if delta.size else 0.0
     if lo < -max(tol, 1e-9):

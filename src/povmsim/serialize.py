@@ -161,10 +161,7 @@ def parse_pair_key(key: str, outcomes_a, outcomes_b):
 
 
 def decomposition_to_json(d: SeparableDecomposition) -> dict:
-    rows = {}
-    for u in d.povm_A.outcomes:
-        for v in d.povm_B.outcomes:
-            rows[pair_key(u, v)] = [float(p) for p in d.row(u, v)]
+    rows = {pair_key(u, v): row.tolist() for (u, v), row in d.rows.items()}
     return {
         "povm_A": povm_to_json(d.povm_A),
         "povm_B": povm_to_json(d.povm_B),

@@ -39,6 +39,7 @@ from .operators import (
     eigh_desc,
     hermitize,
     kron_rows,
+    probability_rows,
     von_neumann_entropy,
     weighted_gram,
 )
@@ -140,17 +141,11 @@ class TypicalSet:
 
 
 def _validated_probs(probs, n: int, delta: float) -> np.ndarray:
-    p = np.asarray(probs, dtype=float).ravel()
     if n < 1:
         raise InvariantError("blocklength must be at least 1")
     if not (math.isfinite(delta) and delta > 0):
         raise InvariantError("delta must be a finite positive number")
-    # NaN fails every comparison below, so it is refused first
-    if not np.all(np.isfinite(p)):
-        raise InvariantError("probs must be finite")
-    if float(np.min(p)) < -1e-12 or abs(float(np.sum(p)) - 1.0) > 1e-9:
-        raise InvariantError("probs is not a probability distribution")
-    return np.clip(p, 0.0, None)
+    return probability_rows("probs", np.ravel(probs))
 
 
 def typical_set(probs, n: int, delta: float, alphabet=None) -> TypicalSet:
@@ -220,16 +215,13 @@ def _within(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PrunedDistribution:
     """The product distribution conditioned on landing in the typical set,
-    one probability per member id."""
-    base: TypicalSet
-    probs: np.ndarray
+    one probability per member id.
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        if self.probs.size != len(self.base):
-            raise InvariantError("pruned table must be parallel to the member list")
-        if abs(float(np.sum(self.probs)) - 1.0) > 1e-12:
-            raise InvariantError("pruned distribution must sum to 1")
+    ``probs`` is built as masses / sum(masses) from the typical set's
+    validated law (probability_rows), so it is finite, non-negative and
+    sums to 1 by construction, and is not checked again.
+    """
+    probs: np.ndarray
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` independent member ids."""
@@ -242,7 +234,7 @@ def pruned_distribution(t: TypicalSet) -> PrunedDistribution:
     if len(t) == 0 or t.mass <= 0.0:
         raise InvariantError("cannot prune onto an empty typical set")
     masses = kron_rows(t.probs.reshape(-1, 1, 1), t.seqs).ravel()
-    return PrunedDistribution(t, masses / np.sum(masses))
+    return PrunedDistribution(masses / np.sum(masses))
 
 
 # ---------------------------------------------------------------------------

@@ -504,8 +504,9 @@ def test_bad_recon_exits_3(payload, word, tmp_path, capsys):
     (_example1_instance(config=[1]), "config"),
     ({"input": "example1", "config": [1]}, "config"),
     (_example1_instance(recon=[1]), "recon"),
+    (_example1_instance(p_uv=[[1.5, -0.5], [0.0, 0.0]]), "p_uv"),
 ], ids=["text-p_uv", "ragged-p_uv", "nan-p_uv", "list-config", "list-config-bare",
-        "list-recon"])
+        "list-recon", "negative-p_uv"])
 def test_malformed_instance_field_exits_3(payload, field, command, tmp_path, capsys):
     path = _write_config(tmp_path, payload, "input.json")
     rc, out, err = _run(capsys, "--command", command, "--input", path)
@@ -752,6 +753,17 @@ def test_non_finite_ensemble_weight_exits_3(tmp_path, capsys):
     assert out == ""
 
 
+def test_ensemble_weight_within_tol_below_zero_runs(tmp_path, capsys):
+    # the ensemble accepts -5e-10 within its tol and stores it as 0, so the
+    # typical set of its weights is not refused by a tighter floor
+    payload = _example1_instance(config={"kind": "soft-covering", "n": 2},
+                                 ensemble=dict(_ENSEMBLE, weights=[1.0 + 5e-10, -5e-10]))
+    path = _write_config(tmp_path, payload, "input.json")
+    rc, out, err = _run(capsys, "--command", "sweep", "--input", path)
+    assert rc == 0, err
+    assert out.startswith("n,Rt1,") and err == ""
+
+
 @pytest.mark.parametrize("command", ["simulate", "region", "fm-check"])
 def test_non_finite_channel_row_exits_3(command, tmp_path, capsys):
     # a NaN entry passes both the sign and the sum test of a channel row, and
@@ -767,7 +779,8 @@ def test_non_finite_channel_row_exits_3(command, tmp_path, capsys):
     path = _write_config(tmp_path, payload, "input.json")
     rc, out, err = _run(capsys, "--command", command, "--input", path)
     assert rc == 3, err
-    assert err.startswith("invariant violation: non-finite channel probability at ('0', '0')")
+    assert err.startswith(
+        "invariant violation: channel row at ('0', '0') must be finite, got [nan, ")
     assert out == ""
 
 

@@ -157,6 +157,17 @@ def test_decomposition_row_validation():
         SeparableDecomposition(pa, pb, good.z_alphabet, rows)
 
 
+def test_non_finite_kernel_row_refused():
+    # a NaN entry passes a sign and a sum test; taken as a law it built a
+    # four-block state whose Z entropy was about -3e-16
+    inst = fixtures.load_fixture("binary-correlated")
+    sigma3 = auxiliary_states(inst.state, inst.decomposition.povm_A,
+                              inst.decomposition.povm_B)[2]
+    with pytest.raises(InvariantError, match=r"^kernel row at \('0', '0'\) must be finite, "
+                                             r"got \[nan, 1\.0\]"):
+        attach_classical(sigma3, "Z", ("a", "b"), lambda key: [float("nan"), 1.0])
+
+
 def test_stochastic_rows_flip_deterministic_flag():
     rng = np.random.default_rng(6)
     pa = random_povm(rng, 2, 2)

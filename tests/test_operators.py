@@ -1,5 +1,9 @@
 """Linear-algebra layer: traces, norms, purification, POVM containers; the
-package's export list."""
+one rule for probability laws at every site that holds one; the package's
+export list."""
+
+import math
+import re
 
 import numpy as np
 import pytest
@@ -17,13 +21,16 @@ from oracles import (
     quantum_mutual_information,
     shannon_entropy,
 )
+from povmsim import fixtures
 from povmsim.errors import InvariantError
+from povmsim.measurement import (SeparableDecomposition, attach_classical, auxiliary_states,
+                                 outcome_distribution)
 from povmsim.operators import (
+    DEFAULT_TOL,
     DensityOperator,
     Ensemble,
     Povm,
     SubPovm,
-    close,
     eigh_desc,
     hermitize,
     holevo_information,
@@ -32,12 +39,16 @@ from povmsim.operators import (
     matrix_sqrt_and_pinv_sqrt,
     operator_norm,
     partial_trace,
+    probability_rows,
     purify,
     tensor,
     tensor_povm,
     trace_norm,
     von_neumann_entropy,
 )
+from povmsim.protocol import ProtocolParams, binning_collision_rate, packing_norm_trial
+from povmsim.regions import rd_inner_bound
+from povmsim.typicality import typical_pairs, typical_set
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -344,7 +355,7 @@ def test_tensor_povm_pairs_and_completeness():
 def test_random_povm_sums_to_identity():
     rng = np.random.default_rng(15)
     p = random_povm(rng, 3, 4)
-    assert close(p.total(), np.eye(3), 1e-7)
+    assert np.max(np.abs(p.total() - np.eye(3))) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -372,3 +383,117 @@ def test_holevo_nonnegative():
     states = tuple(random_density(rng, (2,)) for _ in range(3))
     ens = Ensemble((0.2, 0.3, 0.5), states)
     assert holevo_information(ens) >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# probability laws: one rule at every site
+# ---------------------------------------------------------------------------
+
+def _channel_row(row):
+    # the failing row is the third pair, so a refusal must name it
+    comp = fixtures.computational_povm()
+    rows = {(u, v): (0.5, 0.5) for u in comp.outcomes for v in comp.outcomes}
+    d = SeparableDecomposition(comp, comp, ("a", "b"), {**rows, ("1", "0"): row})
+    assert np.shares_memory(d.row("1", "0"), d.table[1, 0])  # a view, not a copy
+    return d.row("1", "0")
+
+
+def _kernel_row(row):
+    # sigma3's blocks are keyed (u, v); the failing row is the last block's
+    inst = fixtures.load_fixture("binary-correlated")
+    sigma3 = auxiliary_states(inst.state, inst.decomposition.povm_A,
+                              inst.decomposition.povm_B)[2]
+    out = attach_classical(sigma3, "Z", ("a", "b"),
+                           lambda key: row if key == ("1", "1") else (0.5, 0.5))
+    return sorted(out.blocks)
+
+
+def _time_sharing(row):
+    inst = fixtures.load_fixture("binary-correlated")
+    pairs, _, recon, dobs = inst.rd_arguments()
+    recon = {**recon, **{(u, v, 1): st for (u, v, _), st in recon.items()}}
+    return rd_inner_bound(inst.state, {0: pairs[0], 1: pairs[0]}, dict(enumerate(row)),
+                          recon, dobs).sources
+
+
+_SEQS = np.array([[0, 0], [1, 1], [0, 1]])
+_QUBITS = (DensityOperator(np.diag([1.0, 0.0]), (2,)), DensityOperator(np.diag([0.0, 1.0]), (2,)))
+
+# site: (call on one two-entry row, law name, failing row's name, tol, whether
+# the call returns the stored row).  The joint-law sites hold the row on the
+# diagonal of p(u, v), one law of four entries.
+LAW_SITES = {
+    "typical_set": (lambda row: typical_set(row, 2, 0.5).probs, "probs", None, DEFAULT_TOL, True),
+    "typical_pairs": (lambda row: typical_pairs(_SEQS, _SEQS, np.diag(row), 0.5),
+                      "probs", None, DEFAULT_TOL, False),
+    "packing": (lambda row: packing_norm_trial(
+        fixtures.computational_povm(), fixtures.computational_povm(), np.diag(row),
+        2, 0.5, 0.5, 0.3, seed=0), "p_uv", None, DEFAULT_TOL, False),
+    "collision": (lambda row: binning_collision_rate(
+        ProtocolParams(n=2, Rt1=1.0, Rt2=1.0, R1=0.5, R2=0.5, delta=0.6), np.diag(row)),
+        "p_uv", None, DEFAULT_TOL, False),
+    "channel": (_channel_row, "channel row", ("1", "0"), DEFAULT_TOL, True),
+    "kernel": (_kernel_row, "kernel row", ("1", "1"), 1e-8, False),
+    "ensemble": (lambda row: Ensemble(row, _QUBITS).weights, "ensemble weights", None,
+                 DEFAULT_TOL, True),
+    "time-sharing": (_time_sharing, "time-sharing weights", None, DEFAULT_TOL, False),
+}
+
+
+@pytest.mark.parametrize("site", LAW_SITES)
+@pytest.mark.parametrize("bad,check", [
+    (lambda tol: (math.nan, 1.0), "must be finite"),
+    (lambda tol: (math.inf, 0.0), "must be finite"),
+    (lambda tol: (1.0, -math.inf), "must be finite"),
+    (lambda tol: (1.0 + 2 * tol, -2 * tol), "must be at least -{tol:g}"),
+    (lambda tol: (0.5, 0.5 + 2 * tol), "must sum to 1 within {tol:g}"),
+], ids=["nan", "inf", "-inf", "below-floor", "sum-off"])
+def test_every_law_site_refuses_by_the_rule(site, bad, check):
+    # each refusal names the law and, in a stack, the failing row, then
+    # shows that row's values
+    call, what, name, tol, _ = LAW_SITES[site]
+    law = what if name is None else f"{what} at {name!r}"
+    with pytest.raises(InvariantError, match="^" + re.escape(law + " " + check.format(tol=tol))
+                       + r".*, got \["):
+        call(bad(tol))
+
+
+@pytest.mark.parametrize("site", LAW_SITES)
+def test_every_law_site_clips_an_entry_within_tol(site):
+    # an entry in [-tol, 0) is accepted and read as 0.0: the call gives what
+    # it gives on the clipped row, and a stored row holds 0.0
+    call, _, _, tol, stores = LAW_SITES[site]
+    got = call((1.0 + tol / 2, -tol / 2))
+    want = call((1.0 + tol / 2, 0.0))
+    if stores:
+        assert got.tolist() == want.tolist() and got[1] == 0.0 and not math.copysign(1, got[1]) < 0
+    else:
+        assert got == want if not isinstance(got, np.ndarray) else np.array_equal(got, want)
+
+
+def test_outcome_distribution_takes_the_rule():
+    # the law is formed from validated finite operators, so only the floor,
+    # the sum and the clipping are reachable: |00> read by {diag(-e, 1),
+    # diag(1 + e, 0)} on A puts -e on p(0, 0)
+    rho = DensityOperator(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
+    comp = fixtures.computational_povm()
+
+    def povm_A(e, tol=DEFAULT_TOL):
+        return Povm(("0", "1"), (np.diag([-e, 1.0]), np.diag([1.0 + e, 0.0])), tol=tol)
+
+    p = outcome_distribution(rho, povm_A(5e-10), comp)
+    assert p[0, 0] == 0.0 and p.tolist() == [[0.0, 0.0], [1.0 + 5e-10, 0.0]]
+    with pytest.raises(InvariantError, match=r"^outcome distribution must be at least -1e-09"):
+        outcome_distribution(rho, povm_A(2e-9, tol=1e-8), comp)
+    shrunk = SubPovm(comp.outcomes, tuple((1.0 - 2e-9) * op for op in comp.operators))
+    with pytest.raises(InvariantError, match=r"^outcome distribution must sum to 1 within 1e-09"):
+        outcome_distribution(rho, shrunk, comp)
+
+
+def test_probability_rows_names_the_first_failing_row_of_a_stack():
+    rows = np.array([[[0.5, 0.5], [1.0, 0.0]], [[0.2, 0.7], [math.nan, 1.0]]])
+    with pytest.raises(InvariantError,
+                       match=re.escape("law at 'c' must sum to 1 within 1e-09, got [0.2, 0.7]")):
+        probability_rows("law", rows, names="abcd")
+    got = probability_rows("law", [[1.0 + 5e-10, -5e-10]] * 3)
+    assert got.shape == (3, 2) and got[:, 1].tolist() == [0.0] * 3

@@ -1180,7 +1180,7 @@ def test_packing_rejects_bad_distribution():
         ProtocolParams(n=2, Rt1=1.0, Rt2=1.0, R1=0.5, R2=0.5, delta=0.6), p),
 ], ids=["packing", "collision"])
 def test_non_finite_joint_law_rejected(call, fill):
-    with pytest.raises(InvariantError, match="p_uv must be a joint distribution matrix"):
+    with pytest.raises(InvariantError, match=rf"p_uv must be finite, got \[{fill}, {fill}, "):
         call(np.full((2, 2), fill))
 
 

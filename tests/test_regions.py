@@ -376,11 +376,11 @@ def test_rd_rate_rows_are_time_sharing_averages():
 
 
 @pytest.mark.parametrize("weights,message", [
-    ((1.0, math.nan), "non-finite time-sharing weight nan for 1"),
-    ((1.0, math.inf), "non-finite time-sharing weight inf for 1"),
-    ((1.0, -math.inf), "non-finite time-sharing weight -inf for 1"),
-    ((1.5, -0.5), "negative time-sharing probability"),
-])
+    ((1.0, math.nan), r"time-sharing weights must be finite, got \[1\.0, nan\]"),
+    ((1.0, math.inf), r"time-sharing weights must be finite, got \[1\.0, inf\]"),
+    ((1.0, -math.inf), r"time-sharing weights must be finite, got \[1\.0, -inf\]"),
+    ((1.5, -0.5), r"time-sharing weights must be at least -1e-09, got \[1\.5, -0\.5\]"),
+], ids=["nan", "inf", "-inf", "negative"])
 def test_rd_inner_bound_refuses_bad_weight(weights, message):
     # binary-correlated's pair as symbols 0 and 1; a NaN weight passes the
     # sum check (it compares false), so each bad weight is refused by name
