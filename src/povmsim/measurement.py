@@ -33,6 +33,7 @@ from .operators import (
     matrix_sqrt_and_pinv_sqrt,
     partial_trace,
     probability_rows,
+    psd_stack,
     purify,
     trace_norm,
     von_neumann_entropy,
@@ -52,8 +53,9 @@ class CqState:
     dimension ``qdims[name]``).  A classical register's outcomes are the ones
     its block keys hold.  Block traces are the outcome probabilities and must
     sum to 1.  The blocks are held as one (k, q, q) array ``stack`` in key
-    order, which ``blocks`` views; one ``eigvalsh`` call validates it, naming
-    the first failing block.
+    order, which ``blocks`` views.  The blocks are held to ``psd_stack`` at
+    ``tol``, named by key, up to the first whose key or shape is malformed;
+    then that one is refused, and the keys must be distinct.
     """
     cregisters: tuple
     qregisters: tuple
@@ -83,17 +85,15 @@ class CqState:
             mats.append(b)
         stack = np.array(mats, dtype=np.complex128).reshape(len(mats), qdim, qdim)
         # the blocks before a malformed one are checked first, as in key order
-        lo = np.linalg.eigvalsh(hermitize(stack)).min(axis=1, initial=0.0)
-        for key, low in zip(keys, lo):
-            if low < -self.tol:
-                raise InvariantError(f"block {key} not PSD: min eigenvalue {low:.3e}")
+        psd_stack("block", stack, self.tol, names=keys)
         if malformed is not None:
             raise InvariantError(malformed)
         if len(set(keys)) < len(keys):
             raise InvariantError("two blocks name the same tuple of outcomes")
         total = 0.0
-        for t in np.real(np.trace(stack, axis1=1, axis2=2)).tolist():
-            total += t
+        with np.errstate(over="ignore"):  # a trace that overflows to inf fails the test
+            for t in np.real(np.trace(stack, axis1=1, axis2=2)).tolist():
+                total += t
         if abs(total - 1.0) > max(self.tol, 1e-8):
             raise InvariantError(f"block traces sum to {total}, expected 1")
         object.__setattr__(self, "blocks", dict(zip(keys, stack)))

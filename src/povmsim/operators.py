@@ -41,16 +41,6 @@ EIG_CUTOFF = 1e-12  # relative to the largest eigenvalue
 # basic matrix helpers
 # ---------------------------------------------------------------------------
 
-def as_operator(entries) -> np.ndarray:
-    """Coerce input to a square complex128 matrix of finite entries."""
-    a = np.asarray(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvariantError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvariantError("matrix has a non-finite entry")
-    return a
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^dag)/2, of each matrix in a stack."""
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
@@ -79,10 +69,6 @@ def read_only(obj):
     return obj
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
 def probability_rows(what: str, rows, tol: float = DEFAULT_TOL, names=None) -> np.ndarray:
     """``rows`` as probability laws along its last axis, by the one rule
     every law of the package is held to.
@@ -97,7 +83,8 @@ def probability_rows(what: str, rows, tol: float = DEFAULT_TOL, names=None) -> n
     flat = p.reshape(math.prod(p.shape[:-1]), p.shape[-1])
     # NaN and -inf fail the floor, so only rows that pass it are summed
     ok = (flat >= -tol).all(axis=1)
-    ok &= np.abs(flat.sum(axis=1, where=ok[:, None]) - 1.0) <= tol
+    with np.errstate(over="ignore"):  # a sum that overflows to inf fails the test
+        ok &= np.abs(flat.sum(axis=1, where=ok[:, None]) - 1.0) <= tol
     if not ok.all():
         i = int(np.argmin(ok))
         row, law = flat[i], what if names is None else f"{what} at {names[i]!r}"
@@ -107,6 +94,36 @@ def probability_rows(what: str, rows, tol: float = DEFAULT_TOL, names=None) -> n
             raise InvariantError(f"{law} must be at least -{tol:g}, got {row.tolist()}")
         raise InvariantError(f"{law} must sum to 1 within {tol:g}, got {row.tolist()}")
     return np.maximum(p, 0.0, out=p)
+
+
+def psd_stack(what: str, mats, tol: float = DEFAULT_TOL, names=None) -> np.ndarray:
+    """``mats``, one matrix or with ``names`` a stack of them, as a complex128
+    (k, d, d) stack with its values unchanged, by the one rule every operator
+    of the package is held to: each matrix is square, has finite entries,
+    has max |A - A^dag| <= tol, and has no eigenvalue of its Hermitian part
+    below -tol.  A refusal names ``what`` and, in a stack, the first failing
+    matrix ``names[i]``, with that matrix's first failing check."""
+    a = np.asarray(mats, dtype=np.complex128)
+    stack = a[None] if names is None else a
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise InvariantError(f"{what} must be a square matrix, got shape {stack.shape[1:]}")
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    # halved first, the gap and the Hermitian part cannot overflow, and on
+    # normal entries they are half of A - A^dag and hermitize's value exactly
+    half = 0.5 * (stack if finite.all() else np.where(finite[:, None, None], stack, 0.0))
+    adj = np.swapaxes(half.conj(), 1, 2)
+    gap = np.abs(half - adj).max(axis=(1, 2), initial=0.0)
+    low = np.linalg.eigvalsh(half + adj).min(axis=1, initial=0.0)
+    ok = finite & (gap <= 0.5 * tol) & (low >= -tol)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        label = what if names is None else f"{what} at {names[i]!r}"
+        if not finite[i]:
+            raise InvariantError(f"{label} has a non-finite entry")
+        if not gap[i] <= 0.5 * tol:
+            raise InvariantError(f"{label} is not Hermitian within {tol:g}")
+        raise InvariantError(f"{label} is not PSD within {tol:g}: min eigenvalue {low[i]:.3e}")
+    return stack
 
 
 def tensor(*ops) -> np.ndarray:
@@ -229,7 +246,7 @@ def matrix_sqrt_and_pinv_sqrt(op):
     """
     a = np.asarray(op, dtype=np.complex128)
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if not is_hermitian(a, tol=1e-6 * scale):
+    if not np.max(np.abs(a - a.conj().T)) <= 1e-6 * scale:
         raise InvariantError("matrix square root expects a Hermitian operator")
     vals, vecs = eigh_desc(a)
     top = float(vals[0]) if vals.size else 0.0
@@ -271,29 +288,26 @@ class DensityOperator:
 
     Parameters
     ----------
-    mat : square complex matrix
+    mat : square complex matrix, held to ``psd_stack`` at ``tol`` first
     dims : ordered subsystem dimensions; their product must equal the side
-    tol : validation tolerance (Hermiticity, eigenvalue floor, trace)
+    tol : validation tolerance (``psd_stack``, then the trace to 1)
     """
     mat: np.ndarray
     dims: tuple
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        m = as_operator(self.mat)
+        m = psd_stack("density operator", self.mat, self.tol)[0]
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dims", dims)
         # a product of Python ints: a huge label cannot wrap round to the side
         if any(d < 1 for d in dims) or math.prod(dims) != m.shape[0]:
             raise InvariantError(f"dims {dims} must be positive integers with product {m.shape[0]}")
-        if not is_hermitian(m, self.tol):
-            raise InvariantError("density operator is not Hermitian within tol")
-        vals = np.linalg.eigvalsh(hermitize(m))
-        if float(np.min(vals)) < -self.tol:
-            raise InvariantError(f"density operator has eigenvalue {np.min(vals):.3e} < -tol")
-        if abs(float(np.real(np.trace(m))) - 1.0) > self.tol:
-            raise InvariantError(f"density operator trace {np.trace(m):.12f} != 1 within tol")
+        with np.errstate(over="ignore"):  # a trace that overflows to inf fails the test
+            trace = np.trace(m)
+        if abs(float(np.real(trace)) - 1.0) > self.tol:
+            raise InvariantError(f"density operator trace {trace:.12f} != 1 within tol")
 
     @property
     def dim(self) -> int:
@@ -332,8 +346,9 @@ def purify(rho: DensityOperator) -> np.ndarray:
 class SubPovm:
     """Indexed family of PSD operators summing to at most the identity.
 
-    The elements are validated as one stack (one Hermiticity gap, one
-    ``eigvalsh`` call); a failure names the first failing outcome.
+    The elements of the first one's shape are held to ``psd_stack`` at
+    ``tol``, named by outcome; then every element must share that positive
+    dimension, and I - sum must have no eigenvalue below -tol.
     """
     outcomes: tuple
     operators: tuple
@@ -341,7 +356,7 @@ class SubPovm:
 
     def __post_init__(self):
         outs = tuple(self.outcomes)
-        ops = tuple(as_operator(o) for o in self.operators)
+        ops = tuple(np.asarray(o, dtype=np.complex128) for o in self.operators)
         object.__setattr__(self, "outcomes", outs)
         object.__setattr__(self, "operators", ops)
         if len(outs) != len(ops):
@@ -350,23 +365,18 @@ class SubPovm:
             raise InvariantError("duplicate outcome labels")
         if not ops:
             raise InvariantError("a measurement needs at least one outcome")
-        d = ops[0].shape[0]
+        k = next((i for i, op in enumerate(ops) if op.shape != ops[0].shape), len(ops))
+        stack = psd_stack("operator", ops[:k], self.tol, names=outs)
+        d = stack.shape[1]
         if not d:
             raise InvariantError("a measurement needs positive dimension")
-        k = next((i for i, op in enumerate(ops) if op.shape[0] != d), len(ops))
-        stack = np.array(ops[:k])
-        skew = ~(np.max(np.abs(stack - np.swapaxes(stack.conj(), 1, 2)), axis=(1, 2)) <= self.tol)
-        negative = np.linalg.eigvalsh(hermitize(stack)).min(axis=1) < -self.tol
-        for x, not_hermitian, not_psd in zip(outs, skew, negative):
-            if not_hermitian:
-                raise InvariantError(f"operator for outcome {x!r} is not Hermitian")
-            if not_psd:
-                raise InvariantError(f"operator for outcome {x!r} is not PSD within tol")
         if k < len(ops):
             raise InvariantError("operators act on inconsistent dimensions")
-        gap = np.eye(d) - stack.sum(axis=0)
-        lo = float(np.min(np.linalg.eigvalsh(hermitize(gap))))
-        if lo < -self.tol:
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sum fails the test
+            gap = np.eye(d) - stack.sum(axis=0)
+        lo = float(np.linalg.eigvalsh(0.5 * gap + 0.5 * gap.conj().T)[0]) \
+            if np.isfinite(gap).all() else -math.inf
+        if not lo >= -self.tol:
             raise InvariantError(f"operator sum exceeds identity by {-lo:.3e}")
 
     @property

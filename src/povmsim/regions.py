@@ -36,7 +36,7 @@ from .measurement import (
     auxiliary_states,
     stochastic_sigma3,
 )
-from .operators import DEFAULT_TOL, DensityOperator, as_operator, hermitize, probability_rows
+from .operators import DEFAULT_TOL, DensityOperator, probability_rows, psd_stack
 
 QUANT_STEP = Fraction(1, 10 ** 9)
 
@@ -372,7 +372,8 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
     t = max(tol, 1e-9), before any state is built; a weight in [-t, 0) is
     read as 0); ``recon`` maps every (u, v, q) to a reconstruction
     DensityOperator, all of one dimension (both checked before any product);
-    ``delta`` is a PSD distortion observable on reference x reconstruction.
+    ``delta`` is a distortion observable on reference x reconstruction, held
+    to ``psd_stack`` at max(tol, 1e-9) before the reconstructions are read.
     Bounds are the three Q-conditioned rate rows and the average distortion.
     """
     unweighted = [q for q in povm_pairs if q not in p_q]
@@ -383,10 +384,7 @@ def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,
         raise InvariantError(f"time-sharing weight for {unpaired} has no POVM pair")
     p_q = dict(zip(povm_pairs, probability_rows(
         "time-sharing weights", [p_q[q] for q in povm_pairs], max(tol, 1e-9)).tolist()))
-    delta = as_operator(delta)
-    lo = float(np.min(np.linalg.eigvalsh(hermitize(delta)))) if delta.size else 0.0
-    if lo < -max(tol, 1e-9):
-        raise InvariantError("distortion observable must be PSD")
+    delta = psd_stack("distortion observable", delta, max(tol, 1e-9))[0]
 
     missing = [(u, v, q) for q, (ma, mb) in povm_pairs.items()
                for u in ma.outcomes for v in mb.outcomes if (u, v, q) not in recon]

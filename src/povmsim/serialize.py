@@ -193,16 +193,6 @@ def decomposition_from_json(what: str, obj) -> SeparableDecomposition:
     return d
 
 
-def ensemble_to_json(ens: Ensemble) -> dict:
-    if ens.outcomes is None:
-        raise InvariantError("only labeled ensembles serialize")
-    return {
-        "weights": [float(w) for w in ens.weights],
-        "outcomes": [list(o) if isinstance(o, tuple) else o for o in ens.outcomes],
-        "states": [density_to_json(s) for s in ens.states],
-    }
-
-
 def ensemble_from_json(what: str, obj) -> Ensemble:
     weights = json_numbers(f"{what} weights", json_field(what, obj, "weights"))
     outcomes = _labels(f"{what} outcomes", json_field(what, obj, "outcomes"))

@@ -232,7 +232,8 @@ def pruned_distribution(t: TypicalSet) -> PrunedDistribution:
     """Each member's product probability, left to right over its letters,
     divided by their sum."""
     if len(t) == 0 or t.mass <= 0.0:
-        raise InvariantError("cannot prune onto an empty typical set")
+        raise InvariantError(f"cannot prune onto an empty typical set (n = {t.n}, "
+                             f"delta = {t.delta!r}, letter law {t.probs.tolist()})")
     masses = kron_rows(t.probs.reshape(-1, 1, 1), t.seqs).ravel()
     return PrunedDistribution(masses / np.sum(masses))
 

@@ -49,6 +49,7 @@ from povmsim.protocol import (STREAM_PACKING_A, STREAM_PACKING_B, _count_for_rat
                                _distinct, _sandwich_factors, _sandwich_frame,
                                sentinel_sequence, substream)
 from povmsim.regions import GE, GT, RegionReport
+from povmsim.serialize import density_to_json
 from povmsim.typicality import _check_dim_cap, typical_pairs, typical_set
 
 #: outcome label appended by complete_sub_povm for the deficit operator
@@ -107,6 +108,12 @@ def ensemble_state(ens, outcome) -> DensityOperator:
     if ens.outcomes is None:
         raise InvariantError("ensemble has no outcome labels")
     return ens.states[ens.outcomes.index(outcome)]
+
+
+def ensemble_payload(ens) -> dict:
+    """A labelled ensemble as the JSON payload ``ensemble_from_json`` reads."""
+    return {"weights": [float(w) for w in ens.weights], "outcomes": list(ens.outcomes),
+            "states": [density_to_json(s) for s in ens.states]}
 
 
 def ensemble_weight(ens, outcome) -> float:
@@ -362,10 +369,23 @@ def measured_blocks_by_loop(rho: DensityOperator, povms) -> dict:
             for (ka, a), (kb, b) in itertools.product(*branches)}
 
 
+def _hermitian_part(a):
+    """0.5 A + 0.5 A^dag, which hermitize's (A + A^dag)/2 equals on entries
+    that are not subnormal, but without its overflow on entries near 1e308."""
+    return 0.5 * a + 0.5 * a.conj().T
+
+
+def _hermitian_gap(a) -> float:
+    """max |A - A^dag|, inf where the difference overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(a - a.conj().T)))
+
+
 def check_blocks_by_loop(cregisters, qregisters, qdims, blocks, tol=DEFAULT_TOL):
     """CqState's block checks one block at a time, in key order: key
-    length, shape, then one eigvalsh per block; then the trace sum.  Raises
-    the InvariantError the state must raise, or returns None."""
+    length, shape, finite entries, Hermitian, then one eigvalsh per block;
+    then the trace sum.  Raises the InvariantError the state must raise, or
+    returns None."""
     qdim = int(np.prod([qdims[q] for q in qregisters])) if qregisters else 1
     total = 0.0
     for key, blk in blocks.items():
@@ -375,9 +395,14 @@ def check_blocks_by_loop(cregisters, qregisters, qdims, blocks, tol=DEFAULT_TOL)
         b = np.asarray(blk, dtype=np.complex128)
         if b.shape != (qdim, qdim):
             raise InvariantError(f"block {key} has shape {b.shape}, expected {(qdim, qdim)}")
-        lo = float(np.min(np.linalg.eigvalsh(hermitize(b)))) if qdim else 0.0
+        if not np.isfinite(b).all():
+            raise InvariantError(f"block at {key!r} has a non-finite entry")
+        if not _hermitian_gap(b) <= tol:
+            raise InvariantError(f"block at {key!r} is not Hermitian within {tol:g}")
+        lo = float(np.min(np.linalg.eigvalsh(_hermitian_part(b)))) if qdim else 0.0
         if lo < -tol:
-            raise InvariantError(f"block {key} not PSD: min eigenvalue {lo:.3e}")
+            raise InvariantError(f"block at {key!r} is not PSD within {tol:g}: "
+                                 f"min eigenvalue {lo:.3e}")
         total += float(np.real(np.trace(b)))
     if abs(total - 1.0) > max(tol, 1e-8):
         raise InvariantError(f"block traces sum to {total}, expected 1")
@@ -385,19 +410,24 @@ def check_blocks_by_loop(cregisters, qregisters, qdims, blocks, tol=DEFAULT_TOL)
 
 def check_povm_by_loop(outcomes, operators, tol=DEFAULT_TOL, complete=False):
     """SubPovm's element checks one outcome at a time: common dimension,
-    Hermitian, PSD by its own eigvalsh; then the sum against the identity.
-    Raises the InvariantError the measurement must raise, or returns None."""
+    finite entries, Hermitian, PSD by its own eigvalsh; then the sum against
+    the identity.  Raises the InvariantError the measurement must raise, or
+    returns None."""
     ops = [np.asarray(o, dtype=np.complex128) for o in operators]
     d = ops[0].shape[0]
     for x, op in zip(outcomes, ops):
         if op.shape[0] != d:
             raise InvariantError("operators act on inconsistent dimensions")
-        if not np.max(np.abs(op - op.conj().T)) <= tol:
-            raise InvariantError(f"operator for outcome {x!r} is not Hermitian")
-        if float(np.min(np.linalg.eigvalsh(hermitize(op)))) < -tol:
-            raise InvariantError(f"operator for outcome {x!r} is not PSD within tol")
+        if not np.isfinite(op).all():
+            raise InvariantError(f"operator at {x!r} has a non-finite entry")
+        if not _hermitian_gap(op) <= tol:
+            raise InvariantError(f"operator at {x!r} is not Hermitian within {tol:g}")
+        lo = float(np.min(np.linalg.eigvalsh(_hermitian_part(op))))
+        if lo < -tol:
+            raise InvariantError(f"operator at {x!r} is not PSD within {tol:g}: "
+                                 f"min eigenvalue {lo:.3e}")
     gap = np.eye(d) - np.sum(ops, axis=0)
-    lo = float(np.min(np.linalg.eigvalsh(hermitize(gap))))
+    lo = float(np.min(np.linalg.eigvalsh(_hermitian_part(gap))))
     if lo < -tol:
         raise InvariantError(f"operator sum exceeds identity by {-lo:.3e}")
     if complete and float(np.max(np.abs(gap))) > tol:

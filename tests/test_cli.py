@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import unequal_dims
-from oracles import blockwise_auxiliary_states
+from oracles import blockwise_auxiliary_states, ensemble_payload
 from povmsim import cli, fixtures, protocol, serialize
 from povmsim.measurement import SeparableDecomposition
 from povmsim.operators import DensityOperator, SubPovm
@@ -496,6 +496,17 @@ def test_bad_recon_exits_3(payload, word, tmp_path, capsys):
     assert out == ""
 
 
+def test_empty_typical_set_names_n_delta_and_law(tmp_path, capsys):
+    # an instance file without a config runs at delta 0.3, where no length-3
+    # sequence of binary-correlated's uniform letters is typical
+    path = _write_config(tmp_path, _binary_correlated_rd_instance(), "input.json")
+    rc, out, err = _run(capsys, "--command", "simulate", "--n", "3", "--input", path)
+    assert rc == 3, err
+    assert err == ("invariant violation: cannot prune onto an empty typical set "
+                   "(n = 3, delta = 0.3, letter law [0.5, 0.5])\n")
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["simulate", "region", "rd-eval", "packing-sweep"])
 @pytest.mark.parametrize("payload, field", [
     (_example1_instance(p_uv="x"), "p_uv"),
@@ -520,7 +531,7 @@ def _full_example1_instance():
     inst = fixtures.load_fixture("example1")
     return json.loads(json.dumps(_example1_instance(
         p_uv=inst.p_uv.tolist(), delta_obs=serialize.matrix_to_json(inst.delta_obs),
-        ensemble=serialize.ensemble_to_json(fixtures.soft_covering_ensemble()))))
+        ensemble=ensemble_payload(fixtures.soft_covering_ensemble()))))
 
 
 def _set(*path, value):
@@ -679,7 +690,7 @@ def test_non_string_instance_name_exits_3(command, tmp_path, capsys):
     assert out == ""
 
 
-_ENSEMBLE = serialize.ensemble_to_json(fixtures.soft_covering_ensemble())
+_ENSEMBLE = ensemble_payload(fixtures.soft_covering_ensemble())
 _STATE = _example1_instance()["state"]
 _BAD_ENTRIES = [["q", 0]] + _STATE["entries"][1:]
 _EMPTY_STATE = {"rows": 0, "cols": 0, "entries": [], "dims": [0]}
@@ -709,6 +720,23 @@ def test_malformed_matrix_or_ensemble_payload_exits_3(extra, tmp_path, capsys):
     assert out == ""
 
 
+def _each(*mutations):
+    """A mutation applying each of ``mutations`` in turn."""
+    def mutate(payload):
+        for m in mutations:
+            m(payload)
+    return mutate
+
+
+def _diag(*values):
+    """A matrix payload of a real diagonal matrix."""
+    d = len(values)
+    return {"rows": d, "cols": d,
+            "entries": [[values[i // d], 0.0] if i % (d + 1) == 0 else [0.0, 0.0]
+                        for i in range(d * d)]}
+
+
+_HUGE = [1e308, 0.0]
 _QUTRIT_ELEMENT = {"rows": 3, "cols": 3,
                    "entries": [[0.5, 0.0] if i % 4 == 0 else [0.0, 0.0] for i in range(9)]}
 _WIDE_DELTA = {"rows": 2, "cols": 32, "entries": [[0.0, 0.0]] * 64}
@@ -724,8 +752,23 @@ _WIDE_DELTA = {"rows": 2, "cols": 32, "entries": [[0.0, 0.0]] * 64}
     (_set("decomposition", "povm_A", "operators", value=[{"rows": 0, "cols": 0, "entries": []}]
           * 2), "positive dimension"),
     (_set("delta_obs", value=_WIDE_DELTA), "square matrix"),
+    (_each(_set("delta_obs", "entries", 1, value=[0.4, 0.0]),
+           _set("delta_obs", "entries", 8, value=[-0.4, 0.0])),
+     "distortion observable is not Hermitian"),
+    (_each(_set("state", "entries", 1, value=_HUGE), _set("state", "entries", 4, value=_HUGE)),
+     "density operator is not PSD within 1e-09: min eigenvalue -1.000e+308"),
+    (_set("decomposition", "povm_A", "operators", 0,
+          value={"rows": 2, "cols": 2, "entries": [[1.0, 0.0], _HUGE, _HUGE, [0.0, 0.0]]}),
+     "operator at '0' is not PSD"),
+    (_set("decomposition", "povm_A", "operators", value=[_diag(1e308, 0.0), _diag(0.0, 1.0)]),
+     "operator sum exceeds identity by 1.000e+308"),
+    (_each(_set("state", "entries", 0, value=_HUGE), _set("state", "entries", 15, value=_HUGE)),
+     "density operator trace inf"),
+    (_set("decomposition", "channel", "rows", "(0,0)", value=[1e308, 1e308, 0.0, 0.0]),
+     "channel row at ('0', '0') must sum to 1"),
 ], ids=["inf-state-entry", "nan-povm-entry", "inf-delta_obs-entry", "mixed-povm-dims",
-        "empty-povm-elements", "wide-delta_obs"])
+        "empty-povm-elements", "wide-delta_obs", "skew-delta_obs", "huge-state-entry",
+        "huge-povm-entry", "huge-povm-sum", "huge-state-trace", "huge-channel-row"])
 def test_non_finite_or_misshapen_matrix_exits_3(mutate, word, tmp_path, capsys, recwarn):
     # an infinite or NaN entry is refused by name before any arithmetic can
     # warn (or print a NaN distortion), a measurement is validated before

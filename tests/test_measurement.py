@@ -1,6 +1,7 @@
 """Classical-quantum states, decompositions, and faithfulness distances."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,21 @@ def test_entropy_matches_validated_marginal_oracle(name):
 
 _PSD = np.diag([0.5, 0.0])
 _BENT = np.diag([0.5, -0.1])
+_NAN = np.array([[np.nan, 0.0], [0.0, 0.5]])
+_TILT = np.array([[0.5, 0.3], [-0.3, 0.5]])
+_HUGE = np.array([[0.5, 1e308], [1e308, 0.5]])
+
+
+@pytest.mark.parametrize("block,check", [
+    (_NAN, "has a non-finite entry"),
+    (_TILT, "is not Hermitian within 1e-09"),
+    (np.diag([0.5 + 0.4j, 0.5]), "is not Hermitian within 1e-09"),
+], ids=["nan", "skew", "complex-diagonal"])
+def test_cq_state_refuses_non_finite_or_skew_block(block, check):
+    # the eigenvalue floor alone passed a NaN block (entropy 0.0) and read a
+    # skew one by its Hermitian part (entropy 1.0)
+    with pytest.raises(InvariantError, match=re.escape(f"block at ('0',) {check}")):
+        CqState(("U",), ("R",), {"R": 2}, {("0",): block})
 
 
 @pytest.mark.parametrize("blocks", [
@@ -327,8 +343,13 @@ _BENT = np.diag([0.5, -0.1])
     {"a": _PSD, ("b",): 0.4 * np.eye(2)},
     {("a",): _PSD},
     {},
+    {("a",): _PSD, ("b",): _NAN, ("c",): _BENT},
+    {("a",): _BENT, ("b",): _NAN},
+    {("a",): _PSD, ("b",): _TILT, ("c",): _BENT},
+    {("a",): _HUGE, ("b",): _TILT},
 ], ids=["valid", "second-not-psd", "psd-before-shape", "shape-before-psd",
-        "psd-before-key", "key-before-psd", "bare-key-trace", "short-trace", "empty"])
+        "psd-before-key", "key-before-psd", "bare-key-trace", "short-trace", "empty",
+        "nan-before-psd", "psd-before-nan", "skew-before-psd", "huge-not-psd"])
 def test_stacked_block_checks_match_blockwise_oracle(blocks):
     # one eigvalsh over the stack reports the first failing block in key
     # order, and a malformed block stops the checks where the loop stopped

@@ -145,6 +145,9 @@ def test_entropy_and_trace_norm_of_stack_match_each_block():
 _HALF = 0.5 * np.eye(2)
 _SKEW = np.array([[0.5, 0.2], [0.0, 0.5]])
 _BENT = np.diag([0.5, -0.1])
+_NAN = np.array([[np.nan, 0.0], [0.0, 0.5]])
+_HUGE_SKEW = np.array([[0.0, 1e308], [-1e308, 0.0]])
+_HUGE = np.array([[1.0, 1e308], [1e308, 0.0]])
 
 
 @pytest.mark.parametrize("ops,complete", [
@@ -157,8 +160,14 @@ _BENT = np.diag([0.5, -0.1])
     ((_HALF, np.eye(3), _BENT), False),
     ((_HALF, 0.8 * np.eye(2)), False),
     ((_HALF, 0.25 * np.eye(2)), True),
+    ((_HALF, _NAN, _BENT), False),
+    ((_BENT, _NAN), False),
+    ((_HALF, _HUGE_SKEW), False),
+    ((_HALF, _HUGE), False),
+    ((np.diag([1e308, 0.0]), np.diag([0.0, 1.0])), False),
 ], ids=["povm", "sub-povm", "sub-povm-full", "first-skew", "psd-before-skew",
-        "psd-before-dims", "dims-before-psd", "oversum", "incomplete"])
+        "psd-before-dims", "dims-before-psd", "oversum", "incomplete", "nan-before-psd",
+        "psd-before-nan", "huge-skew", "huge-not-psd", "huge-oversum"])
 def test_stacked_povm_checks_match_per_outcome_oracle(ops, complete):
     # one Hermiticity gap and one eigvalsh over the stack name the first
     # failing outcome, with its first failing check, as the per-outcome loop

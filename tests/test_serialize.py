@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_povm, random_sub_povm
-from oracles import ensemble_state
+from oracles import ensemble_payload, ensemble_state
 from povmsim import fixtures
 from povmsim.errors import InvariantError
 from povmsim.measurement import deterministic_decomposition
@@ -20,7 +20,6 @@ from povmsim.serialize import (
     density_to_json,
     dumps,
     ensemble_from_json,
-    ensemble_to_json,
     format_cell,
     matrix_from_json,
     matrix_to_json,
@@ -108,7 +107,7 @@ def test_decomposition_tampered_flag_raises():
 
 def test_ensemble_round_trip():
     ens = fixtures.soft_covering_ensemble()
-    back = ensemble_from_json("ens", ensemble_to_json(ens))
+    back = ensemble_from_json("ens", ensemble_payload(ens))
     assert back.outcomes == ens.outcomes
     assert np.allclose(back.weights, ens.weights, atol=1e-15)
     for u in ens.outcomes:
