@@ -53,9 +53,10 @@ class CqState:
     dimension ``qdims[name]``).  A classical register's outcomes are the ones
     its block keys hold.  Block traces are the outcome probabilities and must
     sum to 1.  The blocks are held as one (k, q, q) array ``stack`` in key
-    order, which ``blocks`` views.  The blocks are held to ``psd_stack`` at
-    ``tol``, named by key, up to the first whose key or shape is malformed;
-    then that one is refused, and the keys must be distinct.
+    order, which ``blocks`` views.  This constructor holds the blocks to
+    ``psd_stack`` at ``tol``, named by key, up to the first whose key or shape
+    is malformed; then that one is refused, and the keys must be distinct.
+    ``_derived`` states skip these checks: their blocks are valid by construction.
     """
     cregisters: tuple
     qregisters: tuple
@@ -65,8 +66,7 @@ class CqState:
     stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cregisters", tuple(self.cregisters))
-        object.__setattr__(self, "qregisters", tuple(self.qregisters))
+        self.__dict__.update(cregisters=tuple(self.cregisters), qregisters=tuple(self.qregisters))
         for name in self.qregisters:
             if int(self.qdims.get(name, 0)) < 1:
                 raise InvariantError(f"quantum register {name!r} has no positive dimension")
@@ -96,8 +96,15 @@ class CqState:
                 total += t
         if abs(total - 1.0) > max(self.tol, 1e-8):
             raise InvariantError(f"block traces sum to {total}, expected 1")
-        object.__setattr__(self, "blocks", dict(zip(keys, stack)))
-        object.__setattr__(self, "stack", stack)
+        self.__dict__.update(blocks=dict(zip(keys, stack)), stack=stack)
+
+    @classmethod
+    def _derived(cls, cregisters, qregisters, qdims, keys, stack, tol):
+        """The state of a PSD (k, q, q) ``stack`` of trace 1 and distinct ``keys``, unchecked."""
+        state = object.__new__(cls)
+        state.__dict__.update(cregisters=cregisters, qregisters=qregisters, qdims=qdims,
+                              blocks=dict(zip(keys, stack)), tol=tol, stack=stack)
+        return state
 
     # -- register bookkeeping ------------------------------------------------
 
@@ -161,13 +168,16 @@ def attach_classical(cq: CqState, name: str, alphabet, kernel: Callable) -> CqSt
     """Adjoin a classical register distributed as kernel(existing outcomes).
 
     ``kernel`` maps a block key (tuple of classical outcomes) to a probability
-    vector over ``alphabet``; the rows are held to probability_rows at
-    max(cq.tol, 1e-9), a refusal naming the block key.  Zero-probability
-    branches are not materialized.
+    vector over the distinct labels of ``alphabet``; the rows are held to
+    probability_rows at max(cq.tol, 1e-9), a refusal naming the block key.
+    Zero-probability branches are not materialized.  The blocks go unchecked:
+    p(z|key) times a valid block is PSD, and each row sums to 1.
     """
     if name in cq.registers():
         raise InvariantError(f"register {name!r} already present")
     alphabet = tuple(alphabet)
+    if len(set(alphabet)) < len(alphabet):
+        raise InvariantError(f"register {name!r} repeats an outcome label: {alphabet}")
     keys = list(cq.blocks)
     rows = [np.asarray(kernel(key), dtype=float).ravel() for key in keys]
     for key, p in zip(keys, rows):
@@ -175,15 +185,10 @@ def attach_classical(cq: CqState, name: str, alphabet, kernel: Callable) -> CqSt
             raise InvariantError(f"kernel row for {key} has wrong length")
     table = probability_rows("kernel row", np.reshape(rows, (len(keys), len(alphabet))),
                              max(cq.tol, 1e-9), names=keys)
-    blocks = {key + (z,): pz * blk for key, blk, p in zip(keys, cq.stack, table)
-              for z, pz in zip(alphabet, p) if pz > 0.0}
-    return CqState(
-        cregisters=cq.cregisters + (name,),
-        qregisters=cq.qregisters,
-        qdims=dict(cq.qdims),
-        blocks=blocks,
-        tol=cq.tol,
-    )
+    i, z = np.nonzero(table > 0.0)
+    return CqState._derived(cq.cregisters + (name,), cq.qregisters, dict(cq.qdims),
+                            [keys[a] + (alphabet[b],) for a, b in zip(i.tolist(), z.tolist())],
+                            table[i, z, None, None] * cq.stack[i], cq.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +301,7 @@ def outcome_distribution(rho_AB: DensityOperator, povm_A: SubPovm,
     return probability_rows("outcome distribution", p.ravel()).reshape(p.shape)
 
 
-def _measured_state(proj: np.ndarray, dims: tuple, povms: tuple) -> CqState:
+def _measured_state(proj: np.ndarray, dims: tuple, povms: tuple, tol: float) -> CqState:
     """The purification's projector with each side whose POVM is given
     measured (None leaves that side quantum): classical registers U, V for
     the measured sides, quantum R and the unmeasured sides.  dims are
@@ -316,11 +321,13 @@ def _measured_state(proj: np.ndarray, dims: tuple, povms: tuple) -> CqState:
             keys = [k + (x,) for k in keys for x in povm.outcomes]
             ops = kron_pairs(ops, np.array(povm.operators))
     blocks = hermitize(partial_trace(ops @ proj, dims, keep))
-    return CqState(classical, tuple(quantum), quantum, dict(zip(keys, blocks)), tol=1e-8)
+    return CqState._derived(classical, tuple(quantum), quantum, keys, blocks, tol)
 
 
 def auxiliary_states(rho_AB: DensityOperator, povm_A: Povm, povm_B: Povm):
-    """The three post-measurement states behind the distributed rate bounds.
+    """The three post-measurement states behind the distributed rate bounds,
+    unchecked at the inputs' loosest tol (at least 1e-8): their blocks are
+    partial traces of PSD products of inputs that passed ``psd_stack``.
 
     With Psi the canonical purification of rho_AB (reference R first, of
     dimension dA·dB), measured by povm_A on side A and povm_B on side B:
@@ -334,7 +341,8 @@ def auxiliary_states(rho_AB: DensityOperator, povm_A: Povm, povm_B: Povm):
         raise InvariantError(f"state dims {rho_AB.dims} do not match the POVM pair's {dims}")
     psi = purify(rho_AB)
     proj = np.outer(psi, psi.conj())
-    return tuple(_measured_state(proj, (rho_AB.dim,) + dims, povms)
+    tol = max(rho_AB.tol, povm_A.tol, povm_B.tol, 1e-8)
+    return tuple(_measured_state(proj, (rho_AB.dim,) + dims, povms, tol)
                  for povms in ((povm_A, None), (None, povm_B), (povm_A, povm_B)))
 
 

@@ -353,13 +353,13 @@ def dist_stochastic_region(sigma1: CqState, sigma2: CqState,
 
 
 def _merge_with_q(per_q: Mapping, p_q: Mapping) -> CqState:
-    """Attach a time-sharing register Q, weighted by p_q, to states that share
-    one register layout (each comes from the same auxiliary_states slot)."""
+    """Attach a time-sharing register Q, weighted by p_q, to states of one
+    auxiliary_states slot, unchecked: p_q is a validated law, and they are valid."""
     first = next(iter(per_q.values()))
-    blocks = {key + (q,): float(p_q[q]) * blk for q, st in per_q.items()
-              if float(p_q[q]) > 0.0 for key, blk in st.blocks.items()}
-    return CqState(first.cregisters + ("Q",), first.qregisters, dict(first.qdims),
-                   blocks, tol=max(first.tol, 1e-8))
+    live = [(q, st) for q, st in per_q.items() if p_q[q] > 0.0]
+    return CqState._derived(first.cregisters + ("Q",), first.qregisters, dict(first.qdims),
+                            [key + (q,) for q, st in live for key in st.blocks],
+                            np.concatenate([p_q[q] * st.stack for q, st in live]), first.tol)
 
 
 def rd_inner_bound(rho_AB: DensityOperator, povm_pairs: Mapping, p_q: Mapping,

@@ -76,6 +76,44 @@ def unequal_dims(dims, seed):
                                params=dataclasses.replace(inst.params, delta=1.5)), d
 
 
+def commuting_instance(seed):
+    """A state and decomposition that reduce to a classical law, with its arrays.
+
+    rho_AB = sum p(a, b)|ab><ab| is read by diagonal POVMs lam(u|a) and
+    mu(v|b), with dA, dB in {2, 3} and 2-3 outcomes a side.  Every third seed
+    is rank-deficient (zeros in p, and in lam's first row), every odd seed
+    has stochastic rows w(z|u, v) over 2-3 letters (w is None for the
+    identity pairing), and seeds 2, 3 mod 4 rotate both sides by random
+    local unitaries, which keep every commutator, so the operators are
+    complex and not diagonal.  Returns ((p, lam, mu, w), state, decomposition).
+    """
+    rng = np.random.default_rng([seed, 1901])
+    dA, dB = (int(x) for x in rng.integers(2, 4, size=2))
+    nu, nv = (int(x) for x in rng.integers(2, 4, size=2))
+    p = rng.dirichlet(np.ones(dA * dB))
+    lam = rng.dirichlet(np.ones(nu), size=dA)
+    mu = rng.dirichlet(np.ones(nv), size=dB)
+    if seed % 3 == 0:
+        p[rng.permutation(dA * dB)[:int(rng.integers(1, dA * dB - 1))]] = 0.0
+        p /= p.sum()
+        lam[0] = np.eye(nu)[int(rng.integers(nu))]
+    p = p.reshape(dA, dB)
+    ua, ub = np.eye(dA), np.eye(dB)
+    if seed % 4 >= 2:
+        ua, ub = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+                  for d in (dA, dB))
+    u = np.kron(ua, ub)
+    state = DensityOperator(u @ np.diag(p.ravel()) @ u.conj().T, (dA, dB))
+    povm_A = Povm(tuple(range(nu)), tuple(ua @ np.diag(col) @ ua.conj().T for col in lam.T))
+    povm_B = Povm(tuple(range(nv)), tuple(ub @ np.diag(col) @ ub.conj().T for col in mu.T))
+    if seed % 2 == 0:
+        return (p, lam, mu, None), state, deterministic_decomposition(povm_A, povm_B)
+    w = rng.dirichlet(np.ones(int(rng.integers(2, 4))), size=(nu, nv))
+    d = SeparableDecomposition(povm_A, povm_B, tuple("abc"[:w.shape[-1]]),
+                               {(a, b): w[a, b] for a in range(nu) for b in range(nv)})
+    return (p, lam, mu, w), state, d
+
+
 def invariant_message(build, *args):
     """The message of the InvariantError that build(*args) raises, or None."""
     try:

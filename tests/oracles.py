@@ -280,6 +280,36 @@ def shannon_entropy(p) -> float:
     return float(-np.sum(pos * np.log2(pos)))
 
 
+def classical_region_sources(p, lam, mu, w=None) -> dict:
+    """region_for's sources for a commuting instance, as Shannon quantities.
+
+    rho_AB = sum p(a, b)|ab><ab| read by diagonal POVMs lam(u|a), mu(v|b)
+    (and the rows w(z|u, v), if given) makes the purification's R a coherent
+    copy of AB, so every source is a Shannon quantity of the law
+    p(a, b) lam(u|a) mu(v|b) w(z|u, v): I(U;RB) = I(U;A), I(V;RA) = I(V;B),
+    I(U;RZV) = I(U;ABZV), I(V;RZ) = I(V;ABZ) and I(UV;RZ) = I(UV;ABZ).
+    Only numpy is used: no entropy, state or measurement of the package.
+    """
+    law = np.einsum("ab,au,bv->abuv", p, lam, mu)
+    if w is not None:
+        law = np.einsum("abuv,uvz->abuvz", law, w)
+
+    def h(*axes):  # axes among a, b, u, v, z = 0..4
+        q = law.sum(axis=tuple(i for i in range(law.ndim) if i not in axes)).ravel()
+        q = q[q > 0.0]
+        return float(-np.sum(q * np.log2(q)))
+
+    a, b, u, v, z = range(5)
+    i1, i2, iuv = h(u) + h(a) - h(a, u), h(v) + h(b) - h(b, v), h(u) + h(v) - h(u, v)
+    if w is None:
+        return {"I(U;RB)": i1, "I(V;RA)": i2, "I(U;V)": iuv, "S(U)": h(u), "S(V)": h(v),
+                "S(U,V)": h(u, v), "S(U|V)": h(u, v) - h(v), "S(V|U)": h(u, v) - h(u)}
+    return {"I(U;RB)": i1, "I(V;RA)": i2, "I(U;V)": iuv,
+            "I(U;RZV)": h(u) + h(a, b, v, z) - h(a, b, u, v, z),
+            "I(V;RZ)": h(v) + h(a, b, z) - h(a, b, v, z),
+            "I(UV;RZ)": h(u, v) + h(a, b, z) - h(a, b, u, v, z)}
+
+
 def quantum_mutual_information(rho: DensityOperator, cut) -> float:
     """I(A;B) = S(A) + S(B) - S(AB) for the bipartition selected by ``cut``.
 

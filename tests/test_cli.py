@@ -10,12 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import unequal_dims
+from conftest import commuting_instance, stochastic_binary, unequal_dims
 from oracles import blockwise_auxiliary_states, ensemble_payload
-from povmsim import cli, fixtures, protocol, serialize
+from povmsim import cli, fixtures, measurement, protocol, serialize
 from povmsim.measurement import SeparableDecomposition
 from povmsim.operators import DensityOperator, SubPovm
-from povmsim.regions import dist_deterministic_region
+from povmsim.regions import dist_deterministic_region, rd_inner_bound, region_for
 
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
@@ -99,6 +99,43 @@ def test_analysis_stdout_matches_bench_reference(name, label, capsys):
     rc, out, err = _run(capsys, "--command", label, "--input", name)
     assert rc == 0 and err == ""
     assert out == want[f"{label}/{name}"]
+
+
+def test_analysis_validates_no_derived_block(monkeypatch, capsys):
+    # the analysis states are built from validated states, POVMs and laws,
+    # so no block of theirs goes through psd_stack again: not in the eight
+    # analysis commands, a stochastic region or a two-symbol rd bound
+    calls = []
+    check = measurement.psd_stack
+
+    def counted(what, *args, **kwargs):
+        calls.append(what)
+        return check(what, *args, **kwargs)
+
+    monkeypatch.setattr(measurement, "psd_stack", counted)
+    for name in fixtures.FIXTURE_NAMES:
+        for label in ("region", "fm-check", "covering-check", "rd-eval"):
+            assert _run(capsys, "--command", label, "--input", name)[0] == 0
+    inst = fixtures.load_fixture("binary-correlated")
+    region_for(inst.state, stochastic_binary())
+    pairs, _, recon, dobs = inst.rd_arguments()
+    recon = {**recon, **{(u, v, 1): st for (u, v, _), st in recon.items()}}
+    rd_inner_bound(inst.state, {0: pairs[0], 1: pairs[0]}, {0: 0.25, 1: 0.75}, recon, dobs)
+    assert calls.count("block") == 0
+    # the public constructor still checks its blocks through the same name
+    measurement.CqState(("U",), ("R",), {"R": 1}, {("0",): [[1.0]]})
+    assert calls.count("block") == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 6, 7])
+def test_fm_check_on_commuting_instances(seed, tmp_path, capsys):
+    # rank-deficient, stochastic and locally rotated commuting instances,
+    # read from an instance file
+    _, state, d = commuting_instance(seed)
+    path = _write_config(tmp_path, {"state": serialize.density_to_json(state),
+                                    "decomposition": serialize.decomposition_to_json(d)},
+                         "instance.json")
+    assert _run(capsys, "--command", "fm-check", "--input", path) == (0, "EQUAL\n", "")
 
 
 def _blockwise_region(state, d):

@@ -105,6 +105,21 @@ def test_attach_classical_chain_rule():
     assert abs(cq2.mutual_information(("X",), ("Y",)) - shannon_entropy(probs)) < 1e-10
 
 
+@pytest.mark.parametrize("row", [[1.0, 0.0], [0.5, 0.5]], ids=["unit", "split"])
+def test_attach_classical_refuses_repeated_label(row):
+    # ("a", "a") gave a 16-block state for the unit row, and the split row
+    # was refused only as "block traces sum to 0.49999999999999983"; the
+    # alphabet is refused by name before any kernel row is read
+    inst = fixtures.load_fixture("example1")
+    sigma3 = auxiliary_states(inst.state, inst.decomposition.povm_A,
+                              inst.decomposition.povm_B)[2]
+    read = []
+    with pytest.raises(InvariantError,
+                       match=re.escape("register 'Z' repeats an outcome label: ('a', 'a')")):
+        attach_classical(sigma3, "Z", ("a", "a"), lambda key: read.append(key) or row)
+    assert read == []
+
+
 # ---------------------------------------------------------------------------
 # measuring one half of a purification
 # ---------------------------------------------------------------------------
@@ -312,6 +327,20 @@ def test_entropy_matches_validated_marginal_oracle(name):
         for k in range(len(regs) + 1):
             for subset in itertools.combinations(regs, k):
                 assert cq.entropy(subset) == oracle.entropy(subset), (regs, subset)
+
+
+@pytest.mark.parametrize("name", ANALYSIS_INSTANCES)
+def test_derived_states_pass_the_public_checks(name):
+    # auxiliary_states and attach_classical build their states unchecked;
+    # the public constructor, with every check, accepts each of them at its
+    # own tol and stacks the same blocks bit for bit
+    rho, d = _analysis_instance(name)
+    sigma1, sigma2, sigma3 = auxiliary_states(rho, d.povm_A, d.povm_B)
+    for cq in (sigma1, sigma2, sigma3, stochastic_sigma3(sigma3, d)):
+        checked = CqState(cq.cregisters, cq.qregisters, cq.qdims, cq.blocks, cq.tol)
+        assert list(checked.blocks) == list(cq.blocks)
+        assert checked.stack.dtype == cq.stack.dtype
+        assert checked.stack.tobytes() == cq.stack.tobytes()
 
 
 _PSD = np.diag([0.5, 0.0])

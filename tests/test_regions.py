@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_density, random_povm
+from conftest import commuting_instance, random_density, random_povm
 from oracles import (
     blockwise_auxiliary_states,
     bounds_of,
+    classical_region_sources,
     fourier_motzkin_fractions,
     fraction_rows,
     p2p_stochastic_region,
@@ -19,7 +20,7 @@ from oracles import (
 )
 from povmsim import fixtures
 from povmsim.errors import InvariantError
-from povmsim.measurement import auxiliary_states, stochastic_sigma3
+from povmsim.measurement import CqState, auxiliary_states, stochastic_sigma3
 from povmsim.operators import DensityOperator, Povm
 from povmsim.regions import (
     GE,
@@ -27,6 +28,7 @@ from povmsim.regions import (
     QUANT_STEP,
     InequalitySystem,
     RateTriple,
+    _merge_with_q,
     dist_deterministic_region,
     dist_stochastic_region,
     fourier_motzkin,
@@ -245,6 +247,18 @@ def test_fm_check_on_generated_instances(dims):
         assert (got.variables, fraction_rows(got)) == want, (dims, seed)
 
 
+def test_fm_elimination_of_classical_constants_reaches_single_letter_region():
+    # fm-check's deterministic-integration constants of commuting instances,
+    # computed without the package's states, project onto the single-letter
+    # region they define
+    for seed in range(8):
+        p, lam, mu, _ = commuting_instance(seed)[0]
+        s = classical_region_sources(p, lam, mu)
+        tup = (s["I(U;RB)"], s["I(V;RA)"], s["I(U;V)"], s["S(U)"], s["S(V)"])
+        got = fourier_motzkin(intermediate_system(*tup), ("Rt1", "Rt2", "C1", "C2"))
+        assert got.same_region(single_letter_system(*tup)), seed
+
+
 # ---------------------------------------------------------------------------
 # region reports
 # ---------------------------------------------------------------------------
@@ -316,6 +330,19 @@ def test_membership_missing_variable_raises():
         membership({"R1": 1.0, "R2": 1.0}, rep)
 
 
+def test_region_sources_match_classical_reduction():
+    # commuting instances (rank-deficient, stochastic and locally rotated
+    # ones among them) reduce every source to a Shannon quantity of one
+    # classical law; the oracle reads only that law
+    for seed in range(200):
+        arrays, state, d = commuting_instance(seed)
+        got = region_for(state, d).sources
+        want = classical_region_sources(*arrays)
+        assert got.keys() == want.keys(), seed
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12, (seed, key, got[key], value)
+
+
 # ---------------------------------------------------------------------------
 # rate-distortion surface
 # ---------------------------------------------------------------------------
@@ -373,6 +400,24 @@ def test_rd_rate_rows_are_time_sharing_averages():
         assert abs(got["rdrate1"] - (i1 - iuv)) <= 1e-12, seed
         assert abs(got["rdrate2"] - (i2 - iuv)) <= 1e-12, seed
         assert abs(got["rdrate3"] - (i1 + i2 - iuv)) <= 1e-12, seed
+
+
+def test_merged_states_pass_the_public_checks():
+    # the time-sharing merge builds its states unchecked; the public
+    # constructor, with every check, accepts each of them at its own tol and
+    # stacks the same blocks bit for bit
+    rng = np.random.default_rng(41)
+    rho = random_density(rng, (2, 3))
+    pairs = {q: (random_povm(rng, 2, int(rng.integers(2, 4))),
+                 random_povm(rng, 3, int(rng.integers(2, 4)))) for q in (0, 1)}
+    sigmas = {q: auxiliary_states(rho, ma, mb) for q, (ma, mb) in pairs.items()}
+    for slot in range(3):
+        merged = _merge_with_q({q: s[slot] for q, s in sigmas.items()}, {0: 0.375, 1: 0.625})
+        checked = CqState(merged.cregisters, merged.qregisters, merged.qdims, merged.blocks,
+                          merged.tol)
+        assert list(checked.blocks) == list(merged.blocks)
+        assert len(merged.blocks) == sum(len(s[slot].blocks) for s in sigmas.values())
+        assert checked.stack.tobytes() == merged.stack.tobytes()
 
 
 @pytest.mark.parametrize("weights,message", [
