@@ -22,12 +22,13 @@ sandwich is H diag(w_u x w_v) H^dag with the thin factor H = C^dag (Z_u x Z_v).
 Each sender's draws over all mu are one column array cut from the setup's,
 and one pass over the two arrays puts the factor column of every column
 pair, unpadded, into one pool.  Blocks stay in that form through scoring:
-a pair, decoded, emitted or target block is a set of (column, weight)
-entries tagged with its integer block id, whose trace norm comes from the
-R of one QR of its columns side by side.  The pool gives G, and error_split
-scores the covering/binning error split (s1, s2) from the same pool on
-demand; binned cells are never sandwiched, as a cell's block is the sum of
-its codeword pairs' columns.
+a pair, decoded or emitted block is a set of (column, weight) entries
+tagged with its integer block id, a target block comes from its letters'
+factors where it is scored, and a trace norm from the R of one QR of a
+block's columns side by side.  The pool gives G, and error_split scores
+the covering/binning error split (s1, s2) from the same pool on demand;
+binned cells are never sandwiched, as a cell's block is the sum of its
+codeword pairs' columns.
 Everything is deterministic given (params, seed); randomness flows through
 counter-based substreams, one per random object.  Only the codebooks, the
 bins and the decoder are random; what they are built on (the bundles, the
@@ -110,10 +111,15 @@ def _count_for_rate(n: int, rate: float) -> int:
     return max(1, round(2.0 ** (n * rate)))
 
 
-def _check_cell_cap(params: ProtocolParams):
+def _check_draw_caps(params: ProtocolParams):
+    """Refuse more than SEQ_CAP decoder cells, or codeword draws on a side."""
     cells = params.N1 * params.N2 * params.bins1 * params.bins2
     if cells > SEQ_CAP:
         raise CapExceededError(f"{cells} decoder cells exceed the cap {SEQ_CAP}")
+    for side, N, L in (("A", params.N1, params.L1), ("B", params.N2, params.L2)):
+        if N * L > SEQ_CAP:
+            raise CapExceededError(
+                f"side {side} draws {N} x {L} = {N * L} codewords, over the cap {SEQ_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +464,8 @@ def _sandwich_frame(rho_AB: DensityOperator, n: int):
 
 def _sandwich_factors(zx: np.ndarray, zy: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """C^dag (x_i x y_j) for every column x_i of zx and y_j of zy, C given by
-    _sandwich_frame's frame: the rows of a (K_x K_y, r^n) array, row i K_y + j.
+    _sandwich_frame's frame: row i K_y + j of a (K_x K_y, r^n) transposed
+    view of the one product array, so the rows are not copied.
 
     For X = zx diag(s) zx^dag and Y = zy diag(t) zy^dag with real weights,
     C^dag (X x Y) C = H diag(s x t) H^dag with these rows as H's columns, so
@@ -469,69 +476,57 @@ def _sandwich_factors(zx: np.ndarray, zy: np.ndarray, frame: np.ndarray) -> np.n
     half = frame @ zx
     # h[p, i, j] = sum_y half[y, p, i] zy[y, j]
     h = half.reshape(len(zy), -1).T @ zy
-    return np.ascontiguousarray(h.reshape(len(frame) // len(zy), -1).T)
+    return h.reshape(len(frame) // len(zy), -1).T
 
 
 def _trace_norm_sum(pool: np.ndarray, block: np.ndarray, col: np.ndarray,
-                    weight: np.ndarray) -> float:
-    """Sum of the trace norms of Hermitian blocks in factor form.
+                    weight: np.ndarray, table: np.ndarray, idx: np.ndarray) -> tuple:
+    """(sum_x ||T_x + P_x||_1, sum_x tr T_x) over Hermitian blocks in factor
+    form, one per row of idx.
 
-    Entry e puts the column pool[col[e]] with the real weight weight[e] into
-    block block[e], which stands for F diag(s) F^dag over its entries in
-    entry order, F holding its m columns side by side, each a row of pool.
+    T_x = G G^dag with G = kron_rows(table, idx[x]), ``table`` a stack of
+    r x c factors (c = 0 gives T_x = 0): with _letter_factors per letter
+    index, T_x is the product target block (x)_k c1^dag op(idx[x, k]) c1.
+    P_x sums weight[e] p p^dag, p = pool[col[e]], over the entries e with
+    block[e] = x, so block x is F diag(s) F^dag, F holding G's c^n columns
+    at weight 1 and then its entries' columns in entry order.
     With F = QR a block shares its nonzero eigenvalues with R diag(s) R^dag,
     so blocks of one width m go through one batched reduced QR and one
     eigvalsh; when m is at least F's row count QR cannot shrink F, and F
     itself serves as R.
-    Widths go in order of first appearance, each width's blocks gathered a
-    chunk at a time, so that no gathered factor holds more than GATHER_CAP
-    entries unless a single block does; a block id without entries is a
-    zero block.
+    Widths go in order of first appearance, each width's blocks built a
+    chunk at a time, so that no factor holds more than GATHER_CAP entries
+    unless a single block does; tr T_x, G's squared magnitude, is summed
+    over row chunks of idx under the same cap.
     """
     side = pool.shape[1]
     order = np.argsort(block, kind="stable")
     cols, weights = col[order], weight[order]
-    widths = np.bincount(block)
-    starts = np.cumsum(widths) - widths
+    entries, t = np.bincount(block, minlength=len(idx)), table.shape[2] ** idx.shape[1]
+    starts, widths = np.cumsum(entries) - entries, entries + t
     _, first = np.unique(widths, return_index=True)
     total = 0.0
     for m in widths[np.sort(first)]:
-        heads = starts[widths == m]
+        ids = np.flatnonzero(widths == m)
         step = max(1, GATHER_CAP // max(1, m * side))
-        for i in range(0, len(heads), step):
-            take = heads[i:i + step, None] + np.arange(m)
-            f = pool[cols[take]].transpose(0, 2, 1)
+        for i in range(0, len(ids), step):
+            take = starts[ids[i:i + step], None] + np.arange(m - t)
+            f = np.concatenate([kron_rows(table, idx[ids[i:i + step]]).transpose(0, 2, 1),
+                                pool[cols[take]]], axis=1).transpose(0, 2, 1)
             r = f if m >= side else np.linalg.qr(f, mode="r")
-            rs = r * weights[take][:, None, :]
+            rs = r * np.concatenate([np.ones((len(take), t)), weights[take]], axis=1)[:, None, :]
             r = np.conj(r, out=r).transpose(0, 2, 1)  # r is this chunk's own array
             total += np.abs(np.linalg.eigvalsh(rs @ r)).sum()
-    return float(total)
+    step = max(1, GATHER_CAP // max(1, t * side))
+    mass = sum((float(np.sum(np.abs(kron_rows(table, idx[i:i + step])) ** 2))
+                for i in range(0, len(idx), step)), 0.0)
+    return float(total), mass
 
 
 def _letter_factors(c1: np.ndarray, letter_ops) -> np.ndarray:
     """The support factor of c1^dag op c1 for each letter's PSD operator,
     stacked and zero-padded to one width; a zero letter has no columns."""
     return _support_factor(c1.conj().T @ np.stack(letter_ops) @ c1)
-
-
-def _gap_norms(table: np.ndarray, idx: np.ndarray, pool: np.ndarray,
-               block: np.ndarray, col: np.ndarray, weight: np.ndarray) -> tuple:
-    """(sum_x ||T_x - P_x||_1, sum_x tr T_x) over the blocks x = 0, 1, ...
-    of idx's rows, P_x being block x of the entries (block, col, weight).
-
-    T_x is the product target block (x)_k c1^dag op(idx[x, k]) c1, ``table``
-    holding _letter_factors per letter index, so T_x is the Gram matrix of
-    the Kronecker row of its letters' factors.  The target columns join the
-    pool, and their entries go in front of P_x's, whose weights are negated.
-    """
-    targets = kron_rows(table, idx)
-    count, side, width = targets.shape
-    pool = np.concatenate([pool, targets.transpose(0, 2, 1).reshape(-1, side)])
-    t_cols = np.arange(len(pool) - count * width, len(pool))
-    gaps = _trace_norm_sum(pool, np.concatenate([np.repeat(np.arange(count), width), block]),
-                           np.concatenate([t_cols, col]),
-                           np.concatenate([np.ones(count * width), -weight]))
-    return gaps, float(np.sum(np.abs(targets) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +688,7 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
     dA, dB = d.dims
     n = params.n
     _check_dim_cap(dA * dB, n)
-    _check_cell_cap(params)
+    _check_draw_caps(params)
     if rho_AB.dims != (dA, dB):
         raise InvariantError("state and decomposition dimensions disagree")
     setup = _setup(rho_AB, d, n, params.delta)
@@ -729,8 +724,11 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
     bin_B = binmaps[1].assignments[mu_B, id_B]
     pool = _sandwich_factors(z_A, z_B, setup.frame)
     weight = (w_A[:, None] * w_B).ravel() * (1.0 / (params.N1 * params.N2))
-    mass = np.abs(pool)
-    covered = float(np.sum(np.sum(np.square(mass, out=mass), axis=1) * weight))
+    mass, step = np.empty(len(pool)), max(1, GATHER_CAP // max(1, pool.shape[1]))
+    for i in range(0, len(pool), step):  # the covered mass, a row chunk at a time
+        rows = np.abs(pool[i:i + step], order="C")
+        mass[i:i + step] = np.sum(np.square(rows, out=rows), axis=1)
+    covered = float(np.sum(mass * weight))
     return _Realization(setup, (gamma_A, gamma_B), checks, binmaps, decoder, pool, weight,
                         (id_A[:, None] * nv + id_B).ravel(),
                         tables[mu_A[:, None], mu_B, bin_A[:, None], bin_B].ravel(),
@@ -751,23 +749,25 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     objects that depend on (rho_AB, d, n, delta) alone come from _setup,
     which rebuilds them only when those values change.
 
-    Memory scales with the factors, r = rank(rho_AB): the pool holds
-    (sum k_A)(sum k_B) unpadded columns of r^n entries, formed in one pass,
-    the sums running over each side's distinct codewords of every mu and k
-    being their widths, with a few integer ids per column; scoring adds the
-    target columns and gathers the blocks of each width m a chunk at a
-    time, the r^n x m factors of a chunk holding at most GATHER_CAP entries
-    in all (one block, if that alone is wider) and giving min(r^n, m)^2
-    blocks to diagonalize.  No Python object is kept per codeword,
-    codeword pair or decoded cell, no matrix per codeword is formed, and no
-    (dA dB)^n-sided operator; sub-POVM validity takes one d^n-sided matrix
-    per family.  The pool and the entry index arrays are held under no cap:
-    a stochastic integration fans each decoded pair into many image blocks,
-    each taking all its pairs' columns, so image entries can far outnumber
-    the pool's columns.  Between calls the process retains one _Setup, the
-    most recent: both d^n-sided bundles, each side's d^n-row column array
-    and (|T| + 1, n) letter rows, the (dB^n r^n, dA^n) frame conj(C), read
-    without a copy, and the target letters' (r, r) support factors.
+    Memory scales with the factors, r = rank(rho_AB).  The pool holds
+    (sum k_A)(sum k_B) unpadded columns of r^n entries, the sums running
+    over each side's distinct codewords of every mu and k being their
+    widths, with a few integer ids per column.  Scoring holds no second
+    array of its size: it builds the factors of each width's blocks, target
+    columns included, and sums the covered and target masses, a chunk of at
+    most GATHER_CAP entries at a time; a chunk of width m gives
+    min(r^n, m)^2 entries a block to diagonalize.  Held under no cap are
+    the pool, the entry index arrays (a stochastic integration fans each
+    decoded pair into many image blocks, each taking all its pairs'
+    columns) and a block wider than GATHER_CAP, gathered alone, such as an
+    undecoded cell's that takes most of the pool.  No Python object is kept
+    per codeword, codeword pair or decoded cell, no matrix per codeword is
+    formed, and no (dA dB)^n-sided operator; sub-POVM validity takes one
+    d^n-sided matrix per family.  Between calls the process retains one
+    _Setup, the most recent: both d^n-sided bundles, each side's d^n-row
+    column array and (|T| + 1, n) letter rows, the (dB^n r^n, dA^n) frame
+    conj(C), read without a copy, and the target letters' (r, r) support
+    factors.
     """
     real = _realize(params, rho_AB, d)
     setup = real.setup
@@ -789,9 +789,9 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     offsets = (np.cumsum(counts) - counts)[source] - (np.cumsum(lengths) - lengths)
     image_col = np.argsort(decoded_id, kind="stable")[
         np.repeat(offsets, lengths) + np.arange(lengths.sum())]
-    g_gaps, support_mass = _gap_norms(
-        setup.target_factors, image_rows, real.pool, np.repeat(image, lengths), image_col,
-        np.repeat(image_w, lengths) * w[image_col])
+    g_gaps, support_mass = _trace_norm_sum(
+        real.pool, np.repeat(image, lengths), image_col,
+        -np.repeat(image_w, lengths) * w[image_col], setup.target_factors, image_rows)
     leakage = real.leakage
     missed = max(0.0, 1.0 - support_mass)
     g_val = g_gaps + missed + leakage
@@ -851,11 +851,11 @@ def error_split(params: ProtocolParams, rho_AB: DensityOperator,
     n_B = len(d.povm_B.outcomes)
     table = _letter_factors(real.setup.c1, [tensor(a, b) for a in d.povm_A.operators
                                             for b in d.povm_B.operators])
-    s1_gaps, hit_mass = _gap_norms(
-        table, rows_A[pair_keys // nv] * n_B + rows_B[pair_keys % nv],
-        pool, pair_id, cols, w)
-    s2_id, _ = _first_appearance(np.concatenate([real.pair_code, real.decoded_code]))
-    s2 = _trace_norm_sum(pool, s2_id, np.concatenate([cols, cols]), np.concatenate([w, -w]))
+    s1_gaps, hit_mass = _trace_norm_sum(pool, pair_id, cols, -w, table,
+                                        rows_A[pair_keys // nv] * n_B + rows_B[pair_keys % nv])
+    s2_id, s2_keys = _first_appearance(np.concatenate([real.pair_code, real.decoded_code]))
+    s2, _ = _trace_norm_sum(pool, s2_id, np.concatenate([cols, cols]), np.concatenate([w, -w]),
+                            table[:, :, :0], np.zeros((len(s2_keys), params.n), dtype=np.intp))
     return 1.0 + s1_gaps - hit_mass + real.leakage, s2
 
 
@@ -963,7 +963,7 @@ def binning_collision_rate(params: ProtocolParams, p_uv) -> float:
     drawn at ``params.seed``: codebooks from the pruned marginals of p_uv,
     uniform bins, joint-typicality decoding.
     """
-    _check_cell_cap(params)
+    _check_draw_caps(params)
     p = _joint_law(p_uv)
     pU = np.clip(p.sum(axis=1), 0.0, None)
     pV = np.clip(p.sum(axis=0), 0.0, None)

@@ -69,6 +69,25 @@ def unequal_dims(dims, seed):
     at delta = 1.5."""
     rng = np.random.default_rng(seed)
     state = random_density(rng, dims)
+    return _at_binary_rates(state, rng)
+
+
+def low_rank_two_qubit(rank, seed):
+    """unequal_dims((2, 2), seed) with the state's 4 - rank smallest
+    eigenvalues zeroed and the rest renormalized: a rank-deficient state
+    that its random POVMs do not commute with."""
+    rng = np.random.default_rng(seed)
+    vals, vecs = np.linalg.eigh(random_density(rng, (2, 2)).mat)
+    vals[:4 - rank] = 0.0
+    state = DensityOperator(vecs @ np.diag(vals / vals.sum()) @ vecs.conj().T, (2, 2))
+    return _at_binary_rates(state, rng)
+
+
+def _at_binary_rates(state, rng):
+    """(instance, decomposition): state read by a random two-outcome POVM
+    on each side from rng, integrated by the identity pairing, with
+    binary-correlated's rates at delta = 1.5."""
+    dims = state.dims
     d = deterministic_decomposition(random_povm(rng, dims[0], 2), random_povm(rng, dims[1], 2))
     inst = fixtures.load_fixture("binary-correlated")
     return dataclasses.replace(inst, state=state, decomposition=d,

@@ -475,6 +475,21 @@ def test_decoder_cell_cap_exits_4(extra, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("extra", [{"command": "simulate"},
+                                   {"command": "sweep", "kind": "collision"}],
+                         ids=["simulate", "collision"])
+def test_codeword_draw_cap_exits_4(extra, tmp_path, capsys):
+    # L1 = round(2^(6 x 3.3)) = 912838 codewords per mu, under the cap, but
+    # two mu draw 1825676 member ids, refused before any is drawn; with one
+    # bin on side A there are only 2 x 1 x 1 x 28 decoder cells
+    cfg = _write_config(tmp_path, {"input": "binary-correlated", "n": 6, "Rt1": 3.3,
+                                   "R1": 0, "N1": 2, **extra})
+    rc, out, err = _run(capsys, "--input", cfg)
+    assert rc == 4, err
+    assert err.startswith("cap exceeded:") and "side A draws 2 x 912838 = 1825676" in err
+    assert out == ""
+
+
 def test_collision_sweep_past_pair_alphabet_cap(tmp_path, capsys):
     # 4^11 pair strings exceed the enumeration cap; the codeword pairs do not
     cfg = _write_config(tmp_path, {

@@ -11,8 +11,8 @@ from functools import partial, reduce
 import numpy as np
 import pytest
 
-from conftest import (random_density, random_povm, random_sub_povm, stochastic_binary,
-                      unequal_dims)
+from conftest import (low_rank_two_qubit, random_density, random_povm, random_sub_povm,
+                      stochastic_binary, unequal_dims)
 from oracles import (
     distortion_of_protocol,
     ensemble_state,
@@ -738,7 +738,9 @@ def test_trace_norm_sum_matches_dense():
     # factor pieces of widths below, equal to and above the row count, signed
     # weights, a block of several pieces and width-0 pieces, all in one call;
     # the pieces' columns go into one pool, the entries of all blocks are
-    # shuffled together, and block 7 has no entries
+    # shuffled together, and block 7 has no entries.  Each block x also takes,
+    # in front, the ``width`` columns of table[idx[x]] at weight 1 (no
+    # column at width 0), whose squared magnitudes sum to the target trace
     rng = np.random.default_rng(9)
     side = 6
 
@@ -754,10 +756,14 @@ def test_trace_norm_sum_matches_dense():
     weight = np.concatenate([s for _, _, s in pieces])
     shuffle = rng.permutation(len(pool))
     assert (np.diff(block[shuffle]) < 0).any()
-    got = _trace_norm_sum(pool, block[shuffle], shuffle, weight[shuffle])
-    want = sum(trace_norm(sum(((f * s) @ f.conj().T for f, s in p), np.zeros((side, side))))
-               for p in blocks)
-    assert abs(got - want) < 1e-12
+    for width in (0, 2):
+        table = rng.normal(size=(3, side, width)) + 1j * rng.normal(size=(3, side, width))
+        idx = rng.integers(0, 3, size=(len(blocks), 1))
+        got, mass = _trace_norm_sum(pool, block[shuffle], shuffle, weight[shuffle], table, idx)
+        want = sum(trace_norm(sum(((f * s) @ f.conj().T for f, s in p), t @ t.conj().T))
+                   for t, p in zip(table[idx[:, 0]], blocks))
+        assert abs(got - want) < 1e-12
+        assert abs(mass - np.sum(np.abs(table[idx[:, 0]]) ** 2)) < 1e-12
 
 
 # dA != dB: scored at n = 2 only, where each oracle takes a tenth of a second
@@ -816,6 +822,114 @@ def test_trial_gather_cap_matches_uncapped(name, monkeypatch):
         assert abs(got.faithfulness_G - want.faithfulness_G) < 1e-12
         for got_s, want_s in zip(got_split, want_split):
             assert abs(got_s - want_s) < 1e-12
+
+
+_MEMORY_INSTANCES = {
+    "binary-correlated": lambda: _instance("binary-correlated"),
+    "stochastic": lambda: _instance("stochastic"),
+    "qubit-qutrit": lambda: unequal_dims((2, 3), 0),
+    "rank-2": lambda: low_rank_two_qubit(2, 1),
+}
+
+
+@pytest.mark.parametrize("name,n", [("binary-correlated", 5), ("stochastic", 5),
+                                    ("qubit-qutrit", 3), ("rank-2", 5)])
+def test_trial_memory_is_bounded_by_its_pool(name, n, monkeypatch):
+    # With a warm setup, a trial or split holds at once, at most:
+    # - the pool, K rows of r^n complex entries, the one product the sandwich
+    #   pass forms (its half product, held only while the pool forms, is
+    #   smaller than the block terms below on these instances);
+    # - the widest block's gathered factor F (m columns of r^n entries, target
+    #   columns included) and its weighted copy, as a block alone wider than
+    #   GATHER_CAP is gathered alone;
+    # - that block's Gram matrix, min(m, r^n) on a side, and eigvalsh's
+    #   copy of it, the Gram being no larger than F;
+    # - the entry arrays: ids, columns, weights and the scoring's sorted
+    #   copies, at most 10 arrays of 8 bytes for each of the K columns and
+    #   the E entries of the scoring call with the most entries;
+    # - 16 chunks of GATHER_CAP complex entries, for the gathers, target
+    #   rows and mass rows of other blocks, with their temporaries.
+    inst, d = _MEMORY_INSTANCES[name]()
+    params = dataclasses.replace(inst.params, n=n)
+    monkeypatch.setattr(protocol, "GATHER_CAP", 2 ** 12)
+    score = protocol._trace_norm_sum
+    calls = []
+
+    def spy(pool, block, col, weight, table, idx):
+        m = np.bincount(block, minlength=len(idx)).max() + table.shape[2] ** idx.shape[1]
+        calls.append((pool.nbytes, pool.shape[1], m, len(block)))
+        return score(pool, block, col, weight, table, idx)
+
+    faithfulness_trial(params, inst.state, d)  # builds the setup
+    monkeypatch.setattr(protocol, "_trace_norm_sum", spy)
+    for run in (faithfulness_trial, error_split):
+        tracemalloc.start()
+        try:
+            run(params, inst.state, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pool_bytes, side, _, _ = calls[0]
+        m = max(c[2] for c in calls)
+        entries = max(c[3] for c in calls) + pool_bytes // (16 * side)
+        bound = (pool_bytes + 2 * 16 * m * side + 2 * 16 * min(m, side) ** 2
+                 + 10 * 8 * entries + 16 * 16 * protocol.GATHER_CAP)
+        calls.clear()
+        assert peak <= bound, (run.__name__, peak, bound, pool_bytes)
+
+
+def _haar_unitary(rng, d):
+    """A Haar-random d x d unitary: the Q of a complex Gaussian matrix, its
+    columns rephased so that R has a positive diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _locally_rotated(inst, d, seed):
+    """(state, decomposition) with U_A x U_B applied to the state and U_A, U_B
+    to each side's POVM elements, both unitaries Haar-drawn at seed."""
+    rng = np.random.default_rng(seed)
+    ua, ub = (_haar_unitary(rng, k) for k in d.dims)
+    u = np.kron(ua, ub)
+    state = DensityOperator(u @ inst.state.mat @ u.conj().T, inst.state.dims)
+
+    def rotate(m, v):
+        return type(m)(m.outcomes, tuple(v @ op @ v.conj().T for op in m.operators), tol=m.tol)
+
+    return state, SeparableDecomposition(rotate(d.povm_A, ua), rotate(d.povm_B, ub),
+                                         d.z_alphabet, d.rows)
+
+
+@pytest.mark.parametrize("name", ["binary-correlated", "rank-1-0", "rank-1-1", "rank-1-2"])
+def test_local_unitary_leaves_trial_unchanged(name):
+    # The protocol sees a state and its measurements only through local
+    # eigenspaces and traces, so rotating side A by U_A and side B by U_B
+    # changes no probability the draws read: at the same seed, G, its
+    # leakage and missed mass, and s1 and s2 agree up to rounding.  This
+    # checks the scoring past the full-matrix oracles' n = 3, where the
+    # rank-1 states, which do not commute with their POVMs, decode hundreds
+    # of cells.  s1 and s2 sum one trace norm per scored block, each off by
+    # a few ulps, so their tolerance is 1e-15 per block of the split (1e-14
+    # at least); at n = 6 they moved by up to 1.2e-16 per block
+    if name == "binary-correlated":
+        inst = fixtures.load_fixture(name)
+        d = inst.decomposition
+    else:
+        inst, d = low_rank_two_qubit(1, int(name[-1]))
+    state, rotated = _locally_rotated(inst, d, 7)
+    for n in range(2, 7):
+        params = dataclasses.replace(inst.params, n=n)
+        want = faithfulness_trial(params, inst.state, d)
+        want_split = error_split(params, inst.state, d)
+        real = protocol._realize(params, inst.state, d)
+        blocks = len(np.unique(np.concatenate([real.pair_code, real.decoded_code])))
+        got = faithfulness_trial(params, state, rotated)
+        got_split = error_split(params, state, rotated)
+        assert abs(got.faithfulness_G - want.faithfulness_G) < 1e-12
+        for key in ("leakage", "missed_mass"):
+            assert abs(got.diagnostics[key] - want.diagnostics[key]) < 1e-12
+        for got_s, want_s in zip(got_split, want_split):
+            assert abs(got_s - want_s) < max(1e-14, 1e-15 * blocks), (n, blocks)
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic",
