@@ -36,8 +36,10 @@ letter maps, letter rows and p(u, v), the frame C held conjugated in the
 layout its one product reads, so no trial copies it, each side's column
 array pinv_sqrt(rho^{(x)n}) pi_hat [the bundle's factors] and the target
 letters' support factors) depends on (rho_AB, d, n, delta) alone.
-It is built once and kept in one slot, keyed by those values' content, so
-a sweep over seeds builds it once; its arrays are read-only.
+It is built once and kept by _kept under the name "trial", keyed by those
+values' content, so a sweep over seeds builds it once; its arrays are
+read-only.  The packing, collision and soft-covering sweeps keep their own
+seed-independent objects the same way, one entry per sweep kind.
 """
 from __future__ import annotations
 
@@ -638,25 +640,27 @@ def _build_setup(rho_AB: DensityOperator, d: SeparableDecomposition, n: int,
                  for to, b in zip(letter_maps, bundles))
     c1, frame = _sandwich_frame(rho_AB, n)
     ops = compose_decomposition(d).operators
-    return read_only(_Setup(
+    return _Setup(
         bundles, letter_maps, rows, outcome_distribution(rho_AB, d.povm_A, d.povm_B), c1,
         frame, (_approx_columns(rho_A, bundles[0], n), _approx_columns(rho_B, bundles[1], n)),
-        _letter_factors(c1, ops + (np.zeros_like(ops[0]),)), _integration_laws(d)))
+        _letter_factors(c1, ops + (np.zeros_like(ops[0]),)), _integration_laws(d))
 
 
-_last_setup = (None, None)  # (key, setup) of the most recent build
+_slots = {}  # builder name -> (key, value) of its most recent build
 
 
-def _setup(rho_AB: DensityOperator, d: SeparableDecomposition, n: int,
-           delta: float) -> _Setup:
-    """The trial's seed-independent objects, built again only when their
-    key differs from the last build's; one setup is retained, and a build
-    that raises leaves the slot as it was."""
-    global _last_setup
-    key = _setup_key(rho_AB, d, n, delta)
-    if _last_setup[0] != key:
-        _last_setup = (key, _build_setup(rho_AB, d, n, delta))
-    return _last_setup[1]
+def _kept(name: str, key, build):
+    """The value kept under ``name`` if its key equals ``key``, else
+    build(), made read-only and kept with ``key`` in place of the last.
+
+    One value is kept per name; a build that raises leaves the entry as it
+    was.  Keys hold content (bytes, shapes, numbers), so equal values in
+    new objects hit the entry.
+    """
+    slot = _slots.get(name)
+    if slot is None or slot[0] != key:
+        slot = _slots[name] = (key, read_only(build()))
+    return slot[1]
 
 
 @dataclass(frozen=True)
@@ -691,7 +695,8 @@ def _realize(params: ProtocolParams, rho_AB: DensityOperator,
     _check_draw_caps(params)
     if rho_AB.dims != (dA, dB):
         raise InvariantError("state and decomposition dimensions disagree")
-    setup = _setup(rho_AB, d, n, params.delta)
+    setup = _kept("trial", _setup_key(rho_AB, d, n, params.delta),
+                  partial(_build_setup, rho_AB, d, n, params.delta))
     bundle_A, bundle_B = setup.bundles
 
     codebook = generate_codebooks(params, bundle_A.pruned, bundle_B.pruned)
@@ -746,8 +751,8 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     The covering/binning split of that error is not scored here; error_split
     redraws the same realization to score it.  Only the seed-dependent
     draws are made per call: the bundles, the sandwich frame and the other
-    objects that depend on (rho_AB, d, n, delta) alone come from _setup,
-    which rebuilds them only when those values change.
+    objects that depend on (rho_AB, d, n, delta) alone come from the
+    "trial" entry of _kept, rebuilt only when those values change.
 
     Memory scales with the factors, r = rank(rho_AB).  The pool holds
     (sum k_A)(sum k_B) unpadded columns of r^n entries, the sums running
@@ -767,7 +772,9 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     _Setup, the most recent: both d^n-sided bundles, each side's d^n-row
     column array and (|T| + 1, n) letter rows, the (dB^n r^n, dA^n) frame
     conj(C), read without a copy, and the target letters' (r, r) support
-    factors.
+    factors.  Beside it the process retains the most recent build of each
+    sweep kind, whose sizes packing_norm_trial, binning_collision_rate and
+    soft_covering_trial state; a trial and a sweep never evict each other.
     """
     real = _realize(params, rho_AB, d)
     setup = real.setup
@@ -917,6 +924,11 @@ def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
     The letter tables are the (k, d, d) elements, or, when both POVMs are
     diagonal, their diagonals as (k, d, 1) columns; the slab is then the
     column of its diagonal, so larger blocklengths stay inside the caps.
+    The marginal laws and the letter tables depend on p_uv and the POVMs
+    alone: the most recent build is kept under "packing", keyed by p_uv's
+    bytes and shape and every element's bytes, so a sweep over seeds, rates
+    or n builds them once.  Between calls that keeps two marginals and the
+    two tables, k d^2 entries a side at most.
     """
     p = _joint_law(p_uv)
     if p.shape != (len(povm_A.outcomes), len(povm_B.outcomes)):
@@ -927,24 +939,28 @@ def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
     # the smaller dimension cap, so neither runs above 2^20
     if _exceeds(dA * dB, n, 2 ** 20):
         raise CapExceededError(f"packing dimension {dA * dB}^{n} exceeds the cap {2 ** 20}")
-    pU = np.clip(p.sum(axis=1), 0.0, None)
-    pV = np.clip(p.sum(axis=0), 0.0, None)
+
+    def build():
+        pU = np.clip(p.sum(axis=1), 0.0, None)
+        pV = np.clip(p.sum(axis=0), 0.0, None)
+        vecs = _diagonal_vectors(povm_A), _diagonal_vectors(povm_B)
+        diagonal = vecs[0] is not None and vecs[1] is not None
+        tables = ([v[:, :, None] for v in vecs] if diagonal
+                  else [np.stack(m.operators) for m in (povm_A, povm_B)])
+        return pU / pU.sum(), pV / pV.sum(), *tables, diagonal
+
+    lawU, lawV, tA, tB, diagonal = _kept("packing", (
+        p.tobytes(), p.shape, tuple(op.tobytes() for op in povm_A.operators),
+        tuple(op.tobytes() for op in povm_B.operators)), build)
     L1 = _count_for_rate(n, r1)
     L2 = _count_for_rate(n, r2)
     us, countsU = _distinct(substream(seed, STREAM_PACKING_A).choice(
-        p.shape[0], size=(L1, n), p=pU / pU.sum()))
+        p.shape[0], size=(L1, n), p=lawU))
     vs, countsV = _distinct(substream(seed, STREAM_PACKING_B).choice(
-        p.shape[1], size=(L2, n), p=pV / pV.sum()))
+        p.shape[1], size=(L2, n), p=lawV))
     joint = typical_pairs(us, vs, p, delta)
-
-    vecsA = _diagonal_vectors(povm_A)
-    vecsB = _diagonal_vectors(povm_B)
-    diagonal = vecsA is not None and vecsB is not None
-    if diagonal:
-        tA, tB = vecsA[:, :, None], vecsB[:, :, None]
-    else:
+    if not diagonal:
         _check_dim_cap(dA * dB, n)
-        tA, tB = np.stack(povm_A.operators), np.stack(povm_B.operators)
     U = kron_rows(tA, us)
     V = kron_rows(tB, vs)
     (a, DA, cA), (b, DB, cB) = U.shape, V.shape
@@ -961,17 +977,24 @@ def binning_collision_rate(params: ProtocolParams, p_uv) -> float:
 
     Runs the classical half of the protocol only, for the one realization
     drawn at ``params.seed``: codebooks from the pruned marginals of p_uv,
-    uniform bins, joint-typicality decoding.
+    uniform bins, joint-typicality decoding.  Both marginal typical sets and
+    their pruned laws depend on (p_uv, n, delta) alone: the most recent
+    build is kept under "collision", keyed by p_uv's bytes and shape, n and
+    delta, so a sweep over seeds or bin rates builds them once.  Between
+    calls that keeps each side's (|T|, n) member rows and |T| probabilities.
     """
     _check_draw_caps(params)
     p = _joint_law(p_uv)
-    pU = np.clip(p.sum(axis=1), 0.0, None)
-    pV = np.clip(p.sum(axis=0), 0.0, None)
-    t_u = typical_set(pU, params.n, params.delta)
-    t_v = typical_set(pV, params.n, params.delta)
-    joint = partial(typical_pairs, p_uv=p, delta=params.delta)
-    codebook = generate_codebooks(params, pruned_distribution(t_u),
-                                  pruned_distribution(t_v))
+    n, delta = params.n, params.delta
+
+    def build():
+        t_u = typical_set(np.clip(p.sum(axis=1), 0.0, None), n, delta)
+        t_v = typical_set(np.clip(p.sum(axis=0), 0.0, None), n, delta)
+        return t_u, t_v, pruned_distribution(t_u), pruned_distribution(t_v)
+
+    t_u, t_v, pruned_u, pruned_v = _kept("collision", (p.tobytes(), p.shape, n, delta), build)
+    joint = partial(typical_pairs, p_uv=p, delta=delta)
+    codebook = generate_codebooks(params, pruned_u, pruned_v)
     decoder = build_decoder(codebook, generate_bin_maps(params, t_u, t_v), joint)
     return decoder.collisions / decoder.occupied if decoder.occupied else 0.0
 
@@ -993,20 +1016,28 @@ def soft_covering_trial(ens, n: int, rate_sum: float, seed: int,
     array is larger than max(|X|^n, d^{2n}) entries, both held under the
     caps, and a step holds at most three of them at once: its input (with
     tensordot's reordered copy of it) and product, then the product and its
-    reordered copy.
+    reordered copy.  The pruned law, eps, the members' ranks and the p^n
+    coefficients depend on (weights, n, delta) alone: the most recent build
+    is kept under "soft-covering", keyed by the weights' bytes, n and delta,
+    so a sweep over seeds or rate sums builds them once.  Between calls that
+    keeps |X|^n coefficients, at most 8 MB under SEQ_CAP, and two |T|-entry
+    arrays.
     """
     _check_dim_cap(ens.dim, n)
     weights = np.asarray(ens.weights, dtype=float)
-    tset = typical_set(weights, n, delta, alphabet=ens.outcomes)
-    pruned = pruned_distribution(tset)
-    eps = max(0.0, 1.0 - tset.mass)
+    size = weights.size
+
+    def build():
+        tset = typical_set(weights, n, delta)
+        return (pruned_distribution(tset), max(0.0, 1.0 - tset.mass),
+                tset.seqs @ size ** np.arange(n - 1, -1, -1),
+                reduce(np.multiply.outer, [weights] * n).ravel())
+
+    pruned, eps, ranks, power = _kept("soft-covering", (weights.tobytes(), n, delta), build)
     M = _count_for_rate(n, rate_sum)
     draws = pruned.sample(substream(seed, STREAM_SOFT), M)
-    size = weights.size
-    ranks = tset.seqs @ size ** np.arange(n - 1, -1, -1)
     scale = (1.0 - eps) / ((1.0 + eta) * M)
-    coef = (reduce(np.multiply.outer, [weights] * n).ravel()
-            - scale * np.bincount(ranks[draws], minlength=size ** n))
+    coef = power - scale * np.bincount(ranks[draws], minlength=size ** n)
     table = np.stack([np.asarray(state.mat, dtype=np.complex128) for state in ens.states])
     d = ens.dim
     out = coef.reshape(1, 1, -1)

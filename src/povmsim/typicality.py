@@ -22,7 +22,9 @@ at most SEQ_CAP pairs per call, so no pair string is enumerated: one
 broadcast one-hot product per block of pairs gives every pair letter's
 counts, which are held against integer bounds formed once per call.  Every
 batched pass holds its transient count arrays in chunks of at most
-CHUNK_CAP entries.
+CHUNK_CAP = 2^16 entries, 512 KB of float counts; the masks are exact
+integer comparisons, so the chunk size moves no output bit.  Nothing here
+is kept between calls: the protocol keeps the typical sets it reuses.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from .operators import (
 
 SEQ_CAP = 2 ** 20     # max number of sequences ever enumerated
 DIM_CAP = 4096        # max operator side length
-CHUNK_CAP = 2 ** 14   # max entries of any transient array a batched pass holds at once
+CHUNK_CAP = 2 ** 16   # max entries of any transient array a batched pass holds at once
 GROUP_RTOL = 1e-9     # eigenvalues closer than this (relative) share a group
 
 

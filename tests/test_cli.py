@@ -191,7 +191,7 @@ def test_simulate_seed_n_grid_builds_one_setup_per_n(tmp_path, capsys, monkeypat
     # while the trials run n by n and so build one setup per n
     builds = []
     build = protocol._build_setup
-    monkeypatch.setattr(protocol, "_last_setup", (None, None))
+    monkeypatch.setattr(protocol, "_slots", {})
     monkeypatch.setattr(protocol, "_build_setup", lambda *a: builds.append(a[2]) or build(*a))
     cfg = _write_config(tmp_path, {"input": "binary-correlated", "command": "simulate",
                                    "seeds": [0, 1, 2], "ns": [2, 3]})
@@ -266,6 +266,31 @@ def test_soft_covering_sweep(tmp_path, capsys):
     row = dict(zip(serialize.CSV_COLUMNS, lines[1].split(",")))
     assert row["Rt1"] == "1.2"
     assert float(row["G"]) >= 0.0
+
+
+def test_sweeps_build_their_typical_sets_once(tmp_path, capsys, monkeypatch):
+    # each sweep keeps its seed-independent objects in its own slot: a seed
+    # sweep builds its typical sets once, and a trial, a collision row and a
+    # soft-covering row run in turn rebuild none of them
+    typical, setups = [], []
+    spied_set, spied_setup = protocol.typical_set, protocol._build_setup
+    monkeypatch.setattr(protocol, "_slots", {})
+    monkeypatch.setattr(protocol, "typical_set",
+                        lambda *a, **k: typical.append(a[1:]) or spied_set(*a, **k))
+    monkeypatch.setattr(protocol, "_build_setup",
+                        lambda *a: setups.append(a[2:]) or spied_setup(*a))
+    collision = {"input": "binary-correlated", "command": "sweep", "kind": "collision", "n": 4}
+    soft = dict(collision, kind="soft-covering")
+    trial = {"input": "binary-correlated", "command": "simulate", "n": 4}
+    rc, out, _ = _run(capsys, "--input", _write_config(tmp_path, dict(collision, seeds=[0, 1, 2])))
+    assert rc == 0 and len(out.splitlines()) == 4 and len(typical) == 2
+    rc, out, _ = _run(capsys, "--input", _write_config(
+        tmp_path, dict(soft, seeds=[0, 1, 2], rate_sums=[0.5, 1.5])))
+    assert rc == 0 and len(out.splitlines()) == 7 and len(typical) == 3
+    for config in (trial, collision, soft) * 2:
+        rc, out, _ = _run(capsys, "--input", _write_config(tmp_path, dict(config, seeds=[5])))
+        assert rc == 0 and len(out.splitlines()) == 2
+    assert len(typical) == 3 and len(setups) == 1
 
 
 def test_unknown_sweep_kind_is_invariant_error(tmp_path, capsys):

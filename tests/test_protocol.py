@@ -15,6 +15,7 @@ from conftest import (low_rank_two_qubit, random_density, random_povm, random_su
                       stochastic_binary, unequal_dims)
 from oracles import (
     distortion_of_protocol,
+    ensemble_payload,
     ensemble_state,
     letter_rows,
     lookup,
@@ -1055,10 +1056,15 @@ def _report_bits(r):
             r.collisions, r.occupied, {k: bits(v) for k, v in r.diagnostics.items()})
 
 
-def _cold(monkeypatch, fn, *args):
-    """fn(*args) with the setup slot emptied first."""
-    monkeypatch.setattr(protocol, "_last_setup", (None, None))
-    return fn(*args)
+def _entry(name):
+    """The (key, value) entry protocol._kept holds under name, or None."""
+    return protocol._slots.get(name)
+
+
+def _cold(monkeypatch, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with every slot emptied first."""
+    monkeypatch.setattr(protocol, "_slots", {})
+    return fn(*args, **kwargs)
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic"])
@@ -1068,10 +1074,10 @@ def test_warm_setup_scores_bit_equal_to_cold(name, monkeypatch):
         params = dataclasses.replace(inst.params, n=n, seed=seed)
         cold_trial = _report_bits(_cold(monkeypatch, faithfulness_trial, params, inst.state, d))
         cold_split = [x.hex() for x in _cold(monkeypatch, error_split, params, inst.state, d)]
-        slot = protocol._last_setup
+        slot = _entry("trial")
         assert _report_bits(faithfulness_trial(params, inst.state, d)) == cold_trial
         assert [x.hex() for x in error_split(params, inst.state, d)] == cold_split
-        assert protocol._last_setup is slot
+        assert _entry("trial") is slot
 
 
 def test_equal_inputs_as_new_objects_hit_the_setup():
@@ -1080,14 +1086,14 @@ def test_equal_inputs_as_new_objects_hit_the_setup():
     inst = fixtures.load_fixture("example1")
     params = dataclasses.replace(inst.params, n=3)
     want = _report_bits(faithfulness_trial(params, inst.state, inst.decomposition))
-    slot = protocol._last_setup
+    slot = _entry("trial")
     state = serialize.density_from_json("state", json.loads(json.dumps(
         serialize.density_to_json(inst.state))))
     d = serialize.decomposition_from_json("decomposition", json.loads(json.dumps(
         serialize.decomposition_to_json(inst.decomposition))))
     assert state.mat is not inst.state.mat and d is not inst.decomposition
     assert _report_bits(faithfulness_trial(params, state, d)) == want
-    assert protocol._last_setup is slot
+    assert _entry("trial") is slot
 
 
 def test_changed_state_n_or_delta_misses_the_setup(monkeypatch):
@@ -1099,9 +1105,9 @@ def test_changed_state_n_or_delta_misses_the_setup(monkeypatch):
     for p, state in ((params, changed), (dataclasses.replace(params, n=4), inst.state),
                      (dataclasses.replace(params, delta=0.7), inst.state)):
         faithfulness_trial(params, inst.state, d)
-        slot = protocol._last_setup
+        slot = _entry("trial")
         got = _report_bits(faithfulness_trial(p, state, d))
-        assert protocol._last_setup[0] != slot[0]
+        assert _entry("trial")[0] != slot[0]
         assert _report_bits(_cold(monkeypatch, faithfulness_trial, p, state, d)) == got
 
 
@@ -1109,7 +1115,7 @@ def test_setup_and_fixture_arrays_are_read_only():
     inst = fixtures.load_fixture("example1")
     assert fixtures.load_fixture("example1") is inst
     faithfulness_trial(inst.params, inst.state, inst.decomposition)
-    setup = protocol._last_setup[1]
+    setup = _entry("trial")[1]
     bundle = setup.bundles[0]
     arrays = [setup.p_uv, setup.c1, setup.frame, setup.law, *setup.columns[0], *setup.columns[1],
               setup.target_factors, *setup.rows, *setup.letter_maps, bundle.pi_rho,
@@ -1129,12 +1135,12 @@ def test_failing_setup_is_not_kept():
     # so the setup's bundle build raises, on every call
     inst = fixtures.load_fixture("example1")
     faithfulness_trial(inst.params, inst.state, inst.decomposition)
-    slot = protocol._last_setup
+    slot = _entry("trial")
     bad = dataclasses.replace(inst.params, delta=0.1)
     for score in (faithfulness_trial, faithfulness_trial, error_split):
         with pytest.raises(InvariantError, match="empty typical set"):
             score(bad, inst.state, inst.decomposition)
-        assert protocol._last_setup is slot
+        assert _entry("trial") is slot
 
 
 def test_trial_report_validation():
@@ -1424,6 +1430,147 @@ def test_soft_covering_error_drops_above_holevo_rate():
     hi = np.median([soft_covering_trial(ens, 6, chi + 0.6, s, delta=0.8, eta=0.05)
                     for s in range(5)])
     assert hi < lo
+
+
+# ---------------------------------------------------------------------------
+# the sweeps' seed-independent slots, one per sweep kind
+# ---------------------------------------------------------------------------
+
+def _collision(p_uv, n, delta, seed):
+    return binning_collision_rate(
+        ProtocolParams(n=n, Rt1=1.25, Rt2=1.25, R1=0.8, R2=0.8, delta=delta, seed=seed), p_uv)
+
+
+def _soft_covering(ens, n, delta, seed):
+    return soft_covering_trial(ens, n, 1.0, seed, delta=delta, eta=0.05)
+
+
+def _packing(source, n, delta, seed):
+    povm_A, povm_B, p_uv = source
+    return packing_norm_trial(povm_A, povm_B, p_uv, n, 0.75, 0.75, delta, seed)
+
+
+def _json_law(p):
+    return np.array(json.loads(json.dumps(np.asarray(p).tolist())))
+
+
+def _json_povm(m):
+    return serialize.povm_from_json("povm", json.loads(json.dumps(serialize.povm_to_json(m))))
+
+
+def _nudged(mat, by=1e-12):
+    """A copy of mat with its [0, 0] entry moved by ``by``, inside every tol."""
+    out = np.array(mat)
+    out[0, 0] += by
+    return out
+
+
+def _sweep_slot_cases() -> dict:
+    # name: (run(source, n, delta, seed), source, (n, delta), its JSON round
+    # trip, (source, n, delta) calls that differ from it in one value and
+    # miss the slot, and such calls that hit it, the slot not depending on
+    # the changed value)
+    inst = fixtures.load_fixture("binary-correlated")
+    p, ens = inst.p_uv, inst.ensemble
+    povm = inst.decomposition.povm_A
+    law = _nudged(p) - np.diag([0.0, 1e-12])  # 1e-12 moved from p[1, 1] to p[0, 0]
+    nudged_povm = Povm(povm.outcomes, (_nudged(povm.operators[0]), povm.operators[1]))
+    packing = (povm, povm, p)
+    return {
+        "collision": (_collision, p, (4, 0.6), _json_law,
+                      [(law, 4, 0.6), (p, 5, 0.6), (p, 4, 0.7)], []),
+        "soft-covering": (
+            _soft_covering, ens, (4, 0.8),
+            lambda e: serialize.ensemble_from_json("ensemble", json.loads(json.dumps(
+                ensemble_payload(e)))),
+            [(Ensemble(ens.weights + [1e-12, -1e-12], ens.states, ens.outcomes), 4, 0.8),
+             (ens, 5, 0.8), (ens, 4, 0.9)],
+            [(Ensemble(ens.weights, (DensityOperator(_nudged(ens.states[0].mat), (2,)),
+                                     ens.states[1]), ens.outcomes), 4, 0.8)]),
+        "packing": (
+            _packing, packing, (4, 0.6),
+            lambda s: (_json_povm(s[0]), _json_povm(s[1]), _json_law(s[2])),
+            [((povm, povm, law), 4, 0.6), ((nudged_povm, povm, p), 4, 0.6),
+             ((povm, nudged_povm, p), 4, 0.6)],
+            [(packing, 5, 0.6), (packing, 4, 0.7)]),
+    }
+
+
+SWEEP_SLOTS = _sweep_slot_cases()
+
+
+@pytest.mark.parametrize("name", list(SWEEP_SLOTS))
+def test_warm_sweep_rows_bit_equal_to_cold(name, monkeypatch):
+    run, source, (_, delta), *_ = SWEEP_SLOTS[name]
+    for n, seed in ((2, 0), (3, 1), (4, 2), (4, 3)):
+        cold = _cold(monkeypatch, run, source, n, delta, seed).hex()
+        slot = _entry(name)
+        assert run(source, n, delta, seed).hex() == cold
+        assert _entry(name) is slot
+
+
+@pytest.mark.parametrize("name", list(SWEEP_SLOTS))
+def test_equal_sweep_inputs_as_new_objects_hit_the_slot(name):
+    # an instance file re-read on every row carries equal values in new objects
+    run, source, (n, delta), round_trip, *_ = SWEEP_SLOTS[name]
+    want = run(source, n, delta, 0).hex()
+    slot = _entry(name)
+    copy = round_trip(source)
+    assert copy is not source
+    assert run(copy, n, delta, 0).hex() == want
+    assert _entry(name) is slot
+
+
+@pytest.mark.parametrize("name", list(SWEEP_SLOTS))
+def test_changed_sweep_input_n_or_delta_misses_the_slot(name, monkeypatch):
+    run, source, (n, delta), _, misses, hits = SWEEP_SLOTS[name]
+    for args, hit in [(a, False) for a in misses] + [(a, True) for a in hits]:
+        run(source, n, delta, 0)
+        slot = _entry(name)
+        got = run(*args, 1).hex()
+        assert (_entry(name) is slot) == hit
+        assert _cold(monkeypatch, run, *args, 1).hex() == got
+
+
+@pytest.mark.parametrize("name", list(SWEEP_SLOTS))
+def test_sweep_slot_arrays_are_read_only(name):
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            return [obj]
+        if dataclasses.is_dataclass(obj):
+            obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+        return [a for x in obj for a in arrays(x)] if isinstance(obj, (tuple, list)) else []
+
+    run, source, (n, delta), *_ = SWEEP_SLOTS[name]
+    run(source, n, delta, 0)
+    kept = arrays(_entry(name)[1])
+    assert kept
+    for a in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            a += 0
+
+
+@pytest.mark.parametrize("name", list(SWEEP_SLOTS))
+def test_failing_sweep_build_is_not_kept(name, monkeypatch):
+    # at n = 3 and delta = 0.01 no binary string is typical for the uniform
+    # marginals, so the pruning raises; the packing build reads no typical
+    # set, so its letter tables are made to raise for a changed law
+    run, source, (n, delta), _, misses, _ = SWEEP_SLOTS[name]
+    run(source, n, delta, 0)
+    slot = _entry(name)
+    bad, match = (source, 3, 0.01), "empty typical set"
+    if name == "packing":
+        def refuse(povm):
+            raise InvariantError("letter table refused")
+
+        monkeypatch.setattr(protocol, "_diagonal_vectors", refuse)
+        bad, match = misses[0], "letter table refused"
+    for _ in range(2):
+        with pytest.raises(InvariantError, match=match):
+            run(*bad, 0)
+        assert _entry(name) is slot
+    run(source, n, delta, 1)
+    assert _entry(name) is slot
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Typical sets, pruned distributions, and the projector bundle."""
 
 import itertools
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -208,6 +209,34 @@ def test_typical_pairs_random_laws_match_row_oracle(monkeypatch):
     assert np.array_equal(got, typical_pairs_by_row(us, us, cases[0][0], 0.5))
     assert got[0b00001111, 0b01110001]
     assert not got[0b00000111, 0b00001011] and not got[0b00011111, 0b11100011]
+
+
+def test_typical_pairs_peak_memory_is_one_chunk(monkeypatch):
+    # a collision sweep's call at n = 8: 235 distinct codewords a side from
+    # binary-correlated's marginal typical set.  Held at once, at most: one
+    # block's float counts (CHUNK_CAP x 8 B), its two comparison masks
+    # (CHUNK_CAP x 1 B each), both one-hot tables (8 B per entry, with the
+    # 1 B comparison each came from), the (rows, cols) result and 64 KB of
+    # small objects.  Counting all pairs in one block breaks the bound.
+    inst = fixtures.load_fixture("binary-correlated")
+    p, n, delta = inst.p_uv, 8, inst.params.delta
+    us = typical_set(p.sum(axis=1), n, delta).seqs[:235]
+    assert len(us) == 235
+    hot = 9 * n * (p.shape[0] * len(us) + p.shape[1] * len(us))
+    bound = typicality.CHUNK_CAP * (8 + 2) + hot + len(us) ** 2 + 2 ** 16
+
+    def peak():
+        typical_pairs(us, us, p, delta)
+        tracemalloc.start()
+        try:
+            typical_pairs(us, us, p, delta)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= bound
+    monkeypatch.setattr(typicality, "CHUNK_CAP", 2 ** 20)
+    assert peak() > bound
 
 
 def test_typical_pairs_empty_sides():
