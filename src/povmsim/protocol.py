@@ -496,32 +496,51 @@ def _trace_norm_sum(pool: np.ndarray, block: np.ndarray, col: np.ndarray,
     so blocks of one width m go through one batched reduced QR and one
     eigvalsh; when m is at least F's row count QR cannot shrink F, and F
     itself serves as R.
-    Widths go in order of first appearance, each width's blocks built a
-    chunk at a time, so that no factor holds more than GATHER_CAP entries
-    unless a single block does; tr T_x, G's squared magnitude, is summed
-    over row chunks of idx under the same cap.
+    The rows of idx go in row chunks, consecutive rows whose G hold at most
+    GATHER_CAP entries, each chunk's G built by one kron_rows call that
+    also gives its sum of tr T_x, G's squared magnitude.  Within a chunk
+    the widths go in order of first appearance in idx, and each width's
+    blocks are written into one factor and one weight row a batch at a
+    time, so that no factor holds more than GATHER_CAP entries unless a
+    single block does: scoring holds one chunk's G next to one batch's
+    factor.  The entries are laid out once, by chunk, width and block, so
+    a batch's columns and weights are one slice of each.
     """
-    side = pool.shape[1]
-    order = np.argsort(block, kind="stable")
+    side, t = pool.shape[1], table.shape[2] ** idx.shape[1]
+    entries = np.bincount(block, minlength=len(idx))
+    widths, rows = entries + t, max(1, GATHER_CAP // max(1, t * side))
+    known, first = np.unique(widths, return_index=True)
+    key = np.arange(len(idx)) // rows * len(idx) + first[np.searchsorted(known, widths)]
+    ids = np.argsort(key, kind="stable")  # the blocks in layout order
+    order = np.argsort(np.argsort(ids)[block], kind="stable")
     cols, weights = col[order], weight[order]
-    entries, t = np.bincount(block, minlength=len(idx)), table.shape[2] ** idx.shape[1]
-    starts, widths = np.cumsum(entries) - entries, entries + t
-    _, first = np.unique(widths, return_index=True)
-    total = 0.0
-    for m in widths[np.sort(first)]:
-        ids = np.flatnonzero(widths == m)
+    start = [0, *np.cumsum(entries[ids]).tolist()]
+    # the groups of one width in one chunk; each row chunk starts a group
+    cuts = [0, *(1 + np.flatnonzero(np.diff(key[ids]))).tolist(), len(idx)] if len(idx) else [0]
+    dtype = np.result_type(pool, table)
+    total = mass = 0.0
+    for p, q in zip(cuts, cuts[1:]):
+        if p % rows == 0:
+            g = kron_rows(table, idx[p:p + rows])
+            mass += float(np.sum(np.abs(g) ** 2))
+            g, a, b = g.transpose(0, 2, 1), p, p + len(g)
+        m = int(widths[ids[p]])
         step = max(1, GATHER_CAP // max(1, m * side))
-        for i in range(0, len(ids), step):
-            take = starts[ids[i:i + step], None] + np.arange(m - t)
-            f = np.concatenate([kron_rows(table, idx[ids[i:i + step]]).transpose(0, 2, 1),
-                                pool[cols[take]]], axis=1).transpose(0, 2, 1)
-            r = f if m >= side else np.linalg.qr(f, mode="r")
-            rs = r * np.concatenate([np.ones((len(take), t)), weights[take]], axis=1)[:, None, :]
-            r = np.conj(r, out=r).transpose(0, 2, 1)  # r is this chunk's own array
+        for i in range(p, q, step):
+            j = min(i + step, q)
+            x = ids[i:j] - a
+            f = np.empty((len(x), m, side), dtype)
+            # consecutive rows are a view, so a wide block's G is not copied twice
+            f[:, :t] = g[x[0]:x[-1] + 1] if x[-1] - x[0] < len(x) else g[x]
+            f[:, t:] = pool[cols[start[i]:start[j]]].reshape(len(x), m - t, side)
+            s = np.ones((len(x), m))
+            s[:, t:] = weights[start[i]:start[j]].reshape(len(x), m - t)
+            g = g if j < b else None  # the chunk's last batch has copied it
+            r = f.transpose(0, 2, 1)
+            r = r if m >= side else np.linalg.qr(r, mode="r")
+            rs = r * s[:, None, :]
+            r = np.conj(r, out=r).transpose(0, 2, 1)  # r is this batch's own array
             total += np.abs(np.linalg.eigvalsh(rs @ r)).sum()
-    step = max(1, GATHER_CAP // max(1, t * side))
-    mass = sum((float(np.sum(np.abs(kron_rows(table, idx[i:i + step])) ** 2))
-                for i in range(0, len(idx), step)), 0.0)
     return float(total), mass
 
 
@@ -758,9 +777,9 @@ def faithfulness_trial(params: ProtocolParams, rho_AB: DensityOperator,
     (sum k_A)(sum k_B) unpadded columns of r^n entries, the sums running
     over each side's distinct codewords of every mu and k being their
     widths, with a few integer ids per column.  Scoring holds no second
-    array of its size: it builds the factors of each width's blocks, target
-    columns included, and sums the covered and target masses, a chunk of at
-    most GATHER_CAP entries at a time; a chunk of width m gives
+    array of its size: at once it holds one row chunk's target columns and
+    one batch of one width's blocks written into a factor and a weight row,
+    each of at most GATHER_CAP entries; a batch of width m gives
     min(r^n, m)^2 entries a block to diagonalize.  Held under no cap are
     the pool, the entry index arrays (a stochastic integration fans each
     decoded pair into many image blocks, each taking all its pairs'
@@ -954,13 +973,13 @@ def packing_norm_trial(povm_A: SubPovm, povm_B: SubPovm, p_uv, n: int,
         tuple(op.tobytes() for op in povm_B.operators)), build)
     L1 = _count_for_rate(n, r1)
     L2 = _count_for_rate(n, r2)
+    if not diagonal:  # refused before any draw, the rates checked first
+        _check_dim_cap(dA * dB, n)
     us, countsU = _distinct(substream(seed, STREAM_PACKING_A).choice(
         p.shape[0], size=(L1, n), p=lawU))
     vs, countsV = _distinct(substream(seed, STREAM_PACKING_B).choice(
         p.shape[1], size=(L2, n), p=lawV))
     joint = typical_pairs(us, vs, p, delta)
-    if not diagonal:
-        _check_dim_cap(dA * dB, n)
     U = kron_rows(tA, us)
     V = kron_rows(tB, vs)
     (a, DA, cA), (b, DB, cB) = U.shape, V.shape

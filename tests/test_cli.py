@@ -921,6 +921,25 @@ def test_huge_blocklength_exits_4(extra, tmp_path, capsys):
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_dense_packing_over_the_dimension_cap_draws_nothing(tmp_path, capsys, monkeypatch):
+    # example1's POVMs are not diagonal, so its slab is dense, and 4^7 is over
+    # DIM_CAP: the sweep refuses n = 7 before it draws a codebook, while an
+    # invalid rate is still refused first
+    def no_draw(*args):
+        raise AssertionError("a codebook was drawn")
+
+    monkeypatch.setattr(protocol, "substream", no_draw)
+    rc, out, err = _run(capsys, "--input", "example1", "--command", "packing-sweep", "--n", "7")
+    assert rc == 4, err
+    assert err.startswith("cap exceeded: operator dimension 4^7 exceeds the cap")
+    assert out == ""
+    cfg = _write_config(tmp_path, {"input": "example1", "command": "packing-sweep", "n": 7,
+                                   "rate_pairs": [[-1, 0.5]]})
+    rc, out, err = _run(capsys, "--input", cfg)
+    assert rc == 3, err
+    assert out == ""
+
+
 @pytest.mark.parametrize("command, n", [("simulate", 3), ("packing-sweep", 4), ("sweep", 4)])
 def test_huge_finite_delta_warns_nothing(command, n, capsys):
     # the typicality bounds overflow to their limit +-inf without a warning

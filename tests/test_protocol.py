@@ -71,6 +71,7 @@ from povmsim.protocol import (
     soft_covering_trial,
     substream,
 )
+from povmsim.regions import region_for
 from povmsim.typicality import (
     build_projector_bundle,
     lambda_operators,
@@ -825,6 +826,60 @@ def test_trial_gather_cap_matches_uncapped(name, monkeypatch):
             assert abs(got_s - want_s) < 1e-12
 
 
+def _scoring_calls(monkeypatch):
+    """The _trace_norm_sum inputs of a trial and its split on binary-correlated
+    at n = 5, stochastic_binary at n = 4 and the qubit-qutrit instance
+    unequal_dims((2, 3), 0) at n = 3."""
+    score, calls = protocol._trace_norm_sum, []
+
+    def spy(*args):
+        calls.append(args)
+        return score(*args)
+
+    cases = ((_instance("binary-correlated"), 5), (_instance("stochastic"), 4),
+             (unequal_dims((2, 3), 0), 3))
+    with monkeypatch.context() as m:
+        m.setattr(protocol, "_trace_norm_sum", spy)
+        for (inst, d), n in cases:
+            params = dataclasses.replace(inst.params, n=n)
+            faithfulness_trial(params, inst.state, d)
+            error_split(params, inst.state, d)
+    return calls
+
+
+def test_trace_norm_sum_agrees_across_chunkings(monkeypatch):
+    # under a cap of one entry every target row is its own row chunk and
+    # every block its own batch; the scores and the target masses agree with
+    # the default cap's, where a row chunk holds blocks of several widths
+    calls = _scoring_calls(monkeypatch)
+    want = [_trace_norm_sum(*c) for c in calls]
+    monkeypatch.setattr(protocol, "GATHER_CAP", 1)
+    for c, w in zip(calls, want):
+        for got, value in zip(_trace_norm_sum(*c), w):
+            assert abs(got - value) <= 1e-13 * value
+
+
+def test_trace_norm_sum_builds_each_row_chunk_once(monkeypatch):
+    # one kron_rows call gives a row chunk's target columns to every width
+    # scored in it and to its target mass, under caps that put every row,
+    # several rows or every row of a call in one chunk
+    calls = _scoring_calls(monkeypatch)
+    kron, built = protocol.kron_rows, []
+
+    def spy(table, idx):
+        built.append(len(idx))
+        return kron(table, idx)
+
+    monkeypatch.setattr(protocol, "kron_rows", spy)
+    for cap in (1, 2 ** 9, protocol.GATHER_CAP):
+        monkeypatch.setattr(protocol, "GATHER_CAP", cap)
+        for pool, block, col, weight, table, idx in calls:
+            rows = max(1, cap // max(1, table.shape[2] ** idx.shape[1] * pool.shape[1]))
+            built.clear()
+            _trace_norm_sum(pool, block, col, weight, table, idx)
+            assert built == [min(rows, len(idx) - a) for a in range(0, len(idx), rows)]
+
+
 _MEMORY_INSTANCES = {
     "binary-correlated": lambda: _instance("binary-correlated"),
     "stochastic": lambda: _instance("stochastic"),
@@ -840,16 +895,19 @@ def test_trial_memory_is_bounded_by_its_pool(name, n, monkeypatch):
     # - the pool, K rows of r^n complex entries, the one product the sandwich
     #   pass forms (its half product, held only while the pool forms, is
     #   smaller than the block terms below on these instances);
-    # - the widest block's gathered factor F (m columns of r^n entries, target
-    #   columns included) and its weighted copy, as a block alone wider than
-    #   GATHER_CAP is gathered alone;
+    # - the widest block's factor F (m columns of r^n entries, target columns
+    #   included) and its weighted copy, as a block alone wider than
+    #   GATHER_CAP is written into a factor alone;
     # - that block's Gram matrix, min(m, r^n) on a side, and eigvalsh's
     #   copy of it, the Gram being no larger than F;
     # - the entry arrays: ids, columns, weights and the scoring's sorted
     #   copies, at most 10 arrays of 8 bytes for each of the K columns and
     #   the E entries of the scoring call with the most entries;
-    # - 16 chunks of GATHER_CAP complex entries, for the gathers, target
-    #   rows and mass rows of other blocks, with their temporaries.
+    # - 16 chunks of GATHER_CAP complex entries: one row chunk's target
+    #   columns, held next to each batch's factor until the chunk's last
+    #   batch has copied them, their squared magnitudes for the target mass,
+    #   and the factors, pool gathers and weight rows of other batches, with
+    #   their temporaries.
     inst, d = _MEMORY_INSTANCES[name]()
     params = dataclasses.replace(inst.params, n=n)
     monkeypatch.setattr(protocol, "GATHER_CAP", 2 ** 12)
@@ -931,6 +989,53 @@ def test_local_unitary_leaves_trial_unchanged(name):
             assert abs(got.diagnostics[key] - want.diagnostics[key]) < 1e-12
         for got_s, want_s in zip(got_split, want_split):
             assert abs(got_s - want_s) < max(1e-14, 1e-15 * blocks), (n, blocks)
+
+
+def _padded_on_a(state, d, c):
+    """(state, decomposition) with side A padded by one dimension the state
+    never reaches, each A element u extended by c[u] there (sum c = 1)."""
+    dA, dB = state.dims
+    iso = np.kron(np.eye(dA + 1, dA), np.eye(dB))
+
+    def pad(op, cu):
+        out = np.pad(op, (0, 1))
+        out[dA, dA] = cu
+        return out
+
+    m = d.povm_A
+    povm = type(m)(m.outcomes, tuple(map(pad, m.operators, c)), tol=m.tol)
+    return (DensityOperator(iso @ state.mat @ iso.T, (dA + 1, dB)),
+            SeparableDecomposition(povm, d.povm_B, d.z_alphabet, d.rows))
+
+
+def _trial_outputs(params, state, d):
+    r = faithfulness_trial(params, state, d)
+    return (r.faithfulness_G, r.diagnostics["leakage"], r.diagnostics["missed_mass"],
+            *error_split(params, state, d))
+
+
+@pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic"])
+def test_zero_weight_embedding_leaves_trial_and_region_unchanged(name):
+    # A dimension of side A that the state never reaches adds nothing any
+    # draw or score reads: the state's support, its local spectra and every
+    # sandwich stay the same whatever the POVM elements do there, so G, its
+    # leakage and missed mass, s1, s2 and every region source agree up to
+    # rounding.  This runs the support factor and the pseudo-inverses on a
+    # rank-deficient side, with c one-hot and uniform
+    inst, d = _instance(name)
+    k = len(d.povm_A.outcomes)
+    want_sources = region_for(inst.state, d).sources
+    runs = [dataclasses.replace(inst.params, n=n, seed=0) for n in (2, 3, 4)]
+    want = [_trial_outputs(params, inst.state, d) for params in runs]
+    for c in (np.eye(k)[0], np.full(k, 1.0 / k)):
+        state, padded = _padded_on_a(inst.state, d, c)
+        sources = region_for(state, padded).sources
+        assert sources.keys() == want_sources.keys()
+        for key, value in want_sources.items():
+            assert abs(sources[key] - value) < 1e-12, (c, key)
+        for params, w in zip(runs, want):
+            got = _trial_outputs(params, state, padded)
+            assert np.max(np.abs(np.subtract(got, w))) < 1e-12, (c, params.n, got, w)
 
 
 @pytest.mark.parametrize("name", ["binary-correlated", "example1", "stochastic",
